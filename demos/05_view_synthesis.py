@@ -11,10 +11,11 @@ descriptor; keeping every view and scoring a query by its best match
 import numpy as np
 
 from mvdesc import (DescriptorParams, LocalSurface, aggregate_descriptor,
-                    default_scene_spec, generate_dataset, maxout_residual,
+                    default_scene_spec, distance, generate_dataset, match_all,
                     normalize_density, rot_z, sample_descriptor,
                     sample_rotations, synthesize_patch, synthesize_views)
-from mvdesc.viewsynth import patch_density, view_descriptors
+from mvdesc.bench import rhog
+from mvdesc.viewsynth import patch_density
 
 
 def main():
@@ -40,16 +41,17 @@ def main():
 
     params = DescriptorParams(patch_size=21)
     marginal = aggregate_descriptor(stack, params)
-    stored = np.array([d.values for d in view_descriptors(stack, params)])
+    # one track (id 0) whose rows are the per-view descriptors
+    stored = rhog([0], [[(surf, frame.image)]], params, rotations)
 
     # a query seen from a novel in-plane angle: max-out finds a close
     # stored view, while the marginal descriptor blurs over all of them
     query_patch = synthesize_patch(surf, frame.image, rot_z(0.4))
     q = sample_descriptor(
-        normalize_density(patch_density(query_patch, params)), "r").values
-    best = maxout_residual(stored, q)
-    single = float(np.sum((marginal.values - q) ** 2))
-    print(f"query residual: best stored view {best:.5f}, "
+        normalize_density(patch_density(query_patch, params)), "rhog")
+    _, best = match_all(stored, q.values)
+    single = distance(marginal, q, "l2")
+    print(f"query l2 distance: best stored view {best[0]:.5f}, "
           f"marginal descriptor {single:.5f}")
 
 

@@ -21,7 +21,7 @@ from .scene import (Correspondence, HeightfieldSurface, PlaneSurface,
                     ground_truth_correspondence, load_dataset, make_texture,
                     read_depth, render_view, write_depth)
 from .viewsynth import (LocalSurface, ReprojectionOutOfBounds,
-                        aggregate_descriptor, maxout_residual, patch_density,
+                        aggregate_descriptor, patch_density,
                         sample_rotations, select_keyframes, synthesize_patch,
                         synthesize_views, view_descriptors, view_visible)
 from .tracking import (Track, TrackerConfig, attach_patches, detect_corners,

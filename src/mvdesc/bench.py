@@ -27,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .hog import DescriptorParams, normalize_density, sample_descriptor
-from .image import GrayImage, base_to_level, build_pyramid, level_to_base
-from .matching import DescriptorDatabase, match_all, likelihood_query
+from .image import base_to_level, build_pyramid, level_to_base
+from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import VISIBLE, generate_dataset, ground_truth_correspondence
-from .tracking import TrackerConfig, extract_patch, normalize_patch, run_tracker
-from .viewsynth import (LocalSurface, patch_density, sample_rotations,
-                        select_keyframes, synthesize_views, view_descriptors)
+from .tracking import TrackerConfig, quantized_patch, run_tracker
+from .viewsynth import (MIN_FACING, LocalSurface, patch_density,
+                        sample_rotations, select_keyframes, synthesize_views,
+                        view_descriptors)
 
 __all__ = [
     "default_benchmark_config",
@@ -42,6 +43,11 @@ __all__ = [
     "spearman",
     "memory_scaling",
     "update_cost_profile",
+    "sv",
+    "mv",
+    "keepall",
+    "rhog",
+    "lift_keyframes",
 ]
 
 
@@ -53,7 +59,6 @@ def default_benchmark_config() -> dict:
         "patch_sizes": [11, 21],
         "sv_trials": 5,
         "max_tracks": 140,
-        "min_tracks": 100,
         "scenes": [
             {"name": "plane0", "kind": "plane", "seed": 101},
             {"name": "relief0", "kind": "heightfield", "seed": 202},
@@ -80,7 +85,6 @@ def default_benchmark_config() -> dict:
         "memory_lengths": [5, 10, 15, 20, 25, 30],
         "timing_lengths": [1, 5, 10, 15, 20, 25, 30],
         "timing_reps": 200,
-        "include_likelihood": False,
     }
 
 
@@ -91,7 +95,6 @@ def quick_benchmark_config() -> dict:
         "patch_sizes": [11],
         "sv_trials": 2,
         "max_tracks": 60,
-        "min_tracks": 20,
         "tracker": {"n_features": 250},
         "excitation": {"ks": [2, 10, 30], "trials": 2, "patch_size": 11},
         "memory_lengths": [5, 15, 30],
@@ -140,6 +143,78 @@ def spearman(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
+# database builders: one per method, shared by the benchmark and the CLI
+
+
+def sv(track_ids, densities, params: DescriptorParams,
+       metric: str = "l2") -> DescriptorDatabase:
+    """One row per track from one unnormalized density each (the caller
+    picks the frame)."""
+    db = DescriptorDatabase("sv", params, metric)
+    for tid, d in zip(track_ids, densities):
+        db.add(tid, sample_descriptor(normalize_density(d), "sv"))
+    return db
+
+
+def mv(track_ids, track_densities, params: DescriptorParams,
+       metric: str = "l2") -> DescriptorDatabase:
+    """One row per track: the normalized average of its frames' densities."""
+    db = DescriptorDatabase("mv", params, metric)
+    for tid, dens in zip(track_ids, track_densities):
+        acc = MultiViewAccumulator(params)
+        for d in dens:
+            acc.update(d)
+        db.add(tid, sample_descriptor(acc.finalize(), "mv"))
+    return db
+
+
+def keepall(track_ids, track_densities, params: DescriptorParams,
+            metric: str = "l2") -> DescriptorDatabase:
+    """One row per frame of every track, grouped by frame index."""
+    db = DescriptorDatabase("keepall", params, metric)
+    for tid, dens in zip(track_ids, track_densities):
+        for g, d in enumerate(dens):
+            db.add(tid, sample_descriptor(normalize_density(d), "keepall"), g)
+    return db
+
+
+def rhog(track_ids, track_views, params: DescriptorParams, rotations,
+         min_facing: float = MIN_FACING, metric: str = "l2") -> DescriptorDatabase:
+    """One row per synthesized view of every track, for max-out matching.
+
+    ``track_views`` holds, per track, ``(surface, level_image)`` pairs: a
+    lifted keyframe surface and the pyramid level image it reprojects into.
+    A keyframe none of whose views is accepted contributes no rows.
+    """
+    db = DescriptorDatabase("rhog", params, metric)
+    for tid, views in zip(track_ids, track_views):
+        g = 0
+        for surface, level_image in views:
+            try:
+                patches, _ = synthesize_views(surface, level_image, rotations,
+                                              min_facing)
+            except ValueError:
+                continue
+            for vec in view_descriptors(patches, params):
+                db.add(tid, vec, g)
+                g += 1
+    return db
+
+
+def lift_keyframes(dataset, track, keyframes, patch_size: int) -> list:
+    """``(frame index, LocalSurface)`` for each keyframe whose depth lifts."""
+    surfaces = []
+    for k in keyframes:
+        try:
+            surfaces.append((int(k), LocalSurface.from_frame(
+                dataset.frames[k].depth, dataset.camera, track.positions[k],
+                patch_size, track.level)))
+        except ValueError:
+            continue
+    return surfaces
+
+
+# ---------------------------------------------------------------------------
 # storage and update-cost studies
 
 
@@ -153,21 +228,15 @@ def memory_scaling(track_densities: list, params: DescriptorParams,
     real storage cost is measured.
     """
     lengths = [int(t) for t in lengths]
+    for tid, dens in enumerate(track_densities):
+        if len(dens) < max(lengths):
+            raise ValueError(f"track {tid} has fewer than {max(lengths)} frames")
+    ids = range(len(track_densities))
     mv_bytes, keep_bytes = [], []
     for t in lengths:
-        mv_db = DescriptorDatabase("mv", params)
-        keep_db = DescriptorDatabase("sv", params)
-        for tid, dens in enumerate(track_densities):
-            if len(dens) < t:
-                raise ValueError(f"track {tid} has fewer than {t} frames")
-            acc = MultiViewAccumulator(params)
-            for d in dens[:t]:
-                acc.update(d)
-            mv_db.add(tid, sample_descriptor(acc.finalize(), "mv"))
-            for g, d in enumerate(dens[:t]):
-                keep_db.add(tid, sample_descriptor(normalize_density(d), "sv"), g)
-        mv_bytes.append(mv_db.memory_bytes)
-        keep_bytes.append(keep_db.memory_bytes)
+        prefixes = [dens[:t] for dens in track_densities]
+        mv_bytes.append(mv(ids, prefixes, params).memory_bytes)
+        keep_bytes.append(keepall(ids, prefixes, params).memory_bytes)
 
     mv_slope = float(np.polyfit(lengths, mv_bytes, 1)[0])
     keep_slope = float(np.polyfit(lengths, keep_bytes, 1)[0])
@@ -282,14 +351,7 @@ class _SceneRun:
                     break
             if not ok:
                 continue
-            surfaces = []
-            for k in keyframes:
-                try:
-                    surfaces.append((int(k), LocalSurface.from_frame(
-                        self.dataset.frames[k].depth, self.dataset.camera,
-                        tr.positions[k], patch_size, tr.level)))
-                except ValueError:
-                    continue
+            surfaces = lift_keyframes(self.dataset, tr, keyframes, patch_size)
             if not surfaces:
                 continue
             usable.append((tr, surfaces))
@@ -297,24 +359,21 @@ class _SceneRun:
         track_densities = []
         track_patches = []
         for tr, _ in usable:
-            dens, pats = [], []
-            for f, pos in enumerate(tr.positions):
-                raw = extract_patch(self.frame_pyrs[f].level(tr.level), pos,
+            pats = [quantized_patch(self.frame_pyrs[f].level(tr.level), pos,
                                     patch_size)
-                patch = GrayImage.from_u8(GrayImage(normalize_patch(raw)).to_u8()).data
-                pats.append(patch)
-                dens.append(patch_density(patch, params))
-            track_densities.append(dens)
+                    for f, pos in enumerate(tr.positions)]
+            track_densities.append([patch_density(p, params) for p in pats])
             track_patches.append(np.array(pats))
 
-        queries = self._build_queries(usable, params)
         return {
             "params": params,
-            "usable": usable,
+            "track_ids": [tr.id for tr, _ in usable],
+            "views": [[(surf, self.frame_pyrs[k].level(tr.level))
+                       for k, surf in surfaces] for tr, surfaces in usable],
             "densities": track_densities,
             "patches": track_patches,
             "rotations": rot,
-            "queries": queries,
+            "queries": self._build_queries(usable, params),
         }
 
     def _build_queries(self, usable, params: DescriptorParams):
@@ -335,8 +394,7 @@ class _SceneRun:
                 if not (half + 1 <= xy[0] <= w - 2 - half
                         and half + 1 <= xy[1] <= h - 2 - half):
                     continue
-                raw = extract_patch(lvl_img, xy, params.patch_size)
-                patch = GrayImage.from_u8(GrayImage(normalize_patch(raw)).to_u8()).data
+                patch = quantized_patch(lvl_img, xy, params.patch_size)
                 dens = normalize_density(patch_density(patch, params))
                 ids.append(tr.id)
                 views.append(vi)
@@ -345,68 +403,13 @@ class _SceneRun:
                 "view_idx": np.array(views, dtype=int),
                 "values": np.array(values) if values else np.zeros((0, 0))}
 
-    # -- databases ---------------------------------------------------------
 
-    def build_mv_db(self, prep, subset=None) -> DescriptorDatabase:
-        params = prep["params"]
-        db = DescriptorDatabase("mv", params, self.cfg["metric"])
-        for (tr, _), dens in zip(prep["usable"], prep["densities"]):
-            acc = MultiViewAccumulator(params)
-            for f in (subset if subset is not None else range(len(dens))):
-                acc.update(dens[f])
-            db.add(tr.id, sample_descriptor(acc.finalize(), "mv"))
-        return db
-
-    def build_sv_db(self, prep, rng: np.random.Generator) -> DescriptorDatabase:
-        params = prep["params"]
-        db = DescriptorDatabase("sv", params, self.cfg["metric"])
-        for (tr, _), dens in zip(prep["usable"], prep["densities"]):
-            f = int(rng.integers(0, len(dens)))
-            db.add(tr.id, sample_descriptor(normalize_density(dens[f]), "sv"))
-        return db
-
-    def build_keepall_db(self, prep) -> DescriptorDatabase:
-        params = prep["params"]
-        db = DescriptorDatabase("sv", params, self.cfg["metric"])
-        for (tr, _), dens in zip(prep["usable"], prep["densities"]):
-            for f, d in enumerate(dens):
-                db.add(tr.id, sample_descriptor(normalize_density(d), "sv"), f)
-        return db
-
-    def build_rhog_db(self, prep) -> DescriptorDatabase:
-        # max-out matching is squared-l2 over rows, so the metric is fixed
-        params = prep["params"]
-        db = DescriptorDatabase("r", params, "l2")
-        for tr, surfaces in prep["usable"]:
-            g = 0
-            for k, surf in surfaces:
-                lvl_img = self.frame_pyrs[k].level(tr.level)
-                try:
-                    patches, _ = synthesize_views(
-                        surf, lvl_img, prep["rotations"],
-                        self.cfg["rhog"]["min_facing"])
-                except ValueError:
-                    continue
-                for vec in view_descriptors(patches, params):
-                    db.add(tr.id, vec, g)
-                    g += 1
-        return db
-
-    def rate(self, db: DescriptorDatabase, prep, metric: str = None):
-        q = prep["queries"]
-        if q["values"].shape[0] == 0:
-            return 0.0, 0
-        pred, _ = match_all(db, q["values"], metric)
-        return float(np.mean(pred == q["track_ids"])), len(pred)
-
-    def likelihood_rate(self, db: DescriptorDatabase, prep):
-        q = prep["queries"]
-        correct = 0
-        for truth, vals in zip(q["track_ids"], q["values"]):
-            pred, _ = likelihood_query(db, vals)
-            correct += int(pred == truth)
-        n = len(q["track_ids"])
-        return (correct / n if n else 0.0), n
+def _rate(db: DescriptorDatabase, queries: dict):
+    """(recognition rate, query count) of ``db`` on a prepared query set."""
+    if queries["values"].shape[0] == 0:
+        return 0.0, 0
+    pred, _ = match_all(db, queries["values"])
+    return float(np.mean(pred == queries["track_ids"])), len(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +441,27 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
         for size in cfg["patch_sizes"]:
             prep = run.prepare(size)
             preps[(run.name, size)] = prep
-            n_tracks[f"{run.name}/{size}"] = len(prep["usable"])
-            truth = prep["queries"]["track_ids"]
-
-            mv_db = run.build_mv_db(prep)
-            keep_db = run.build_keepall_db(prep)
-            rhog_db = run.build_rhog_db(prep)
+            n_tracks[f"{run.name}/{size}"] = len(prep["track_ids"])
+            ids, dens, params = prep["track_ids"], prep["densities"], prep["params"]
+            queries = prep["queries"]
+            truth = queries["track_ids"]
 
             sv_rates = []
-            n_q = 0
             for trial in range(cfg["sv_trials"]):
                 rng = np.random.default_rng(np.random.SeedSequence(
                     (cfg["seed"], hash_name(run.name), size, 11, trial)))
-                r, n_q = run.rate(run.build_sv_db(prep, rng), prep)
-                sv_rates.append(r)
+                picks = [d[int(rng.integers(0, len(d)))] for d in dens]
+                sv_rates.append(_rate(sv(ids, picks, params, cfg["metric"]),
+                                      queries)[0])
+            # max-out matching is squared-l2 over rows, so the metric is fixed
+            rhog_db = rhog(ids, prep["views"], params, prep["rotations"],
+                           cfg["rhog"]["min_facing"], "l2")
             scene_rates = {
                 "sv": float(np.mean(sv_rates)),
-                "mv": run.rate(mv_db, prep)[0],
-                "keepall": run.rate(keep_db, prep)[0],
-                "rhog": run.rate(rhog_db, prep, "l2")[0],
+                "mv": _rate(mv(ids, dens, params, cfg["metric"]), queries)[0],
+                "keepall": _rate(keepall(ids, dens, params, cfg["metric"]),
+                                 queries)[0],
+                "rhog": _rate(rhog_db, queries)[0],
             }
             for m in methods:
                 metric = "l2" if m == "rhog" else cfg["metric"]
@@ -464,9 +469,6 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 bucket = pooled[m].setdefault(size, {"correct": 0.0, "n": 0})
                 bucket["correct"] += scene_rates[m] * len(truth)
                 bucket["n"] += len(truth)
-            if cfg["include_likelihood"]:
-                r, _ = run.likelihood_rate(mv_db, prep)
-                rows.append((run.name, "mv", size, "loglik", r))
 
     pooled_rates = {m: {str(s): (b["correct"] / b["n"] if b["n"] else 0.0)
                         for s, b in per.items()}
@@ -494,8 +496,10 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 n = min(int(k), run.n_frames)
                 start = int(rng.integers(0, run.n_frames))
                 subset = (start + np.arange(n)) % run.n_frames
-                db = run.build_mv_db(prep, subset=subset)
-                r, nq = run.rate(db, prep)
+                db = mv(prep["track_ids"],
+                        [[d[f] for f in subset] for d in prep["densities"]],
+                        prep["params"], cfg["metric"])
+                r, nq = _rate(db, prep["queries"])
                 correct += r * nq
                 total += nq
                 for pats in prep["patches"]:

@@ -7,14 +7,15 @@ import json
 import sys
 from pathlib import Path
 
+from . import bench
 from .bench import quick_benchmark_config, run_benchmark
-from .hog import DescriptorParams, normalize_density, sample_descriptor
+from .hog import DescriptorParams
 from .matching import METRICS, DescriptorDatabase, nn_query
-from .multiview import MultiViewAccumulator
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
-from .viewsynth import (LocalSurface, patch_density, sample_rotations,
-                        select_keyframes, synthesize_views, view_descriptors)
+from .viewsynth import MIN_FACING, patch_density, sample_rotations, select_keyframes
+# not called here; bound because perfbench/spans.py traces them on this module
+from .viewsynth import synthesize_views, view_descriptors  # noqa: F401
 
 
 def _cmd_generate(args) -> int:
@@ -59,39 +60,27 @@ def _cmd_describe(args) -> int:
         print("rhog descriptors need --dataset for depth maps", file=sys.stderr)
         return 1
 
-    db = DescriptorDatabase({"sv": "sv", "mv": "mv", "rhog": "r"}[args.method],
-                            params, args.metric)
+    ids = [tr.id for tr in tracks]
     if args.method == "sv":
-        for tr in tracks:
-            f = min(args.frame, len(tr.patches) - 1)
-            d = normalize_density(patch_density(tr.patches[f], params))
-            db.add(tr.id, sample_descriptor(d, "sv"))
+        picks = [patch_density(tr.patches[min(args.frame, len(tr.patches) - 1)],
+                               params) for tr in tracks]
+        db = bench.sv(ids, picks, params, args.metric)
     elif args.method == "mv":
-        for tr in tracks:
-            acc = MultiViewAccumulator(params)
-            for patch in tr.patches:
-                acc.update(patch_density(patch, params), patch)
-            db.add(tr.id, sample_descriptor(acc.finalize(), "mv"))
+        dens = [[patch_density(p, params) for p in tr.patches] for tr in tracks]
+        db = bench.mv(ids, dens, params, args.metric)
     else:
-        ds = load_dataset(args.dataset)
+        # looked up at call time, so perfbench's mvdesc.image wrapper sees it
         from .image import build_pyramid
+        ds = load_dataset(args.dataset)
         levels = int(meta.get("levels", 2))
         pyrs = [build_pyramid(v.image, levels) for v in ds.frames]
-        rotations = sample_rotations()
-        for tr in tracks:
-            g = 0
-            for k in select_keyframes(tr.length, args.keyframes):
-                try:
-                    surf = LocalSurface.from_frame(
-                        ds.frames[k].depth, ds.camera, tr.positions[k],
-                        patch_size, tr.level)
-                    patches, _ = synthesize_views(
-                        surf, pyrs[k].level(tr.level), rotations)
-                except ValueError:
-                    continue
-                for vec in view_descriptors(patches, params):
-                    db.add(tr.id, vec, g)
-                    g += 1
+        views = [[(surf, pyrs[k].level(tr.level))
+                  for k, surf in bench.lift_keyframes(
+                      ds, tr, select_keyframes(tr.length, args.keyframes),
+                      patch_size)]
+                 for tr in tracks]
+        db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
+                        args.metric)
     db.save(args.out)
     print(f"wrote {len(db)} descriptors ({args.method}) for {len(tracks)} "
           f"tracks to {args.out}")

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 ZERO_MASS_EPS = 1e-12
-METHODS = ("sv", "mv", "r")
+METHODS = ("sv", "mv", "keepall", "rhog")
 
 
 @dataclass(frozen=True)
@@ -224,13 +224,27 @@ def sample_descriptor(density: OrientationDensity, method: str) -> DescriptorVec
 # serialization: compact binary record and a JSON debug form
 
 RECORD_MAGIC = b"ODSC"
-RECORD_VERSION = 1
-_METHOD_CODE = {"sv": 0, "mv": 1, "r": 2}
-_CODE_METHOD = {v: k for k, v in _METHOD_CODE.items()}
+RECORD_VERSION = 2
+_METHOD_CODE = {m: i for i, m in enumerate(METHODS)}
+_CODE_METHOD = dict(enumerate(METHODS))
 _KERNEL_CODE = {"triangular": 0, "wrapped-gaussian": 1}
 _CODE_KERNEL = {v: k for k, v in _KERNEL_CODE.items()}
 # magic, version, method, kernel, bins, cells, patch, eps, sigma, count
 _RECORD_HEADER = struct.Struct("<4sBBBxHHHddI")
+
+
+def _need(buf: bytes, offset: int, size: int, field: str) -> None:
+    """Raise ValueError naming ``field`` unless ``size`` bytes remain."""
+    if len(buf) - offset < size:
+        raise ValueError(f"{field} cut short: needs {size} bytes at offset "
+                         f"{offset}, {len(buf) - offset} left")
+
+
+def _decode(table: dict, code: int, field: str):
+    """Look up a stored enum code, naming ``field`` if it is unknown."""
+    if code not in table:
+        raise ValueError(f"{field}: unknown code {code}")
+    return table[code]
 
 
 def pack_descriptor(vec: DescriptorVector) -> bytes:
@@ -245,18 +259,27 @@ def pack_descriptor(vec: DescriptorVector) -> bytes:
 
 
 def unpack_descriptor(buf: bytes, offset: int = 0) -> tuple[DescriptorVector, int]:
-    """Parse one packed descriptor; returns (vector, offset past the record)."""
+    """Parse one packed descriptor; returns (vector, offset past the record).
+
+    Raises ValueError naming the record field that is cut short, foreign or
+    from another format version.
+    """
+    _need(buf, offset, _RECORD_HEADER.size, "descriptor record header")
     magic, ver, mcode, kcode, bins, cells, patch, eps, sigma, count = \
         _RECORD_HEADER.unpack_from(buf, offset)
     if magic != RECORD_MAGIC:
-        raise ValueError("bad descriptor record magic")
+        raise ValueError("descriptor record header: bad magic")
     if ver != RECORD_VERSION:
-        raise ValueError(f"unsupported descriptor record version {ver}")
+        raise ValueError(f"descriptor record header: version {ver}, expected "
+                         f"{RECORD_VERSION}; rebuild it with `mvdesc describe`")
+    method = _decode(_CODE_METHOD, mcode, "descriptor record method")
+    kernel = _decode(_CODE_KERNEL, kcode, "descriptor record kernel")
     offset += _RECORD_HEADER.size
+    _need(buf, offset, 4 * count, "descriptor values")
     vals = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
     offset += 4 * count
-    params = DescriptorParams(patch, bins, cells, eps, sigma, _CODE_KERNEL[kcode])
-    return DescriptorVector(vals.astype(np.float64), _CODE_METHOD[mcode], params), offset
+    params = DescriptorParams(patch, bins, cells, eps, sigma, kernel)
+    return DescriptorVector(vals.astype(np.float64), method, params), offset
 
 
 def descriptor_to_json(vec: DescriptorVector) -> dict:

@@ -18,7 +18,6 @@ __all__ = [
     "GrayImage",
     "ImagePyramid",
     "GradientField",
-    "KernelParams",
     "AffineContrast",
     "GammaContrast",
     "TableContrast",
@@ -134,9 +133,8 @@ class GradientField:
         return self.magnitude.shape
 
 
-def compute_gradient(img: GrayImage) -> GradientField:
-    """Image gradient by central differences (one-sided at the borders)."""
-    a = img.data
+def _central_differences(a: np.ndarray):
+    """(gx, gy) of a 2-D array by central differences, one-sided at the borders."""
     gx = np.empty_like(a)
     gy = np.empty_like(a)
     gx[:, 1:-1] = (a[:, 2:] - a[:, :-2]) * 0.5
@@ -145,7 +143,12 @@ def compute_gradient(img: GrayImage) -> GradientField:
     gy[1:-1, :] = (a[2:, :] - a[:-2, :]) * 0.5
     gy[0, :] = a[1, :] - a[0, :]
     gy[-1, :] = a[-1, :] - a[-2, :]
-    return GradientField(gx, gy)
+    return gx, gy
+
+
+def compute_gradient(img: GrayImage) -> GradientField:
+    """Image gradient by central differences (one-sided at the borders)."""
+    return GradientField(*_central_differences(img.data))
 
 
 def _box_halve(a: np.ndarray) -> np.ndarray:
@@ -211,25 +214,6 @@ def angular_kernel(theta, mu, eps: float, mode: str = "triangular"):
             acc += np.exp(-((d + TWO_PI * k) ** 2) / (2.0 * eps * eps))
         return acc
     raise ValueError(f"unknown angular kernel mode: {mode!r}")
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Angular width eps (radians) and spatial width sigma (pixels)."""
-
-    eps: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < math.pi:
-            raise ValueError("angular width eps must lie in (0, pi)")
-        if self.sigma <= 0.0:
-            raise ValueError("spatial width sigma must be positive")
-
-    def check_patch(self, patch_size: int) -> None:
-        """Enforce sigma < sqrt(patch area) for a square patch."""
-        if self.sigma >= patch_size:
-            raise ValueError("sigma must be smaller than the patch side")
 
 
 # ---------------------------------------------------------------------------

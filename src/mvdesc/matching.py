@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
+from .hog import (_CODE_METHOD, _METHOD_CODE, METHODS, DescriptorParams,
+                  DescriptorVector, OrientationDensity, _decode, _need,
                   pack_descriptor, unpack_descriptor)
 
 __all__ = [
@@ -141,9 +142,7 @@ def log_likelihood(model: np.ndarray, query: np.ndarray, bins: int) -> float:
 # database
 
 _DB_MAGIC = b"MVDESCDB"
-_DB_VERSION = 1
-_METHOD_CODE = {"sv": 0, "mv": 1, "r": 2}
-_CODE_METHOD = {v: k for k, v in _METHOD_CODE.items()}
+_DB_VERSION = 2
 _METRIC_CODE = {m: i for i, m in enumerate(METRICS)}
 _CODE_METRIC = {v: k for k, v in _METRIC_CODE.items()}
 _DB_HEADER = struct.Struct("<8sHBBI")
@@ -154,8 +153,8 @@ class DescriptorDatabase:
     """Stored descriptors keyed by track, with a default query metric."""
 
     def __init__(self, method: str, params: DescriptorParams, metric: str = "l2"):
-        if method not in _METHOD_CODE:
-            raise ValueError(f"method must be one of {tuple(_METHOD_CODE)}")
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         self.method = method
@@ -209,22 +208,41 @@ class DescriptorDatabase:
 
     @classmethod
     def load(cls, path) -> "DescriptorDatabase":
-        buf = Path(path).read_bytes()
+        """Read a saved database; any malformed input raises ValueError
+        naming the file and the field."""
+        try:
+            return cls._parse(Path(path).read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _parse(cls, buf: bytes) -> "DescriptorDatabase":
+        _need(buf, 0, _DB_HEADER.size, "database header")
         magic, ver, mcode, metcode, count = _DB_HEADER.unpack_from(buf, 0)
         if magic != _DB_MAGIC:
-            raise ValueError("not a descriptor database file")
+            raise ValueError("database header: not a descriptor database file")
         if ver != _DB_VERSION:
-            raise ValueError(f"unsupported database version {ver}")
+            raise ValueError(f"database header: version {ver}, expected "
+                             f"{_DB_VERSION}; rebuild it with `mvdesc describe`")
+        method = _decode(_CODE_METHOD, mcode, "database method")
+        metric = _decode(_CODE_METRIC, metcode, "database metric")
+        if count == 0:
+            raise ValueError("database header: holds no descriptors")
         offset = _DB_HEADER.size
         db = None
-        for _ in range(count):
-            tid, grp = _ROW_HEADER.unpack_from(buf, offset)
-            vec, offset = unpack_descriptor(buf, offset + _ROW_HEADER.size)
-            if db is None:
-                db = cls(_CODE_METHOD[mcode], vec.params, _CODE_METRIC[metcode])
-            db.add(tid, vec, grp)
-        if db is None:
-            raise ValueError("database file holds no descriptors")
+        for i in range(count):
+            try:
+                _need(buf, offset, _ROW_HEADER.size, "row header")
+                tid, grp = _ROW_HEADER.unpack_from(buf, offset)
+                vec, offset = unpack_descriptor(buf, offset + _ROW_HEADER.size)
+                if db is None:
+                    db = cls(method, vec.params, metric)
+                db.add(tid, vec, grp)
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
+        if offset != len(buf):
+            raise ValueError(f"{len(buf) - offset} trailing bytes after the "
+                             f"last row")
         return db
 
 

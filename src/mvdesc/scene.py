@@ -172,15 +172,15 @@ class HeightfieldSurface:
         ow, dw = o[ok], d[ok]
         lo, hi = enter[ok], exit_[ok]
 
-        def residual(t):
-            p = ow + t[:, None] * dw
+        def residual(ro, rd, t):
+            p = ro + t[:, None] * rd
             return p[:, 2] - self.height(p[:, 0], p[:, 1])
 
         steps = np.linspace(0.0, 1.0, _MARCH_STEPS + 1)
         ts = lo[:, None] + (hi - lo)[:, None] * steps[None, :]
         g = np.empty_like(ts)
         for k in range(ts.shape[1]):
-            g[:, k] = residual(ts[:, k])
+            g[:, k] = residual(ow, dw, ts[:, k])
         crossing = (g[:, :-1] > 0.0) & (g[:, 1:] <= 0.0)
         has = crossing.any(axis=1)
         first = np.argmax(crossing, axis=1)
@@ -190,13 +190,9 @@ class HeightfieldSurface:
         a = ts[idx, first[idx]]
         b = ts[idx, first[idx] + 1]
 
-        def resid_sub(t):
-            p = ow + t[:, None] * dw
-            return p[:, 2] - self.height(p[:, 0], p[:, 1])
-
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (a + b)
-            pos = resid_sub(mid) > 0.0
+            pos = residual(ow, dw, mid) > 0.0
             a = np.where(pos, mid, a)
             b = np.where(pos, b, mid)
         hit_t = 0.5 * (a + b)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import (GrayImage, ImagePyramid, bilinear_sample, build_pyramid,
-                    read_pgm, write_pgm)
+from .image import (GrayImage, ImagePyramid, _central_differences,
+                    bilinear_sample, build_pyramid, read_pgm, write_pgm)
 
 __all__ = [
     "TrackerConfig",
@@ -29,6 +29,7 @@ __all__ = [
     "attach_patches",
     "extract_patch",
     "normalize_patch",
+    "quantized_patch",
     "save_tracks",
     "load_tracks",
 ]
@@ -221,17 +222,10 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
     return (z - z.min()) / (z.max() - z.min())
 
 
-def _window_gradient(t: np.ndarray):
-    gx = np.empty_like(t)
-    gy = np.empty_like(t)
-    gx[:, 1:-1] = (t[:, 2:] - t[:, :-2]) * 0.5
-    gx[:, 0] = t[:, 1] - t[:, 0]
-    gx[:, -1] = t[:, -1] - t[:, -2]
-    gy[1:-1, :] = (t[2:, :] - t[:-2, :]) * 0.5
-    gy[0, :] = t[1, :] - t[0, :]
-    gy[-1, :] = t[-1, :] - t[-2, :]
-    return gx, gy
-
+def quantized_patch(img: GrayImage, xy, size: int) -> np.ndarray:
+    """Normalized patch at xy, quantized to 8 bits as it is stored on disk."""
+    norm = normalize_patch(extract_patch(img, xy, size))
+    return GrayImage.from_u8(GrayImage(norm).to_u8()).data
 
 def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
              guess=None):
@@ -258,7 +252,7 @@ def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
     if t_std < 1e-9:
         return None
     tz = t - t_mean
-    gx, gy = _window_gradient(t)
+    gx, gy = _central_differences(t)
     h00 = np.sum(gx * gx)
     h01 = np.sum(gx * gy)
     h11 = np.sum(gy * gy)
@@ -341,12 +335,8 @@ def attach_patches(tracks: list, images: list, patch_size: int,
     """
     pyrs = [build_pyramid(img, levels) for img in images]
     for tr in tracks:
-        tr.patches = []
-        for f, pos in enumerate(tr.positions):
-            raw = extract_patch(pyrs[f].level(tr.level), pos, patch_size)
-            norm = normalize_patch(raw)
-            q = GrayImage.from_u8(GrayImage(norm).to_u8())
-            tr.patches.append(q.data)
+        tr.patches = [quantized_patch(pyrs[f].level(tr.level), pos, patch_size)
+                      for f, pos in enumerate(tr.positions)]
 
 
 # ---------------------------------------------------------------------------

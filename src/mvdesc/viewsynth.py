@@ -30,7 +30,6 @@ __all__ = [
     "patch_density",
     "view_descriptors",
     "aggregate_descriptor",
-    "maxout_residual",
     "select_keyframes",
 ]
 
@@ -205,7 +204,7 @@ def patch_density(patch: np.ndarray, params: DescriptorParams):
 def view_descriptors(patches: np.ndarray,
                      params: DescriptorParams) -> list[DescriptorVector]:
     """Per-view normalized descriptors, for max-out storage."""
-    return [sample_descriptor(normalize_density(patch_density(p, params)), "r")
+    return [sample_descriptor(normalize_density(patch_density(p, params)), "rhog")
             for p in patches]
 
 
@@ -214,14 +213,7 @@ def aggregate_descriptor(patches: np.ndarray,
     """Single descriptor marginalized over the synthesized views."""
     grids = np.array([patch_density(p, params).grid for p in patches])
     mean = OrientationDensity(grids.mean(axis=0), params)
-    return sample_descriptor(normalize_density(mean), "r")
-
-
-def maxout_residual(stored: np.ndarray, query: np.ndarray) -> float:
-    """Smallest squared l2 residual between the query and any stored row."""
-    stored = np.atleast_2d(stored)
-    diffs = stored - np.asarray(query, dtype=np.float64)[None, :]
-    return float(np.min(np.einsum("ij,ij->i", diffs, diffs)))
+    return sample_descriptor(normalize_density(mean), "rhog")
 
 
 def select_keyframes(n_frames: int, k: int = DEFAULT_KEYFRAMES) -> np.ndarray:

@@ -71,7 +71,7 @@ class TestDescribe:
         db = self.build(workspace, "rhog",
                         ("--dataset", str(workspace / "ds"),
                          "--keyframes", "2"))
-        assert db.method == "r"
+        assert db.method == "rhog"
         # several synthesized views per track
         assert len(db) > 2 * n_tracks
 
@@ -119,7 +119,6 @@ def bench_dir(tmp_path_factory):
         "patch_sizes": [11],
         "sv_trials": 2,
         "max_tracks": 40,
-        "min_tracks": 10,
         "tracker": {"n_features": 200, "levels": 2},
         "excitation": {"ks": [2, 6, 12], "trials": 2, "patch_size": 11},
         "memory_lengths": [4, 8, 12],

@@ -218,9 +218,9 @@ class TestDescriptorVector:
 
     def test_json_roundtrip(self):
         params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        vec = DescriptorVector(np.linspace(0.0, 1.0, 16), "r", params)
+        vec = DescriptorVector(np.linspace(0.0, 1.0, 16), "rhog", params)
         back = descriptor_from_json(descriptor_to_json(vec))
-        assert back.method == "r" and back.params == params
+        assert back.method == "rhog" and back.params == params
         np.testing.assert_allclose(back.values, vec.values, atol=1e-15)
 
     def test_corrupt_record_rejected(self):

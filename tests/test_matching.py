@@ -1,15 +1,17 @@
 """Distance metrics, the descriptor database, and nearest-neighbor queries."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from mvdesc.hog import DescriptorParams, DescriptorVector, normalize_density, \
-    OrientationDensity
-from mvdesc.matching import (METRICS, DescriptorDatabase, distance,
-                             likelihood_query, log_likelihood, match_all,
-                             nn_query, pairwise_distances)
+from mvdesc.hog import _RECORD_HEADER, DescriptorParams, DescriptorVector, \
+    normalize_density, OrientationDensity
+from mvdesc.matching import (_DB_HEADER, _ROW_HEADER, METRICS,
+                             DescriptorDatabase, distance, likelihood_query,
+                             log_likelihood, match_all, nn_query,
+                             pairwise_distances)
 
 PARAMS = DescriptorParams(patch_size=8, bins=4, cells=2)
 
@@ -117,6 +119,19 @@ class TestPairwise:
             pairwise_distances(np.zeros((2, 8)), np.zeros((2, 9)), "l2")
 
 
+# byte offsets in a saved two-row database: file header, then per row a
+# row header, a record header and 16 float32 values
+_ROW0 = _DB_HEADER.size
+_REC0 = _ROW0 + _ROW_HEADER.size
+_VAL0 = _REC0 + _RECORD_HEADER.size
+_ROW1 = _VAL0 + 4 * 16
+
+
+def _version_1(buf: bytes, at: int, fmt: str) -> bytes:
+    """``buf`` with the version field at ``at`` (packed as ``fmt``) set to 1."""
+    return buf[:at] + struct.pack(fmt, 1) + buf[at + struct.calcsize(fmt):]
+
+
 class TestDatabase:
     def build(self, rng, n=10):
         db = DescriptorDatabase("sv", PARAMS, "l2")
@@ -160,6 +175,34 @@ class TestDatabase:
         (tmp_path / "junk").write_bytes(b"not a database at all")
         with pytest.raises(ValueError):
             DescriptorDatabase.load(tmp_path / "junk")
+
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda b: b[:5], "database header cut short"),
+        (lambda b: b[:_ROW0], "row 0: row header cut short"),
+        (lambda b: b[:_ROW0 + 3], "row 0: row header cut short"),
+        (lambda b: b[:_REC0], "row 0: descriptor record header cut short"),
+        (lambda b: b[:_REC0 + 9], "row 0: descriptor record header cut short"),
+        (lambda b: b[:_VAL0], "row 0: descriptor values cut short"),
+        (lambda b: b[:_VAL0 + 10], "row 0: descriptor values cut short"),
+        (lambda b: b[:_ROW1], "row 1: row header cut short"),
+        (lambda b: b + b"\x00\x07\x00", "3 trailing bytes"),
+        (lambda b: _version_1(b, 8, "<H"),
+         "database header: version 1.*mvdesc describe"),
+        (lambda b: _version_1(b, _REC0 + 4, "<B"),
+         "row 0: descriptor record header: version 1.*mvdesc describe"),
+    ], ids=["in-db-header", "at-row-header", "in-row-header",
+            "at-record-header", "in-record-header", "at-values", "in-values",
+            "at-second-row", "trailing", "db-version-1", "record-version-1"])
+    def test_load_names_file_and_field(self, tmp_path, mangle, field):
+        db = DescriptorDatabase("keepall", PARAMS, "l2")
+        for i, row in enumerate(unit_cells(np.random.default_rng(46), 2)):
+            db.add(i, DescriptorVector(row, "keepall", PARAMS))
+        db.save(tmp_path / "good.db")
+        bad = tmp_path / "bad.db"
+        bad.write_bytes(mangle((tmp_path / "good.db").read_bytes()))
+        with pytest.raises(ValueError, match=field) as err:
+            DescriptorDatabase.load(bad)
+        assert str(err.value).startswith(f"{bad}: ")
 
     def test_empty_matrix_raises(self):
         db = DescriptorDatabase("sv", PARAMS)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, rot_z
-from mvdesc.hog import DescriptorParams, normalize_density
+from mvdesc.hog import DescriptorParams, DescriptorVector, normalize_density
 from mvdesc.image import GrayImage, bilinear_sample
+from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
-                              aggregate_descriptor, maxout_residual,
-                              patch_density, sample_rotations, select_keyframes,
+                              aggregate_descriptor, patch_density, sample_rotations, select_keyframes,
                               synthesize_patch, synthesize_views,
                               view_descriptors, view_visible)
 
@@ -178,7 +178,7 @@ class TestAggregation:
         descs = view_descriptors(patches, self.params())
         assert len(descs) == 3
         for d in descs:
-            assert d.method == "r"
+            assert d.method == "rhog"
             np.testing.assert_allclose(
                 d.values.reshape(4, 8).sum(axis=1), 1.0, atol=1e-6)
 
@@ -203,10 +203,24 @@ class TestAggregation:
 
 
 class TestMaxOut:
+    """Max-out scoring is match_all's per-track best row under l2."""
+
+    @staticmethod
+    def best_squared_residual(stored, query):
+        stored = np.atleast_2d(stored)
+        params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1,
+                                  eps=1.0)
+        db = DescriptorDatabase("rhog", params, "l2")
+        for g, row in enumerate(stored):
+            db.add(0, DescriptorVector(row, "rhog", params), g)
+        _, dist = match_all(db, np.asarray(query, dtype=np.float64))
+        return float(dist[0]) ** 2
+
     def test_minimum_squared_residual(self):
         stored = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert maxout_residual(stored, [1.0, 0.0]) == pytest.approx(1.0)
-        assert maxout_residual(np.array([0.5, 0.0]), [0.0, 0.0]) \
+        assert self.best_squared_residual(stored, [1.0, 0.0]) \
+            == pytest.approx(1.0)
+        assert self.best_squared_residual(np.array([0.5, 0.0]), [0.0, 0.0]) \
             == pytest.approx(0.25)
 
     def test_matches_bruteforce_over_random_rows(self):
@@ -214,7 +228,8 @@ class TestMaxOut:
         stored = rng.random((12, 9))
         q = rng.random(9)
         want = min(float(np.sum((row - q) ** 2)) for row in stored)
-        assert maxout_residual(stored, q) == pytest.approx(want, abs=1e-12)
+        assert self.best_squared_residual(stored, q) \
+            == pytest.approx(want, abs=1e-12)
 
 
 class TestKeyframes:
