@@ -30,7 +30,10 @@ __all__ = [
 
 METRICS = ("l1", "l2", "neg-correlation", "chi2", "bhattacharyya", "kl")
 KL_SMOOTHING = 1e-8
-_QUERY_CHUNK = 64
+# Byte budget for one (queries, rows, values) float64 temporary of a
+# broadcast metric, and for one gather of the l2 re-check; a chunk holds at
+# least one query or pair.
+_CHUNK_BYTES = 1 << 24
 
 
 def _cellwise(values: np.ndarray, bins: int) -> np.ndarray:
@@ -51,6 +54,11 @@ def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: str,
 
     ``bins`` is required for the per-cell metrics (chi2, bhattacharyya, kl),
     which treat each cell of the descriptor as its own distribution.
+
+    l2 comes from the norm expansion (see :func:`_l2`): each query's minimum,
+    and every entry that ties with it, equals ``sqrt(sum((q - x)**2))``
+    exactly; the other entries are accurate to about
+    ``1e-15 * (|q|**2 + |x|**2)`` in the squared distance.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
@@ -63,15 +71,15 @@ def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: str,
 
     if metric == "neg-correlation":
         return _neg_correlation(q, x)
+    if metric == "l2":
+        return _l2(q, x)
 
     out = np.empty((q.shape[0], x.shape[0]))
-    for s in range(0, q.shape[0], _QUERY_CHUNK):
-        qc = q[s:s + _QUERY_CHUNK]
+    chunk = max(1, _CHUNK_BYTES // max(x.nbytes, 1))
+    for s in range(0, q.shape[0], chunk):
+        qc = q[s:s + chunk]
         if metric == "l1":
             d = np.abs(qc[:, None, :] - x[None, :, :]).sum(axis=2)
-        elif metric == "l2":
-            d = np.sqrt(np.maximum(
-                np.square(qc[:, None, :] - x[None, :, :]).sum(axis=2), 0.0))
         elif metric == "chi2":
             diff = qc[:, None, :] - x[None, :, :]
             denom = qc[:, None, :] + x[None, :, :]
@@ -89,8 +97,40 @@ def pairwise_distances(queries: np.ndarray, rows: np.ndarray, metric: str,
             xa = _smooth(_cellwise(x, bins), bins)
             d = (qa[:, None] * (np.log(qa)[:, None] - np.log(xa)[None])) \
                 .sum(axis=3).sum(axis=2)
-        out[s:s + _QUERY_CHUNK] = d
+        out[s:s + chunk] = d
     return out
+
+
+def _l2(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distances by one GEMM, with the near-winners recomputed.
+
+    Let S = |q|**2 + max |x|**2. To first order, the expansion
+    |q|**2 + |x|**2 - 2 q.x and the direct sum of squared differences each
+    lie within (d + 2) eps S of the true squared distance: the expansion has
+    three sums of d products (2 |q_k x_k| <= q_k**2 + x_k**2) and two
+    additions of terms below 2 S, and the direct sum adds d terms totalling
+    at most 2 S. The two differ by at most delta = 2 (d + 2) eps S, so an
+    entry more than 2 delta above a query's approximate minimum is strictly
+    larger than the direct sum's minimum. Recomputing the entries inside
+    that band by the direct sum makes each query's minimum, and every tie
+    with it, equal to sqrt(sum((q - x)**2)). Identical rows put every pair
+    in the band, so the gather is chunked under the byte budget.
+    """
+    qq = np.einsum("ij,ij->i", q, q)
+    xx = np.einsum("ij,ij->i", x, x)
+    d2 = q @ x.T
+    d2 *= -2.0
+    d2 += qq[:, None]
+    d2 += xx[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    band = 4.0 * (q.shape[1] + 2) * np.finfo(np.float64).eps \
+        * (qq + xx.max(initial=0.0))
+    iq, ix = np.nonzero(d2 <= (d2.min(axis=1, initial=np.inf) + band)[:, None])
+    step = max(1, _CHUNK_BYTES // max(x.itemsize * x.shape[1], 1))
+    for s in range(0, iq.size, step):
+        a, b = iq[s:s + step], ix[s:s + step]
+        d2[a, b] = np.square(q[a] - x[b]).sum(axis=1)
+    return np.sqrt(d2, out=d2)
 
 
 def _neg_correlation(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,12 +290,12 @@ def _best_rows(dists: np.ndarray, track_ids: np.ndarray) -> np.ndarray:
     """Per query row, index of the winning entry.
 
     A track scores by its best row; among equal distances the lowest track
-    id wins, so results do not depend on insertion order.
+    id wins (then the first row), so results do not depend on insertion
+    order.
     """
-    out = np.empty(dists.shape[0], dtype=np.intp)
-    for i, row in enumerate(dists):
-        out[i] = np.lexsort((track_ids, row))[0]
-    return out
+    tied = dists == dists.min(axis=1, keepdims=True)
+    order = np.argsort(track_ids, kind="stable")
+    return order[tied[:, order].argmax(axis=1)]
 
 
 def nn_query(db: DescriptorDatabase, query, metric: str = None):
@@ -296,5 +336,5 @@ def likelihood_query(db: DescriptorDatabase, query):
     m = _smooth(_cellwise(db.matrix, bins), bins)
     ll = np.sum(_cellwise(values, bins)[None] * np.log(m), axis=(1, 2))
     ids = np.asarray(db.track_ids)
-    best = np.lexsort((ids, -ll))[0]
+    best = _best_rows(-ll[None, :], ids)[0]
     return int(ids[best]), float(ll[best])

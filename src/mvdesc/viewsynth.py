@@ -106,13 +106,12 @@ class LocalSurface:
         x, y = base_xy[..., 0], base_xy[..., 1]
         if np.any((x < 0) | (x > w - 1) | (y < 0) | (y > h - 1)):
             raise ValueError("patch lattice leaves the depth map")
-        x0 = np.minimum(np.floor(x), w - 2).astype(np.intp)
-        y0 = np.minimum(np.floor(y), h - 2).astype(np.intp)
-        quad = np.stack([depth[y0, x0], depth[y0, x0 + 1],
-                         depth[y0 + 1, x0], depth[y0 + 1, x0 + 1]])
-        if not np.all(np.isfinite(quad)):
+        # a non-finite corner makes its sample non-finite, even at weight 0
+        # (inf * 0 is nan)
+        with np.errstate(invalid="ignore"):
+            z = bilinear_sample(depth, base_xy, clamp=False)
+        if not np.all(np.isfinite(z)):
             raise ValueError("depth has holes under the patch lattice")
-        z = bilinear_sample(depth, base_xy, clamp=False)
         points = z[..., None] * camera.ray_directions(base_xy)
 
         anchor_base = level_to_base(np.array([ax, ay], dtype=np.float64), level)

@@ -5,10 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdesc.hog import _RECORD_HEADER, DescriptorParams, DescriptorVector, \
     normalize_density, OrientationDensity
-from mvdesc.matching import (_DB_HEADER, _ROW_HEADER, METRICS,
+from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, _ROW_HEADER, METRICS,
                              DescriptorDatabase, distance, likelihood_query,
                              log_likelihood, match_all, nn_query,
                              pairwise_distances)
@@ -104,15 +106,15 @@ class TestPairwise:
                         distance(qs[i], rows[j], metric, bins=4), rel=1e-12)
 
     def test_chunked_queries_consistent(self):
-        # more queries than the internal chunk size
+        # enough rows that a broadcast chunk holds two queries, so five
+        # queries cross two chunk boundaries
         rng = np.random.default_rng(42)
-        qs = unit_cells(rng, 150)
-        rows = unit_cells(rng, 9)
-        whole = pairwise_distances(qs, rows, "l2")
-        for i in (0, 63, 64, 129, 149):
-            np.testing.assert_allclose(
-                whole[i], pairwise_distances(qs[i], rows, "l2")[0],
-                atol=1e-12)
+        qs = unit_cells(rng, 5)
+        rows = unit_cells(rng, _CHUNK_BYTES // (8 * 16 * 2))
+        whole = pairwise_distances(qs, rows, "chi2", bins=4)
+        for i in range(5):
+            np.testing.assert_array_equal(
+                whole[i], pairwise_distances(qs[i], rows, "chi2", bins=4)[0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -246,6 +248,18 @@ class TestQueries:
             assert ids[i] == tid
             assert dists[i] == pytest.approx(d, rel=1e-12)
 
+    def test_near_duplicate_l2_is_exact(self):
+        # the norm expansion loses about 1e-8 here; the re-check must not
+        rng = np.random.default_rng(53)
+        rows = unit_cells(rng, 30)
+        db = DescriptorDatabase("sv", PARAMS, "l2")
+        for i, row in enumerate(rows):
+            db.add(i, DescriptorVector(row, "sv", PARAMS))
+        q = rows[17] + 1e-9 * rng.random(16)
+        tid, d = nn_query(db, q)
+        assert tid == 17
+        assert d == np.sqrt(np.square(q - rows[17]).sum())
+
     def test_metric_override(self):
         rng = np.random.default_rng(49)
         db = DescriptorDatabase("sv", PARAMS, "l2")
@@ -280,6 +294,13 @@ class TestLikelihood:
             assert ll == pytest.approx(log_likelihood(rows[i], rows[i], 4),
                                        rel=1e-9)
 
+    def test_exact_tie_prefers_lowest_id(self):
+        row = unit_cells(np.random.default_rng(54), 1)[0]
+        db = DescriptorDatabase("mv", PARAMS, "l2")
+        for tid in (9, 2, 7):
+            db.add(tid, DescriptorVector(row, "mv", PARAMS))
+        assert likelihood_query(db, row)[0] == 2
+
     def test_requires_normalized_density(self):
         rng = np.random.default_rng(52)
         db = DescriptorDatabase("mv", PARAMS, "l2")
@@ -289,3 +310,101 @@ class TestLikelihood:
             likelihood_query(db, raw)
         tid, _ = likelihood_query(db, normalize_density(raw))
         assert tid == 0
+
+
+def _literal_distance(q, x, metric, bins):
+    """One query against one row, written out from each metric's definition."""
+    if metric == "l1":
+        return float(np.abs(q - x).sum())
+    if metric == "l2":
+        return float(np.sqrt(np.square(q - x).sum()))
+    if metric == "neg-correlation":
+        qc, xc = q - q.mean(), x - x.mean()
+        qn, xn = math.sqrt(qc @ qc), math.sqrt(xc @ xc)
+        if qn < 1e-300 and xn < 1e-300:
+            return 0.0 if math.isclose(q[0], x[0], rel_tol=1e-9,
+                                       abs_tol=1e-12) else 1.0
+        if qn < 1e-300 or xn < 1e-300:
+            return 1.0
+        return 1.0 - float(qc @ xc) / (qn * xn)
+    if metric == "chi2":
+        return 0.5 * sum((a - b) ** 2 / (a + b) for a, b in zip(q, x) if a + b > 0)
+    qa, xa = q.reshape(-1, bins), x.reshape(-1, bins)
+    if metric == "bhattacharyya":
+        bc = np.minimum(np.sqrt(qa * xa).sum(axis=1), 1.0)
+        return math.inf if np.any(bc == 0.0) else float(-np.log(bc).sum())
+    s = 1e-8
+    qs, xs = (qa + s) / (1 + bins * s), (xa + s) / (1 + bins * s)
+    return float(np.sum(qs * (np.log(qs) - np.log(xs))))
+
+
+def _oracle_check(tid, dist, q, rows, ids, metric):
+    """Brute force: a track scores by its best row, ties go to the lowest id.
+
+    l2 must agree bit for bit. The other metrics sum in another order here,
+    so tracks within 1e-12 of the best count as tied, and the lowest id must
+    win among tracks that tie exactly here too. neg-correlation is exempt
+    from that last rule: its GEMM can round two identical rows apart."""
+    per_track = {}
+    for x, t in zip(rows, ids):
+        d = _literal_distance(q, x, metric, 4)
+        per_track[t] = min(d, per_track.get(t, math.inf))
+    best = min(per_track.values())
+    if metric == "l2" or best == math.inf:
+        assert dist == best
+        assert tid == min(t for t, d in per_track.items() if d == best)
+        return
+    tol = 1e-12 * max(1.0, abs(best))
+    near = [t for t, d in per_track.items() if d <= best + tol]
+    assert abs(dist - best) <= tol
+    assert tid in near and abs(per_track[tid] - best) <= tol
+    if metric != "neg-correlation" and len({per_track[t] for t in near}) == 1:
+        assert tid == min(near)
+
+
+def _random_cells(rng, n, sparse):
+    """n rows of 4 cells x 4 bins, each cell a distribution or all zero."""
+    v = rng.random((n, 4, 4))
+    if sparse:
+        v *= rng.random((n, 4, 4)) > 0.4
+    mass = v.sum(axis=2, keepdims=True)
+    return (v / np.where(mass > 0.0, mass, 1.0)).reshape(n, 16)
+
+
+@st.composite
+def match_cases(draw):
+    """A database with exact duplicate rows and shared track ids, and
+    queries that are fresh, equal to a stored row, or 1e-9 away from one."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sparse = draw(st.booleans())
+    rows = _random_cells(rng, n, sparse)
+    for i, src in enumerate(draw(st.lists(st.integers(0, n - 1),
+                                          min_size=n, max_size=n))):
+        if src < i:
+            rows[i] = rows[src]
+    ids = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["fresh", "stored", "near"]),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=6))
+    queries = np.array([_random_cells(rng, 1, sparse)[0] if kind == "fresh"
+                        else rows[j] + (1e-9 * rng.random(16) if kind == "near"
+                                        else 0.0)
+                        for kind, j in kinds])
+    return rows, ids, queries
+
+
+class TestOracleProperty:
+    @pytest.mark.parametrize("metric", METRICS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=match_cases())
+    def test_queries_match_brute_force(self, metric, case):
+        rows, ids, queries = case
+        db = DescriptorDatabase("sv", PARAMS, metric)
+        for t, row in zip(ids, rows):
+            db.add(t, DescriptorVector(row, "sv", PARAMS))
+        got_ids, got_dists = match_all(db, queries)
+        for i, q in enumerate(queries):
+            _oracle_check(int(got_ids[i]), float(got_dists[i]), q, rows, ids,
+                          metric)
+            _oracle_check(*nn_query(db, q), q, rows, ids, metric)
