@@ -11,7 +11,7 @@ from .image import (AffineContrast, GammaContrast, GradientField, GrayImage,
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                   density_at, descriptor_from_json, descriptor_to_json,
                   normalize_density, orientation_density, pack_descriptor,
-                  sample_descriptor, unpack_descriptor)
+                  patch_densities, sample_descriptor, unpack_descriptor)
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .matching import (METRICS, DescriptorDatabase, distance, likelihood_query,
                        log_likelihood, match_all, nn_query, pairwise_distances)

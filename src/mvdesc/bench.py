@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import DescriptorParams, normalize_density, sample_descriptor
+from .hog import (DescriptorParams, OrientationDensity, normalize_density,
+                  patch_densities, sample_descriptor)
 from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
@@ -256,11 +257,11 @@ def update_cost_profile(densities: list, params: DescriptorParams,
     """Wall-clock cost of folding in one more frame, at several track lengths.
 
     One accumulator per length is advanced once, then a single extra update
-    is timed at each length (best of ``reps``, reverting the state between
-    repetitions). The rounds interleave the lengths so a transient load spike
-    inflates all of them alike instead of biasing one; flatness is a ratio
-    across lengths, so correlated noise cancels. For a constant-time update
-    the profile is flat.
+    is timed at each length (best of ``reps``, restoring the saved state
+    between repetitions). The rounds interleave the lengths so a transient
+    load spike inflates all of them alike instead of biasing one; flatness
+    is a ratio across lengths, so correlated noise cancels. For a
+    constant-time update the profile is flat.
     """
     lengths = [int(t) for t in lengths]
     probe = densities[-1]
@@ -271,20 +272,23 @@ def update_cost_profile(densities: list, params: DescriptorParams,
             acc.update(densities[i % len(densities)])
         accs.append(acc)
 
-    def probe_once(acc):
+    saved = [acc.density_sum.copy() for acc in accs]
+
+    def probe_once(acc, state):
         t0 = time.perf_counter()
         acc.update(probe)
         dt = time.perf_counter() - t0
-        acc.density_sum -= probe.grid  # revert, keeping the length fixed
+        # restore rather than subtract, so the state cannot drift over reps
+        np.copyto(acc.density_sum, state)
         acc.frames -= 1
         return dt
 
-    for acc in accs:
-        probe_once(acc)  # warm-up round, not timed
+    for acc, state in zip(accs, saved):
+        probe_once(acc, state)  # warm-up round, not timed
     best = [math.inf] * len(lengths)
     for _ in range(reps):
-        for k, acc in enumerate(accs):
-            best[k] = min(best[k], probe_once(acc))
+        for k, (acc, state) in enumerate(zip(accs, saved)):
+            best[k] = min(best[k], probe_once(acc, state))
     return {"lengths": lengths, "update_seconds": best,
             "flatness": max(best) / min(best)}
 
@@ -359,11 +363,12 @@ class _SceneRun:
         track_densities = []
         track_patches = []
         for tr, _ in usable:
-            pats = [quantized_patch(self.frame_pyrs[f].level(tr.level), pos,
-                                    patch_size)
-                    for f, pos in enumerate(tr.positions)]
-            track_densities.append([patch_density(p, params) for p in pats])
-            track_patches.append(np.array(pats))
+            pats = np.array([quantized_patch(self.frame_pyrs[f].level(tr.level),
+                                             pos, patch_size)
+                             for f, pos in enumerate(tr.positions)])
+            track_densities.append([OrientationDensity(g, params)
+                                    for g in patch_densities(pats, params)])
+            track_patches.append(pats)
 
         return {
             "params": params,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import quick_benchmark_config, run_benchmark
-from .hog import DescriptorParams
+from .hog import DescriptorParams, OrientationDensity, patch_densities
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
@@ -53,11 +53,16 @@ def _cmd_describe(args) -> int:
     if not tracks:
         print("no tracks with stored patches", file=sys.stderr)
         return 1
-    patch_size = args.patch_size or tracks[0].patches[0].shape[0]
+    stored = tracks[0].patches[0].shape[0]
+    patch_size = args.patch_size or stored
     params = DescriptorParams(patch_size)
 
     if args.method == "rhog" and not args.dataset:
         print("rhog descriptors need --dataset for depth maps", file=sys.stderr)
+        return 1
+    if args.method != "rhog" and patch_size != stored:
+        print(f"--patch-size {patch_size} differs from the stored {stored}-pixel "
+              f"patches that {args.method} describes", file=sys.stderr)
         return 1
 
     ids = [tr.id for tr in tracks]
@@ -66,7 +71,8 @@ def _cmd_describe(args) -> int:
                                params) for tr in tracks]
         db = bench.sv(ids, picks, params, args.metric)
     elif args.method == "mv":
-        dens = [[patch_density(p, params) for p in tr.patches] for tr in tracks]
+        dens = [[OrientationDensity(g, params)
+                 for g in patch_densities(tr.patches, params)] for tr in tracks]
         db = bench.mv(ids, dens, params, args.metric)
     else:
         # looked up at call time, so perfbench's mvdesc.image wrapper sees it

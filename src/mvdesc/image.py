@@ -107,9 +107,11 @@ class ImagePyramid:
 class GradientField:
     """Per-pixel image gradient: vector, magnitude, and orientation.
 
-    ``angle`` is undefined where the magnitude is exactly zero; ``valid``
-    marks the defined pixels. The stored vector satisfies
-    ``(gx, gy) = magnitude * (cos(angle), sin(angle))`` wherever valid.
+    Components are (h, w) for one image or (..., h, w) for a stack of
+    equally sized images. ``angle`` is undefined where the magnitude is
+    exactly zero; ``valid`` marks the defined pixels. The stored vector
+    satisfies ``(gx, gy) = magnitude * (cos(angle), sin(angle))`` wherever
+    valid.
     """
 
     __slots__ = ("gx", "gy", "magnitude", "angle", "valid")
@@ -117,8 +119,9 @@ class GradientField:
     def __init__(self, gx: np.ndarray, gy: np.ndarray):
         gx = np.asarray(gx, dtype=np.float64)
         gy = np.asarray(gy, dtype=np.float64)
-        if gx.shape != gy.shape or gx.ndim != 2:
-            raise ValueError("gradient components must be matching 2-D arrays")
+        if gx.shape != gy.shape or gx.ndim < 2:
+            raise ValueError("gradient components must be matching (..., h, w) "
+                             "arrays")
         self.gx = gx
         self.gy = gy
         self.magnitude = np.hypot(gx, gy)
@@ -134,15 +137,16 @@ class GradientField:
 
 
 def _central_differences(a: np.ndarray):
-    """(gx, gy) of a 2-D array by central differences, one-sided at the borders."""
+    """(gx, gy) of an (..., h, w) array by central differences over its last
+    two axes, one-sided at the borders."""
     gx = np.empty_like(a)
     gy = np.empty_like(a)
-    gx[:, 1:-1] = (a[:, 2:] - a[:, :-2]) * 0.5
-    gx[:, 0] = a[:, 1] - a[:, 0]
-    gx[:, -1] = a[:, -1] - a[:, -2]
-    gy[1:-1, :] = (a[2:, :] - a[:-2, :]) * 0.5
-    gy[0, :] = a[1, :] - a[0, :]
-    gy[-1, :] = a[-1, :] - a[-2, :]
+    gx[..., 1:-1] = (a[..., 2:] - a[..., :-2]) * 0.5
+    gx[..., 0] = a[..., 1] - a[..., 0]
+    gx[..., -1] = a[..., -1] - a[..., -2]
+    gy[..., 1:-1, :] = (a[..., 2:, :] - a[..., :-2, :]) * 0.5
+    gy[..., 0, :] = a[..., 1, :] - a[..., 0, :]
+    gy[..., -1, :] = a[..., -1, :] - a[..., -2, :]
     return gx, gy
 
 
@@ -341,13 +345,23 @@ def bilinear_sample(data: np.ndarray, xy: np.ndarray, clamp: bool = True) -> np.
 # PGM I/O (binary, 8-bit)
 
 
+_PGM_FIELDS = ("magic", "width", "height", "maxval")
+
+
+def _need(buf: bytes, offset: int, size: int, field: str) -> None:
+    """Raise ValueError naming ``field`` unless ``size`` bytes remain."""
+    if len(buf) - offset < size:
+        raise ValueError(f"{field} cut short: needs {size} bytes at offset "
+                         f"{offset}, {max(len(buf) - offset, 0)} left")
+
+
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
     """First ``count`` whitespace-separated header tokens, skipping comments."""
     tokens = []
     i = 0
     while len(tokens) < count:
         if i >= len(raw):
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"PGM header cut short: no {_PGM_FIELDS[len(tokens)]}")
         c = raw[i : i + 1]
         if c == b"#":
             while i < len(raw) and raw[i : i + 1] not in (b"\n", b"\r"):
@@ -363,15 +377,32 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1  # single whitespace after maxval precedes the raster
 
 
+def _pgm_size(token: bytes, field: str) -> int:
+    if not token.isdigit():
+        raise ValueError(f"PGM {field}: {token!r} is not a decimal integer")
+    return int(token)
+
+
 def read_pgm(path) -> GrayImage:
-    """Read an 8-bit binary (P5) PGM file."""
+    """Read an 8-bit binary (P5) PGM file.
+
+    A foreign or cut header, a short raster or trailing bytes raise
+    ValueError naming the file and the field.
+    """
     raw = Path(path).read_bytes()
-    tokens, offset = _read_pgm_tokens(raw, 4)
-    if tokens[0] != b"P5":
-        raise ValueError("only binary (P5) PGM files are supported")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise ValueError("only 8-bit PGM files are supported")
+    try:
+        tokens, offset = _read_pgm_tokens(raw, 4)
+        if tokens[0] != b"P5":
+            raise ValueError("PGM magic: only binary (P5) PGM files are supported")
+        w, h, maxval = (_pgm_size(t, f) for t, f in zip(tokens[1:], _PGM_FIELDS[1:]))
+        if maxval != 255:
+            raise ValueError("PGM maxval: only 8-bit PGM files are supported")
+        _need(raw, offset, w * h, "PGM raster")
+        if len(raw) - offset > w * h:
+            raise ValueError(f"{len(raw) - offset - w * h} trailing bytes after "
+                             f"the PGM raster")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
     return GrayImage.from_u8(pixels.reshape(h, w))
 

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .hog import (_CODE_METHOD, _METHOD_CODE, METHODS, DescriptorParams,
-                  DescriptorVector, OrientationDensity, _decode, _need,
+                  DescriptorVector, OrientationDensity, _decode,
                   pack_descriptor, unpack_descriptor)
+from .image import _need
 
 __all__ = [
     "METRICS",
@@ -113,8 +114,7 @@ def _l2(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     entry more than 2 delta above a query's approximate minimum is strictly
     larger than the direct sum's minimum. Recomputing the entries inside
     that band by the direct sum makes each query's minimum, and every tie
-    with it, equal to sqrt(sum((q - x)**2)). Identical rows put every pair
-    in the band, so the gather is chunked under the byte budget.
+    with it, equal to sqrt(sum((q - x)**2)).
     """
     qq = np.einsum("ij,ij->i", q, q)
     xx = np.einsum("ij,ij->i", x, x)
@@ -125,16 +125,36 @@ def _l2(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     band = 4.0 * (q.shape[1] + 2) * np.finfo(np.float64).eps \
         * (qq + xx.max(initial=0.0))
-    iq, ix = np.nonzero(d2 <= (d2.min(axis=1, initial=np.inf) + band)[:, None])
-    step = max(1, _CHUNK_BYTES // max(x.itemsize * x.shape[1], 1))
-    for s in range(0, iq.size, step):
-        a, b = iq[s:s + step], ix[s:s + step]
-        d2[a, b] = np.square(q[a] - x[b]).sum(axis=1)
+    _recheck_near_min(d2, band, lambda a, b: np.square(q[a] - x[b]).sum(axis=1),
+                      x.itemsize * x.shape[1])
     return np.sqrt(d2, out=d2)
 
 
+def _recheck_near_min(dist: np.ndarray, band: np.ndarray, exact,
+                      pair_bytes: int) -> None:
+    """Overwrite, in place, every entry within ``band`` of its row's minimum
+    by ``exact(query_index, row_index)`` over arrays of pairs.
+
+    Identical rows can put every pair in the band, so the pairs are taken
+    in chunks whose gathered rows stay under the byte budget.
+    """
+    iq, ix = np.nonzero(dist <= (dist.min(axis=1, initial=np.inf) + band)[:, None])
+    step = max(1, _CHUNK_BYTES // max(pair_bytes, 1))
+    for s in range(0, iq.size, step):
+        a, b = iq[s:s + step], ix[s:s + step]
+        dist[a, b] = exact(a, b)
+
+
 def _neg_correlation(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """1 - Pearson correlation; constant rows correlate only with themselves."""
+    """1 - Pearson correlation; constant rows correlate only with themselves.
+
+    The correlations come from one GEMM of the standardized rows, whose
+    rounding depends on where a row sits, so two identical rows can come
+    out a few ulps apart. Both the GEMM and a per-pair sum of products of
+    unit vectors lie within about d eps of the true correlation, so entries
+    within 4 (d + 2) eps of each query's minimum are recomputed by the
+    per-pair sum, as in :func:`_l2`; identical rows then tie exactly.
+    """
     def standardize(a):
         c = a - a.mean(axis=1, keepdims=True)
         n = np.linalg.norm(c, axis=1, keepdims=True)
@@ -145,6 +165,10 @@ def _neg_correlation(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     qs, qflat = standardize(q)
     xs, xflat = standardize(x)
     d = 1.0 - qs @ xs.T
+    band = 4.0 * (q.shape[1] + 2) * np.finfo(np.float64).eps
+    _recheck_near_min(d, band, lambda a, b: 1.0 - (qs[a] * xs[b]).sum(axis=1),
+                      x.itemsize * x.shape[1])
+    # the flat-pair rule comes last, or the re-check would overwrite it
     both = qflat[:, None] & xflat[None, :]
     if np.any(both):
         iq, ix = np.nonzero(both)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
-from .image import AffineContrast, GrayImage, read_pgm, write_pgm
+from .image import AffineContrast, GrayImage, _need, read_pgm, write_pgm
 
 __all__ = [
     "RenderError",
@@ -435,10 +435,20 @@ def write_depth(path, depth: np.ndarray) -> None:
 
 
 def read_depth(path) -> np.ndarray:
+    """Read a depth raster; a foreign or cut header, a short raster or
+    trailing bytes raise ValueError naming the file and the field."""
     buf = Path(path).read_bytes()
-    magic, w, h = _DEPTH_HEADER.unpack_from(buf, 0)
-    if magic != _DEPTH_MAGIC:
-        raise ValueError("not a depth raster file")
+    try:
+        _need(buf, 0, _DEPTH_HEADER.size, "depth header")
+        magic, w, h = _DEPTH_HEADER.unpack_from(buf, 0)
+        if magic != _DEPTH_MAGIC:
+            raise ValueError("depth header: not a depth raster file")
+        _need(buf, _DEPTH_HEADER.size, 4 * w * h, "depth raster")
+        if len(buf) - _DEPTH_HEADER.size > 4 * w * h:
+            raise ValueError(f"{len(buf) - _DEPTH_HEADER.size - 4 * w * h} "
+                             f"trailing bytes after the depth raster")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     vals = np.frombuffer(buf, dtype="<f4", count=w * h, offset=_DEPTH_HEADER.size)
     return vals.astype(np.float64).reshape(h, w)
 

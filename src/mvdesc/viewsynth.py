@@ -17,8 +17,9 @@ import numpy as np
 
 from .geometry import PinholeCamera, axis_angle_rotation, rot_z
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                  normalize_density, orientation_density, sample_descriptor)
-from .image import GrayImage, bilinear_sample, compute_gradient, level_to_base, base_to_level
+                  _normalized_cells, normalize_density, patch_densities,
+                  sample_descriptor)
+from .image import GrayImage, bilinear_sample, level_to_base, base_to_level
 
 __all__ = [
     "ReprojectionOutOfBounds",
@@ -196,22 +197,21 @@ def synthesize_views(surface: LocalSurface, level_image: GrayImage,
 
 def patch_density(patch: np.ndarray, params: DescriptorParams):
     """Unnormalized orientation density of one patch array."""
-    grad = compute_gradient(GrayImage(patch, unit_range=False))
-    return orientation_density(grad, params)
+    grid = patch_densities(np.asarray(patch)[None], params)[0]
+    return OrientationDensity(grid, params)
 
 
 def view_descriptors(patches: np.ndarray,
                      params: DescriptorParams) -> list[DescriptorVector]:
     """Per-view normalized descriptors, for max-out storage."""
-    return [sample_descriptor(normalize_density(patch_density(p, params)), "rhog")
-            for p in patches]
+    grids, _ = _normalized_cells(patch_densities(patches, params), params.bins)
+    return [DescriptorVector(g, "rhog", params) for g in grids]
 
 
 def aggregate_descriptor(patches: np.ndarray,
                          params: DescriptorParams) -> DescriptorVector:
     """Single descriptor marginalized over the synthesized views."""
-    grids = np.array([patch_density(p, params).grid for p in patches])
-    mean = OrientationDensity(grids.mean(axis=0), params)
+    mean = OrientationDensity(patch_densities(patches, params).mean(axis=0), params)
     return sample_descriptor(normalize_density(mean), "rhog")
 
 

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mvdesc import bench
 from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
                           memory_scaling, quick_benchmark_config, spearman,
                           update_cost_profile)
 from mvdesc.hog import DescriptorParams
+from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.viewsynth import patch_density
 
 
@@ -79,6 +81,26 @@ class TestUpdateCost:
         assert len(out["update_seconds"]) == 3
         assert all(t > 0.0 for t in out["update_seconds"])
         assert out["flatness"] >= 1.0
+
+    def test_probes_leave_the_state_bit_identical(self, monkeypatch):
+        params = DescriptorParams(patch_size=8, bins=4, cells=2)
+        dens = synthetic_tracks(params, 1, 4, seed=114)[0]
+        made = []
+
+        class Recording(MultiViewAccumulator):
+            def __init__(self, p):
+                super().__init__(p)
+                made.append(self)
+
+        monkeypatch.setattr(bench, "MultiViewAccumulator", Recording)
+        update_cost_profile(dens, params, [1, 5, 20], reps=200)
+        assert len(made) == 3
+        for acc, t in zip(made, [1, 5, 20]):
+            want = MultiViewAccumulator(params)
+            for i in range(t):
+                want.update(dens[i % len(dens)])
+            assert acc.frames == t
+            assert acc.density_sum.tobytes() == want.density_sum.tobytes()
 
 
 class TestNameHash:

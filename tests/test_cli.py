@@ -81,6 +81,15 @@ class TestDescribe:
         assert rc == 1
         assert "depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["sv", "mv"])
+    def test_patch_size_must_match_stored_patches(self, workspace, capsys,
+                                                  method):
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(workspace / "nope"), "--method", method,
+                   "--patch-size", "11"])
+        assert rc == 1
+        assert "stored 15-pixel patches" in capsys.readouterr().err
+
 
 class TestMatch:
     def test_self_match_is_perfect(self, workspace, capsys):

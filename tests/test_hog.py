@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                        density_at, descriptor_from_json, descriptor_to_json,
-                        normalize_density, orientation_density,
-                        pack_descriptor, sample_descriptor, unpack_descriptor)
+                        _orientation_weights, density_at, descriptor_from_json,
+                        descriptor_to_json, normalize_density,
+                        orientation_density, pack_descriptor, patch_densities,
+                        sample_descriptor, unpack_descriptor)
 from mvdesc.image import GrayImage, angular_kernel, compute_gradient
 
 
@@ -137,6 +140,116 @@ class TestDensity:
         mass = dens.grid[0, 0]
         top2 = set(np.argsort(mass)[-2:])
         assert top2 == {0, params.bins - 1}
+
+
+# gradient directions of the ramps: axis-aligned and diagonal, so their
+# angles are multiples of pi/4 and land on bin edges or centers
+RAMPS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+def ramp(p, a, b):
+    y, x = np.mgrid[0:p, 0:p].astype(np.float64)
+    return a * x + b * y
+
+
+@st.composite
+def density_cases(draw):
+    """Random params with eps below, at, just around and above one bin
+    width, and a stack of random, 8-bit, flat, ramp or non-finite patches."""
+    p = draw(st.integers(3, 25))
+    bins = draw(st.integers(2, 36))
+    width = 2.0 * math.pi / bins
+    where = draw(st.sampled_from(["below", "just-below", "at", "just-above",
+                                  "above"]))
+    # eps must stay below pi, so two bins leave no room at or above one width
+    assume(bins > 2 or where in ("below", "just-below"))
+    if where == "below":
+        eps = width * draw(st.floats(0.05, 1.0, exclude_max=True))
+    elif where == "above":
+        eps = draw(st.floats(width, math.pi, exclude_min=True, exclude_max=True))
+    else:
+        eps = {"just-below": np.nextafter(width, 0.0), "at": None,
+               "just-above": np.nextafter(width, math.inf)}[where]
+    params = DescriptorParams(
+        p, bins, draw(st.integers(1, p)), eps,
+        draw(st.one_of(st.none(), st.floats(0.1, p - 0.1))),
+        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["random", "8-bit", "flat", "ramp", "non-finite"]),
+            min_size=1, max_size=5)):
+        if kind == "random":
+            stack.append(rng.normal(0.5, 2.0, (p, p)))
+        elif kind == "8-bit":
+            stack.append(np.round(rng.random((p, p)) * 255.0) / 255.0)
+        elif kind == "flat":
+            stack.append(np.full((p, p), rng.random()))
+        elif kind == "ramp":
+            stack.append(ramp(p, *draw(st.sampled_from(RAMPS)))
+                         * draw(st.sampled_from([1.0 / 255.0, 0.5, 3.0])))
+        else:
+            bad = rng.random((p, p))
+            bad[rng.integers(p), rng.integers(p)] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+            stack.append(bad)
+    return params, np.array(stack)
+
+
+class TestPatchDensities:
+    @settings(max_examples=150, deadline=None)
+    @given(case=density_cases())
+    @example(case=(DescriptorParams(9, bins=8, cells=3),
+                   np.array([ramp(9, *d) for d in RAMPS])))
+    @example(case=(DescriptorParams(12, bins=36, cells=2),
+                   np.array([ramp(12, *d) / 255.0 for d in RAMPS])))
+    # 20 patches of 21 pixels span three chunks of the stack
+    @example(case=(DescriptorParams(21),
+                   np.round(np.random.default_rng(5).random((20, 21, 21))
+                            * 255.0) / 255.0))
+    def test_equals_per_patch_oracle(self, case):
+        params, stack = case
+        if not np.all(np.isfinite(stack)):
+            with pytest.raises(ValueError, match="finite"):
+                patch_densities(stack, params)
+            return
+        got = patch_densities(stack, params)
+        assert got.shape == (len(stack), params.cells, params.cells, params.bins)
+        for patch, grid in zip(stack, got):
+            grad = compute_gradient(GrayImage(patch, unit_range=False))
+            want = orientation_density(grad, params).grid
+            assert grid.tobytes() == want.tobytes()
+            # density_at shares the kernel helper; it must equal the dense
+            # kernel at every bin, as density_at evaluated it before
+            dense = angular_kernel(grad.angle[..., None], params.bin_centers(),
+                                   params.eps, params.kernel)
+            assert _orientation_weights(grad.angle, params).tobytes() \
+                == dense.tobytes()
+
+    @pytest.mark.parametrize("bins, eps_scale", [
+        (2, 0.5), (3, 0.5), (3, 1.0), (4, 1.0), (5, 1.0), (8, 0.5), (8, 1.0),
+        (16, 1.0), (36, 0.5), (36, 1.0)])
+    def test_three_bin_kernel_at_centers_edges_and_wrap(self, bins, eps_scale):
+        width = 2.0 * math.pi / bins
+        params = DescriptorParams(5, bins=bins,
+                                  eps=None if eps_scale == 1.0 else eps_scale * width)
+        edges = np.arange(bins) * width
+        ang = np.concatenate([params.bin_centers(), edges,
+                              np.nextafter(edges[1:], 0.0),
+                              np.nextafter(edges, math.inf),
+                              [0.0, np.nextafter(2.0 * math.pi, 0.0)]])
+        dense = angular_kernel(ang[:, None], params.bin_centers(), params.eps)
+        assert _orientation_weights(ang, params).tobytes() == dense.tobytes()
+
+    def test_rejects_other_shapes(self):
+        params = DescriptorParams(5)
+        for shape in ((5, 5), (2, 5, 6), (2, 4, 4)):
+            with pytest.raises(ValueError, match="patch stack"):
+                patch_densities(np.zeros(shape), params)
+
+    def test_empty_stack(self):
+        params = DescriptorParams(5, bins=8, cells=2)
+        assert patch_densities(np.zeros((0, 5, 5)), params).shape == (0, 2, 2, 8)
 
 
 class TestNormalization:

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from mvdesc.hog import _RECORD_HEADER, DescriptorParams, DescriptorVector, \
     normalize_density, OrientationDensity
+from mvdesc.image import GrayImage, read_pgm, write_pgm
 from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, _ROW_HEADER, METRICS,
                              DescriptorDatabase, distance, likelihood_query,
                              log_likelihood, match_all, nn_query,
                              pairwise_distances)
+from mvdesc.scene import read_depth, write_depth
 
 PARAMS = DescriptorParams(patch_size=8, bins=4, cells=2)
 
@@ -206,6 +208,38 @@ class TestDatabase:
             DescriptorDatabase.load(bad)
         assert str(err.value).startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("kind, mangle, field", [
+        ("pgm", lambda b: b[:0], "PGM header cut short: no magic"),
+        ("pgm", lambda b: b[:4], "PGM header cut short: no height"),
+        ("pgm", lambda b: b[:7], "PGM header cut short: no maxval"),
+        ("pgm", lambda b: b.replace(b"5 4", b"x 4", 1), "PGM width"),
+        ("pgm", lambda b: b[:11], "PGM raster cut short"),
+        ("pgm", lambda b: b[:-1], "PGM raster cut short"),
+        ("pgm", lambda b: b + b"\x00", "1 trailing bytes after the PGM raster"),
+        ("depth", lambda b: b[:5], "depth header cut short"),
+        ("depth", lambda b: b"X" + b[1:], "depth header: not a depth raster"),
+        ("depth", lambda b: b[:16], "depth raster cut short"),
+        ("depth", lambda b: b[:-3], "depth raster cut short"),
+        ("depth", lambda b: b + b"\x00\x00",
+         "2 trailing bytes after the depth raster"),
+    ], ids=["pgm-empty", "pgm-in-header", "pgm-before-maxval", "pgm-width",
+            "pgm-at-raster", "pgm-in-raster", "pgm-trailing", "depth-in-header",
+            "depth-magic", "depth-at-raster", "depth-in-raster",
+            "depth-trailing"])
+    def test_raster_load_names_file_and_field(self, tmp_path, kind, mangle,
+                                              field):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        if kind == "pgm":   # a 5 x 4 image: an 11-byte header, 20 pixels
+            write_pgm(GrayImage(np.linspace(0.0, 1.0, 20).reshape(4, 5)), good)
+            read = read_pgm
+        else:               # a 16-byte header, 20 float32 depths
+            write_depth(good, np.linspace(1.0, 2.0, 20).reshape(4, 5))
+            read = read_depth
+        bad.write_bytes(mangle(good.read_bytes()))
+        with pytest.raises(ValueError, match=field) as err:
+            read(bad)
+        assert str(err.value).startswith(f"{bad}: ")
+
     def test_empty_matrix_raises(self):
         db = DescriptorDatabase("sv", PARAMS)
         with pytest.raises(ValueError):
@@ -259,6 +293,17 @@ class TestQueries:
         tid, d = nn_query(db, q)
         assert tid == 17
         assert d == np.sqrt(np.square(q - rows[17]).sum())
+
+    def test_identical_rows_tie_under_neg_correlation(self):
+        # the GEMM alone rounds row 2 a few ulps below its copy in row 0
+        rows = unit_cells(np.random.default_rng(59), 3)
+        rows[2] = rows[0]
+        db = DescriptorDatabase("sv", PARAMS, "neg-correlation")
+        for i, row in enumerate(rows):
+            db.add(i, DescriptorVector(row, "sv", PARAMS))
+        assert nn_query(db, rows[0])[0] == 0
+        d = pairwise_distances(rows[0], rows, "neg-correlation")[0]
+        assert d[0] == d[2]
 
     def test_metric_override(self):
         rng = np.random.default_rng(49)
@@ -343,8 +388,7 @@ def _oracle_check(tid, dist, q, rows, ids, metric):
 
     l2 must agree bit for bit. The other metrics sum in another order here,
     so tracks within 1e-12 of the best count as tied, and the lowest id must
-    win among tracks that tie exactly here too. neg-correlation is exempt
-    from that last rule: its GEMM can round two identical rows apart."""
+    win among tracks that tie exactly here too."""
     per_track = {}
     for x, t in zip(rows, ids):
         d = _literal_distance(q, x, metric, 4)
@@ -358,7 +402,7 @@ def _oracle_check(tid, dist, q, rows, ids, metric):
     near = [t for t, d in per_track.items() if d <= best + tol]
     assert abs(dist - best) <= tol
     assert tid in near and abs(per_track[tid] - best) <= tol
-    if metric != "neg-correlation" and len({per_track[t] for t in near}) == 1:
+    if len({per_track[t] for t in near}) == 1:
         assert tid == min(near)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, rot_z
-from mvdesc.hog import DescriptorParams, DescriptorVector, normalize_density
+from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
+                        sample_descriptor)
 from mvdesc.image import GrayImage, bilinear_sample
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
@@ -174,13 +175,18 @@ class TestAggregation:
 
     def test_view_descriptors_are_normalized_per_cell(self):
         rng = np.random.default_rng(81)
-        patches = rng.random((3, 15, 15))
-        descs = view_descriptors(patches, self.params())
-        assert len(descs) == 3
-        for d in descs:
+        # the flat last view has no mass; its cells become uniform
+        patches = np.concatenate([rng.random((3, 15, 15)),
+                                  np.full((1, 15, 15), 0.5)])
+        p = self.params()
+        descs = view_descriptors(patches, p)
+        assert len(descs) == 4
+        for d, q in zip(descs, patches):
             assert d.method == "rhog"
             np.testing.assert_allclose(
                 d.values.reshape(4, 8).sum(axis=1), 1.0, atol=1e-6)
+            one = sample_descriptor(normalize_density(patch_density(q, p)), "rhog")
+            assert d.values.tobytes() == one.values.tobytes()
 
     def test_aggregate_equals_normalized_mean_density(self):
         rng = np.random.default_rng(82)
