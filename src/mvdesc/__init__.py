@@ -25,8 +25,8 @@ from .viewsynth import (LocalSurface, ReprojectionOutOfBounds,
                         sample_rotations, select_keyframes, synthesize_patch,
                         synthesize_views, view_descriptors, view_visible)
 from .tracking import (Track, TrackerConfig, attach_patches, detect_corners,
-                       extract_patch, klt_step, load_tracks, normalize_patch,
-                       run_tracker, save_tracks)
+                       extract_patch, klt_step, klt_steps, load_tracks,
+                       normalize_patch, run_tracker, save_tracks)
 from .bench import (default_benchmark_config, memory_scaling,
                     quick_benchmark_config, run_benchmark, spearman,
                     update_cost_profile)

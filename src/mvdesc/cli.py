@@ -30,10 +30,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_track(args) -> int:
     ds = load_dataset(args.dataset)
-    cfg = TrackerConfig(n_features=args.features, levels=args.levels,
-                        window=args.window, reject_thresh=args.reject)
     images = [v.image for v in ds.frames]
-    tracks = run_tracker(images, cfg)
+    try:  # an even --window, or more --levels than the frames allow
+        cfg = TrackerConfig(n_features=args.features, levels=args.levels,
+                            window=args.window, reject_thresh=args.reject)
+        tracks = run_tracker(images, cfg)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     full = [t for t in tracks if t.alive and t.length == len(images)]
     attach_patches(full, images, args.patch_size, cfg.levels)
     save_tracks(full, args.out, meta={

@@ -355,6 +355,32 @@ def _need(buf: bytes, offset: int, size: int, field: str) -> None:
                          f"{offset}, {max(len(buf) - offset, 0)} left")
 
 
+def _json_field(rec, key: str, kind, where: str = ""):
+    """``rec[key]`` of a parsed JSON document; ValueError naming the field
+    when it is missing or not of ``kind`` (a bool is not a number)."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object" if where
+                         else "not a JSON object")
+    if key not in rec:
+        raise ValueError(f"{path}: missing")
+    val = rec[key]
+    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
+        names = kind if isinstance(kind, tuple) else (kind,)
+        raise ValueError(f"{path}: expected {' or '.join(k.__name__ for k in names)}, "
+                         f"got {type(val).__name__}")
+    return val
+
+
+def _finite_numbers(val, count: int, path: str) -> list:
+    """``val`` if it is a list of ``count`` finite JSON numbers, else ValueError."""
+    if (not isinstance(val, list) or len(val) != count
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) for v in val)):
+        raise ValueError(f"{path}: not a list of {count} finite numbers")
+    return val
+
+
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:
     """First ``count`` whitespace-separated header tokens, skipping comments."""
     tokens = []

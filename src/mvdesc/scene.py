@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
-from .image import AffineContrast, GrayImage, _need, read_pgm, write_pgm
+from .image import (AffineContrast, GrayImage, _finite_numbers, _json_field,
+                    _need, read_pgm, write_pgm)
 
 __all__ = [
     "RenderError",
@@ -634,27 +635,77 @@ class SceneDataset:
         return self.spec["name"]
 
 
+def _parse_pose(rec, where: str) -> Pose:
+    pose = _json_field(rec, "pose", dict, where)
+    where += ".pose"
+    r = _json_field(pose, "r", list, where)
+    if len(r) != 3:
+        raise ValueError(f"{where}.r: {len(r)} rows, expected 3")
+    for k, row in enumerate(r):
+        _finite_numbers(row, 3, f"{where}.r[{k}]")
+    _finite_numbers(_json_field(pose, "t", list, where), 3, f"{where}.t")
+    try:
+        return Pose.from_config(pose)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_manifest(manifest) -> tuple[dict, PinholeCamera, dict]:
+    """Spec, camera and per-role view records ``(image, depth, pose,
+    photometric)`` of a parsed ``manifest.json``; ValueError naming the field
+    on any malformed entry."""
+    version = _json_field(manifest, "format_version", int)
+    if version != 1:
+        raise ValueError(f"format_version: {version}, expected 1")
+    spec = _json_field(manifest, "spec", dict)
+    cfg = _json_field(manifest, "camera", dict)
+    for key in ("focal", "cx", "cy"):
+        if not math.isfinite(_json_field(cfg, key, (int, float), "camera")):
+            raise ValueError(f"camera.{key}: not finite")
+    for key in ("width", "height"):
+        _json_field(cfg, key, int, "camera")
+    try:
+        cam = PinholeCamera.from_config(cfg)
+    except ValueError as exc:
+        raise ValueError(f"camera: {exc}") from None
+    views = {}
+    for role in ("frames", "tests"):
+        views[role] = []
+        for i, rec in enumerate(_json_field(manifest, role, list)):
+            where = f"{role}[{i}]"
+            image = _json_field(rec, "image", str, where)
+            depth = _json_field(rec, "depth", str, where)
+            pose = _parse_pose(rec, where)
+            photo = rec.get("photometric")
+            if photo is not None and not isinstance(photo, dict):
+                raise ValueError(f"{where}.photometric: expected dict, got "
+                                 f"{type(photo).__name__}")
+            views[role].append((image, depth, pose, photo))
+    return spec, cam, views
+
+
 def load_dataset(path) -> SceneDataset:
     """Read back a dataset written by :func:`generate_dataset`.
 
     Images roundtrip exactly (they are quantized before writing); depth comes
     back float32-rounded, adequate for correspondence at far better than a
-    tenth of a pixel.
+    tenth of a pixel. A malformed ``manifest.json`` (a missing or wrongly
+    typed field, a pose that is not finite numbers of the right shape, or a
+    foreign ``format_version``) raises ValueError naming the file and the
+    field.
     """
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
-    cam = PinholeCamera.from_config(manifest["camera"])
+    file = root / "manifest.json"
+    try:
+        manifest = json.loads(file.read_text())
+        spec, cam, views = _parse_manifest(manifest)
+    except ValueError as exc:
+        raise ValueError(f"{file}: {exc}") from None
 
     def load_views(records):
-        views = []
-        for rec in records:
-            views.append(RenderedView(
-                read_pgm(root / rec["image"]),
-                read_depth(root / rec["depth"]),
-                cam, Pose.from_config(rec["pose"]),
-                rec.get("photometric"),
-            ))
-        return views
+        return [RenderedView(read_pgm(root / image), read_depth(root / depth),
+                             cam, pose, photo)
+                for image, depth, pose, photo in records]
 
-    return SceneDataset(manifest["spec"], cam, load_views(manifest["frames"]),
-                        load_views(manifest["tests"]), manifest)
+    return SceneDataset(spec, cam, load_views(views["frames"]),
+                        load_views(views["tests"]), manifest)

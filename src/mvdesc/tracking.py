@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .image import (GrayImage, ImagePyramid, _central_differences,
-                    bilinear_sample, build_pyramid, read_pgm, write_pgm)
+                    _finite_numbers, _json_field, bilinear_sample, build_pyramid,
+                    read_pgm, write_pgm)
 
 __all__ = [
     "TrackerConfig",
@@ -25,6 +26,7 @@ __all__ = [
     "fast_score_map",
     "auto_threshold",
     "klt_step",
+    "klt_steps",
     "run_tracker",
     "attach_patches",
     "extract_patch",
@@ -121,20 +123,33 @@ def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
 
 
 def _nms(xy: np.ndarray, scores: np.ndarray, radius: float):
-    """Greedy suppression: strongest first, drop anything within radius."""
-    order = np.argsort(-scores, kind="stable")
-    kept: list[int] = []
+    """Greedy suppression: strongest first, drop anything within radius.
+
+    Kept points are bucketed in a grid of ``radius``-sized cells, so each
+    candidate is tested only against the kept points of the cells its
+    ``[x - radius, x + radius]`` box touches (3 x 3 of them). The cell index
+    ``floor(v / radius)`` is monotone in ``v``, so those cells hold every
+    kept point within ``radius``. A radius of zero or less keeps everything.
+    Coordinates must be finite.
+    """
+    order = np.argsort(-scores, kind="stable").astype(np.intp)
+    if radius <= 0 or order.size == 0:
+        return order
     r2 = radius * radius
-    for i in order:
-        p = xy[i]
-        ok = True
-        for j in kept:
-            d = p - xy[j]
-            if d[0] * d[0] + d[1] * d[1] < r2:
-                ok = False
-                break
-        if ok:
+    lo = np.floor((xy - radius) / radius).astype(np.int64).tolist()
+    hi = np.floor((xy + radius) / radius).astype(np.int64).tolist()
+    cell = np.floor(xy / radius).astype(np.int64).tolist()
+    pts = xy.tolist()
+    grid: dict = {}
+    kept: list[int] = []
+    for i in order.tolist():
+        x, y = pts[i]
+        (x0, y0), (x1, y1) = lo[i], hi[i]
+        if not any((x - px) * (x - px) + (y - py) * (y - py) < r2
+                   for cx in range(x0, x1 + 1) for cy in range(y0, y1 + 1)
+                   for px, py in grid.get((cx, cy), ())):
             kept.append(i)
+            grid.setdefault(tuple(cell[i]), []).append((x, y))
     return np.array(kept, dtype=np.intp)
 
 
@@ -205,12 +220,19 @@ def detect_corners(pyr: ImagePyramid, cfg: TrackerConfig):
 # tracking
 
 
+def _windows(data: np.ndarray, xy: np.ndarray, size: int) -> np.ndarray:
+    """(n, size, size) bilinear windows centered on the rows of xy (n, 2)."""
+    offs = np.arange(size) - (size - 1) / 2.0
+    grid = np.empty((len(xy), size, size, 2))
+    grid[..., 0] = xy[:, 0, None, None] + offs
+    grid[..., 1] = xy[:, 1, None, None] + offs[:, None]
+    return bilinear_sample(data, grid)
+
+
 def extract_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     """size x size bilinear window centered on xy (border-clamped)."""
-    half = (size - 1) / 2.0
-    offs = np.arange(size) - half
-    gx, gy = np.meshgrid(xy[0] + offs, xy[1] + offs)
-    return bilinear_sample(img.data, np.stack([gx, gy], axis=-1))
+    return _windows(img.data, np.asarray(xy, dtype=np.float64).reshape(1, 2),
+                    size)[0]
 
 
 def normalize_patch(patch: np.ndarray) -> np.ndarray:
@@ -227,68 +249,92 @@ def quantized_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     norm = normalize_patch(extract_patch(img, xy, size))
     return GrayImage.from_u8(GrayImage(norm).to_u8()).data
 
-def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
-             guess=None):
-    """Track one point from ``prev`` to ``nxt``; returns the new (x, y) or None.
 
-    Inverse-compositional translational alignment of a window around ``pos``.
-    Both windows are shifted to zero mean and the moving window is gain
-    matched to the template, so affine lighting changes cancel. A point is
-    dropped when the template is degenerate (flat or one-dimensional, by a
-    condition-number test), when it wanders out of the image, or when the
-    converged residual stays large.
+def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
+              guess=None):
+    """Track the points ``pos`` (n, 2) from ``prev`` to ``nxt`` together.
+
+    Returns ``(new, ok)``: the new positions (n, 2) and which points were
+    tracked; the rows of dropped points are meaningless. ``guess`` (n, 2)
+    starts the search, by default at ``pos``.
+
+    Inverse-compositional translational alignment of a window around each
+    point. Both windows are shifted to zero mean and the moving window is
+    gain matched to the template, so affine lighting changes cancel. A point
+    is dropped when its template is degenerate (flat or one-dimensional, by
+    a condition-number test), when it wanders out of the image, or when its
+    converged residual stays large. Every iteration gathers the windows of
+    the points still moving at once; each point sees exactly the arithmetic
+    of tracking it alone, because every reduction runs over one contiguous
+    window.
     """
-    pos = np.asarray(pos, dtype=np.float64)
+    pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+    cur = (pos.copy() if guess is None
+           else np.array(guess, dtype=np.float64).reshape(-1, 2))
     half = (cfg.window - 1) / 2.0
     h, w = prev.shape
 
     def in_bounds(p):
-        return (half <= p[0] <= w - 1 - half) and (half <= p[1] <= h - 1 - half)
+        return ((half <= p[:, 0]) & (p[:, 0] <= w - 1 - half)
+                & (half <= p[:, 1]) & (p[:, 1] <= h - 1 - half))
 
-    if not in_bounds(pos):
-        return None
-    t = extract_patch(prev, pos, cfg.window)
-    t_mean, t_std = t.mean(), t.std()
-    if t_std < 1e-9:
-        return None
-    tz = t - t_mean
+    idx = np.flatnonzero(in_bounds(pos))
+    t = _windows(prev.data, pos[idx], cfg.window)
+    t_std = t.std(axis=(1, 2))
+    flat = t_std < 1e-9
+    idx, t, t_std = idx[~flat], t[~flat], t_std[~flat]
+    tz = t - t.mean(axis=(1, 2), keepdims=True)
     gx, gy = _central_differences(t)
-    h00 = np.sum(gx * gx)
-    h01 = np.sum(gx * gy)
-    h11 = np.sum(gy * gy)
+    h00 = (gx * gx).sum(axis=(1, 2))
+    h01 = (gx * gy).sum(axis=(1, 2))
+    h11 = (gy * gy).sum(axis=(1, 2))
     tr = h00 + h11
     det = h00 * h11 - h01 * h01
-    disc = max(tr * tr / 4.0 - det, 0.0) ** 0.5
+    # Python's ** is C pow, which the per-point tracker used; np.sqrt differs
+    # from it in the last bit for about one value in a thousand
+    disc = np.array([max(v, 0.0) ** 0.5 for v in (tr * tr / 4.0 - det).tolist()])
     lam_min = tr / 2.0 - disc
     lam_max = tr / 2.0 + disc
-    if lam_min <= 0.0 or lam_max / lam_min > _COND_LIMIT:
-        return None
-    inv00, inv01, inv11 = h11 / det, -h01 / det, h00 / det
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (lam_min <= 0.0) | (lam_max / lam_min > _COND_LIMIT)
+        inv00, inv01, inv11 = h11 / det, -h01 / det, h00 / det
+    state = [a[~bad] for a in (idx, tz, gx, gy, t_std, inv00, inv01, inv11)]
 
-    cur = np.array(guess, dtype=np.float64) if guess is not None else pos.copy()
-    resid = None
-    for _ in range(cfg.max_iters):
-        if not in_bounds(cur):
-            return None
-        win = extract_patch(nxt, cur, cfg.window)
-        w_std = win.std()
-        if w_std < 1e-9:
-            return None
-        r = (win - win.mean()) * (t_std / w_std) - tz
-        bx = np.sum(gx * r)
-        by = np.sum(gy * r)
+    resid = np.full(len(pos), np.nan)
+    finished = np.zeros(len(pos), bool)
+    for it in range(cfg.max_iters):
+        inside = in_bounds(cur[state[0]])
+        state = [a[inside] for a in state]
+        win = _windows(nxt.data, cur[state[0]], cfg.window)
+        w_std = win.std(axis=(1, 2))
+        moving = ~(w_std < 1e-9)
+        state, win, w_std = [a[moving] for a in state], win[moving], w_std[moving]
+        idx, tz, gx, gy, t_std, inv00, inv01, inv11 = state
+        r = ((win - win.mean(axis=(1, 2), keepdims=True))
+             * (t_std / w_std)[:, None, None] - tz)
+        bx = (gx * r).sum(axis=(1, 2))
+        by = (gy * r).sum(axis=(1, 2))
         dx = inv00 * bx + inv01 * by
         dy = inv01 * bx + inv11 * by
-        cur[0] -= dx
-        cur[1] -= dy
-        resid = r
-        if dx * dx + dy * dy < _CONVERGE * _CONVERGE:
+        cur[idx, 0] -= dx
+        cur[idx, 1] -= dy
+        done = ((dx * dx + dy * dy < _CONVERGE * _CONVERGE)
+                | (it == cfg.max_iters - 1))
+        resid[idx[done]] = np.abs(r[done]).mean(axis=(1, 2))
+        finished[idx[done]] = True
+        state = [a[~done] for a in state]
+        if not len(state[0]):
             break
-    if not in_bounds(cur):
-        return None
-    if resid is None or np.mean(np.abs(resid)) > cfg.reject_thresh:
-        return None
-    return cur
+    ok = finished & in_bounds(cur) & ~(resid > cfg.reject_thresh)
+    return cur, ok
+
+
+def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
+             guess=None):
+    """Track one point from ``prev`` to ``nxt``; returns the new (x, y) or
+    None. The stack of one of :func:`klt_steps`."""
+    new, ok = klt_steps(prev, nxt, pos, cfg, guess)
+    return new[0] if ok[0] else None
 
 
 def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
@@ -297,7 +343,8 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
     ``images`` are base-resolution frames. A track that fails on any frame is
     marked dead and stops growing, so ``positions`` always covers frames
     0..length-1 contiguously. Position init for each new frame assumes
-    constant velocity.
+    constant velocity. The live tracks of one pyramid level are tracked
+    together, one :func:`klt_steps` call per frame and level.
     """
     cfg = cfg or TrackerConfig()
     if not images:
@@ -308,21 +355,21 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
     tracks = [Track(i, lvl, [xy.copy()]) for i, (lvl, xy, _) in enumerate(detections)]
 
     for f in range(1, len(images)):
-        for tr in tracks:
-            if not tr.alive:
+        for lvl in range(len(pyrs[f])):
+            group = [tr for tr in tracks if tr.alive and tr.level == lvl]
+            if not group:
                 continue
-            prev = pyrs[f - 1].level(tr.level)
-            nxt = pyrs[f].level(tr.level)
-            pos = tr.positions[-1]
-            if len(tr.positions) >= 2:
-                guess = pos + (pos - tr.positions[-2])
-            else:
-                guess = pos
-            new = klt_step(prev, nxt, pos, cfg, guess=guess)
-            if new is None:
-                tr.alive = False
-            else:
-                tr.positions.append(new)
+            pos = np.array([tr.positions[-1] for tr in group])
+            guess = pos
+            if f >= 2:  # every live track holds frames 0..f-1
+                guess = pos + (pos - np.array([tr.positions[-2] for tr in group]))
+            new, ok = klt_steps(pyrs[f - 1].level(lvl), pyrs[f].level(lvl),
+                                pos, cfg, guess)
+            for tr, p, good in zip(group, new, ok):
+                if good:
+                    tr.positions.append(p)
+                else:
+                    tr.alive = False
     return tracks
 
 
@@ -366,15 +413,53 @@ def save_tracks(tracks: list, out_dir, meta: dict = None) -> None:
     (out / "tracks.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def load_tracks(path) -> tuple[list, dict]:
-    root = Path(path)
-    doc = json.loads((root / "tracks.json").read_text())
-    tracks = []
-    for rec in doc["tracks"]:
-        tr = Track(rec["id"], rec["level"],
-                   [np.array(p, dtype=np.float64) for p in rec["positions"]],
-                   rec["alive"])
+def _parse_tracks(doc) -> tuple[list, dict, list]:
+    """Tracks, meta and per-track patch file names (or None) of a parsed
+    ``tracks.json``; ValueError naming the field on any malformed entry."""
+    version = _json_field(doc, "format_version", int)
+    if version != 1:
+        raise ValueError(f"format_version: {version}, expected 1")
+    meta = _json_field(doc, "meta", dict)
+    tracks, names = [], []
+    for i, rec in enumerate(_json_field(doc, "tracks", list)):
+        where = f"tracks[{i}]"
+        level = _json_field(rec, "level", int, where)
+        if level < 0:
+            raise ValueError(f"{where}.level: {level} is negative")
+        raw = _json_field(rec, "positions", list, where)
+        if not raw:
+            raise ValueError(f"{where}.positions: empty")
+        positions = [np.array(_finite_numbers(p, 2, f"{where}.positions[{k}]"),
+                              dtype=np.float64) for k, p in enumerate(raw)]
+        tracks.append(Track(_json_field(rec, "id", int, where), level, positions,
+                            _json_field(rec, "alive", bool, where)))
+        files = None
         if "patches" in rec:
-            tr.patches = [read_pgm(root / n).data for n in rec["patches"]]
-        tracks.append(tr)
-    return tracks, doc["meta"]
+            files = _json_field(rec, "patches", list, where)
+            if len(files) != len(positions):
+                raise ValueError(f"{where}.patches: {len(files)} files for "
+                                 f"{len(positions)} positions")
+            if not all(isinstance(n, str) for n in files):
+                raise ValueError(f"{where}.patches: not a list of file names")
+        names.append(files)
+    return tracks, meta, names
+
+
+def load_tracks(path) -> tuple[list, dict]:
+    """Read back what :func:`save_tracks` wrote.
+
+    A malformed ``tracks.json`` (a missing or wrongly typed field, a position
+    that is not a pair of finite numbers, a patch list unlike the positions,
+    or a foreign ``format_version``) raises ValueError naming the file and
+    the field.
+    """
+    root = Path(path)
+    file = root / "tracks.json"
+    try:
+        tracks, meta, names = _parse_tracks(json.loads(file.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{file}: {exc}") from None
+    for tr, files in zip(tracks, names):
+        if files is not None:
+            tr.patches = [read_pgm(root / n).data for n in files]
+    return tracks, meta

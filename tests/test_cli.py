@@ -45,6 +45,29 @@ class TestGenerateAndTrack:
             assert tr.patches[0].shape == (15, 15)
 
 
+class TestTrackErrors:
+    @pytest.mark.parametrize("tiny, args, message", [
+        (False, ["--window", "10"], "tracking window must be odd"),
+        (False, ["--levels", "6"], "levels must be in 1..5"),
+        # 40 x 30 frames hold 4 pyramid levels, not 5
+        (True, ["--levels", "5"], "image too small for 5 pyramid levels"),
+    ], ids=["even-window", "levels-past-max", "levels-past-image"])
+    def test_invalid_option_prints_the_error(self, workspace, tmp_path, capsys,
+                                             tiny, args, message):
+        ds = workspace / "ds"
+        if tiny:
+            spec = tmp_path / "tiny.json"
+            spec.write_text(json.dumps({"n_frames": 2, "resolution": [40, 30],
+                                        "focal": 42.5}))
+            ds = tmp_path / "ds"
+            assert main(["generate", "--out", str(ds), "--spec", str(spec)]) == 0
+        rc = main(["track", "--dataset", str(ds), "--out",
+                   str(tmp_path / "tracks"), *args])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "tracks").exists()
+
+
 class TestDescribe:
     def build(self, workspace, method, extra=()):
         out = workspace / f"db_{method}"

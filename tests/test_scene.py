@@ -353,6 +353,47 @@ class TestDataset:
         assert manifest["camera"]["width"] == plane_ds.camera.width
         assert len(manifest["frames"]) == len(plane_ds.frames)
 
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda m: m.update(format_version=2), r"format_version: 2, expected 1"),
+        (lambda m: m.pop("format_version"), r"format_version: missing"),
+        (lambda m: m.update(spec="plane"), r"spec: expected dict, got str"),
+        (lambda m: m.pop("camera"), r"camera: missing"),
+        (lambda m: m["camera"].update(width="160"),
+         r"camera\.width: expected int, got str"),
+        (lambda m: m["camera"].update(focal=float("inf")),
+         r"camera\.focal: not finite"),
+        (lambda m: m["camera"].update(focal=-1.0),
+         r"camera: focal length must be positive"),
+        (lambda m: m.update(tests={}), r"tests: expected list, got dict"),
+        (lambda m: m["frames"].__setitem__(2, []),
+         r"frames\[2\]: not a JSON object"),
+        (lambda m: m["frames"][0].pop("image"), r"frames\[0\]\.image: missing"),
+        (lambda m: m["tests"][1].update(depth=None),
+         r"tests\[1\]\.depth: expected str, got NoneType"),
+        (lambda m: m["frames"][3]["pose"].update(t=[0.0, 1.0]),
+         r"frames\[3\]\.pose\.t: not a list of 3 finite numbers"),
+        (lambda m: m["frames"][1]["pose"]["r"].pop(),
+         r"frames\[1\]\.pose\.r: 2 rows, expected 3"),
+        (lambda m: m["frames"][1]["pose"]["r"][2].__setitem__(0, float("nan")),
+         r"frames\[1\]\.pose\.r\[2\]: not a list of 3 finite numbers"),
+        (lambda m: m["frames"][0]["pose"].update(
+            r=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         r"frames\[0\]\.pose: pose rotation is not a proper rotation matrix"),
+        (lambda m: m["frames"][0].update(photometric=[1.0]),
+         r"frames\[0\]\.photometric: expected dict, got list"),
+    ], ids=["version", "no-version", "spec-type", "no-camera", "width-type",
+            "focal-inf", "focal-negative", "tests-type", "view-type",
+            "no-image", "depth-type", "short-translation", "two-rows",
+            "nan-rotation", "not-a-rotation", "photometric-type"])
+    def test_load_names_file_and_field(self, plane_ds, tmp_path, mangle, field):
+        manifest = json.loads(json.dumps(plane_ds.manifest))
+        mangle(manifest)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=field) as err:
+            load_dataset(tmp_path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_photometric_jitter_varies_between_frames(self, plane_ds):
         gains = {v.photometric["a"] for v in plane_ds.frames}
         assert len(gains) == len(plane_ds.frames)

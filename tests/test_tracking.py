@@ -1,15 +1,20 @@
 """Corner detection, KLT tracking, patch extraction, and track I/O."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvdesc.image import GrayImage, bilinear_sample, build_pyramid
+from mvdesc.image import (GrayImage, _central_differences, bilinear_sample,
+                          build_pyramid)
 from mvdesc.scene import make_texture
-from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _nms,
-                             attach_patches, auto_threshold, detect_corners,
-                             extract_patch, fast_score_map, klt_step,
-                             load_tracks, normalize_patch, run_tracker,
-                             save_tracks)
+from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _COND_LIMIT,
+                             _CONVERGE, _nms, attach_patches, auto_threshold,
+                             detect_corners, extract_patch, fast_score_map,
+                             klt_step, klt_steps, load_tracks, normalize_patch,
+                             run_tracker, save_tracks)
 
 
 def fast_oracle(a, threshold, arc):
@@ -30,6 +35,106 @@ def fast_oracle(a, threshold, arc):
                 ed = np.maximum(c - threshold - vals, 0.0).sum()
                 score[y, x] = max(eb, ed)
     return mask, score
+
+
+def nms_oracle(xy, scores, radius):
+    """Greedy suppression against every kept point, strongest first."""
+    order = np.argsort(-scores, kind="stable")
+    kept = []
+    r2 = radius * radius
+    for i in order:
+        p = xy[i]
+        ok = True
+        for j in kept:
+            d = p - xy[j]
+            if d[0] * d[0] + d[1] * d[1] < r2:
+                ok = False
+                break
+        if ok:
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
+
+
+def window_oracle(img, xy, size):
+    half = (size - 1) / 2.0
+    offs = np.arange(size) - half
+    gx, gy = np.meshgrid(xy[0] + offs, xy[1] + offs)
+    return bilinear_sample(img.data, np.stack([gx, gy], axis=-1))
+
+
+def klt_oracle(prev, nxt, pos, cfg, guess=None):
+    """One point at a time: inverse-compositional translational KLT."""
+    pos = np.asarray(pos, dtype=np.float64)
+    half = (cfg.window - 1) / 2.0
+    h, w = prev.shape
+
+    def in_bounds(p):
+        return (half <= p[0] <= w - 1 - half) and (half <= p[1] <= h - 1 - half)
+
+    if not in_bounds(pos):
+        return None
+    t = window_oracle(prev, pos, cfg.window)
+    t_mean, t_std = t.mean(), t.std()
+    if t_std < 1e-9:
+        return None
+    tz = t - t_mean
+    gx, gy = _central_differences(t)
+    h00 = np.sum(gx * gx)
+    h01 = np.sum(gx * gy)
+    h11 = np.sum(gy * gy)
+    tr = h00 + h11
+    det = h00 * h11 - h01 * h01
+    disc = max(tr * tr / 4.0 - det, 0.0) ** 0.5
+    lam_min = tr / 2.0 - disc
+    lam_max = tr / 2.0 + disc
+    if lam_min <= 0.0 or lam_max / lam_min > _COND_LIMIT:
+        return None
+    inv00, inv01, inv11 = h11 / det, -h01 / det, h00 / det
+
+    cur = np.array(guess, dtype=np.float64) if guess is not None else pos.copy()
+    resid = None
+    for _ in range(cfg.max_iters):
+        if not in_bounds(cur):
+            return None
+        win = window_oracle(nxt, cur, cfg.window)
+        w_std = win.std()
+        if w_std < 1e-9:
+            return None
+        r = (win - win.mean()) * (t_std / w_std) - tz
+        bx = np.sum(gx * r)
+        by = np.sum(gy * r)
+        dx = inv00 * bx + inv01 * by
+        dy = inv01 * bx + inv11 * by
+        cur[0] -= dx
+        cur[1] -= dy
+        resid = r
+        if dx * dx + dy * dy < _CONVERGE * _CONVERGE:
+            break
+    if not in_bounds(cur):
+        return None
+    if resid is None or np.mean(np.abs(resid)) > cfg.reject_thresh:
+        return None
+    return cur
+
+
+def tracker_oracle(images, cfg):
+    """The sequence loop of run_tracker, one klt_oracle call per point."""
+    pyrs = [build_pyramid(img, cfg.levels) for img in images]
+    tracks = [Track(i, lvl, [xy.copy()])
+              for i, (lvl, xy, _) in enumerate(detect_corners(pyrs[0], cfg))]
+    for f in range(1, len(images)):
+        for tr in tracks:
+            if not tr.alive:
+                continue
+            pos = tr.positions[-1]
+            guess = pos + (pos - tr.positions[-2]) if len(tr.positions) >= 2 else pos
+            new = klt_oracle(pyrs[f - 1].level(tr.level), pyrs[f].level(tr.level),
+                             pos, cfg, guess)
+            if new is None:
+                tr.alive = False
+            else:
+                tr.positions.append(new)
+    return tracks
 
 
 def shifted(base: GrayImage, shift) -> GrayImage:
@@ -70,6 +175,27 @@ class TestFast:
         assert mask.shape == (5, 6) and not mask.any()
 
 
+@st.composite
+def nms_cases(draw):
+    """Points on a radius-spaced lattice (exactly radius apart), random or
+    mixed, negative coordinates included; tied or random scores."""
+    radius = draw(st.one_of(st.sampled_from([4.0, 1.0, 2.5, 0.1, 0.3, 7.0]),
+                            st.floats(0.01, 20.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 60))
+    lattice = rng.integers(-6, 7, (n, 2)) * radius
+    jitter = rng.uniform(-30.0, 30.0, (n, 2))
+    xy = {"lattice": lattice, "random": jitter,
+          "mixed": np.where(rng.random((n, 1)) < 0.5, lattice, jitter),
+          "near": lattice + rng.choice([-1e-12, 0.0, 1e-12], (n, 2)) * radius,
+          }[draw(st.sampled_from(["lattice", "random", "mixed", "near"]))]
+    if draw(st.booleans()):
+        scores = rng.choice([1.0, 2.0, 3.0], n)
+    else:
+        scores = rng.random(n)
+    return xy, scores, radius
+
+
 class TestNms:
     def test_greedy_by_score(self):
         xy = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
@@ -81,6 +207,29 @@ class TestNms:
         xy = np.array([[0.0, 0.0], [1.0, 0.0]])
         kept = _nms(xy, np.array([2.0, 2.0]), radius=3.0)
         assert kept.tolist() == [0]
+
+    def test_exactly_radius_apart_both_kept(self):
+        xy = np.array([[-4.0, -8.0], [0.0, -8.0], [-4.0, -4.0], [-2.0, -6.0]])
+        kept = _nms(xy, np.array([3.0, 3.0, 3.0, 1.0]), radius=4.0)
+        assert kept.tolist() == [0, 1, 2]
+
+    def test_empty_input(self):
+        kept = _nms(np.zeros((0, 2)), np.zeros(0), radius=4.0)
+        assert kept.dtype == np.intp and kept.size == 0
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0, -4.0])
+    def test_nonpositive_radius_keeps_everything(self, radius):
+        xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        kept = _nms(xy, np.array([1.0, 2.0, 2.0]), radius)
+        assert kept.dtype == np.intp and kept.tolist() == [1, 2, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=nms_cases())
+    def test_equals_greedy_oracle(self, case):
+        xy, scores, radius = case
+        got = _nms(xy, scores, radius)
+        assert got.dtype == np.intp
+        assert got.tolist() == nms_oracle(xy, scores, radius).tolist()
 
 
 class TestDetection:
@@ -164,7 +313,137 @@ class TestKlt:
         assert klt_step(self.base, other, (32.0, 32.0), self.cfg) is None
 
 
+@st.composite
+def klt_cases(draw):
+    """Textured, random, flat, striped (one-dimensional) or partly flat
+    templates; shifted, relit, unrelated or flat targets; points at and
+    just past the border; guesses at, near or far from the point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(20, 36))
+    cfg = TrackerConfig(levels=1, window=draw(st.sampled_from([5, 7, 9, 11])),
+                        max_iters=draw(st.sampled_from([1, 2, 5, 30])),
+                        reject_thresh=draw(st.sampled_from([0.04, 0.3, 10.0])))
+    x = np.arange(size, dtype=np.float64)
+    kind = draw(st.sampled_from(["texture", "random", "flat", "stripes",
+                                 "diagonal", "flat-patch"]))
+    if kind == "texture":
+        a = make_texture(rng, size, 3)
+    elif kind == "random":
+        a = rng.random((size, size))
+    elif kind == "flat":
+        a = np.full((size, size), rng.random())
+    elif kind == "stripes":
+        a = np.tile(0.5 + 0.4 * np.sin(x / rng.uniform(1.0, 4.0)), (size, 1))
+    elif kind == "diagonal":
+        a = 0.5 + 0.4 * np.sin((x[:, None] + x) / rng.uniform(1.0, 4.0))
+    else:
+        a = make_texture(rng, size, 3)
+        a[size // 4:3 * size // 4, size // 4:3 * size // 4] = rng.random()
+    prev = GrayImage(a)
+    target = draw(st.sampled_from(["shifted", "relit", "unrelated", "flat",
+                                   "flat-patch"]))
+    if target in ("shifted", "relit", "flat-patch"):
+        b = shifted(prev, rng.uniform(-3.0, 3.0, 2)).data
+        if target == "relit":
+            b = 0.6 * b + 0.2
+        elif target == "flat-patch":
+            b[: size // 2, : size // 2] = rng.random()
+    elif target == "unrelated":
+        b = make_texture(rng, size, 3)
+    else:
+        b = np.full((size, size), rng.random())
+    nxt = GrayImage(b)
+
+    half = (cfg.window - 1) / 2.0
+    lo, hi = half, size - 1 - half
+    edges = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)]
+    pos = rng.uniform(lo - 1.0, hi + 1.0, (draw(st.integers(1, 8)), 2))
+    pick = rng.random(pos.shape) < 0.3
+    pos[pick] = rng.choice(edges, pos.shape)[pick]
+    guess = draw(st.sampled_from(["none", "at", "near", "far"]))
+    if guess == "none":
+        return prev, nxt, pos, cfg, None
+    step = {"at": 0.0, "near": 1.5, "far": size / 2.0}[guess]
+    return prev, nxt, pos, cfg, pos + rng.uniform(-step, step, pos.shape)
+
+
+def assert_klt_matches_oracle(prev, nxt, pos, cfg, guess):
+    """klt_steps on the stack, and klt_step on each point, bit for bit."""
+    new, ok = klt_steps(prev, nxt, pos, cfg, guess)
+    assert new.shape == pos.shape and ok.shape == (len(pos),)
+    for i in range(len(pos)):
+        g = None if guess is None else guess[i]
+        want = klt_oracle(prev, nxt, pos[i], cfg, g)
+        one = klt_step(prev, nxt, pos[i], cfg, g)
+        assert bool(ok[i]) == (want is not None) == (one is not None)
+        if want is not None:
+            assert new[i].tobytes() == want.tobytes() == one.tobytes()
+    return ok
+
+
+class TestBatchedKlt:
+    @settings(max_examples=200, deadline=None)
+    @given(case=klt_cases())
+    def test_equals_per_point_oracle(self, case):
+        assert_klt_matches_oracle(*case)
+
+    @pytest.mark.parametrize("template, target, max_iters", [
+        ("texture", "shifted", 1), ("texture", "shifted", 30),
+        ("flat", "shifted", 30), ("stripes", "stripes", 30),
+        ("texture", "flat", 30), ("texture", "flat", 1)])
+    def test_named_cases_equal_oracle(self, template, target, max_iters):
+        size, cfg = 32, TrackerConfig(levels=1, max_iters=max_iters)
+        x = np.arange(size, dtype=np.float64)
+        images = {
+            "texture": make_texture(np.random.default_rng(107), size, 3),
+            "flat": np.full((size, size), 0.4),
+            "stripes": np.tile(0.5 + 0.4 * np.sin(x / 2.0), (size, 1)),
+        }
+        prev = GrayImage(images[template])
+        nxt = (shifted(prev, (0.6, -0.3)) if target == "shifted"
+               else GrayImage(images[target]))
+        lo, hi = 5.0, size - 6.0   # the window of 11 fits from 5 to 26
+        pos = np.array([[lo, lo], [hi, hi], [np.nextafter(lo, 0.0), 16.0],
+                        [16.0, np.nextafter(hi, size)], [16.0, 16.0],
+                        [12.3, 19.8]])
+        ok = assert_klt_matches_oracle(prev, nxt, pos, cfg, None)
+        assert not ok[2:4].any()   # just past the border
+        if template != "texture" or target == "flat":
+            assert not ok.any()
+
+    def test_guess_leaving_the_image_is_dropped(self):
+        base = GrayImage(make_texture(np.random.default_rng(102), 40, 3))
+        nxt = shifted(base, (6.0, 0.0))
+        cfg = TrackerConfig(levels=1)
+        pos = np.array([[20.0, 20.0], [29.0, 20.0], [33.5, 20.0]])
+        new, ok = klt_steps(base, nxt, pos, cfg)
+        # the last two start inside but their targets lie past the border
+        assert ok.tolist() == [True, False, False]
+        np.testing.assert_allclose(new[0], [26.0, 20.0], atol=1e-3)
+        for i, p in enumerate(pos):
+            assert (klt_oracle(base, nxt, p, cfg) is None) == (not ok[i])
+
+    def test_empty_stack(self):
+        base = GrayImage(make_texture(np.random.default_rng(103), 32, 3))
+        new, ok = klt_steps(base, base, np.zeros((0, 2)), TrackerConfig(levels=1))
+        assert new.shape == (0, 2) and ok.shape == (0,)
+
+
 class TestRunTracker:
+    def test_equals_per_point_tracker(self):
+        base = GrayImage(make_texture(np.random.default_rng(104), 96, 4))
+        junk = GrayImage(make_texture(np.random.default_rng(105), 96, 4))
+        v = np.array([0.7, -0.4])
+        frames = [shifted(base, k * v) for k in range(4)] + [junk]
+        cfg = TrackerConfig(n_features=80, levels=2, reject_thresh=0.08)
+        got, want = run_tracker(frames, cfg), tracker_oracle(frames, cfg)
+        assert len(got) == len(want) > 40
+        assert {t.level for t in got} == {0, 1}
+        assert 0 < sum(t.length == 4 for t in got) < len(got)
+        for a, b in zip(got, want):
+            assert (a.id, a.level, a.alive) == (b.id, b.level, b.alive)
+            assert np.array(a.positions).tobytes() == np.array(b.positions).tobytes()
+
     def test_constant_velocity_sequence(self):
         base = GrayImage(make_texture(np.random.default_rng(95), 96, 4))
         v = np.array([0.8, 0.5])
@@ -239,6 +518,65 @@ class TestTrackIO:
                 np.testing.assert_array_equal(q, p)
             for p, q in zip(mine.patches, loaded.patches):
                 np.testing.assert_array_equal(q, p)
+
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda d: d.pop("tracks"), r"tracks: missing"),
+        (lambda d: d.update(meta=[]), r"meta: expected dict, got list"),
+        (lambda d: d.update(format_version=2), r"format_version: 2, expected 1"),
+        (lambda d: d.update(format_version="1"),
+         r"format_version: expected int, got str"),
+        (lambda d: d["tracks"].append(7), r"tracks\[2\]: not a JSON object"),
+        (lambda d: d["tracks"][0].pop("id"), r"tracks\[0\]\.id: missing"),
+        (lambda d: d["tracks"][0].update(id="0"),
+         r"tracks\[0\]\.id: expected int, got str"),
+        (lambda d: d["tracks"][1].update(level=-1),
+         r"tracks\[1\]\.level: -1 is negative"),
+        (lambda d: d["tracks"][0].update(alive=1),
+         r"tracks\[0\]\.alive: expected bool, got int"),
+        (lambda d: d["tracks"][1].update(level=True),
+         r"tracks\[1\]\.level: expected int, got bool"),
+        (lambda d: d["tracks"][0].update(positions=[]),
+         r"tracks\[0\]\.positions: empty"),
+        (lambda d: d["tracks"][0]["positions"].__setitem__(1, [1.0]),
+         r"tracks\[0\]\.positions\[1\]: not a list of 2 finite numbers"),
+        (lambda d: d["tracks"][0]["positions"].__setitem__(1, [1.0, "2"]),
+         r"positions\[1\]: not a list of 2 finite numbers"),
+        (lambda d: d["tracks"][0]["positions"].__setitem__(0, [float("nan"), 2.0]),
+         r"positions\[0\]: not a list of 2 finite numbers"),
+        (lambda d: d["tracks"][0]["positions"].__setitem__(0, {"x": 1}),
+         r"positions\[0\]: not a list of 2 finite numbers"),
+        (lambda d: d["tracks"][0]["patches"].pop(),
+         r"tracks\[0\]\.patches: 1 files for 2 positions"),
+        (lambda d: d["tracks"][1].update(patches=["a.pgm", "b.pgm"]),
+         r"tracks\[1\]\.patches: 2 files for 1 positions"),
+        (lambda d: d["tracks"][0]["patches"].__setitem__(0, 3),
+         r"tracks\[0\]\.patches: not a list of file names"),
+    ], ids=["no-tracks", "meta-type", "version", "version-type", "track-type",
+            "no-id", "id-type", "level-negative", "alive-type", "level-bool",
+            "no-positions", "short-position", "string-coordinate",
+            "nan-coordinate", "position-type", "short-patches", "long-patches",
+            "patch-name-type"])
+    def test_load_names_file_and_field(self, tmp_path, mangle, field):
+        tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])]),
+                  Track(3, 1, [np.array([15.0, 16.0])], alive=False)]
+        base = GrayImage(make_texture(np.random.default_rng(106), 64, 3))
+        attach_patches(tracks[:1], [base, base], patch_size=9, levels=2)
+        save_tracks(tracks, tmp_path)
+        path = tmp_path / "tracks.json"
+        doc = json.loads(path.read_text())
+        mangle(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field) as err:
+            load_tracks(tmp_path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text, field", [
+        ("[]", "not a JSON object"), ("{", "Expecting property name")])
+    def test_load_rejects_a_foreign_document(self, tmp_path, text, field):
+        (tmp_path / "tracks.json").write_text(text)
+        with pytest.raises(ValueError, match=field) as err:
+            load_tracks(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path / 'tracks.json'}: ")
 
     def test_positions_only_tracks_roundtrip(self, tmp_path):
         tracks = [Track(7, 2, [np.array([3.5, 4.5])])]
