@@ -26,16 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (DescriptorParams, OrientationDensity, normalize_density,
-                  patch_densities, sample_descriptor)
+from .hog import (DescriptorParams, OrientationDensity, _normalized_cells,
+                  normalize_density, patch_densities, sample_descriptor)
 from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import VISIBLE, generate_dataset, ground_truth_correspondence
 from .tracking import TrackerConfig, quantized_patch, run_tracker
-from .viewsynth import (MIN_FACING, LocalSurface, patch_density,
-                        sample_rotations, select_keyframes, synthesize_views,
-                        view_descriptors)
+from .viewsynth import (MIN_FACING, LocalSurface, sample_rotations,
+                        select_keyframes, synthesize_views, view_descriptors)
+# not called here; bound because perfbench/spans.py traces it on this module
+from .viewsynth import patch_density  # noqa: F401
 
 __all__ = [
     "default_benchmark_config",
@@ -252,16 +253,24 @@ def memory_scaling(track_densities: list, params: DescriptorParams,
     }
 
 
+# Updates timed together per probe of update_cost_profile: one update takes
+# about a microsecond, close to what the timer resolves.
+_UPDATES_PER_PROBE = 64
+
+
 def update_cost_profile(densities: list, params: DescriptorParams,
                         lengths, reps: int = 200) -> dict:
     """Wall-clock cost of folding in one more frame, at several track lengths.
 
-    One accumulator per length is advanced once, then a single extra update
-    is timed at each length (best of ``reps``, restoring the saved state
-    between repetitions). The rounds interleave the lengths so a transient
-    load spike inflates all of them alike instead of biasing one; flatness
-    is a ratio across lengths, so correlated noise cancels. For a
-    constant-time update the profile is flat.
+    One accumulator per length is advanced once. Each probe then times
+    ``_UPDATES_PER_PROBE`` further updates in a row, so that a sample lies
+    far above the timer's resolution, and restores the saved state; an
+    update costs the probe's time over that count. A length reports the
+    median of its ``reps`` probes: a minimum would let one lucky sample make a
+    length look fast. The rounds interleave the lengths so a transient load
+    spike inflates all of them alike instead of biasing one; flatness is a
+    ratio across lengths, so correlated noise cancels. For a constant-time
+    update the profile is flat.
     """
     lengths = [int(t) for t in lengths]
     probe = densities[-1]
@@ -276,25 +285,30 @@ def update_cost_profile(densities: list, params: DescriptorParams,
 
     def probe_once(acc, state):
         t0 = time.perf_counter()
-        acc.update(probe)
-        dt = time.perf_counter() - t0
+        for _ in range(_UPDATES_PER_PROBE):
+            acc.update(probe)
+        dt = (time.perf_counter() - t0) / _UPDATES_PER_PROBE
         # restore rather than subtract, so the state cannot drift over reps
         np.copyto(acc.density_sum, state)
-        acc.frames -= 1
+        acc.frames -= _UPDATES_PER_PROBE
         return dt
 
     for acc, state in zip(accs, saved):
         probe_once(acc, state)  # warm-up round, not timed
-    best = [math.inf] * len(lengths)
-    for _ in range(reps):
-        for k, (acc, state) in enumerate(zip(accs, saved)):
-            best[k] = min(best[k], probe_once(acc, state))
-    return {"lengths": lengths, "update_seconds": best,
-            "flatness": max(best) / min(best)}
+    samples = [[probe_once(acc, state) for acc, state in zip(accs, saved)]
+               for _ in range(reps)]
+    cost = [float(c) for c in np.median(samples, axis=0)]
+    return {"lengths": lengths, "update_seconds": cost,
+            "flatness": max(cost) / min(cost)}
 
 
 # ---------------------------------------------------------------------------
 # per-scene pipeline
+
+
+# Query patches per patch_densities call: the size of the default grid of
+# synthesized views, so the query set is never passed whole.
+_QUERY_CHUNK = 80
 
 
 class _SceneRun:
@@ -388,7 +402,7 @@ class _SceneRun:
         only from what each database stores.
         """
         half = (params.patch_size - 1) / 2.0
-        ids, views, values = [], [], []
+        ids, views, patches = [], [], []
         for tr, _ in usable:
             for vi, corr in enumerate(self.corrs[tr.id]):
                 if corr.status != VISIBLE:
@@ -399,14 +413,20 @@ class _SceneRun:
                 if not (half + 1 <= xy[0] <= w - 2 - half
                         and half + 1 <= xy[1] <= h - 2 - half):
                     continue
-                patch = quantized_patch(lvl_img, xy, params.patch_size)
-                dens = normalize_density(patch_density(patch, params))
+                patches.append(quantized_patch(lvl_img, xy, params.patch_size))
                 ids.append(tr.id)
                 views.append(vi)
-                values.append(dens.grid.reshape(-1))
+        if not patches:
+            values = np.zeros((0, 0))
+        else:
+            grids = np.concatenate([
+                patch_densities(np.array(patches[s:s + _QUERY_CHUNK]), params)
+                for s in range(0, len(patches), _QUERY_CHUNK)])
+            values = _normalized_cells(grids, params.bins)[0].reshape(
+                len(patches), -1)
         return {"track_ids": np.array(ids, dtype=int),
                 "view_idx": np.array(views, dtype=int),
-                "values": np.array(values) if values else np.zeros((0, 0))}
+                "values": values}
 
 
 def _rate(db: DescriptorDatabase, queries: dict):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import GradientField, _central_differences, _need, angular_kernel
+from .image import (TWO_PI, GradientField, _central_differences, _need,
+                    angular_kernel)
 
 __all__ = [
     "DescriptorParams",
@@ -161,27 +162,46 @@ def _patch_spatial_weights(params: DescriptorParams) -> np.ndarray:
     return sw
 
 
-def _orientation_weights(ang: np.ndarray, params: DescriptorParams) -> np.ndarray:
-    """Angular kernel weights (..., bins) of orientations ``ang`` at every
-    bin center.
+def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
+                         scale: np.ndarray = None) -> np.ndarray:
+    """Angular kernel weights (..., bins) of orientations ``ang`` in
+    [0, 2*pi) at every bin center, times ``scale`` (same shape as ``ang``)
+    when it is given.
 
     The triangular kernel with eps at most one bin width is zero beyond the
     bin holding an angle and its two neighbours, so it is evaluated there
     alone and scattered into zeros; every value equals the dense evaluation
-    bit for bit. Both neighbours are kept because an angle on a bin center
-    can give the far one a weight of order 1e-16. Other kernels and wider
-    eps evaluate every bin.
+    (times ``scale``) bit for bit, and a zero weight times a finite
+    nonnegative scale stays +0.0. Both neighbours are kept because an angle
+    on a bin center can give the far one a weight of order 1e-16. Other
+    kernels and wider eps evaluate every bin.
     """
     centers = params.bin_centers()
-    width = 2.0 * np.pi / params.bins
+    bins = params.bins
+    width = 2.0 * np.pi / bins
     if params.kernel != "triangular" or params.eps > width:
-        return angular_kernel(ang[..., None], centers, params.eps, params.kernel)
-    near = np.floor(ang / width).astype(np.intp)[..., None] + np.array([-1, 0, 1])
-    near %= params.bins
-    out = np.zeros(ang.shape + (params.bins,))
-    np.put_along_axis(out, near, angular_kernel(ang[..., None], centers[near],
-                                                params.eps), axis=-1)
-    return out
+        out = angular_kernel(ang[..., None], centers, params.eps, params.kernel)
+        if scale is not None:
+            out *= scale[..., None]
+        return out
+    # k = floor(ang / width) lies in [0, bins]; entry k + j of these tables
+    # is neighbour j - 1 of bin k, wrapped into [0, bins), and its center.
+    # Arrays are neighbour-major (3, pixels), so every loop runs along pixels
+    wrap = np.arange(-1, bins + 2) % bins
+    a = ang.ravel()
+    k = np.floor(a / width).astype(np.intp) + np.array([[0], [1], [2]])
+    near = wrap.take(k)
+    # angular_kernel's circular distance: theta - mu lies in (-2pi, 2pi),
+    # where np.mod(d, 2pi) is d + 2pi for d < 0 and d otherwise
+    d = a - centers[wrap].take(k)
+    d = np.where(d < 0.0, d + TWO_PI, d)
+    vals = np.maximum(0.0, 1.0 - np.minimum(d, TWO_PI - d) / params.eps)
+    if scale is not None:
+        vals *= scale.ravel()
+    out = np.zeros((a.size, bins))
+    near += np.arange(0, a.size * bins, bins)
+    out.ravel()[near] = vals
+    return out.reshape(ang.shape + (bins,))
 
 
 def density_at(grad: GradientField, params: DescriptorParams,
@@ -202,9 +222,8 @@ def density_at(grad: GradientField, params: DescriptorParams,
     out = np.zeros((centers.shape[0], params.bins))
     if x0 >= x1 or y0 >= y1:
         return out
-    mag = grad.magnitude[y0:y1, x0:x1].ravel()
-    aw = _orientation_weights(grad.angle[y0:y1, x0:x1].ravel(), params)
-    aw *= mag[:, None]
+    aw = _orientation_weights(grad.angle[y0:y1, x0:x1].ravel(), params,
+                              grad.magnitude[y0:y1, x0:x1].ravel())
     sw = _spatial_kernel(centers, _window_pixels(x0, x1, y0, y1), params.sigma)
     return sw @ aw
 
@@ -240,8 +259,8 @@ def patch_densities(patches, params: DescriptorParams) -> np.ndarray:
     step = max(1, _STACK_CHUNK_BYTES // (p * p * params.bins * 8))
     for s in range(0, n, step):
         grad = GradientField(*_central_differences(stack[s:s + step]))
-        weights = _orientation_weights(grad.angle.reshape(-1, p * p), params)
-        weights *= grad.magnitude.reshape(-1, p * p, 1)
+        weights = _orientation_weights(grad.angle.reshape(-1, p * p), params,
+                                       grad.magnitude.reshape(-1, p * p))
         np.matmul(_patch_spatial_weights(params), weights,
                   out=grids[s:s + step])
     return grids.reshape(n, params.cells, params.cells, params.bins)
@@ -324,14 +343,23 @@ def _decode(table: dict, code: int, field: str):
 
 
 def pack_descriptor(vec: DescriptorVector) -> bytes:
-    """Serialize one descriptor to bytes (values stored as float32, LE)."""
+    """Serialize one descriptor to bytes (values stored as float32, LE).
+
+    Raises ValueError for a value beyond the float32 range, which would be
+    stored as infinity and refused on reading.
+    """
     p = vec.params
+    with np.errstate(over="ignore"):
+        values = vec.values.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("descriptor values: beyond the float32 range of "
+                         "the record")
     head = _RECORD_HEADER.pack(
         RECORD_MAGIC, RECORD_VERSION, _METHOD_CODE[vec.method],
         _KERNEL_CODE[p.kernel], p.bins, p.cells, p.patch_size,
         p.eps, p.sigma, vec.values.size,
     )
-    return head + vec.values.astype("<f4").tobytes()
+    return head + values.tobytes()
 
 
 def unpack_descriptor(buf: bytes, offset: int = 0) -> tuple[DescriptorVector, int]:

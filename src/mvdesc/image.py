@@ -125,7 +125,10 @@ class GradientField:
         self.gx = gx
         self.gy = gy
         self.magnitude = np.hypot(gx, gy)
-        ang = np.mod(np.arctan2(gy, gx), TWO_PI)
+        # np.mod(ang, 2pi) for ang in [-pi, pi]: ang + 2pi below zero, and
+        # ang itself otherwise, with -0.0 made +0.0 by the added zero
+        ang = np.arctan2(gy, gx)
+        ang = np.where(ang < 0.0, ang + TWO_PI, ang + 0.0)
         ang[ang >= TWO_PI] = 0.0  # guard rounding of tiny negative angles
         self.valid = self.magnitude > 0.0
         ang[~self.valid] = 0.0
@@ -329,16 +332,32 @@ def bilinear_sample(data: np.ndarray, xy: np.ndarray, clamp: bool = True) -> np.
     y0 = np.minimum(np.floor(y), h - 2).astype(np.intp)
     fx = x - x0
     fy = y - y0
-    v00 = data[y0, x0]
-    v01 = data[y0, x0 + 1]
-    v10 = data[y0 + 1, x0]
-    v11 = data[y0 + 1, x0 + 1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v01 * fx * (1 - fy)
-        + v10 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    gx = 1 - fx
+    gy = 1 - fy
+    # flat gathers read the elements data[y0, x0] ... data[y0 + 1, x0 + 1];
+    # the in-place products and sums keep v00*gx*gy + v01*fx*gy + ... in
+    # that order, without a temporary per term
+    flat = np.asarray(data, dtype=np.float64).ravel()
+    idx = y0 * w
+    idx += x0
+    out = flat.take(idx)
+    out *= gx
+    out *= gy
+    term = flat.take(idx + 1)
+    term *= fx
+    term *= gy
+    out += term
+    idx += w
+    term = flat.take(idx)
+    term *= gx
+    term *= fy
+    out += term
+    idx += 1
+    term = flat.take(idx)
+    term *= fx
+    term *= fy
+    out += term
+    return out
 
 
 # ---------------------------------------------------------------------------

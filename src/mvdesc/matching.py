@@ -261,13 +261,19 @@ class DescriptorDatabase:
         return DescriptorVector(self._rows[i].copy(), self.method, self.params)
 
     def save(self, path) -> None:
+        """Write the database; raises ValueError, naming the row, for a track
+        id beyond int32, a group beyond uint16 or a value beyond float32."""
         parts = [_DB_HEADER.pack(_DB_MAGIC, _DB_VERSION,
                                  _METHOD_CODE[self.method],
                                  _METRIC_CODE[self.metric], len(self._rows))]
-        for tid, grp, row in zip(self.track_ids, self.groups, self._rows):
-            parts.append(_ROW_HEADER.pack(tid, grp))
-            parts.append(pack_descriptor(
-                DescriptorVector(row, self.method, self.params)))
+        for i, (tid, grp, row) in enumerate(zip(self.track_ids, self.groups,
+                                                self._rows)):
+            try:
+                parts.append(_ROW_HEADER.pack(tid, grp))
+                parts.append(pack_descriptor(
+                    DescriptorVector(row, self.method, self.params)))
+            except (struct.error, ValueError) as exc:
+                raise ValueError(f"row {i}: {exc}") from None
         Path(path).write_bytes(b"".join(parts))
 
     @classmethod

@@ -178,21 +178,39 @@ def synthesize_patch(surface: LocalSurface, level_image: GrayImage,
 def synthesize_views(surface: LocalSurface, level_image: GrayImage,
                      rotations: np.ndarray = None,
                      min_facing: float = MIN_FACING):
-    """Synthesize every visible, in-bounds view; returns (stack, kept indices)."""
+    """Synthesize every visible, in-bounds view; returns (stack, kept indices).
+
+    Slice j of the stack equals ``synthesize_patch(surface, level_image,
+    rotations[kept[j]])`` bit for bit, and a rotation is kept exactly when
+    :func:`view_visible` accepts it and :func:`synthesize_patch` does not
+    raise. All facing rotations of the surface share one batched product,
+    projection and bilinear gather; the per-lattice-row ``(p, 3) @ (3, 3)``
+    products are the ones :func:`synthesize_patch` makes.
+    """
     if rotations is None:
         rotations = sample_rotations()
-    patches, kept = [], []
-    for i, r in enumerate(rotations):
-        if not view_visible(surface, r, min_facing):
-            continue
-        try:
-            patches.append(synthesize_patch(surface, level_image, r))
-        except ReprojectionOutOfBounds:
-            continue
-        kept.append(i)
-    if not patches:
+    rotations = np.asarray(rotations, dtype=np.float64)
+    idx = np.array([i for i, r in enumerate(rotations)
+                    if view_visible(surface, r, min_facing)], dtype=np.intp)
+    rel = surface.points - surface.anchor
+    rotated = np.matmul(rel[None], rotations[idx].transpose(0, 2, 1)[:, None])
+    # the anchor tiled over the lattice, so the add runs along whole rows
+    rotated.reshape(len(idx), rel.size)[:] += np.tile(surface.anchor, rel.size // 3)
+    # a lattice reaching behind the camera is dropped before projecting
+    behind = np.any(rotated[..., 2] <= 0.0, axis=(1, 2))
+    if behind.any():
+        idx, rotated = idx[~behind], rotated[~behind]
+    uv = base_to_level(surface.camera.project(rotated), surface.level)
+    h, w = level_image.shape
+    slack = BOUNDS_MARGIN * min(h, w)
+    u, v = uv[..., 0], uv[..., 1]
+    outside = ((u.min(axis=(1, 2)) < -slack) | (u.max(axis=(1, 2)) > w - 1 + slack)
+               | (v.min(axis=(1, 2)) < -slack) | (v.max(axis=(1, 2)) > h - 1 + slack))
+    if outside.any():
+        idx, uv = idx[~outside], uv[~outside]
+    if not idx.size:
         raise ValueError("no synthesized view was accepted")
-    return np.array(patches), np.array(kept)
+    return bilinear_sample(level_image.data, uv), idx
 
 
 def patch_density(patch: np.ndarray, params: DescriptorParams):

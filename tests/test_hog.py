@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
+from mvdesc.hog import (METHODS, DescriptorParams, DescriptorVector,
+                        OrientationDensity,
                         _orientation_weights, density_at, descriptor_from_json,
                         descriptor_to_json, normalize_density,
                         orientation_density, pack_descriptor, patch_densities,
@@ -250,6 +251,63 @@ class TestPatchDensities:
     def test_empty_stack(self):
         params = DescriptorParams(5, bins=8, cells=2)
         assert patch_densities(np.zeros((0, 5, 5)), params).shape == (0, 2, 2, 8)
+
+
+@st.composite
+def any_params(draw):
+    """Any valid DescriptorParams: default or explicit eps and sigma, both
+    kernels, patch sizes up to the record's uint16 field."""
+    p = draw(st.one_of(st.integers(3, 40), st.just(65535)))
+    bins = draw(st.integers(2, 40))
+    # the default eps of two bins is pi, which the params refuse
+    eps = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+    return DescriptorParams(
+        p, bins, draw(st.integers(1, min(p, 5))),
+        draw(eps if bins == 2 else st.one_of(st.none(), eps)),
+        draw(st.one_of(st.none(), st.floats(0.0, p, exclude_min=True,
+                                            exclude_max=True))),
+        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
+
+
+@st.composite
+def any_descriptor(draw, params=None):
+    params = draw(any_params()) if params is None else params
+    n = params.cells ** 2 * params.bins
+    values = draw(st.one_of(
+        # values float32 holds, as normalized descriptors are
+        st.lists(st.floats(0.0, 1.0, width=32), min_size=n, max_size=n),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n)))
+    return DescriptorVector(np.array(values), draw(st.sampled_from(METHODS)),
+                            params)
+
+
+class TestRecordProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(vec=any_descriptor())
+    def test_pack_unpack_roundtrip(self, vec):
+        # a value that rounds past the float32 maximum is refused, not stored
+        # as an infinity that unpack_descriptor would then reject
+        with np.errstate(over="ignore"):
+            stored = vec.values.astype(np.float32)
+        if not np.all(np.isfinite(stored)):
+            with pytest.raises(ValueError, match="float32"):
+                pack_descriptor(vec)
+            return
+        buf = pack_descriptor(vec)
+        back, offset = unpack_descriptor(b"junk" + buf, 4)
+        assert offset == len(buf) + 4
+        assert back.method == vec.method
+        assert back.params == vec.params
+        assert back.values.tobytes() == stored.astype(np.float64).tobytes()
+        # a second trip is exact
+        assert pack_descriptor(back) == buf
+
+    def test_overflowing_value_is_refused(self):
+        params = DescriptorParams(5, bins=4, cells=1)
+        big = DescriptorVector([0.25, 0.25, 0.25, 1e39], "sv", params)
+        with pytest.raises(ValueError, match="float32"):
+            pack_descriptor(big)
 
 
 class TestNormalization:

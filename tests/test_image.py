@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvdesc.image import (AffineContrast, GammaContrast, GrayImage,
+from mvdesc.image import (TWO_PI, AffineContrast, GammaContrast, GradientField,
+                          GrayImage,
                           TableContrast, angular_kernel, apply_contrast,
                           base_to_level, bilinear_sample, build_pyramid,
                           circular_distance, compute_gradient,
@@ -249,6 +252,81 @@ class TestBilinear:
         assert out[1] == pytest.approx(a[2, 3])
         with pytest.raises(ValueError):
             bilinear_sample(a, np.array([[-0.1, 0.0]]), clamp=False)
+
+
+def bilinear_2d_index(data, xy, clamp):
+    """Bilinear sampling written with 2-D fancy indexing, term by term."""
+    h, w = data.shape
+    x, y = xy[..., 0], xy[..., 1]
+    if clamp:
+        x = np.clip(x, 0.0, w - 1.0)
+        y = np.clip(y, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(x), w - 2).astype(np.intp)
+    y0 = np.minimum(np.floor(y), h - 2).astype(np.intp)
+    fx, fy = x - x0, y - y0
+    return (data[y0, x0] * (1 - fx) * (1 - fy)
+            + data[y0, x0 + 1] * fx * (1 - fy)
+            + data[y0 + 1, x0] * (1 - fx) * fy
+            + data[y0 + 1, x0 + 1] * fx * fy)
+
+
+@st.composite
+def bilinear_cases(draw):
+    """Random images and position stacks of any leading shape: random,
+    integer and edge coordinates, some past the border when clamping."""
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    clamp = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.random((h, w))
+    if draw(st.booleans()):
+        data = np.asfortranarray(data)
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=0, max_size=3)))
+    pad = 3.0 if clamp else 0.0
+    x = rng.uniform(-pad, w - 1 + pad, shape)
+    y = rng.uniform(-pad, h - 1 + pad, shape)
+    if draw(st.booleans()):  # pixel centers, including the last row and column
+        x = np.round(x).clip(-pad, w - 1 + pad)
+        y = np.round(y).clip(-pad, h - 1 + pad)
+    return data, np.stack([x, y], axis=-1), clamp
+
+
+class TestBilinearProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bilinear_cases())
+    def test_flat_gather_equals_2d_indexing(self, case):
+        data, xy, clamp = case
+        got = bilinear_sample(data, xy, clamp=clamp)
+        want = bilinear_2d_index(data, xy, clamp)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def gradient_components(draw):
+    """Components drawn from signed zeros, tiny, 8-bit and random values."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                               1.0 / 255.0, -1.0 / 255.0, 0.5, -0.5])
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(2):
+        vals = np.array(draw(st.lists(special, min_size=n, max_size=n)))
+        mixed = np.where(rng.random(n) < 0.5, vals, rng.normal(size=n))
+        parts.append(mixed.reshape(1, n))
+    return parts
+
+
+class TestGradientAngle:
+    @settings(max_examples=300, deadline=None)
+    @given(comps=gradient_components())
+    def test_angle_equals_mod_two_pi(self, comps):
+        gx, gy = comps
+        want = np.mod(np.arctan2(gy, gx), TWO_PI)
+        want[want >= TWO_PI] = 0.0
+        want[~(np.hypot(gx, gy) > 0.0)] = 0.0
+        got = GradientField(gx, gy).angle
+        assert got.tobytes() == want.tobytes()
+        assert np.all((got >= 0.0) & (got < TWO_PI))
 
 
 class TestPgm:

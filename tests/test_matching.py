@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import _RECORD_HEADER, DescriptorParams, DescriptorVector, \
-    normalize_density, OrientationDensity
+from mvdesc.hog import _RECORD_HEADER, METHODS, DescriptorParams, \
+    DescriptorVector, normalize_density, OrientationDensity
 from mvdesc.image import GrayImage, read_pgm, write_pgm
 from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, _ROW_HEADER, METRICS,
                              DescriptorDatabase, distance, likelihood_query,
@@ -244,6 +244,58 @@ class TestDatabase:
         db = DescriptorDatabase("sv", PARAMS)
         with pytest.raises(ValueError):
             db.matrix
+
+
+@st.composite
+def saved_databases(draw):
+    """Databases over random params, metrics and methods, with track ids
+    across int32 and groups across uint16; rows are float32 values."""
+    p = draw(st.integers(3, 40))
+    bins = draw(st.integers(3, 24))
+    params = DescriptorParams(
+        p, bins, draw(st.integers(1, min(p, 4))),
+        draw(st.one_of(st.none(), st.floats(0.01, 3.0))),
+        draw(st.one_of(st.none(), st.floats(0.0, p, exclude_min=True,
+                                            exclude_max=True))),
+        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
+    method = draw(st.sampled_from(METHODS))
+    db = DescriptorDatabase(method, params, draw(st.sampled_from(METRICS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = params.cells ** 2 * bins
+    for _ in range(draw(st.integers(1, 6))):
+        row = rng.random(n).astype(np.float32).astype(np.float64)
+        db.add(draw(st.integers(-2 ** 31, 2 ** 31 - 1)),
+               DescriptorVector(row, method, params),
+               draw(st.integers(0, 2 ** 16 - 1)))
+    return db
+
+
+class TestDatabaseProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(db=saved_databases())
+    def test_save_load_roundtrip(self, db, tmp_path_factory):
+        path = tmp_path_factory.mktemp("db") / "d.db"
+        db.save(path)
+        back = DescriptorDatabase.load(path)
+        assert (back.method, back.metric, back.params) \
+            == (db.method, db.metric, db.params)
+        assert back.track_ids == db.track_ids
+        assert back.groups == db.groups
+        assert back.matrix.tobytes() == db.matrix.tobytes()
+        back.save(path.with_suffix(".again"))
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("tid, group, value, field", [
+        (2 ** 31, 0, 0.5, "row 1"), (0, 2 ** 16, 0.5, "row 1"),
+        (0, -1, 0.5, "row 1"), (0, 0, 1e39, "row 1: descriptor values")])
+    def test_save_refuses_what_the_format_cannot_hold(self, tmp_path, tid,
+                                                      group, value, field):
+        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db.add(3, DescriptorVector(np.full(16, 0.25), "sv", PARAMS))
+        db.add(tid, DescriptorVector(np.full(16, value), "sv", PARAMS), group)
+        with pytest.raises(ValueError, match=field):
+            db.save(tmp_path / "d.db")
+        assert not (tmp_path / "d.db").exists()
 
 
 class TestQueries:

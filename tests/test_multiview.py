@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdesc.hog import DescriptorParams, OrientationDensity, normalize_density
 from mvdesc.multiview import (MultiViewAccumulator, excitation_score,
@@ -87,6 +89,78 @@ class TestAccumulator:
         for _ in range(50):
             acc.update(random_density(rng), rng.random((8, 8)))
         assert acc.memory_bytes == first
+
+
+@st.composite
+def merge_cases(draw):
+    """Random params and frames split into parts (some empty), plus two
+    orders in which to merge the parts."""
+    patch = draw(st.integers(3, 8))
+    params = DescriptorParams(patch, draw(st.integers(2, 8)),
+                              draw(st.integers(1, 2)), eps=0.5)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    parts = [[(OrientationDensity(scale * rng.random(
+                  (params.cells, params.cells, params.bins)), params),
+               rng.random((patch, patch)))
+              for _ in range(draw(st.integers(0, 4)))]
+             for _ in range(draw(st.integers(1, 5)))]
+    orders = [draw(st.permutations(range(len(parts)))) for _ in range(2)]
+    return params, parts, orders
+
+
+def merged(params, parts, order):
+    accs = []
+    for frames in parts:
+        acc = MultiViewAccumulator(params)
+        for dens, patch in frames:
+            acc.update(dens, patch)
+        accs.append(acc)
+    out = accs[order[0]]
+    for k in order[1:]:
+        out.merge(accs[k])
+    return out
+
+
+def state(acc):
+    return (acc.density_sum, acc.patch_sum, acc.patch_sumsq)
+
+
+class TestMergeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=merge_cases())
+    def test_any_order_gives_the_same_result(self, case):
+        params, parts, (first, second) = case
+        a = merged(params, parts, first)
+        b = merged(params, parts, second)
+        seq = merged(params, [[f for frames in parts for f in frames]], [0])
+        assert a.frames == b.frames == seq.frames
+        # a sum of nonnegative terms in another order moves by rounding only
+        n = max(a.frames, 1)
+        for x, y, z in zip(state(a), state(b), state(seq)):
+            np.testing.assert_allclose(x, y, rtol=4 * n * 2.0 ** -52, atol=0)
+            np.testing.assert_allclose(x, z, rtol=4 * n * 2.0 ** -52, atol=0)
+        if a.frames:
+            np.testing.assert_allclose(a.finalize().grid, b.finalize().grid,
+                                       rtol=1e-12, atol=0)
+            assert a.patch_scatter() == pytest.approx(
+                b.patch_scatter(), rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=merge_cases())
+    def test_two_parts_and_empty_parts_merge_exactly(self, case):
+        params, parts, _ = case
+        halves = [[f for frames in parts[::2] for f in frames],
+                  [f for frames in parts[1::2] for f in frames]]
+        ab = merged(params, halves, [0, 1])
+        ba = merged(params, halves, [1, 0])
+        for x, y in zip(state(ab), state(ba)):
+            assert x.tobytes() == y.tobytes()
+        with_empty = merged(params, [[], halves[0], []], [1, 0, 2])
+        alone = merged(params, [halves[0]], [0])
+        assert with_empty.frames == alone.frames
+        for x, y in zip(state(with_empty), state(alone)):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestScatter:

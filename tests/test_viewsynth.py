@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, rot_z
 from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
                         sample_descriptor)
-from mvdesc.image import GrayImage, bilinear_sample
+from mvdesc.image import GrayImage, bilinear_sample, level_to_base
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
                               aggregate_descriptor, patch_density, sample_rotations, select_keyframes,
@@ -167,6 +169,160 @@ class TestSynthesis:
     def test_synthesize_views_can_reject_everything(self):
         with pytest.raises(ValueError):
             synthesize_views(self.surf, self.image, min_facing=1.5)
+
+
+def plane_surface(cam, anchor_xy, patch, depth, normal, level=0):
+    """Surface of the plane through the anchor ray at ``depth`` with unit
+    ``normal`` (facing the camera), lifted on the patch lattice. Unlike
+    :meth:`LocalSurface.from_frame` the lattice may lie off the image."""
+    normal = np.asarray(normal, dtype=np.float64)
+    offs = np.arange(patch) - (patch - 1) / 2.0
+    gx, gy = np.meshgrid(anchor_xy[0] + offs, anchor_xy[1] + offs)
+    rays = cam.ray_directions(level_to_base(np.stack([gx, gy], axis=-1), level))
+    anchor = depth * cam.ray_directions(
+        level_to_base(np.asarray(anchor_xy, dtype=np.float64), level))
+    points = (anchor @ normal / (rays @ normal))[..., None] * rays
+    return LocalSurface(points, np.broadcast_to(normal, points.shape).copy(),
+                        normal, anchor, np.asarray(anchor_xy, dtype=np.float64),
+                        level, cam, patch)
+
+
+def loop_oracle(surface, image, rotations, min_facing):
+    """The per-rotation synthesis that ``synthesize_views`` batches."""
+    patches, kept = [], []
+    for i, r in enumerate(rotations):
+        if not view_visible(surface, r, min_facing):
+            continue
+        try:
+            patches.append(synthesize_patch(surface, image, r))
+        except ReprojectionOutOfBounds:
+            continue
+        kept.append(i)
+    if not patches:
+        raise ValueError("no synthesized view was accepted")
+    return np.array(patches), np.array(kept)
+
+
+def assert_matches_oracle(surface, image, rotations, min_facing):
+    try:
+        want = loop_oracle(surface, image, rotations, min_facing)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            synthesize_views(surface, image, rotations, min_facing)
+        return None
+    stack, kept = synthesize_views(surface, image, rotations, min_facing)
+    assert stack.shape == want[0].shape and stack.dtype == want[0].dtype
+    assert stack.tobytes() == want[0].tobytes()
+    assert kept.dtype == want[1].dtype
+    np.testing.assert_array_equal(kept, want[1])
+    return kept
+
+
+def random_rotation(draw, max_angle):
+    axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    if math.hypot(*axis) < 1e-3:
+        axis = (0.0, 0.0, 1.0)
+    return axis_angle_rotation(np.array(axis), draw(st.floats(0.0, max_angle)))
+
+
+@st.composite
+def synthesis_cases(draw):
+    """Plane surfaces anywhere in and around the image, some close enough to
+    the camera for a turn to put lattice points behind it, and grids that
+    mix the default kind with arbitrary rotations (many facing away)."""
+    # short focal lengths make lattices wide enough to turn behind the camera
+    cam = PinholeCamera(draw(st.sampled_from([3.0, 6.0, 20.0, 80.0, 170.0])),
+                        39.5, 29.5, 80, 60)
+    level = draw(st.integers(0, 1))
+    lw, lh = -(-cam.width // 2 ** level), -(-cam.height // 2 ** level)
+    patch = draw(st.integers(3, 15))
+    anchor = (draw(st.floats(-0.2 * lw, 1.2 * lw)),
+              draw(st.floats(-0.2 * lh, 1.2 * lh)))
+    tilt = random_rotation(draw, 1.2)
+    normal = tilt @ np.array([0.0, 0.0, -1.0])
+    if normal[2] > -0.2:
+        normal = np.array([0.0, 0.0, -1.0])
+    depth = draw(st.sampled_from([0.02, 0.05, 0.3, 1.0, 3.0]))
+    surface = plane_surface(cam, anchor, patch, depth, normal, level)
+    assume(np.all(np.isfinite(surface.points)))
+    grid = [] if draw(st.booleans()) else list(sample_rotations(
+        draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+        draw(st.floats(0.0, 1.4)), draw(st.floats(0.0, 1.5))))
+    grid += [random_rotation(draw, math.pi)
+             for _ in range(draw(st.integers(0 if grid else 1, 12)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # the image may be smaller than the camera's level, so the bounds test
+    # sees samples beyond each side
+    shape = draw(st.one_of(st.just((lh, lw)), st.tuples(st.integers(3, lh),
+                                                        st.integers(3, lw))))
+    image = GrayImage(rng.random(shape))
+    min_facing = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.2, 0.9]))
+    return surface, image, np.array(grid), min_facing
+
+
+def side_case(side):
+    """A fronto-parallel surface whose identity view samples past one side
+    of a 40x30 image by more than the bounds margin."""
+    cam = PinholeCamera(100.0, 19.5, 14.5, 40, 30)
+    anchor = {"left": (-12.0, 14.0), "right": (52.0, 14.0),
+              "top": (20.0, -11.0), "bottom": (20.0, 41.0),
+              "inside": (20.0, 14.0)}[side]
+    return plane_surface(cam, anchor, 5, 1.0, [0.0, 0.0, -1.0])
+
+
+class TestBatchedSynthesis:
+    """synthesize_views against the per-rotation loop it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=synthesis_cases())
+    def test_equals_per_rotation_loop(self, case):
+        assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    def test_views_past_each_side_are_dropped(self, side):
+        image = GrayImage(np.random.default_rng(85).random((30, 40)))
+        rots = np.array([np.eye(3), rot_z(0.3), rot_z(-0.3)])
+        inside = side_case("inside")
+        # the same grid on a surface inside the image keeps every view
+        np.testing.assert_array_equal(
+            assert_matches_oracle(inside, image, rots, 0.2), [0, 1, 2])
+        outside = side_case(side)
+        with pytest.raises(ReprojectionOutOfBounds):
+            synthesize_patch(outside, image, np.eye(3))
+        assert assert_matches_oracle(outside, image, rots, 0.2) is None
+
+    def test_mixed_rejections_keep_the_survivors(self):
+        cam = PinholeCamera(2.0, 79.5, 59.5, 160, 120)
+        near = plane_surface(cam, (79.5, 59.5), 9, 0.05, [0.0, 0.0, -1.0])
+        image = GrayImage(np.random.default_rng(86).random((120, 160)))
+        behind = axis_angle_rotation([1.0, 0.0, 0.0], math.radians(70.0))
+        away = axis_angle_rotation([0.0, 1.0, 0.0], math.radians(100.0))
+        rots = np.array([behind, np.eye(3), away, rot_z(0.5), behind])
+        assert view_visible(near, behind)
+        with pytest.raises(ReprojectionOutOfBounds, match="behind"):
+            synthesize_patch(near, image, behind)
+        assert not view_visible(near, away)
+        kept = assert_matches_oracle(near, image, rots, 0.2)
+        np.testing.assert_array_equal(kept, [1, 3])
+
+    @pytest.mark.parametrize("reason", ["facing", "behind", "bounds"])
+    def test_every_view_rejected_raises_the_same_error(self, reason):
+        cam = PinholeCamera(2.0, 79.5, 59.5, 160, 120)
+        image = GrayImage(np.random.default_rng(87).random((120, 160)))
+        surf = plane_surface(cam, (79.5, 59.5), 9, 0.05, [0.0, 0.0, -1.0])
+        rots = sample_rotations(3, 2)
+        if reason == "facing":
+            min_facing = 1.5
+        elif reason == "behind":
+            rots = np.array([axis_angle_rotation([1.0, 0.0, 0.0], a)
+                             for a in np.radians([60.0, 70.0, -65.0])])
+            min_facing = 0.2
+        else:
+            image = GrayImage(np.full((12, 12), 0.5))
+            min_facing = 0.2
+        assert assert_matches_oracle(surf, image, rots, min_facing) is None
+        with pytest.raises(ValueError, match="no synthesized view"):
+            synthesize_views(surf, image, rots, min_facing)
 
 
 class TestAggregation:
