@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvdesc.hog import DescriptorParams, DescriptorVector
+from mvdesc.hog import DescriptorParams
 from mvdesc.matching import DescriptorDatabase, match_all
 
 ROWS = 11_200
@@ -42,9 +42,7 @@ def rhog_rows():
 def test_match_all(benchmark, rhog_rows, metric):
     rows, queries = rhog_rows
     db = DescriptorDatabase("rhog", PARAMS, metric)
-    for i, row in enumerate(rows):
-        db.add(i // 80, DescriptorVector(row, "rhog", PARAMS), group=i % 80)
-    db.matrix  # stack the rows outside the timed region
+    db.extend(np.arange(ROWS) // 80, rows, np.arange(ROWS) % 80)
 
     tracemalloc.start()
     match_all(db, queries)

@@ -9,9 +9,8 @@ from .image import (AffineContrast, GammaContrast, GradientField, GrayImage,
                     circular_distance, compute_gradient, level_to_base,
                     read_pgm, write_pgm)
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                  density_at, descriptor_from_json, descriptor_to_json,
-                  normalize_density, orientation_density, pack_descriptor,
-                  patch_densities, sample_descriptor, unpack_descriptor)
+                  density_at, normalize_density, orientation_density,
+                  patch_densities, sample_descriptor)
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .matching import (METRICS, DescriptorDatabase, distance, likelihood_query,
                        log_likelihood, match_all, nn_query, pairwise_distances)

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (DescriptorParams, OrientationDensity, _normalized_cells,
-                  normalize_density, patch_densities, sample_descriptor)
+from .hog import (DescriptorParams, OrientationDensity, _normalized_rows,
+                  patch_densities)
 from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
@@ -153,20 +153,21 @@ def sv(track_ids, densities, params: DescriptorParams,
     """One row per track from one unnormalized density each (the caller
     picks the frame)."""
     db = DescriptorDatabase("sv", params, metric)
-    for tid, d in zip(track_ids, densities):
-        db.add(tid, sample_descriptor(normalize_density(d), "sv"))
+    db.extend(track_ids, _normalized_rows([d.grid for d in densities], params))
     return db
 
 
 def mv(track_ids, track_densities, params: DescriptorParams,
        metric: str = "l2") -> DescriptorDatabase:
     """One row per track: the normalized average of its frames' densities."""
-    db = DescriptorDatabase("mv", params, metric)
-    for tid, dens in zip(track_ids, track_densities):
+    means = []
+    for dens in track_densities:
         acc = MultiViewAccumulator(params)
         for d in dens:
             acc.update(d)
-        db.add(tid, sample_descriptor(acc.finalize(), "mv"))
+        means.append(acc.mean_density().grid)
+    db = DescriptorDatabase("mv", params, metric)
+    db.extend(track_ids, _normalized_rows(means, params))
     return db
 
 
@@ -175,8 +176,8 @@ def keepall(track_ids, track_densities, params: DescriptorParams,
     """One row per frame of every track, grouped by frame index."""
     db = DescriptorDatabase("keepall", params, metric)
     for tid, dens in zip(track_ids, track_densities):
-        for g, d in enumerate(dens):
-            db.add(tid, sample_descriptor(normalize_density(d), "keepall"), g)
+        db.extend(tid, _normalized_rows([d.grid for d in dens], params),
+                  np.arange(len(dens)))
     return db
 
 
@@ -197,9 +198,9 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
                                               min_facing)
             except ValueError:
                 continue
-            for vec in view_descriptors(patches, params):
-                db.add(tid, vec, g)
-                g += 1
+            rows = view_descriptors(patches, params)
+            db.extend(tid, rows, g + np.arange(len(rows)))
+            g += len(rows)
     return db
 
 
@@ -416,17 +417,12 @@ class _SceneRun:
                 patches.append(quantized_patch(lvl_img, xy, params.patch_size))
                 ids.append(tr.id)
                 views.append(vi)
-        if not patches:
-            values = np.zeros((0, 0))
-        else:
-            grids = np.concatenate([
-                patch_densities(np.array(patches[s:s + _QUERY_CHUNK]), params)
-                for s in range(0, len(patches), _QUERY_CHUNK)])
-            values = _normalized_cells(grids, params.bins)[0].reshape(
-                len(patches), -1)
+        grids = [patch_densities(np.array(patches[s:s + _QUERY_CHUNK]), params)
+                 for s in range(0, len(patches), _QUERY_CHUNK)]
         return {"track_ids": np.array(ids, dtype=int),
                 "view_idx": np.array(views, dtype=int),
-                "values": values}
+                "values": _normalized_rows(np.concatenate(grids) if grids
+                                           else [], params)}
 
 
 def _rate(db: DescriptorDatabase, queries: dict):

@@ -64,6 +64,10 @@ def _cmd_describe(args) -> int:
     if args.method == "rhog" and not args.dataset:
         print("rhog descriptors need --dataset for depth maps", file=sys.stderr)
         return 1
+    if args.method == "rhog" and args.keyframes < 1:
+        print(f"--keyframes must be at least 1, got {args.keyframes}",
+              file=sys.stderr)
+        return 1
     if args.method != "rhog" and patch_size != stored:
         print(f"--patch-size {patch_size} differs from the stored {stored}-pixel "
               f"patches that {args.method} describes", file=sys.stderr)
@@ -91,6 +95,10 @@ def _cmd_describe(args) -> int:
                  for tr in tracks]
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)
+    if not len(db):
+        print(f"no {args.method} descriptor was built; {args.out} not written",
+              file=sys.stderr)
+        return 1
     db.save(args.out)
     print(f"wrote {len(db)} descriptors ({args.method}) for {len(tracks)} "
           f"tracks to {args.out}")
@@ -98,12 +106,20 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    db = DescriptorDatabase.load(args.db)
-    queries = DescriptorDatabase.load(args.queries)
+    try:
+        db = DescriptorDatabase.load(args.db)
+        queries = DescriptorDatabase.load(args.queries)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    if queries.params != db.params:
+        print(f"query params {queries.params} differ from database params "
+              f"{db.params}", file=sys.stderr)
+        return 1
     lines = ["query_index,query_track,predicted_track,distance"]
     correct = 0
     for i in range(len(queries)):
-        tid, dist = nn_query(db, queries.vector(i), args.metric)
+        tid, dist = nn_query(db, queries.matrix[i], args.metric)
         truth = queries.track_ids[i]
         correct += int(tid == truth)
         lines.append(f"{i},{truth},{tid},{dist:.8f}")

@@ -11,13 +11,11 @@ distribution over orientation and is contrast-insensitive.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .image import (TWO_PI, GradientField, _central_differences, _need,
-                    angular_kernel)
+from .image import TWO_PI, GradientField, _central_differences, angular_kernel
 
 __all__ = [
     "DescriptorParams",
@@ -28,14 +26,11 @@ __all__ = [
     "patch_densities",
     "normalize_density",
     "sample_descriptor",
-    "pack_descriptor",
-    "unpack_descriptor",
-    "descriptor_to_json",
-    "descriptor_from_json",
 ]
 
 ZERO_MASS_EPS = 1e-12
 METHODS = ("sv", "mv", "keepall", "rhog")
+KERNELS = ("triangular", "wrapped-gaussian")
 # Byte budget for the (patches, pixels, bins) vote array of one pass of
 # patch_densities: a pass's temporaries then stay in a core's cache, which
 # measured about a quarter faster per patch than one pass over 80 patches.
@@ -72,7 +67,7 @@ class DescriptorParams:
             raise ValueError("eps must lie in (0, pi)")
         if not 0.0 < self.sigma < self.patch_size:
             raise ValueError("sigma must lie in (0, patch_size)")
-        if self.kernel not in ("triangular", "wrapped-gaussian"):
+        if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel: {self.kernel!r}")
 
     def bin_centers(self) -> np.ndarray:
@@ -276,6 +271,15 @@ def _normalized_cells(grid: np.ndarray, bins: int):
     return out, zero
 
 
+def _normalized_rows(grids, params: DescriptorParams) -> np.ndarray:
+    """(n, cells**2 * bins) per-cell normalized descriptor rows of n
+    unnormalized density grids; row i equals ``sample_descriptor(
+    normalize_density(...)).values`` bit for bit."""
+    n_cells = params.cells ** 2
+    stack = np.reshape(grids, (-1, n_cells, params.bins))
+    return _normalized_cells(stack, params.bins)[0].reshape(-1, n_cells * params.bins)
+
+
 def normalize_density(density: OrientationDensity) -> OrientationDensity:
     """Normalize each cell to a unit-mass distribution over orientation.
 
@@ -320,80 +324,3 @@ class DescriptorVector:
 def sample_descriptor(density: OrientationDensity, method: str) -> DescriptorVector:
     """Flatten a density grid into a descriptor vector (C order)."""
     return DescriptorVector(density.grid.reshape(-1).copy(), method, density.params)
-
-
-# ---------------------------------------------------------------------------
-# serialization: compact binary record and a JSON debug form
-
-RECORD_MAGIC = b"ODSC"
-RECORD_VERSION = 2
-_METHOD_CODE = {m: i for i, m in enumerate(METHODS)}
-_CODE_METHOD = dict(enumerate(METHODS))
-_KERNEL_CODE = {"triangular": 0, "wrapped-gaussian": 1}
-_CODE_KERNEL = {v: k for k, v in _KERNEL_CODE.items()}
-# magic, version, method, kernel, bins, cells, patch, eps, sigma, count
-_RECORD_HEADER = struct.Struct("<4sBBBxHHHddI")
-
-
-def _decode(table: dict, code: int, field: str):
-    """Look up a stored enum code, naming ``field`` if it is unknown."""
-    if code not in table:
-        raise ValueError(f"{field}: unknown code {code}")
-    return table[code]
-
-
-def pack_descriptor(vec: DescriptorVector) -> bytes:
-    """Serialize one descriptor to bytes (values stored as float32, LE).
-
-    Raises ValueError for a value beyond the float32 range, which would be
-    stored as infinity and refused on reading.
-    """
-    p = vec.params
-    with np.errstate(over="ignore"):
-        values = vec.values.astype("<f4")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("descriptor values: beyond the float32 range of "
-                         "the record")
-    head = _RECORD_HEADER.pack(
-        RECORD_MAGIC, RECORD_VERSION, _METHOD_CODE[vec.method],
-        _KERNEL_CODE[p.kernel], p.bins, p.cells, p.patch_size,
-        p.eps, p.sigma, vec.values.size,
-    )
-    return head + values.tobytes()
-
-
-def unpack_descriptor(buf: bytes, offset: int = 0) -> tuple[DescriptorVector, int]:
-    """Parse one packed descriptor; returns (vector, offset past the record).
-
-    Raises ValueError naming the record field that is cut short, foreign or
-    from another format version.
-    """
-    _need(buf, offset, _RECORD_HEADER.size, "descriptor record header")
-    magic, ver, mcode, kcode, bins, cells, patch, eps, sigma, count = \
-        _RECORD_HEADER.unpack_from(buf, offset)
-    if magic != RECORD_MAGIC:
-        raise ValueError("descriptor record header: bad magic")
-    if ver != RECORD_VERSION:
-        raise ValueError(f"descriptor record header: version {ver}, expected "
-                         f"{RECORD_VERSION}; rebuild it with `mvdesc describe`")
-    method = _decode(_CODE_METHOD, mcode, "descriptor record method")
-    kernel = _decode(_CODE_KERNEL, kcode, "descriptor record kernel")
-    offset += _RECORD_HEADER.size
-    _need(buf, offset, 4 * count, "descriptor values")
-    vals = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-    offset += 4 * count
-    params = DescriptorParams(patch, bins, cells, eps, sigma, kernel)
-    return DescriptorVector(vals.astype(np.float64), method, params), offset
-
-
-def descriptor_to_json(vec: DescriptorVector) -> dict:
-    return {
-        "method": vec.method,
-        "params": vec.params.to_config(),
-        "values": vec.values.tolist(),
-    }
-
-
-def descriptor_from_json(d: dict) -> DescriptorVector:
-    return DescriptorVector(np.asarray(d["values"], dtype=np.float64),
-                            d["method"], DescriptorParams.from_config(d["params"]))

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (_CODE_METHOD, _METHOD_CODE, METHODS, DescriptorParams,
-                  DescriptorVector, OrientationDensity, _decode,
-                  pack_descriptor, unpack_descriptor)
+from .hog import (KERNELS, METHODS, DescriptorParams, DescriptorVector,
+                  OrientationDensity)
 from .image import _need
 
 __all__ = [
@@ -206,15 +205,25 @@ def log_likelihood(model: np.ndarray, query: np.ndarray, bins: int) -> float:
 # database
 
 _DB_MAGIC = b"MVDESCDB"
-_DB_VERSION = 2
-_METRIC_CODE = {m: i for i, m in enumerate(METRICS)}
-_CODE_METRIC = {v: k for k, v in _METRIC_CODE.items()}
-_DB_HEADER = struct.Struct("<8sHBBI")
-_ROW_HEADER = struct.Struct("<iH")
+_DB_VERSION = 3
+# magic, version, then the codes of method, metric and kernel (their index
+# in METHODS, METRICS and KERNELS), bins, cells, patch, eps, sigma, rows
+_DB_HEADER = struct.Struct("<8sHBBBxHHHddI")
+
+
+def _decode(table: tuple, code: int, field: str):
+    """Look up a stored enum code, naming ``field`` if it is unknown."""
+    if code >= len(table):
+        raise ValueError(f"{field}: unknown code {code}")
+    return table[code]
 
 
 class DescriptorDatabase:
-    """Stored descriptors keyed by track, with a default query metric."""
+    """Stored descriptors keyed by track, with a default query metric.
+
+    The rows form one float64 ``matrix``; ``track_ids`` and ``groups`` are
+    int64 arrays with one entry per row.
+    """
 
     def __init__(self, method: str, params: DescriptorParams, metric: str = "l2"):
         if method not in METHODS:
@@ -224,57 +233,78 @@ class DescriptorDatabase:
         self.method = method
         self.params = params
         self.metric = metric
-        self.track_ids: list[int] = []
-        self.groups: list[int] = []
-        self._rows: list[np.ndarray] = []
-        self._matrix = None
+        d = params.cells ** 2 * params.bins
+        # (track ids, groups, rows) per extend call, joined on first use
+        self._blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                         np.zeros((0, d)))]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return sum(len(ids) for ids, _, _ in self._blocks)
+
+    def extend(self, track_ids, values, groups=0) -> None:
+        """Append an (n, cells**2 * bins) block of rows, validated once;
+        ``track_ids`` and ``groups`` broadcast to n."""
+        d = self.params.cells ** 2 * self.params.bins
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != d:
+            raise ValueError(f"expected (n, {d}) descriptor rows, got {values.shape}")
+        bad = ~np.isfinite(values).all(axis=1)
+        if bad.any():
+            raise ValueError(f"descriptor values: row {int(bad.argmax())} "
+                             f"is not finite")
+        n = values.shape[0]
+        self._blocks.append((
+            np.broadcast_to(np.asarray(track_ids, dtype=np.int64), (n,)),
+            np.broadcast_to(np.asarray(groups, dtype=np.int64), (n,)), values))
 
     def add(self, track_id: int, vec: DescriptorVector, group: int = 0) -> None:
         if vec.method != self.method:
             raise ValueError(f"cannot add {vec.method!r} descriptor to {self.method!r} database")
         if vec.params != self.params:
             raise ValueError("descriptor params do not match database")
-        self.track_ids.append(int(track_id))
-        self.groups.append(int(group))
-        self._rows.append(vec.values)
-        self._matrix = None
+        self.extend(track_id, vec.values[None], group)
+
+    def _columns(self) -> tuple:
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(np.concatenate(c) for c in zip(*self._blocks))]
+        return self._blocks[0]
+
+    track_ids = property(lambda self: self._columns()[0])
+    groups = property(lambda self: self._columns()[1])
 
     @property
     def matrix(self) -> np.ndarray:
         """(n_rows, descriptor_length) matrix of stored values."""
-        if self._matrix is None:
-            if not self._rows:
-                raise ValueError("database is empty")
-            self._matrix = np.vstack(self._rows)
-        return self._matrix
+        if not len(self):
+            raise ValueError("database is empty")
+        return self._columns()[2]
 
     @property
     def memory_bytes(self) -> int:
         """Storage cost of the payload at 4 bytes per descriptor value."""
-        d = self.params.cells ** 2 * self.params.bins
-        return 4 * d * len(self._rows)
-
-    def vector(self, i: int) -> DescriptorVector:
-        return DescriptorVector(self._rows[i].copy(), self.method, self.params)
+        return 4 * self.params.cells ** 2 * self.params.bins * len(self)
 
     def save(self, path) -> None:
-        """Write the database; raises ValueError, naming the row, for a track
-        id beyond int32, a group beyond uint16 or a value beyond float32."""
-        parts = [_DB_HEADER.pack(_DB_MAGIC, _DB_VERSION,
-                                 _METHOD_CODE[self.method],
-                                 _METRIC_CODE[self.metric], len(self._rows))]
-        for i, (tid, grp, row) in enumerate(zip(self.track_ids, self.groups,
-                                                self._rows)):
-            try:
-                parts.append(_ROW_HEADER.pack(tid, grp))
-                parts.append(pack_descriptor(
-                    DescriptorVector(row, self.method, self.params)))
-            except (struct.error, ValueError) as exc:
-                raise ValueError(f"row {i}: {exc}") from None
-        Path(path).write_bytes(b"".join(parts))
+        """Write the database (format version 3). Raises ValueError, naming
+        the row, for a track id beyond int32, a group beyond uint16 or a
+        value beyond float32, and writes nothing then."""
+        p = self.params
+        ids, groups = self.track_ids, self.groups
+        with np.errstate(over="ignore"):
+            values = self.matrix.astype("<f4")
+        for bad, what in (((ids < -2 ** 31) | (ids >= 2 ** 31), "track id beyond int32"),
+                          ((groups < 0) | (groups >= 2 ** 16), "group beyond uint16"),
+                          (~np.isfinite(values).all(axis=1),
+                           "descriptor values beyond float32")):
+            if bad.any():
+                raise ValueError(f"row {int(bad.argmax())}: {what}")
+        head = _DB_HEADER.pack(
+            _DB_MAGIC, _DB_VERSION, METHODS.index(self.method),
+            METRICS.index(self.metric), KERNELS.index(p.kernel), p.bins,
+            p.cells, p.patch_size, p.eps, p.sigma, len(ids))
+        with open(path, "wb") as fh:
+            for part in (head, ids.astype("<i4"), groups.astype("<u2"), values):
+                fh.write(part)
 
     @classmethod
     def load(cls, path) -> "DescriptorDatabase":
@@ -288,31 +318,36 @@ class DescriptorDatabase:
     @classmethod
     def _parse(cls, buf: bytes) -> "DescriptorDatabase":
         _need(buf, 0, _DB_HEADER.size, "database header")
-        magic, ver, mcode, metcode, count = _DB_HEADER.unpack_from(buf, 0)
+        magic, ver, mcode, metcode, kcode, bins, cells, patch, eps, sigma, \
+            count = _DB_HEADER.unpack_from(buf, 0)
         if magic != _DB_MAGIC:
             raise ValueError("database header: not a descriptor database file")
         if ver != _DB_VERSION:
             raise ValueError(f"database header: version {ver}, expected "
                              f"{_DB_VERSION}; rebuild it with `mvdesc describe`")
-        method = _decode(_CODE_METHOD, mcode, "database method")
-        metric = _decode(_CODE_METRIC, metcode, "database metric")
+        method = _decode(METHODS, mcode, "database method")
+        metric = _decode(METRICS, metcode, "database metric")
+        try:
+            params = DescriptorParams(patch, bins, cells, eps, sigma,
+                                      _decode(KERNELS, kcode, "database kernel"))
+        except ValueError as exc:
+            raise ValueError(f"database params: {exc}") from None
         if count == 0:
             raise ValueError("database header: holds no descriptors")
-        offset = _DB_HEADER.size
-        db = None
-        for i in range(count):
-            try:
-                _need(buf, offset, _ROW_HEADER.size, "row header")
-                tid, grp = _ROW_HEADER.unpack_from(buf, offset)
-                vec, offset = unpack_descriptor(buf, offset + _ROW_HEADER.size)
-                if db is None:
-                    db = cls(method, vec.params, metric)
-                db.add(tid, vec, grp)
-            except ValueError as exc:
-                raise ValueError(f"row {i}: {exc}") from None
+        offset, arrays = _DB_HEADER.size, []
+        for field, dtype, n in (("track ids", "<i4", count),
+                                ("groups", "<u2", count),
+                                ("descriptor values", "<f4",
+                                 count * cells * cells * bins)):
+            _need(buf, offset, np.dtype(dtype).itemsize * n, field)
+            arrays.append(np.frombuffer(buf, dtype, n, offset))
+            offset += arrays[-1].nbytes
         if offset != len(buf):
             raise ValueError(f"{len(buf) - offset} trailing bytes after the "
-                             f"last row")
+                             f"descriptor values")
+        ids, groups, values = arrays
+        db = cls(method, params, metric)
+        db.extend(ids, values.astype(np.float64).reshape(count, -1), groups)
         return db
 
 
@@ -333,9 +368,8 @@ def nn_query(db: DescriptorDatabase, query, metric: str = None):
     values = query.values if isinstance(query, DescriptorVector) else query
     metric = db.metric if metric is None else metric
     dists = pairwise_distances(values, db.matrix, metric, db.params.bins)
-    ids = np.asarray(db.track_ids)
-    best = _best_rows(dists, ids)[0]
-    return int(ids[best]), float(dists[0, best])
+    best = _best_rows(dists, db.track_ids)[0]
+    return int(db.track_ids[best]), float(dists[0, best])
 
 
 def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str = None):
@@ -343,9 +377,8 @@ def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str = None):
     metric = db.metric if metric is None else metric
     q = np.atleast_2d(queries)
     dists = pairwise_distances(q, db.matrix, metric, db.params.bins)
-    ids = np.asarray(db.track_ids)
-    best = _best_rows(dists, ids)
-    return ids[best].copy(), dists[np.arange(q.shape[0]), best]
+    best = _best_rows(dists, db.track_ids)
+    return db.track_ids[best], dists[np.arange(q.shape[0]), best]
 
 
 def likelihood_query(db: DescriptorDatabase, query):
@@ -365,6 +398,5 @@ def likelihood_query(db: DescriptorDatabase, query):
     bins = db.params.bins
     m = _smooth(_cellwise(db.matrix, bins), bins)
     ll = np.sum(_cellwise(values, bins)[None] * np.log(m), axis=(1, 2))
-    ids = np.asarray(db.track_ids)
-    best = _best_rows(-ll[None, :], ids)[0]
-    return int(ids[best]), float(ll[best])
+    best = _best_rows(-ll[None, :], db.track_ids)[0]
+    return int(db.track_ids[best]), float(ll[best])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import PinholeCamera, axis_angle_rotation, rot_z
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                  _normalized_cells, normalize_density, patch_densities,
+                  _normalized_rows, normalize_density, patch_densities,
                   sample_descriptor)
 from .image import GrayImage, bilinear_sample, level_to_base, base_to_level
 
@@ -219,11 +219,10 @@ def patch_density(patch: np.ndarray, params: DescriptorParams):
     return OrientationDensity(grid, params)
 
 
-def view_descriptors(patches: np.ndarray,
-                     params: DescriptorParams) -> list[DescriptorVector]:
-    """Per-view normalized descriptors, for max-out storage."""
-    grids, _ = _normalized_cells(patch_densities(patches, params), params.bins)
-    return [DescriptorVector(g, "rhog", params) for g in grids]
+def view_descriptors(patches: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """Per-view normalized descriptor rows, (views, cells**2 * bins), for
+    max-out storage."""
+    return _normalized_rows(patch_densities(patches, params), params)
 
 
 def aggregate_descriptor(patches: np.ndarray,

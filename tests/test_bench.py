@@ -9,9 +9,10 @@ from mvdesc import bench
 from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
                           memory_scaling, quick_benchmark_config, spearman,
                           update_cost_profile)
-from mvdesc.hog import DescriptorParams
+from mvdesc.hog import DescriptorParams, normalize_density, sample_descriptor
 from mvdesc.multiview import MultiViewAccumulator
-from mvdesc.viewsynth import patch_density
+from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
+                              synthesize_views)
 
 
 class TestSpearman:
@@ -45,6 +46,79 @@ def synthetic_tracks(params, n_tracks, n_frames, seed):
     return [[patch_density(rng.random((params.patch_size,) * 2), params)
              for _ in range(n_frames)]
             for _ in range(n_tracks)]
+
+
+def per_row(density, method):
+    """The per-density descriptor path the builders batch."""
+    return sample_descriptor(normalize_density(density), method).values
+
+
+class TestBuildersEqualThePerRowPath:
+    """Each builder's rows, track ids and groups equal, byte for byte, what
+    one ``sample_descriptor(normalize_density(d))`` per row (or
+    ``MultiViewAccumulator.finalize`` per track) gives."""
+
+    params = DescriptorParams(patch_size=9, bins=8, cells=3)
+    ids = [7, 3, 11, 5]
+
+    def tracks(self):
+        tracks = synthetic_tracks(self.params, 4, 5, seed=113)
+        # a flat frame: every cell has zero mass and becomes uniform
+        tracks[1][2] = patch_density(np.full((9, 9), 0.5), self.params)
+        return tracks
+
+    @staticmethod
+    def assert_rows(db, method, rows, ids, groups):
+        assert db.method == method
+        assert db.matrix.dtype == np.float64
+        assert db.matrix.tobytes() == np.array(rows).tobytes()
+        assert db.track_ids.tolist() == ids
+        assert db.groups.tolist() == groups
+
+    def test_sv(self):
+        picks = [t[i] for i, t in enumerate(self.tracks())]
+        db = bench.sv(self.ids, picks, self.params, "chi2")
+        assert db.metric == "chi2"
+        self.assert_rows(db, "sv", [per_row(d, "sv") for d in picks],
+                         self.ids, [0] * 4)
+
+    def test_mv(self):
+        tracks = self.tracks()
+        want = []
+        for dens in tracks:
+            acc = MultiViewAccumulator(self.params)
+            for d in dens:
+                acc.update(d)
+            want.append(sample_descriptor(acc.finalize(), "mv").values)
+        self.assert_rows(bench.mv(self.ids, tracks, self.params), "mv", want,
+                         self.ids, [0] * 4)
+
+    def test_keepall(self):
+        tracks = self.tracks()
+        self.assert_rows(bench.keepall(self.ids, tracks, self.params),
+                         "keepall",
+                         [per_row(d, "keepall") for dens in tracks for d in dens],
+                         [t for t in self.ids for _ in range(5)],
+                         list(range(5)) * 4)
+
+    def test_rhog(self, plane_ds):
+        frame = plane_ds.frames[0]
+        w, h = frame.camera.width // 2, frame.camera.height // 2
+        surfs = [LocalSurface.from_frame(frame.depth, frame.camera, xy, 11)
+                 for xy in ((w, h), (w - 20, h + 10), (w + 15, h - 12))]
+        views = [[(surfs[0], frame.image), (surfs[1], frame.image)],
+                 [(surfs[2], frame.image)]]
+        params, rotations = DescriptorParams(11), sample_rotations()
+        rows, ids, groups = [], [], []
+        for tid, track in zip([4, 9], views):
+            for surf, image in track:
+                for patch in synthesize_views(surf, image, rotations)[0]:
+                    rows.append(per_row(patch_density(patch, params), "rhog"))
+                    ids.append(tid)
+            groups += list(range(ids.count(tid)))
+        db = bench.rhog([4, 9], views, params, rotations)
+        self.assert_rows(db, "rhog", rows, ids, groups)
+        assert len(db) > 3 * 10
 
 
 class TestMemoryScaling:

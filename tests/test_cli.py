@@ -114,6 +114,33 @@ class TestDescribe:
         assert "stored 15-pixel patches" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("keyframes", ["0", "-1"])
+    def test_rhog_without_keyframes_fails_and_writes_nothing(
+            self, workspace, tmp_path, capsys, keyframes):
+        out = tmp_path / "none.db"
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(out), "--method", "rhog",
+                   "--dataset", str(workspace / "ds"), "--keyframes", keyframes])
+        assert rc == 1
+        assert f"--keyframes must be at least 1, got {keyframes}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_rows_fails_and_writes_nothing(self, workspace, tmp_path,
+                                              capsys, monkeypatch):
+        # every keyframe surface refused: the rhog database stays empty
+        def refuse(*args):
+            raise ValueError("no synthesized view was accepted")
+        monkeypatch.setattr("mvdesc.bench.synthesize_views", refuse)
+        out = tmp_path / "empty.db"
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(out), "--method", "rhog",
+                   "--dataset", str(workspace / "ds"), "--keyframes", "2"])
+        assert rc == 1
+        assert "no rhog descriptor was built" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMatch:
     def test_self_match_is_perfect(self, workspace, capsys):
         db = str(workspace / "db_sv")
@@ -139,6 +166,35 @@ class TestMatch:
         assert "accuracy" in err
         n = len(DescriptorDatabase.load(workspace / "db_sv"))
         assert len(out.read_text().strip().splitlines()) == n + 1
+
+
+    def test_unreadable_database_prints_the_error(self, workspace, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "cut.db"
+        bad.write_bytes((workspace / "db_sv").read_bytes()[:-5])
+        rc = main(["match", "--db", str(bad),
+                   "--queries", str(workspace / "db_sv")])
+        assert rc == 1
+        assert f"{bad}: descriptor values cut short" in capsys.readouterr().err
+
+    def test_queries_with_other_params_are_refused(self, workspace, tmp_path,
+                                                   capsys):
+        # an 11-pixel rhog database against 15-pixel sv queries: the rows
+        # have the same length, but describe different patches
+        db = tmp_path / "rhog11.db"
+        assert main(["describe", "--tracks", str(workspace / "tracks"),
+                     "--out", str(db), "--method", "rhog", "--patch-size",
+                     "11", "--dataset", str(workspace / "ds"),
+                     "--keyframes", "2"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        rc = main(["match", "--db", str(db), "--queries",
+                   str(workspace / "db_sv"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "patch_size=15" in err and "patch_size=11" in err
+        assert "differ" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

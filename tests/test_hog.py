@@ -1,4 +1,4 @@
-"""Orientation densities: kernels, normalization, flattening, serialization."""
+"""Orientation densities: kernels, normalization and flattening."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import (METHODS, DescriptorParams, DescriptorVector,
-                        OrientationDensity,
-                        _orientation_weights, density_at, descriptor_from_json,
-                        descriptor_to_json, normalize_density,
-                        orientation_density, pack_descriptor, patch_densities,
-                        sample_descriptor, unpack_descriptor)
+from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
+                        _orientation_weights, density_at, normalize_density,
+                        orientation_density, patch_densities,
+                        sample_descriptor)
 from mvdesc.image import GrayImage, angular_kernel, compute_gradient
 
 
@@ -253,63 +251,6 @@ class TestPatchDensities:
         assert patch_densities(np.zeros((0, 5, 5)), params).shape == (0, 2, 2, 8)
 
 
-@st.composite
-def any_params(draw):
-    """Any valid DescriptorParams: default or explicit eps and sigma, both
-    kernels, patch sizes up to the record's uint16 field."""
-    p = draw(st.one_of(st.integers(3, 40), st.just(65535)))
-    bins = draw(st.integers(2, 40))
-    # the default eps of two bins is pi, which the params refuse
-    eps = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
-    return DescriptorParams(
-        p, bins, draw(st.integers(1, min(p, 5))),
-        draw(eps if bins == 2 else st.one_of(st.none(), eps)),
-        draw(st.one_of(st.none(), st.floats(0.0, p, exclude_min=True,
-                                            exclude_max=True))),
-        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
-
-
-@st.composite
-def any_descriptor(draw, params=None):
-    params = draw(any_params()) if params is None else params
-    n = params.cells ** 2 * params.bins
-    values = draw(st.one_of(
-        # values float32 holds, as normalized descriptors are
-        st.lists(st.floats(0.0, 1.0, width=32), min_size=n, max_size=n),
-        st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                 min_size=n, max_size=n)))
-    return DescriptorVector(np.array(values), draw(st.sampled_from(METHODS)),
-                            params)
-
-
-class TestRecordProperty:
-    @settings(max_examples=300, deadline=None)
-    @given(vec=any_descriptor())
-    def test_pack_unpack_roundtrip(self, vec):
-        # a value that rounds past the float32 maximum is refused, not stored
-        # as an infinity that unpack_descriptor would then reject
-        with np.errstate(over="ignore"):
-            stored = vec.values.astype(np.float32)
-        if not np.all(np.isfinite(stored)):
-            with pytest.raises(ValueError, match="float32"):
-                pack_descriptor(vec)
-            return
-        buf = pack_descriptor(vec)
-        back, offset = unpack_descriptor(b"junk" + buf, 4)
-        assert offset == len(buf) + 4
-        assert back.method == vec.method
-        assert back.params == vec.params
-        assert back.values.tobytes() == stored.astype(np.float64).tobytes()
-        # a second trip is exact
-        assert pack_descriptor(back) == buf
-
-    def test_overflowing_value_is_refused(self):
-        params = DescriptorParams(5, bins=4, cells=1)
-        big = DescriptorVector([0.25, 0.25, 0.25, 1e39], "sv", params)
-        with pytest.raises(ValueError, match="float32"):
-            pack_descriptor(big)
-
-
 class TestNormalization:
     def test_cells_sum_to_one(self):
         rng = np.random.default_rng(16)
@@ -362,40 +303,3 @@ class TestDescriptorVector:
             DescriptorVector(np.zeros(15), "sv", params)
         with pytest.raises(ValueError):
             DescriptorVector(np.zeros(16), "who", params)
-
-    def test_binary_roundtrip(self):
-        rng = np.random.default_rng(19)
-        params = DescriptorParams(patch_size=11, bins=16, cells=4,
-                                  kernel="wrapped-gaussian")
-        vec = DescriptorVector(rng.random(16 * 16), "mv", params)
-        buf = pack_descriptor(vec)
-        back, offset = unpack_descriptor(buf)
-        assert offset == len(buf)
-        assert back.method == "mv"
-        assert back.params == params
-        np.testing.assert_array_equal(back.values,
-                                      vec.values.astype(np.float32))
-
-    def test_binary_stream_of_records(self):
-        params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        vecs = [DescriptorVector(np.full(16, 0.25 * (i + 1)), "sv", params)
-                for i in range(3)]
-        blob = b"".join(pack_descriptor(v) for v in vecs)
-        offset = 0
-        for v in vecs:
-            got, offset = unpack_descriptor(blob, offset)
-            np.testing.assert_array_equal(got.values, v.values)
-        assert offset == len(blob)
-
-    def test_json_roundtrip(self):
-        params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        vec = DescriptorVector(np.linspace(0.0, 1.0, 16), "rhog", params)
-        back = descriptor_from_json(descriptor_to_json(vec))
-        assert back.method == "rhog" and back.params == params
-        np.testing.assert_allclose(back.values, vec.values, atol=1e-15)
-
-    def test_corrupt_record_rejected(self):
-        params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        buf = pack_descriptor(DescriptorVector(np.zeros(16), "sv", params))
-        with pytest.raises(ValueError):
-            unpack_descriptor(b"XXXX" + buf[4:])

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import _RECORD_HEADER, METHODS, DescriptorParams, \
-    DescriptorVector, normalize_density, OrientationDensity
+from mvdesc.hog import METHODS, DescriptorParams, DescriptorVector, \
+    normalize_density, OrientationDensity
 from mvdesc.image import GrayImage, read_pgm, write_pgm
-from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, _ROW_HEADER, METRICS,
+from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, METRICS,
                              DescriptorDatabase, distance, likelihood_query,
                              log_likelihood, match_all, nn_query,
                              pairwise_distances)
@@ -123,25 +123,26 @@ class TestPairwise:
             pairwise_distances(np.zeros((2, 8)), np.zeros((2, 9)), "l2")
 
 
-# byte offsets in a saved two-row database: file header, then per row a
-# row header, a record header and 16 float32 values
-_ROW0 = _DB_HEADER.size
-_REC0 = _ROW0 + _ROW_HEADER.size
-_VAL0 = _REC0 + _RECORD_HEADER.size
-_ROW1 = _VAL0 + 4 * 16
+# byte offsets in a saved two-row database of 16 values per row: the file
+# header, then 2 int32 track ids, 2 uint16 groups and 2 x 16 float32 values
+_IDS = _DB_HEADER.size
+_GROUPS = _IDS + 4 * 2
+_VALUES = _GROUPS + 2 * 2
+# header fields: version, method, metric and kernel codes, patch, row count
+_VERSION, _METHOD, _METRIC, _KERNEL, _PATCH, _COUNT = 8, 10, 11, 12, 18, 36
 
 
-def _version_1(buf: bytes, at: int, fmt: str) -> bytes:
-    """``buf`` with the version field at ``at`` (packed as ``fmt``) set to 1."""
-    return buf[:at] + struct.pack(fmt, 1) + buf[at + struct.calcsize(fmt):]
+def _put(buf: bytes, at: int, fmt: str, value) -> bytes:
+    """``buf`` with the field at ``at`` (packed as ``fmt``) set to ``value``."""
+    return buf[:at] + struct.pack(fmt, value) + buf[at + struct.calcsize(fmt):]
 
 
 class TestDatabase:
     def build(self, rng, n=10):
         db = DescriptorDatabase("sv", PARAMS, "l2")
         rows = unit_cells(rng, n)
-        for i, row in enumerate(rows):
-            db.add(i % 4, DescriptorVector(row, "sv", PARAMS), group=i)
+        db.extend(np.arange(4), rows[:4], np.arange(4))
+        db.extend(np.arange(4, n) % 4, rows[4:], np.arange(4, n))
         return db, rows
 
     def test_basic_bookkeeping(self):
@@ -150,7 +151,40 @@ class TestDatabase:
         assert len(db) == 10
         assert db.matrix.shape == (10, 16)
         assert db.memory_bytes == 4 * 16 * 10
-        np.testing.assert_array_equal(db.vector(3).values, rows[3])
+        np.testing.assert_array_equal(db.matrix, rows)
+        assert db.track_ids.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+        assert db.groups.tolist() == list(range(10))
+
+    def test_add_equals_extend_of_one_row(self):
+        rng = np.random.default_rng(47)
+        rows = unit_cells(rng, 3)
+        one, block = (DescriptorDatabase("mv", PARAMS, "l1") for _ in "ab")
+        for i, row in enumerate(rows):
+            one.add(7 - i, DescriptorVector(row, "mv", PARAMS), group=2 * i)
+            block.extend(7 - i, row[None], 2 * i)
+        for attr in ("matrix", "track_ids", "groups"):
+            got, want = getattr(one, attr), getattr(block, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_extend_validates_the_block_once(self):
+        db = DescriptorDatabase("sv", PARAMS)
+        with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
+            db.extend(0, np.zeros((2, 15)))
+        with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
+            db.extend(0, np.zeros(16))
+        rows = np.full((3, 16), 0.25)
+        rows[2, 5] = np.nan
+        with pytest.raises(ValueError, match="descriptor values: row 2"):
+            db.extend([1, 2, 3], rows)
+        with pytest.raises(ValueError):
+            db.extend([1, 2], np.zeros((3, 16)))
+        assert len(db) == 0
+        db.extend([1, 2, 3], np.zeros((3, 16)), groups=4)
+        assert db.groups.tolist() == [4, 4, 4]
+        # the joined columns are rebuilt after a later block
+        db.extend(9, np.ones((1, 16)))
+        assert db.track_ids.tolist() == [1, 2, 3, 9]
+        assert db.matrix[3].tolist() == [1.0] * 16
 
     def test_method_and_params_enforced(self):
         rng = np.random.default_rng(44)
@@ -171,8 +205,8 @@ class TestDatabase:
         back = DescriptorDatabase.load(tmp_path / "d.db")
         assert back.method == "mv" and back.metric == "bhattacharyya"
         assert back.params == PARAMS
-        assert back.track_ids == db.track_ids
-        assert back.groups == db.groups
+        np.testing.assert_array_equal(back.track_ids, db.track_ids)
+        np.testing.assert_array_equal(back.groups, db.groups)
         np.testing.assert_array_equal(back.matrix, db.matrix)
 
     def test_load_rejects_garbage(self, tmp_path):
@@ -182,26 +216,39 @@ class TestDatabase:
 
     @pytest.mark.parametrize("mangle, field", [
         (lambda b: b[:5], "database header cut short"),
-        (lambda b: b[:_ROW0], "row 0: row header cut short"),
-        (lambda b: b[:_ROW0 + 3], "row 0: row header cut short"),
-        (lambda b: b[:_REC0], "row 0: descriptor record header cut short"),
-        (lambda b: b[:_REC0 + 9], "row 0: descriptor record header cut short"),
-        (lambda b: b[:_VAL0], "row 0: descriptor values cut short"),
-        (lambda b: b[:_VAL0 + 10], "row 0: descriptor values cut short"),
-        (lambda b: b[:_ROW1], "row 1: row header cut short"),
+        (lambda b: b[:_IDS], "track ids cut short"),
+        (lambda b: b[:_IDS + 3], "track ids cut short"),
+        (lambda b: b[:_GROUPS], "groups cut short"),
+        (lambda b: b[:_GROUPS + 3], "groups cut short"),
+        (lambda b: b[:_VALUES], "descriptor values cut short"),
+        (lambda b: b[:_VALUES + 10], "descriptor values cut short"),
+        (lambda b: b[:_VALUES + 4 * 16], "descriptor values cut short"),
         (lambda b: b + b"\x00\x07\x00", "3 trailing bytes"),
-        (lambda b: _version_1(b, 8, "<H"),
+        (lambda b: _put(b, _VERSION, "<H", 1),
          "database header: version 1.*mvdesc describe"),
-        (lambda b: _version_1(b, _REC0 + 4, "<B"),
-         "row 0: descriptor record header: version 1.*mvdesc describe"),
-    ], ids=["in-db-header", "at-row-header", "in-row-header",
-            "at-record-header", "in-record-header", "at-values", "in-values",
-            "at-second-row", "trailing", "db-version-1", "record-version-1"])
+        (lambda b: _put(b, _VERSION, "<H", 2),
+         "database header: version 2.*mvdesc describe"),
+        (lambda b: _put(b, _METHOD, "<B", 4), "database method: unknown code 4"),
+        (lambda b: _put(b, _METRIC, "<B", 6), "database metric: unknown code 6"),
+        (lambda b: _put(b, _KERNEL, "<B", 2), "database kernel: unknown code 2"),
+        (lambda b: _put(b, _PATCH, "<H", 2),
+         "database params: patch_size must be at least 3"),
+        (lambda b: _put(b, _VALUES + 4 * 16 + 8, "<f", np.inf),
+         "descriptor values: row 1 is not finite"),
+        (lambda b: _put(b, _VALUES + 4, "<f", np.nan),
+         "descriptor values: row 0 is not finite"),
+        (lambda b: _put(b, _COUNT, "<I", 0),
+         "database header: holds no descriptors"),
+    ], ids=["in-db-header", "at-ids", "in-ids", "at-groups", "in-groups",
+            "at-values", "in-values", "at-second-row", "trailing", "db-version-1",
+            "db-version-2", "unknown-method", "unknown-metric",
+            "unknown-kernel", "invalid-params", "stored-inf", "stored-nan",
+            "zero-rows"])
     def test_load_names_file_and_field(self, tmp_path, mangle, field):
         db = DescriptorDatabase("keepall", PARAMS, "l2")
-        for i, row in enumerate(unit_cells(np.random.default_rng(46), 2)):
-            db.add(i, DescriptorVector(row, "keepall", PARAMS))
+        db.extend([0, 1], unit_cells(np.random.default_rng(46), 2))
         db.save(tmp_path / "good.db")
+        assert (tmp_path / "good.db").stat().st_size == _VALUES + 2 * 16 * 4
         bad = tmp_path / "bad.db"
         bad.write_bytes(mangle((tmp_path / "good.db").read_bytes()))
         with pytest.raises(ValueError, match=field) as err:
@@ -258,15 +305,16 @@ def saved_databases(draw):
         draw(st.one_of(st.none(), st.floats(0.0, p, exclude_min=True,
                                             exclude_max=True))),
         draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
-    method = draw(st.sampled_from(METHODS))
-    db = DescriptorDatabase(method, params, draw(st.sampled_from(METRICS)))
+    db = DescriptorDatabase(draw(st.sampled_from(METHODS)), params,
+                            draw(st.sampled_from(METRICS)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = params.cells ** 2 * bins
-    for _ in range(draw(st.integers(1, 6))):
-        row = rng.random(n).astype(np.float32).astype(np.float64)
-        db.add(draw(st.integers(-2 ** 31, 2 ** 31 - 1)),
-               DescriptorVector(row, method, params),
-               draw(st.integers(0, 2 ** 16 - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(1, 4))
+        db.extend(draw(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
+                                min_size=rows, max_size=rows)),
+                  rng.random((rows, n)).astype(np.float32).astype(np.float64),
+                  draw(st.integers(0, 2 ** 16 - 1)))
     return db
 
 
@@ -279,8 +327,8 @@ class TestDatabaseProperty:
         back = DescriptorDatabase.load(path)
         assert (back.method, back.metric, back.params) \
             == (db.method, db.metric, db.params)
-        assert back.track_ids == db.track_ids
-        assert back.groups == db.groups
+        assert back.track_ids.tobytes() == db.track_ids.tobytes()
+        assert back.groups.tobytes() == db.groups.tobytes()
         assert back.matrix.tobytes() == db.matrix.tobytes()
         back.save(path.with_suffix(".again"))
         assert path.with_suffix(".again").read_bytes() == path.read_bytes()
@@ -291,8 +339,7 @@ class TestDatabaseProperty:
     def test_save_refuses_what_the_format_cannot_hold(self, tmp_path, tid,
                                                       group, value, field):
         db = DescriptorDatabase("sv", PARAMS, "l2")
-        db.add(3, DescriptorVector(np.full(16, 0.25), "sv", PARAMS))
-        db.add(tid, DescriptorVector(np.full(16, value), "sv", PARAMS), group)
+        db.extend([3, tid], [np.full(16, 0.25), np.full(16, value)], [0, group])
         with pytest.raises(ValueError, match=field):
             db.save(tmp_path / "d.db")
         assert not (tmp_path / "d.db").exists()

@@ -335,14 +335,13 @@ class TestAggregation:
         patches = np.concatenate([rng.random((3, 15, 15)),
                                   np.full((1, 15, 15), 0.5)])
         p = self.params()
-        descs = view_descriptors(patches, p)
-        assert len(descs) == 4
-        for d, q in zip(descs, patches):
-            assert d.method == "rhog"
-            np.testing.assert_allclose(
-                d.values.reshape(4, 8).sum(axis=1), 1.0, atol=1e-6)
+        rows = view_descriptors(patches, p)
+        assert rows.shape == (4, 4 * 8)
+        for row, q in zip(rows, patches):
+            np.testing.assert_allclose(row.reshape(4, 8).sum(axis=1), 1.0,
+                                       atol=1e-6)
             one = sample_descriptor(normalize_density(patch_density(q, p)), "rhog")
-            assert d.values.tobytes() == one.values.tobytes()
+            assert row.tobytes() == one.values.tobytes()
 
     def test_aggregate_equals_normalized_mean_density(self):
         rng = np.random.default_rng(82)
@@ -361,7 +360,7 @@ class TestAggregation:
         p = self.params()
         single = view_descriptors(patch[None], p)[0]
         four = aggregate_descriptor(np.repeat(patch[None], 4, axis=0), p)
-        np.testing.assert_allclose(four.values, single.values, atol=1e-12)
+        np.testing.assert_allclose(four.values, single, atol=1e-12)
 
 
 class TestMaxOut:
