@@ -2,12 +2,11 @@
 synthesized views of a reconstructed surface, plus a fully synthetic
 ground-truthed benchmark that compares them under viewpoint change."""
 
-from .geometry import PinholeCamera, Pose, axis_angle_rotation, look_at, relative_pose, rot_z
-from .image import (AffineContrast, GammaContrast, GradientField, GrayImage,
-                    ImagePyramid, TableContrast, angular_kernel, apply_contrast,
-                    base_to_level, bilinear_sample, build_pyramid,
-                    circular_distance, compute_gradient, level_to_base,
-                    read_pgm, write_pgm)
+from .geometry import PinholeCamera, Pose, axis_angle_rotation, look_at, rot_z
+from .image import (AffineContrast, GradientField, GrayImage, ImagePyramid,
+                    angular_kernel, apply_contrast, base_to_level,
+                    bilinear_sample, build_pyramid, circular_distance,
+                    compute_gradient, level_to_base, read_pgm, write_pgm)
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                   density_at, normalize_density, orientation_density,
                   patch_densities, sample_descriptor)

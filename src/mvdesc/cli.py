@@ -18,10 +18,22 @@ from .viewsynth import MIN_FACING, patch_density, sample_rotations, select_keyfr
 from .viewsynth import synthesize_views, view_descriptors  # noqa: F401
 
 
+def _json_object(path) -> dict:
+    """The JSON object in ``path``; ValueError naming the file otherwise."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got "
+                         f"{type(obj).__name__}")
+    return obj
+
+
 def _cmd_generate(args) -> int:
     spec = default_scene_spec(args.name, args.kind, args.seed)
     if args.spec:
-        spec.update(json.loads(Path(args.spec).read_text()))
+        spec.update(_json_object(args.spec))
     ds = generate_dataset(spec, args.out)
     print(f"wrote {len(ds.frames)} frames and {len(ds.tests)} test views "
           f"to {args.out}")
@@ -31,13 +43,9 @@ def _cmd_generate(args) -> int:
 def _cmd_track(args) -> int:
     ds = load_dataset(args.dataset)
     images = [v.image for v in ds.frames]
-    try:  # an even --window, or more --levels than the frames allow
-        cfg = TrackerConfig(n_features=args.features, levels=args.levels,
-                            window=args.window, reject_thresh=args.reject)
-        tracks = run_tracker(images, cfg)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    cfg = TrackerConfig(n_features=args.features, levels=args.levels,
+                        window=args.window, reject_thresh=args.reject)
+    tracks = run_tracker(images, cfg)
     full = [t for t in tracks if t.alive and t.length == len(images)]
     attach_patches(full, images, args.patch_size, cfg.levels)
     save_tracks(full, args.out, meta={
@@ -52,26 +60,23 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_describe(args) -> int:
+    if args.frame < 0:
+        raise ValueError(f"--frame must be at least 0, got {args.frame}")
     tracks, meta = load_tracks(args.tracks)
     tracks = [t for t in tracks if t.patches]
     if not tracks:
-        print("no tracks with stored patches", file=sys.stderr)
-        return 1
+        raise ValueError("no tracks with stored patches")
     stored = tracks[0].patches[0].shape[0]
     patch_size = args.patch_size or stored
     params = DescriptorParams(patch_size)
 
     if args.method == "rhog" and not args.dataset:
-        print("rhog descriptors need --dataset for depth maps", file=sys.stderr)
-        return 1
+        raise ValueError("rhog descriptors need --dataset for depth maps")
     if args.method == "rhog" and args.keyframes < 1:
-        print(f"--keyframes must be at least 1, got {args.keyframes}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"--keyframes must be at least 1, got {args.keyframes}")
     if args.method != "rhog" and patch_size != stored:
-        print(f"--patch-size {patch_size} differs from the stored {stored}-pixel "
-              f"patches that {args.method} describes", file=sys.stderr)
-        return 1
+        raise ValueError(f"--patch-size {patch_size} differs from the stored "
+                         f"{stored}-pixel patches that {args.method} describes")
 
     ids = [tr.id for tr in tracks]
     if args.method == "sv":
@@ -96,9 +101,8 @@ def _cmd_describe(args) -> int:
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)
     if not len(db):
-        print(f"no {args.method} descriptor was built; {args.out} not written",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"no {args.method} descriptor was built; {args.out} "
+                         f"not written")
     db.save(args.out)
     print(f"wrote {len(db)} descriptors ({args.method}) for {len(tracks)} "
           f"tracks to {args.out}")
@@ -106,16 +110,11 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    try:
-        db = DescriptorDatabase.load(args.db)
-        queries = DescriptorDatabase.load(args.queries)
-    except (OSError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    db = DescriptorDatabase.load(args.db)
+    queries = DescriptorDatabase.load(args.queries)
     if queries.params != db.params:
-        print(f"query params {queries.params} differ from database params "
-              f"{db.params}", file=sys.stderr)
-        return 1
+        raise ValueError(f"query params {queries.params} differ from database "
+                         f"params {db.params}")
     lines = ["query_index,query_track,predicted_track,distance"]
     correct = 0
     for i in range(len(queries)):
@@ -136,7 +135,7 @@ def _cmd_match(args) -> int:
 def _cmd_bench(args) -> int:
     overrides = quick_benchmark_config() if args.quick else {}
     if args.config:
-        overrides.update(json.loads(Path(args.config).read_text()))
+        overrides.update(_json_object(args.config))
     report = run_benchmark(overrides, args.out)
     print(f"benchmark finished in {report['elapsed_seconds']:.1f}s; "
           f"outputs in {args.out}")
@@ -224,7 +223,11 @@ def main(argv=None) -> int:
     r.set_defaults(func=_cmd_report)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:  # a missing or malformed input file, or an option out of range
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

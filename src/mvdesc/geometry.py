@@ -23,7 +23,6 @@ __all__ = [
     "axis_angle_rotation",
     "rot_z",
     "look_at",
-    "relative_pose",
     "rotation_is_valid",
 ]
 
@@ -113,12 +112,6 @@ class Pose:
         return cls(np.asarray(cfg["r"]), np.asarray(cfg["t"]))
 
 
-def relative_pose(a: Pose, b: Pose) -> Pose:
-    """Pose mapping frame-a camera coordinates to frame-b camera coordinates."""
-    r = b.r @ a.r.T
-    return Pose(r, b.t - r @ a.t)
-
-
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
     """World->camera pose for a camera at ``eye`` looking toward ``target``.
 
@@ -187,15 +180,11 @@ class PinholeCamera:
         gx, gy = np.meshgrid(xs, ys)
         return np.stack([gx, gy], axis=-1)
 
-    def contains(self, xy: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, xy: np.ndarray) -> np.ndarray:
         """Boolean mask of pixel coordinates inside the image bounds."""
         xy = np.asarray(xy, dtype=np.float64)
-        return (
-            (xy[..., 0] >= -margin)
-            & (xy[..., 0] <= self.width - 1 + margin)
-            & (xy[..., 1] >= -margin)
-            & (xy[..., 1] <= self.height - 1 + margin)
-        )
+        return ((xy[..., 0] >= 0.0) & (xy[..., 0] <= self.width - 1)
+                & (xy[..., 1] >= 0.0) & (xy[..., 1] <= self.height - 1))
 
     def to_config(self) -> dict:
         return {

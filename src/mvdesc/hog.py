@@ -86,20 +86,6 @@ class DescriptorParams:
         cx, cy = np.meshgrid(origin[0] + c, origin[1] + c)
         return np.stack([cx.ravel(), cy.ravel()], axis=1)
 
-    def to_config(self) -> dict:
-        return {
-            "patch_size": self.patch_size,
-            "bins": self.bins,
-            "cells": self.cells,
-            "eps": self.eps,
-            "sigma": self.sigma,
-            "kernel": self.kernel,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DescriptorParams":
-        return cls(**cfg)
-
 
 @dataclass
 class OrientationDensity:
@@ -123,10 +109,6 @@ class OrientationDensity:
 
     def cell_mass(self) -> np.ndarray:
         return self.grid.sum(axis=2)
-
-    def copy(self) -> "OrientationDensity":
-        zm = None if self.zero_mass is None else self.zero_mass.copy()
-        return OrientationDensity(self.grid.copy(), self.params, self.normalized, zm)
 
 
 def _window_pixels(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
@@ -311,14 +293,6 @@ class DescriptorVector:
     @property
     def bins(self) -> int:
         return self.params.bins
-
-    @property
-    def n_cells(self) -> int:
-        return self.params.cells ** 2
-
-    def cell_view(self) -> np.ndarray:
-        """(n_cells, bins) view of the flattened values."""
-        return self.values.reshape(self.n_cells, self.bins)
 
 
 def sample_descriptor(density: OrientationDensity, method: str) -> DescriptorVector:

@@ -1,4 +1,4 @@
-"""Grayscale images, pyramids, gradients, kernels, and contrast transforms.
+"""Grayscale images, pyramids, gradients, kernels, and affine contrast.
 
 Images are row-major float64 arrays indexed ``data[y, x]`` with intensities
 in [0, 1]. Positions are ``(x, y)`` pairs; pixel centers sit at integer
@@ -19,10 +19,7 @@ __all__ = [
     "ImagePyramid",
     "GradientField",
     "AffineContrast",
-    "GammaContrast",
-    "TableContrast",
     "apply_contrast",
-    "contrast_from_config",
     "compute_gradient",
     "build_pyramid",
     "angular_kernel",
@@ -230,8 +227,6 @@ def angular_kernel(theta, mu, eps: float, mode: str = "triangular"):
 class AffineContrast:
     """v -> a*v + b with a > 0. Output is not clipped."""
 
-    kind = "affine"
-
     def __init__(self, a: float, b: float = 0.0):
         if a <= 0.0:
             raise ValueError("affine contrast requires a > 0 to stay monotone")
@@ -241,72 +236,11 @@ class AffineContrast:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.a * values + self.b
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
-
-class GammaContrast:
-    """v -> v**gamma on [0, 1] with gamma > 0. Output is not clipped."""
-
-    kind = "gamma"
-
-    def __init__(self, gamma: float):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        self.gamma = float(gamma)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.power(np.maximum(values, 0.0), self.gamma)
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma}
-
-
-class TableContrast:
-    """Monotone lookup table sampled uniformly on [0, 1], linearly interpolated.
-
-    The only contrast mode whose output is clipped to [0, 1].
-    """
-
-    kind = "table"
-
-    def __init__(self, values):
-        tab = np.asarray(values, dtype=np.float64)
-        if tab.ndim != 1 or tab.size < 2:
-            raise ValueError("table must be a 1-D array with at least 2 entries")
-        if not np.all(np.diff(tab) > 0.0):
-            raise ValueError("contrast table must be strictly increasing")
-        self.values = tab
-        self._xs = np.linspace(0.0, 1.0, tab.size)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(np.interp(values, self._xs, self.values), 0.0, 1.0)
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "values": self.values.tolist()}
-
-
-def contrast_from_config(cfg: dict | None):
-    if cfg is None:
-        return None
-    kind = cfg["kind"]
-    if kind == "affine":
-        return AffineContrast(cfg["a"], cfg["b"])
-    if kind == "gamma":
-        return GammaContrast(cfg["gamma"])
-    if kind == "table":
-        return TableContrast(cfg["values"])
-    raise ValueError(f"unknown contrast kind: {kind!r}")
-
 
 def apply_contrast(img: GrayImage, transform) -> GrayImage:
-    """Apply a monotone range transform to an image.
-
-    Affine and gamma outputs are returned unclipped (they may exceed [0, 1]);
-    table mode clips, as the table itself is defined on the unit interval.
-    """
-    out = transform.apply(img.data)
-    return GrayImage(out, unit_range=isinstance(transform, TableContrast))
+    """Apply a monotone range transform to an image; the output is returned
+    unclipped (it may exceed [0, 1])."""
+    return GrayImage(transform.apply(img.data), unit_range=False)
 
 
 # ---------------------------------------------------------------------------

@@ -366,10 +366,8 @@ def _best_rows(dists: np.ndarray, track_ids: np.ndarray) -> np.ndarray:
 def nn_query(db: DescriptorDatabase, query, metric: str = None):
     """Exact nearest-neighbor lookup; returns (track_id, distance)."""
     values = query.values if isinstance(query, DescriptorVector) else query
-    metric = db.metric if metric is None else metric
-    dists = pairwise_distances(values, db.matrix, metric, db.params.bins)
-    best = _best_rows(dists, db.track_ids)[0]
-    return int(db.track_ids[best]), float(dists[0, best])
+    ids, dists = match_all(db, values, metric)
+    return int(ids[0]), float(dists[0])
 
 
 def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str = None):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
 from .image import (AffineContrast, GrayImage, _finite_numbers, _json_field,
-                    _need, read_pgm, write_pgm)
+                    _need, bilinear_sample, read_pgm, write_pgm)
 
 __all__ = [
     "RenderError",
@@ -68,8 +68,6 @@ class RenderError(RuntimeError):
 class PlaneSurface:
     """The plane z = 0, extended indefinitely."""
 
-    kind = "plane"
-
     def intersect(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Ray parameter t of the first hit per ray, inf where none."""
         oz = origins[..., 2]
@@ -88,8 +86,6 @@ class HeightfieldSurface:
     the lattice footprint.
     """
 
-    kind = "heightfield"
-
     def __init__(self, coefficients: np.ndarray, extent: float):
         c = np.asarray(coefficients, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] < 6 or c.shape[1] < 6:
@@ -102,6 +98,8 @@ class HeightfieldSurface:
         c[:, :2] = 0.0
         c[:, -2:] = 0.0
         self.coefficients = c
+        # one edge ring: the index clamp of the 16 taps at the lattice border
+        self._padded = np.pad(c, 1, mode="edge")
         self.extent = float(extent)
         self.spacing = extent / (c.shape[0] - 1)
         self.x0 = -extent / 2.0
@@ -122,29 +120,24 @@ class HeightfieldSurface:
         )
 
     def height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """f(x, y), vectorized over same-shaped coordinate arrays."""
-        c = self.coefficients
-        n = c.shape[0]
-        u = (np.asarray(x, dtype=np.float64) - self.x0) / self.spacing
-        v = (np.asarray(y, dtype=np.float64) - self.x0) / self.spacing
-        iu = np.floor(u).astype(np.intp)
-        iv = np.floor(v).astype(np.intp)
-        fu = u - iu
-        fv = v - iv
-        # clamp fractional position along with the index outside the lattice
-        fu = np.where(iu < 0, 0.0, np.where(iu > n - 2, 1.0, fu))
-        fv = np.where(iv < 0, 0.0, np.where(iv > n - 2, 1.0, fv))
-        iu = np.clip(iu, 0, n - 2)
-        iv = np.clip(iv, 0, n - 2)
-        wu = self._weights(fu)
-        wv = self._weights(fv)
-        out = np.zeros(np.broadcast(u, v).shape)
+        """f(x, y), vectorized over same-shaped coordinate arrays; positions
+        clamp to the lattice as in :func:`bilinear_sample`."""
+        n = self.coefficients.shape[0]
+        u = np.clip((np.asarray(x, dtype=np.float64) - self.x0) / self.spacing,
+                    0.0, n - 1.0)
+        v = np.clip((np.asarray(y, dtype=np.float64) - self.x0) / self.spacing,
+                    0.0, n - 1.0)
+        iu = np.minimum(np.floor(u), n - 2).astype(np.intp)
+        iv = np.minimum(np.floor(v), n - 2).astype(np.intp)
+        wu = self._weights(u - iu)
+        wv = self._weights(v - iv)
+        flat = self._padded.ravel()
+        corner = iv * (n + 2) + iu  # padded index of tap (iv - 1, iu - 1)
+        out = np.zeros(corner.shape)
         for j in range(4):
-            rows = np.clip(iv + j - 1, 0, n - 1)
             acc = np.zeros_like(out)
             for i in range(4):
-                cols = np.clip(iu + i - 1, 0, n - 1)
-                acc += wu[i] * c[rows, cols]
+                acc += wu[i] * flat.take(corner + (j * (n + 2) + i))
             out += wv[j] * acc
         return out
 
@@ -207,6 +200,8 @@ class HeightfieldSurface:
 # textures
 
 
+# Not bilinear_sample: this sums (v00*g + v01*f)*g + ..., another rounding
+# order, and every texture (so every rendered byte) depends on it.
 def _upsample_bilinear(grid: np.ndarray, size: int) -> np.ndarray:
     n = grid.shape[0] - 1
     c = np.arange(size) * (n / size)
@@ -240,21 +235,6 @@ def make_texture(rng: np.random.Generator, size: int = 256,
     return 0.02 + 0.96 * (acc - lo) / (hi - lo)
 
 
-def _bilinear_wrap(tex: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample tex[y, x] with bilinear kernel, tiling the texture as a torus."""
-    n = tex.shape[0]
-    x = np.mod(x, n)
-    y = np.mod(y, n)
-    x0 = np.floor(x).astype(np.intp) % n
-    y0 = np.floor(y).astype(np.intp) % n
-    x1 = (x0 + 1) % n
-    y1 = (y0 + 1) % n
-    fx = x - np.floor(x)
-    fy = y - np.floor(y)
-    return (tex[y0, x0] * (1 - fx) * (1 - fy) + tex[y0, x1] * fx * (1 - fy)
-            + tex[y1, x0] * (1 - fx) * fy + tex[y1, x1] * fx * fy)
-
-
 # ---------------------------------------------------------------------------
 # scene assembly and rendering
 
@@ -272,6 +252,10 @@ class SceneModel:
     texels_per_meter: float
     placement: Pose
 
+    def __post_init__(self):
+        # one wrapped column and row, so a lookup at [n - 1, n] tiles the torus
+        self._wrapped = np.pad(self.texture, (0, 1), mode="wrap")
+
     def local_rays(self, camera: PinholeCamera, pose: Pose):
         """Per-pixel ray origin (one point) and unit directions, local frame."""
         dirs_cam = camera.ray_directions(camera.pixel_grid())
@@ -283,9 +267,12 @@ class SceneModel:
         return origin_local, dirs_local
 
     def albedo(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Surface intensity at local coordinates (x, y)."""
-        return _bilinear_wrap(self.texture, x * self.texels_per_meter,
-                              y * self.texels_per_meter)
+        """Surface intensity at local coordinates (x, y), tiling the texture
+        as a torus."""
+        n = self.texture.shape[0]
+        xy = np.stack([np.mod(x * self.texels_per_meter, n),
+                       np.mod(y * self.texels_per_meter, n)], axis=-1)
+        return bilinear_sample(self._wrapped, xy, clamp=False)
 
 
 @dataclass
@@ -357,6 +344,7 @@ class Correspondence:
     depth_target: float = np.nan
 
 
+# Not bilinear_sample: a reliability test over the corners of nonzero weight.
 def _interp_depth(depth: np.ndarray, x: float, y: float,
                   max_rel_spread: float = OCCLUSION_REL_TOL):
     """Bilinear ray depth, or None where no reliable value exists.

@@ -19,7 +19,8 @@ from .geometry import PinholeCamera, axis_angle_rotation, rot_z
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                   _normalized_rows, normalize_density, patch_densities,
                   sample_descriptor)
-from .image import GrayImage, bilinear_sample, level_to_base, base_to_level
+from .image import (GrayImage, _central_differences, base_to_level,
+                    bilinear_sample, level_to_base)
 
 __all__ = [
     "ReprojectionOutOfBounds",
@@ -127,16 +128,12 @@ class LocalSurface:
 
 
 def _lattice_normals(points: np.ndarray) -> np.ndarray:
-    """Per-lattice-point surface normals, oriented toward the camera."""
-    du = np.empty_like(points)
-    dv = np.empty_like(points)
-    du[:, 1:-1] = points[:, 2:] - points[:, :-2]
-    du[:, 0] = points[:, 1] - points[:, 0]
-    du[:, -1] = points[:, -1] - points[:, -2]
-    dv[1:-1, :] = points[2:, :] - points[:-2, :]
-    dv[0, :] = points[1, :] - points[0, :]
-    dv[-1, :] = points[-1, :] - points[-2, :]
-    n = np.cross(du, dv)
+    """Per-lattice-point surface normals, oriented toward the camera.
+
+    The interior factor 0.5 of the central differences scales the cross
+    product and its norm by a power of two, which the division cancels."""
+    du, dv = _central_differences(np.ascontiguousarray(np.moveaxis(points, -1, 0)))
+    n = np.cross(du, dv, axisa=0, axisb=0)
     norms = np.linalg.norm(n, axis=-1, keepdims=True)
     n = n / np.where(norms < 1e-300, 1.0, norms)
     flip = n[..., 2] > 0.0  # camera looks along +z; facing normals have z < 0
@@ -151,14 +148,13 @@ def view_visible(surface: LocalSurface, rotation: np.ndarray,
 
 
 def synthesize_patch(surface: LocalSurface, level_image: GrayImage,
-                     rotation: np.ndarray,
-                     bounds_margin: float = BOUNDS_MARGIN) -> np.ndarray:
+                     rotation: np.ndarray) -> np.ndarray:
     """Appearance of the surface rotated about its anchor, on the patch lattice.
 
     Each lattice point's 3-D surface point is rotated about the anchor,
     reprojected, and the source level image is sampled there bilinearly
     (borders clamped). Raises :class:`ReprojectionOutOfBounds` if any sample
-    would land further outside the image than ``bounds_margin`` times its
+    would land further outside the image than ``BOUNDS_MARGIN`` times its
     smaller side, or behind the camera.
     """
     rotated = (surface.points - surface.anchor) @ rotation.T + surface.anchor
@@ -168,7 +164,7 @@ def synthesize_patch(surface: LocalSurface, level_image: GrayImage,
     uv = base_to_level(uv_base, surface.level).reshape(surface.points.shape[:2] + (2,))
 
     h, w = level_image.shape
-    slack = bounds_margin * min(h, w)
+    slack = BOUNDS_MARGIN * min(h, w)
     if (uv[..., 0].min() < -slack or uv[..., 0].max() > w - 1 + slack
             or uv[..., 1].min() < -slack or uv[..., 1].max() > h - 1 + slack):
         raise ReprojectionOutOfBounds("synthesized view samples outside the image")

@@ -233,3 +233,65 @@ class TestBenchAndReport:
         assert "spearman" in text
         for method in ("sv", "mv", "keepall", "rhog"):
             assert method in text
+
+
+class TestInputErrors:
+    """A bad input file or option prints the error and exits 1, with no
+    traceback and no output file."""
+
+    def test_report_on_a_missing_bench_dir(self, tmp_path, capsys):
+        missing = tmp_path / "nothing"
+        assert main(["report", "--bench-dir", str(missing)]) == 1
+        assert str(missing / "report.json") in capsys.readouterr().err
+
+    def test_track_on_a_malformed_manifest(self, tmp_path, capsys):
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "manifest.json").write_text('{"format_version": 1}')
+        rc = main(["track", "--dataset", str(tmp_path / "ds"),
+                   "--out", str(tmp_path / "tracks")])
+        assert rc == 1
+        assert "manifest.json: spec: missing" in capsys.readouterr().err
+        assert not (tmp_path / "tracks").exists()
+
+    def test_describe_on_malformed_tracks(self, tmp_path, capsys):
+        (tmp_path / "tracks").mkdir()
+        (tmp_path / "tracks" / "tracks.json").write_text("[]")
+        rc = main(["describe", "--tracks", str(tmp_path / "tracks"),
+                   "--out", str(tmp_path / "db")])
+        assert rc == 1
+        assert "tracks.json: not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
+
+    def test_rhog_on_a_missing_dataset(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "nothing"
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(tmp_path / "db"), "--method", "rhog",
+                   "--dataset", str(missing)])
+        assert rc == 1
+        assert str(missing / "manifest.json") in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_frames": 6', "Expecting"),
+        ('[["n_frames", 6]]', "expected a JSON object, got list"),
+    ], ids=["unparsable", "list"])
+    def test_generate_with_a_bad_spec(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        rc = main(["generate", "--out", str(tmp_path / "ds"),
+                   "--spec", str(spec)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{spec}: " in err and message in err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("frame", ["-1", "-100"])
+    def test_describe_with_a_negative_frame(self, workspace, tmp_path, capsys,
+                                            frame):
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(tmp_path / "db"), "--method", "sv",
+                   "--frame", frame])
+        assert rc == 1
+        assert f"--frame must be at least 0, got {frame}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()

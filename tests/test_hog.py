@@ -71,11 +71,6 @@ class TestParams:
         with pytest.raises(ValueError):
             DescriptorParams(patch_size=8, kernel="boxcar")
 
-    def test_config_roundtrip(self):
-        p = DescriptorParams(patch_size=11, bins=8, cells=2, eps=0.5,
-                             sigma=1.25, kernel="wrapped-gaussian")
-        assert DescriptorParams.from_config(p.to_config()) == p
-
 
 class TestDensity:
     def test_matches_triple_loop(self):
@@ -294,8 +289,7 @@ class TestDescriptorVector:
         grid = rng.random((2, 2, 4))
         vec = sample_descriptor(OrientationDensity(grid, params), "sv")
         np.testing.assert_array_equal(vec.values, grid.reshape(-1))
-        np.testing.assert_array_equal(vec.cell_view()[1], grid[0, 1])
-        assert vec.bins == 4 and vec.n_cells == 4
+        assert vec.bins == 4
 
     def test_length_validated(self):
         params = DescriptorParams(patch_size=8, bins=4, cells=2)

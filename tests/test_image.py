@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.image import (TWO_PI, AffineContrast, GammaContrast, GradientField,
-                          GrayImage,
-                          TableContrast, angular_kernel, apply_contrast,
-                          base_to_level, bilinear_sample, build_pyramid,
-                          circular_distance, compute_gradient,
-                          contrast_from_config, level_to_base, read_pgm,
+from mvdesc.image import (TWO_PI, AffineContrast, GradientField, GrayImage,
+                          angular_kernel, apply_contrast, base_to_level,
+                          bilinear_sample, build_pyramid, circular_distance,
+                          compute_gradient, level_to_base, read_pgm,
                           write_pgm)
 
 
@@ -187,33 +185,10 @@ class TestContrast:
         with pytest.raises(ValueError):
             AffineContrast(-1.0)
 
-    def test_gamma_monotone(self):
-        t = GammaContrast(0.6)
-        v = np.linspace(0.0, 1.0, 11)
-        out = t.apply(v)
-        assert np.all(np.diff(out) > 0.0)
-        assert out[0] == 0.0 and out[-1] == pytest.approx(1.0)
-
-    def test_table_interpolates_and_validates(self):
-        t = TableContrast([0.0, 0.8, 1.0])
-        assert t.apply(np.array([0.25]))[0] == pytest.approx(0.4)
-        with pytest.raises(ValueError):
-            TableContrast([0.0, 0.5, 0.4])  # not increasing
-
     def test_apply_contrast_tracks_range_flag(self):
         img = GrayImage(np.linspace(0.0, 1.0, 16).reshape(4, 4))
         stretched = apply_contrast(img, AffineContrast(3.0))
         assert float(stretched.data.max()) > 1.0  # allowed, flag relaxed
-        tabled = apply_contrast(img, TableContrast([0.0, 1.0]))
-        assert float(tabled.data.max()) <= 1.0
-
-    def test_config_roundtrip(self):
-        for t in (AffineContrast(1.5, -0.2), GammaContrast(2.2),
-                  TableContrast([0.0, 0.3, 1.0])):
-            again = contrast_from_config(t.to_config())
-            v = np.linspace(0.0, 1.0, 7)
-            np.testing.assert_allclose(again.apply(v), t.apply(v), atol=1e-12)
-        assert contrast_from_config(None) is None
 
 
 class TestBilinear:

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvdesc.scene as scene
 from mvdesc.geometry import PinholeCamera, Pose, look_at
 from mvdesc.scene import (HeightfieldSurface, OCCLUDED, OUT_OF_VIEW,
-                          PlaneSurface, RenderError, UNDEFINED, VISIBLE,
-                          build_scene, default_scene_spec, generate_dataset,
-                          ground_truth_correspondence, load_dataset,
-                          make_texture, orbit_poses, read_depth, render_view,
-                          write_depth)
+                          PlaneSurface, RenderError, SceneModel, UNDEFINED,
+                          VISIBLE, build_scene, default_scene_spec,
+                          generate_dataset, ground_truth_correspondence,
+                          load_dataset, make_texture, orbit_poses, read_depth,
+                          render_view, write_depth)
 
 from conftest import small_spec
 
@@ -38,6 +40,126 @@ class TestTexture:
         a = make_texture(np.random.default_rng(5), 64, 3)
         c = make_texture(np.random.default_rng(6), 64, 3)
         assert not np.array_equal(a, c)
+
+
+def bilinear_wrap(tex, x, y):
+    """Oracle: the texture lookup on the unpadded torus, wrapping every
+    index modulo the texture side."""
+    n = tex.shape[0]
+    x = np.mod(x, n)
+    y = np.mod(y, n)
+    x0 = np.floor(x).astype(np.intp) % n
+    y0 = np.floor(y).astype(np.intp) % n
+    x1 = (x0 + 1) % n
+    y1 = (y0 + 1) % n
+    fx = x - np.floor(x)
+    fy = y - np.floor(y)
+    return (tex[y0, x0] * (1 - fx) * (1 - fy) + tex[y0, x1] * fx * (1 - fy)
+            + tex[y1, x0] * (1 - fx) * fy + tex[y1, x1] * fx * fy)
+
+
+def clipped_height(surf, x, y):
+    """Oracle: the heightfield from 16 clipped index pairs, with the
+    fractional position forced to 0 or 1 outside the lattice."""
+    c = surf.coefficients
+    n = c.shape[0]
+    u = (np.asarray(x, dtype=np.float64) - surf.x0) / surf.spacing
+    v = (np.asarray(y, dtype=np.float64) - surf.x0) / surf.spacing
+    iu = np.floor(u).astype(np.intp)
+    iv = np.floor(v).astype(np.intp)
+    fu = u - iu
+    fv = v - iv
+    fu = np.where(iu < 0, 0.0, np.where(iu > n - 2, 1.0, fu))
+    fv = np.where(iv < 0, 0.0, np.where(iv > n - 2, 1.0, fv))
+    iu = np.clip(iu, 0, n - 2)
+    iv = np.clip(iv, 0, n - 2)
+    wu = surf._weights(fu)
+    wv = surf._weights(fv)
+    out = np.zeros(np.broadcast(u, v).shape)
+    for j in range(4):
+        rows = np.clip(iv + j - 1, 0, n - 1)
+        acc = np.zeros_like(out)
+        for i in range(4):
+            cols = np.clip(iu + i - 1, 0, n - 1)
+            acc += wu[i] * c[rows, cols]
+        out += wv[j] * acc
+    return out
+
+
+@st.composite
+def texture_lookups(draw):
+    """A random square texture, a texel scale, and local (x, y) positions:
+    ones that np.mod rounds up to the side n, +-1e6, signed zeros, whole
+    and wrapped texel positions, and arbitrary floats."""
+    n = draw(st.integers(2, 16))
+    tex = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((n, n))
+    tpm = draw(st.sampled_from([1.0, 0.5, 96.0]))
+    special = st.sampled_from([0.0, -0.0, -1e-17, -1e-300, -5e-324, 1e6, -1e6,
+                               (n - 1) / tpm, n / tpm, -n / tpm, 2 * n / tpm])
+    coord = st.one_of(special, st.floats(-3.0 * n, 3.0 * n),
+                      st.floats(-1e6, 1e6))
+    xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1,
+                                max_size=24)))
+    return SceneModel(PlaneSurface(), tex, tpm, Pose.identity()), xy
+
+
+@st.composite
+def heightfield_queries(draw):
+    """A random lattice and world positions: beyond each side, on the last
+    lattice line n - 1, on other lattice lines, signed zeros, +-1e6, and
+    arbitrary floats."""
+    n = draw(st.integers(6, 14))
+    spacing = draw(st.sampled_from([0.25, 0.5, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    surf = HeightfieldSurface(rng.uniform(-0.3, 0.3, (n, n)), (n - 1) * spacing)
+    lattice = st.one_of(
+        st.sampled_from([0.0, n - 1.0, n - 2.0, -1.0, float(n), n - 1.5]),
+        st.integers(-3, n + 2).map(float), st.floats(-3.0, n + 2.0))
+    world = st.one_of(lattice.map(lambda u: surf.x0 + u * surf.spacing),
+                      st.sampled_from([0.0, -0.0, 1e6, -1e6]),
+                      st.floats(-1e6, 1e6))
+    xy = np.array(draw(st.lists(st.tuples(world, world), min_size=1,
+                                max_size=24)))
+    return surf, xy
+
+
+class TestKernelOracles:
+    """Texture lookup and heightfield evaluation equal their pre-gather
+    forms byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(texture_lookups())
+    def test_texture_lookup_equals_wrap_oracle(self, case):
+        model, xy = case
+        x, y = xy[:, 0], xy[:, 1]
+        want = bilinear_wrap(model.texture, x * model.texels_per_meter,
+                             y * model.texels_per_meter)
+        assert model.albedo(x, y).tobytes() == want.tobytes()
+
+    def test_coordinate_rounded_up_to_the_side_reads_column_zero(self):
+        tex = np.random.default_rng(70).random((8, 8))
+        model = SceneModel(PlaneSurface(), tex, 1.0, Pose.identity())
+        assert np.mod(-1e-17, 8) == 8.0  # the case the padded column serves
+        x = np.array([-1e-17, 0.0, 3.25])
+        y = np.array([2.5, -1e-17, -1e-17])
+        assert model.albedo(x, y).tobytes() == bilinear_wrap(tex, x, y).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(heightfield_queries())
+    def test_height_equals_clipped_gather_oracle(self, case):
+        surf, xy = case
+        x, y = xy[:, 0], xy[:, 1]
+        want = clipped_height(surf, x, y)
+        assert surf.height(x, y).tobytes() == want.tobytes()
+
+    def test_height_at_the_last_lattice_line_and_beyond(self):
+        rng = np.random.default_rng(71)
+        surf = HeightfieldSurface(rng.uniform(-0.3, 0.3, (9, 9)), 2.0)
+        u = np.array([8.0, 8.5, 9.0, -0.5, -1.0, 0.0, 7.0, 7.75])
+        x = surf.x0 + u * surf.spacing
+        assert np.all((x - surf.x0) / surf.spacing == u)  # exact lattice units
+        xs, ys = np.meshgrid(x, x)
+        assert surf.height(xs, ys).tobytes() == clipped_height(surf, xs, ys).tobytes()
 
 
 class TestPlaneSurface:

@@ -13,9 +13,10 @@ from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
 from mvdesc.image import GrayImage, bilinear_sample, level_to_base
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
-                              aggregate_descriptor, patch_density, sample_rotations, select_keyframes,
-                              synthesize_patch, synthesize_views,
-                              view_descriptors, view_visible)
+                              _lattice_normals, aggregate_descriptor,
+                              patch_density, sample_rotations,
+                              select_keyframes, synthesize_patch,
+                              synthesize_views, view_descriptors, view_visible)
 
 
 def overhead_camera():
@@ -103,6 +104,53 @@ class TestLocalSurface:
         want = z * cam.ray_directions(base)
         np.testing.assert_allclose(surf.points[2, 2], want, atol=1e-12)
         assert surf.level == 1
+
+
+def explicit_difference_normals(points):
+    """Oracle: lattice normals from undivided neighbour differences."""
+    du = np.empty_like(points)
+    dv = np.empty_like(points)
+    du[:, 1:-1] = points[:, 2:] - points[:, :-2]
+    du[:, 0] = points[:, 1] - points[:, 0]
+    du[:, -1] = points[:, -1] - points[:, -2]
+    dv[1:-1, :] = points[2:, :] - points[:-2, :]
+    dv[0, :] = points[1, :] - points[0, :]
+    dv[-1, :] = points[-1, :] - points[-2, :]
+    n = np.cross(du, dv)
+    norms = np.linalg.norm(n, axis=-1, keepdims=True)
+    n = n / np.where(norms < 1e-300, 1.0, norms)
+    n[n[..., 2] > 0.0] *= -1.0
+    return n
+
+
+@st.composite
+def lattices(draw):
+    """(p, p, 3) lattices with p from 3 to 21 and point magnitudes from 1e-6
+    to 1e3: noisy tilted planes, pure noise, and constant lattices."""
+    p = draw(st.sampled_from([3, 4, 11, 21]))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["tilted", "noise", "constant"]))
+    if kind == "constant":
+        return np.broadcast_to(rng.standard_normal(3) * scale, (p, p, 3)).copy()
+    if kind == "noise":
+        return rng.standard_normal((p, p, 3)) * scale
+    gx, gy = np.meshgrid(np.arange(p) - p // 2, np.arange(p) - p // 2)
+    pts = np.stack([gx, gy, rng.uniform(-1.0, 1.0) * gx + 4.0 * p], axis=-1)
+    return (pts + 0.1 * rng.standard_normal(pts.shape)) * (scale / (4.0 * p))
+
+
+class TestLatticeNormals:
+    @settings(max_examples=300, deadline=None)
+    @given(lattices())
+    def test_equal_the_explicit_difference_oracle(self, points):
+        want = explicit_difference_normals(points)
+        assert _lattice_normals(points).tobytes() == want.tobytes()
+
+    def test_constant_lattice_has_zero_normals(self):
+        points = np.full((5, 5, 3), 2.0)
+        got = _lattice_normals(points)
+        assert got.tobytes() == np.zeros((5, 5, 3)).tobytes()
 
 
 class TestSynthesis:
