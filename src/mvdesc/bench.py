@@ -148,36 +148,33 @@ def spearman(x, y) -> float:
 # database builders: one per method, shared by the benchmark and the CLI
 
 
-def sv(track_ids, densities, params: DescriptorParams,
+def sv(track_ids, grids, params: DescriptorParams,
        metric: str = "l2") -> DescriptorDatabase:
-    """One row per track from one unnormalized density each (the caller
-    picks the frame)."""
+    """One row per track from an (n, cells, cells, bins) stack of
+    unnormalized densities, one per track (the caller picks the frame)."""
     db = DescriptorDatabase("sv", params, metric)
-    db.extend(track_ids, _normalized_rows([d.grid for d in densities], params))
+    db.extend(track_ids, _normalized_rows(grids, params))
     return db
 
 
-def mv(track_ids, track_densities, params: DescriptorParams,
+def mv(track_ids, track_grids, params: DescriptorParams,
        metric: str = "l2") -> DescriptorDatabase:
-    """One row per track: the normalized average of its frames' densities."""
-    means = []
-    for dens in track_densities:
-        acc = MultiViewAccumulator(params)
-        for d in dens:
-            acc.update(d)
-        means.append(acc.mean_density().grid)
+    """One row per track: the normalized mean of its (frames, cells, cells,
+    bins) density stack. ``mean(axis=0)`` adds the frames in order and then
+    divides by their count, as :class:`MultiViewAccumulator` does."""
     db = DescriptorDatabase("mv", params, metric)
-    db.extend(track_ids, _normalized_rows(means, params))
+    db.extend(track_ids, _normalized_rows(
+        [np.mean(grids, axis=0) for grids in track_grids], params))
     return db
 
 
-def keepall(track_ids, track_densities, params: DescriptorParams,
+def keepall(track_ids, track_grids, params: DescriptorParams,
             metric: str = "l2") -> DescriptorDatabase:
-    """One row per frame of every track, grouped by frame index."""
+    """One row per frame of every track's (frames, cells, cells, bins)
+    density stack, grouped by frame index."""
     db = DescriptorDatabase("keepall", params, metric)
-    for tid, dens in zip(track_ids, track_densities):
-        db.extend(tid, _normalized_rows([d.grid for d in dens], params),
-                  np.arange(len(dens)))
+    for tid, grids in zip(track_ids, track_grids):
+        db.extend(tid, _normalized_rows(grids, params), np.arange(len(grids)))
     return db
 
 
@@ -204,53 +201,55 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
     return db
 
 
-def lift_keyframes(dataset, track, keyframes, patch_size: int) -> list:
-    """``(frame index, LocalSurface)`` for each keyframe whose depth lifts."""
-    surfaces = []
+def lift_keyframes(dataset, pyramids, track, keyframes,
+                   patch_size: int) -> list:
+    """``(LocalSurface, level image)`` of each keyframe whose depth lifts: the
+    pairs :func:`rhog` takes for one track."""
+    views = []
     for k in keyframes:
         try:
-            surfaces.append((int(k), LocalSurface.from_frame(
+            surface = LocalSurface.from_frame(
                 dataset.frames[k].depth, dataset.camera, track.positions[k],
-                patch_size, track.level)))
+                patch_size, track.level)
         except ValueError:
             continue
-    return surfaces
+        views.append((surface, pyramids[k].level(track.level)))
+    return views
 
 
 # ---------------------------------------------------------------------------
 # storage and update-cost studies
 
 
-def memory_scaling(track_densities: list, params: DescriptorParams,
+def memory_scaling(track_grids: np.ndarray, params: DescriptorParams,
                    lengths) -> dict:
     """Stored bytes versus track length for the running-average and keep-all
     strategies, with fitted slopes (bytes per extra frame).
 
-    ``track_densities`` holds one list of per-frame unnormalized densities
-    per track; databases are actually built for each prefix length, and their
-    real storage cost is measured.
+    ``track_grids`` is a (tracks, frames, cells, cells, bins) density stack;
+    databases are actually built for each prefix length, and their real
+    storage cost is measured. Bytes are whole, so the ratio divides by at
+    least one byte per frame: an ``mv`` slope below that is fitting noise.
     """
     lengths = [int(t) for t in lengths]
-    for tid, dens in enumerate(track_densities):
-        if len(dens) < max(lengths):
-            raise ValueError(f"track {tid} has fewer than {max(lengths)} frames")
-    ids = range(len(track_densities))
+    if track_grids.shape[1] < max(lengths):
+        raise ValueError(f"tracks have fewer than {max(lengths)} frames")
+    ids = range(len(track_grids))
     mv_bytes, keep_bytes = [], []
     for t in lengths:
-        prefixes = [dens[:t] for dens in track_densities]
+        prefixes = track_grids[:, :t]
         mv_bytes.append(mv(ids, prefixes, params).memory_bytes)
         keep_bytes.append(keepall(ids, prefixes, params).memory_bytes)
 
     mv_slope = float(np.polyfit(lengths, mv_bytes, 1)[0])
     keep_slope = float(np.polyfit(lengths, keep_bytes, 1)[0])
-    ratio = math.inf if abs(mv_slope) < 1e-9 else keep_slope / abs(mv_slope)
     return {
         "lengths": lengths,
         "mv_bytes": mv_bytes,
         "keepall_bytes": keep_bytes,
         "mv_slope": mv_slope,
         "keepall_slope": keep_slope,
-        "slope_ratio": ratio,
+        "slope_ratio": keep_slope / max(abs(mv_slope), 1.0),
     }
 
 
@@ -259,7 +258,7 @@ def memory_scaling(track_densities: list, params: DescriptorParams,
 _UPDATES_PER_PROBE = 64
 
 
-def update_cost_profile(densities: list, params: DescriptorParams,
+def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
                         lengths, reps: int = 200) -> dict:
     """Wall-clock cost of folding in one more frame, at several track lengths.
 
@@ -271,15 +270,17 @@ def update_cost_profile(densities: list, params: DescriptorParams,
     length look fast. The rounds interleave the lengths so a transient load
     spike inflates all of them alike instead of biasing one; flatness is a
     ratio across lengths, so correlated noise cancels. For a constant-time
-    update the profile is flat.
+    update the profile is flat. ``grids`` is one track's (frames, cells,
+    cells, bins) density stack; lengths past its frames cycle through it,
+    and the probe is its last frame.
     """
     lengths = [int(t) for t in lengths]
-    probe = densities[-1]
+    probe = OrientationDensity(grids[-1], params)
     accs = []
     for t in lengths:
         acc = MultiViewAccumulator(params)
         for i in range(t):
-            acc.update(densities[i % len(densities)])
+            acc.update(OrientationDensity(grids[i % len(grids)], params))
         accs.append(acc)
 
     saved = [acc.density_sum.copy() for acc in accs]
@@ -307,9 +308,11 @@ def update_cost_profile(densities: list, params: DescriptorParams,
 # per-scene pipeline
 
 
-# Query patches per patch_densities call: the size of the default grid of
-# synthesized views, so the query set is never passed whole.
-_QUERY_CHUNK = 80
+def _has_support(image, xy, patch_size: int) -> bool:
+    """Whether the patch at ``xy`` fits in ``image`` with a pixel to spare."""
+    half = (patch_size - 1) / 2.0
+    h, w = image.shape
+    return half + 1 <= xy[0] <= w - 2 - half and half + 1 <= xy[1] <= h - 2 - half
 
 
 class _SceneRun:
@@ -320,7 +323,6 @@ class _SceneRun:
         self.dataset = generate_dataset(spec, out_dir)
         self.name = self.dataset.name
         tcfg = TrackerConfig(**cfg["tracker"])
-        self.tracker_cfg = tcfg
         self.n_frames = len(self.dataset.frames)
 
         images = [v.image for v in self.dataset.frames]
@@ -348,81 +350,68 @@ class _SceneRun:
 
         Drops tracks that cannot supply every ingredient (full patch support
         in every frame at their level, and a liftable surface in at least one
-        keyframe), so every method sees the same track set.
+        keyframe), so every method sees the same track set. ``"patches"`` is
+        one (tracks, frames, p, p) stack and ``"densities"`` its (tracks,
+        frames, cells, cells, bins) stack of unnormalized densities.
         """
         cfg = self.cfg
         params = DescriptorParams(patch_size)
         rot = sample_rotations(cfg["rhog"]["n_azimuth"], cfg["rhog"]["n_inplane"],
                                cfg["rhog"]["tilt"], cfg["rhog"]["inplane_halfwidth"])
         keyframes = select_keyframes(self.n_frames, cfg["rhog"]["keyframes"])
-        half = (patch_size - 1) / 2.0
+        p = patch_size
 
-        usable = []
+        tracks, views = [], []
         for tr in self.tracks:
-            if len(usable) >= cfg["max_tracks"]:
+            if len(tracks) >= cfg["max_tracks"]:
                 break
-            ok = True
-            for f, pos in enumerate(tr.positions):
-                h, w = self.frame_pyrs[f].level(tr.level).shape
-                if not (half + 1 <= pos[0] <= w - 2 - half
-                        and half + 1 <= pos[1] <= h - 2 - half):
-                    ok = False
-                    break
-            if not ok:
+            if not all(_has_support(self.frame_pyrs[f].level(tr.level), pos, p)
+                       for f, pos in enumerate(tr.positions)):
                 continue
-            surfaces = lift_keyframes(self.dataset, tr, keyframes, patch_size)
-            if not surfaces:
+            lifted = lift_keyframes(self.dataset, self.frame_pyrs, tr,
+                                    keyframes, p)
+            if not lifted:
                 continue
-            usable.append((tr, surfaces))
+            tracks.append(tr)
+            views.append(lifted)
 
-        track_densities = []
-        track_patches = []
-        for tr, _ in usable:
-            pats = np.array([quantized_patch(self.frame_pyrs[f].level(tr.level),
-                                             pos, patch_size)
-                             for f, pos in enumerate(tr.positions)])
-            track_densities.append([OrientationDensity(g, params)
-                                    for g in patch_densities(pats, params)])
-            track_patches.append(pats)
-
+        patches = np.reshape(
+            [quantized_patch(self.frame_pyrs[f].level(tr.level), pos, p)
+             for tr in tracks for f, pos in enumerate(tr.positions)],
+            (len(tracks), self.n_frames, p, p))
+        grids = patch_densities(patches.reshape(-1, p, p), params)
         return {
             "params": params,
-            "track_ids": [tr.id for tr, _ in usable],
-            "views": [[(surf, self.frame_pyrs[k].level(tr.level))
-                       for k, surf in surfaces] for tr, surfaces in usable],
-            "densities": track_densities,
-            "patches": track_patches,
+            "track_ids": [tr.id for tr in tracks],
+            "views": views,
+            "densities": grids.reshape(len(tracks), self.n_frames,
+                                       *grids.shape[1:]),
+            "patches": patches,
             "rotations": rot,
-            "queries": self._build_queries(usable, params),
+            "queries": self._build_queries(tracks, params),
         }
 
-    def _build_queries(self, usable, params: DescriptorParams):
+    def _build_queries(self, tracks, params: DescriptorParams):
         """Descriptors at ground-truth positions in the test views.
 
         The same query set serves every method, so rate differences come
         only from what each database stores.
         """
-        half = (params.patch_size - 1) / 2.0
-        ids, views, patches = [], [], []
-        for tr, _ in usable:
+        p = params.patch_size
+        ids, patches = [], []
+        for tr in tracks:
             for vi, corr in enumerate(self.corrs[tr.id]):
                 if corr.status != VISIBLE:
                     continue
                 lvl_img = self.test_pyrs[vi].level(tr.level)
-                h, w = lvl_img.shape
                 xy = base_to_level(corr.xy, tr.level)
-                if not (half + 1 <= xy[0] <= w - 2 - half
-                        and half + 1 <= xy[1] <= h - 2 - half):
+                if not _has_support(lvl_img, xy, p):
                     continue
-                patches.append(quantized_patch(lvl_img, xy, params.patch_size))
+                patches.append(quantized_patch(lvl_img, xy, p))
                 ids.append(tr.id)
-                views.append(vi)
-        grids = [patch_densities(np.array(patches[s:s + _QUERY_CHUNK]), params)
-                 for s in range(0, len(patches), _QUERY_CHUNK)]
+        grids = patch_densities(np.reshape(patches, (-1, p, p)), params)
         return {"track_ids": np.array(ids, dtype=int),
-                "view_idx": np.array(views, dtype=int),
-                "values": _normalized_rows(np.concatenate(grids) if grids
-                                           else [], params)}
+                "values": _normalized_rows(grids, params)}
 
 
 def _rate(db: DescriptorDatabase, queries: dict):
@@ -517,15 +506,13 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 n = min(int(k), run.n_frames)
                 start = int(rng.integers(0, run.n_frames))
                 subset = (start + np.arange(n)) % run.n_frames
-                db = mv(prep["track_ids"],
-                        [[d[f] for f in subset] for d in prep["densities"]],
+                db = mv(prep["track_ids"], prep["densities"][:, subset],
                         prep["params"], cfg["metric"])
                 r, nq = _rate(db, prep["queries"])
                 correct += r * nq
                 total += nq
-                for pats in prep["patches"]:
-                    exc_vals.append(excitation_score(pats[subset],
-                                                     patch_scatter(pats)))
+                exc_vals += [excitation_score(pats[subset], patch_scatter(pats))
+                             for pats in prep["patches"]]
             exc_points.append({
                 "k": int(k),
                 "trial": trial,
@@ -559,11 +546,18 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
         "memory": memory,
     }
 
-    _write_report_csv(out / "report.csv", rows)
+    _write_csv(out / "report.csv",
+               ["scene", "method", "patch_size", "metric", "rate"],
+               [(s, m, p, met, f"{r:.6f}") for (s, m, p, met, r) in rows])
     (out / "report.json").write_text(
         json.dumps(_jsonable(report), sort_keys=True, indent=1) + "\n")
-    _write_excitation_csv(out / "excitation.csv", exc_points)
-    _write_timing_csv(out / "timing.csv", timing, elapsed)
+    _write_csv(out / "excitation.csv", ["k", "trial", "excitation", "rate"],
+               [(p["k"], p["trial"], f"{p['excitation']:.8f}", f"{p['rate']:.6f}")
+                for p in exc_points])
+    _write_csv(out / "timing.csv", ["frames", "update_seconds"],
+               [(t, f"{s:.9f}") for t, s in
+                zip(timing["lengths"], timing["update_seconds"])]
+               + [("total_wall_seconds", f"{elapsed:.3f}")])
     report["timing"] = timing
     report["elapsed_seconds"] = elapsed
     return report
@@ -588,32 +582,11 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     return obj
 
 
-def _write_report_csv(path: Path, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["scene", "method", "patch_size", "metric", "rate"])
-        for scene, method, size, metric, rate in rows:
-            w.writerow([scene, method, size, metric, f"{rate:.6f}"])
-
-
-def _write_excitation_csv(path: Path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "trial", "excitation", "rate"])
-        for p in points:
-            w.writerow([p["k"], p["trial"], f"{p['excitation']:.8f}",
-                        f"{p['rate']:.6f}"])
-
-
-def _write_timing_csv(path: Path, timing: dict, elapsed: float) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frames", "update_seconds"])
-        for t, s in zip(timing["lengths"], timing["update_seconds"]):
-            w.writerow([t, f"{s:.9f}"])
-        w.writerow(["total_wall_seconds", f"{elapsed:.3f}"])
+        w.writerow(header)
+        w.writerows(rows)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import quick_benchmark_config, run_benchmark
-from .hog import DescriptorParams, OrientationDensity, patch_densities
+from .hog import DescriptorParams, patch_densities
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
@@ -67,7 +67,7 @@ def _cmd_describe(args) -> int:
     if not tracks:
         raise ValueError("no tracks with stored patches")
     stored = tracks[0].patches[0].shape[0]
-    patch_size = args.patch_size or stored
+    patch_size = stored if args.patch_size is None else args.patch_size
     params = DescriptorParams(patch_size)
 
     if args.method == "rhog" and not args.dataset:
@@ -81,22 +81,20 @@ def _cmd_describe(args) -> int:
     ids = [tr.id for tr in tracks]
     if args.method == "sv":
         picks = [patch_density(tr.patches[min(args.frame, len(tr.patches) - 1)],
-                               params) for tr in tracks]
+                               params).grid for tr in tracks]
         db = bench.sv(ids, picks, params, args.metric)
     elif args.method == "mv":
-        dens = [[OrientationDensity(g, params)
-                 for g in patch_densities(tr.patches, params)] for tr in tracks]
-        db = bench.mv(ids, dens, params, args.metric)
+        db = bench.mv(ids, [patch_densities(tr.patches, params) for tr in tracks],
+                      params, args.metric)
     else:
         # looked up at call time, so perfbench's mvdesc.image wrapper sees it
         from .image import build_pyramid
         ds = load_dataset(args.dataset)
         levels = int(meta.get("levels", 2))
         pyrs = [build_pyramid(v.image, levels) for v in ds.frames]
-        views = [[(surf, pyrs[k].level(tr.level))
-                  for k, surf in bench.lift_keyframes(
-                      ds, tr, select_keyframes(tr.length, args.keyframes),
-                      patch_size)]
+        views = [bench.lift_keyframes(
+                     ds, pyrs, tr, select_keyframes(tr.length, args.keyframes),
+                     patch_size)
                  for tr in tracks]
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)
@@ -159,7 +157,7 @@ def _cmd_report(args) -> int:
     print(f"\nexcitation vs rate: spearman {exc['spearman']:.3f} "
           f"over {len(exc['points'])} points")
     mem = rep["memory"]
-    print(f"storage slope keepall/mv: {mem['slope_ratio']} "
+    print(f"storage slope keepall/mv: {mem['slope_ratio']:.0f} "
           f"(keepall {mem['keepall_slope']:.0f} B/frame, "
           f"mv {mem['mv_slope']:.1f} B/frame)")
     print("\ntracks used per scene/patch size:")

@@ -186,8 +186,7 @@ def synthesize_views(surface: LocalSurface, level_image: GrayImage,
     if rotations is None:
         rotations = sample_rotations()
     rotations = np.asarray(rotations, dtype=np.float64)
-    idx = np.array([i for i, r in enumerate(rotations)
-                    if view_visible(surface, r, min_facing)], dtype=np.intp)
+    idx = np.flatnonzero(-(rotations @ surface.mean_normal)[:, 2] > min_facing)
     rel = surface.points - surface.anchor
     rotated = np.matmul(rel[None], rotations[idx].transpose(0, 2, 1)[:, None])
     # the anchor tiled over the lattice, so the add runs along whole rows

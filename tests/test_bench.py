@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdesc import bench
 from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
                           memory_scaling, quick_benchmark_config, spearman,
                           update_cost_profile)
-from mvdesc.hog import DescriptorParams, normalize_density, sample_descriptor
+from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
+                        patch_densities, sample_descriptor)
 from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
                               synthesize_views)
@@ -42,15 +45,29 @@ class TestSpearman:
 
 
 def synthetic_tracks(params, n_tracks, n_frames, seed):
+    """A (tracks, frames, cells, cells, bins) stack of densities of random
+    patches."""
     rng = np.random.default_rng(seed)
-    return [[patch_density(rng.random((params.patch_size,) * 2), params)
-             for _ in range(n_frames)]
-            for _ in range(n_tracks)]
+    grids = patch_densities(rng.random((n_tracks * n_frames,)
+                                       + (params.patch_size,) * 2), params)
+    return grids.reshape((n_tracks, n_frames) + grids.shape[1:])
 
 
-def per_row(density, method):
+def per_row(grid, params, method):
     """The per-density descriptor path the builders batch."""
-    return sample_descriptor(normalize_density(density), method).values
+    return sample_descriptor(normalize_density(OrientationDensity(grid, params)),
+                             method).values
+
+
+def accumulated(track_grids, params):
+    """The ``MultiViewAccumulator`` fold the mv builder batches, per track."""
+    rows = []
+    for grids in track_grids:
+        acc = MultiViewAccumulator(params)
+        for g in grids:
+            acc.update(OrientationDensity(g, params))
+        rows.append(sample_descriptor(acc.finalize(), "mv").values)
+    return rows
 
 
 class TestBuildersEqualThePerRowPath:
@@ -64,7 +81,7 @@ class TestBuildersEqualThePerRowPath:
     def tracks(self):
         tracks = synthetic_tracks(self.params, 4, 5, seed=113)
         # a flat frame: every cell has zero mass and becomes uniform
-        tracks[1][2] = patch_density(np.full((9, 9), 0.5), self.params)
+        tracks[1, 2] = patch_density(np.full((9, 9), 0.5), self.params).grid
         return tracks
 
     @staticmethod
@@ -76,30 +93,49 @@ class TestBuildersEqualThePerRowPath:
         assert db.groups.tolist() == groups
 
     def test_sv(self):
-        picks = [t[i] for i, t in enumerate(self.tracks())]
+        picks = self.tracks()[np.arange(4), np.arange(4)]
         db = bench.sv(self.ids, picks, self.params, "chi2")
         assert db.metric == "chi2"
-        self.assert_rows(db, "sv", [per_row(d, "sv") for d in picks],
+        self.assert_rows(db, "sv", [per_row(g, self.params, "sv") for g in picks],
                          self.ids, [0] * 4)
 
     def test_mv(self):
         tracks = self.tracks()
-        want = []
-        for dens in tracks:
-            acc = MultiViewAccumulator(self.params)
-            for d in dens:
-                acc.update(d)
-            want.append(sample_descriptor(acc.finalize(), "mv").values)
-        self.assert_rows(bench.mv(self.ids, tracks, self.params), "mv", want,
-                         self.ids, [0] * 4)
+        self.assert_rows(bench.mv(self.ids, tracks, self.params), "mv",
+                         accumulated(tracks, self.params), self.ids, [0] * 4)
 
     def test_keepall(self):
         tracks = self.tracks()
         self.assert_rows(bench.keepall(self.ids, tracks, self.params),
                          "keepall",
-                         [per_row(d, "keepall") for dens in tracks for d in dens],
+                         [per_row(g, self.params, "keepall")
+                          for grids in tracks for g in grids],
                          [t for t in self.ids for _ in range(5)],
                          list(range(5)) * 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
+           scale=st.sampled_from([1e-13, 1.0, 1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_stacks_of_unequal_lengths(self, lengths, scale, seed):
+        """Per-track stacks of any length, magnitude and zero-mass cells."""
+        rng = np.random.default_rng(seed)
+        shape = (self.params.cells, self.params.cells, self.params.bins)
+        tracks = [scale * rng.random((n,) + shape)
+                  * (rng.random((n,) + shape[:2] + (1,)) < 0.8)
+                  for n in lengths]
+        ids = list(range(len(tracks)))
+        self.assert_rows(bench.mv(ids, tracks, self.params), "mv",
+                         accumulated(tracks, self.params), ids, [0] * len(ids))
+        self.assert_rows(bench.keepall(ids, tracks, self.params), "keepall",
+                         [per_row(g, self.params, "keepall")
+                          for grids in tracks for g in grids],
+                         [t for t, n in zip(ids, lengths) for _ in range(n)],
+                         [f for n in lengths for f in range(n)])
+        picks = np.array([grids[-1] for grids in tracks])
+        self.assert_rows(bench.sv(ids, picks, self.params), "sv",
+                         [per_row(g, self.params, "sv") for g in picks],
+                         ids, [0] * len(ids))
 
     def test_rhog(self, plane_ds):
         frame = plane_ds.frames[0]
@@ -113,7 +149,8 @@ class TestBuildersEqualThePerRowPath:
         for tid, track in zip([4, 9], views):
             for surf, image in track:
                 for patch in synthesize_views(surf, image, rotations)[0]:
-                    rows.append(per_row(patch_density(patch, params), "rhog"))
+                    rows.append(per_row(patch_density(patch, params).grid,
+                                        params, "rhog"))
                     ids.append(tid)
             groups += list(range(ids.count(tid)))
         db = bench.rhog([4, 9], views, params, rotations)
@@ -129,7 +166,8 @@ class TestMemoryScaling:
 
         assert len(set(out["mv_bytes"])) == 1
         assert out["mv_slope"] == pytest.approx(0.0, abs=1e-9)
-        assert out["slope_ratio"] == math.inf
+        # no growth: the ratio divides by one byte per frame
+        assert out["slope_ratio"] == out["keepall_slope"]
 
         kb = np.array(out["keepall_bytes"], dtype=np.float64)
         lengths = np.array(out["lengths"], dtype=np.float64)
@@ -172,7 +210,7 @@ class TestUpdateCost:
         for acc, t in zip(made, [1, 5, 20]):
             want = MultiViewAccumulator(params)
             for i in range(t):
-                want.update(dens[i % len(dens)])
+                want.update(OrientationDensity(dens[i % len(dens)], params))
             assert acc.frames == t
             assert acc.density_sum.tobytes() == want.density_sum.tobytes()
 

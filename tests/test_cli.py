@@ -113,6 +113,19 @@ class TestDescribe:
         assert rc == 1
         assert "stored 15-pixel patches" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["sv", "mv", "rhog"])
+    def test_patch_size_zero_fails_and_writes_nothing(
+            self, workspace, tmp_path, capsys, method):
+        # 0 is a size to refuse, not a request for the stored size
+        out = tmp_path / "zero.db"
+        extra = (["--dataset", str(workspace / "ds"), "--keyframes", "2"]
+                 if method == "rhog" else [])
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(out), "--method", method,
+                   "--patch-size", "0", *extra])
+        assert rc == 1
+        assert "patch_size must be at least 3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keyframes", ["0", "-1"])
     def test_rhog_without_keyframes_fails_and_writes_nothing(

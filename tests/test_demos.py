@@ -10,9 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["03_descriptor_basics.py",
-                                    "04_multiview_accumulation.py",
-                                    "05_view_synthesis.py"])
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (ROOT / "demos").glob("[0-9][0-9]_*.py")))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,5 +1,6 @@
 """Local surface lifting, view synthesis, and max-out aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -318,6 +319,22 @@ def side_case(side):
     return plane_surface(cam, anchor, 5, 1.0, [0.0, 0.0, -1.0])
 
 
+@st.composite
+def facing_cases(draw):
+    """Any unit mean normal, facing away included, under the default grid,
+    the benchmark's grid or a drawn one, and thresholds across [-1, 1]."""
+    v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    assume(np.linalg.norm(v) > 1e-3)
+    rotations = draw(st.one_of(
+        st.just(sample_rotations()),
+        st.just(sample_rotations(4, 5, math.pi / 6, math.pi / 3)),
+        st.builds(sample_rotations, st.integers(1, 8), st.integers(1, 10),
+                  st.floats(0.0, 1.5), st.floats(0.0, 1.5))))
+    min_facing = draw(st.one_of(st.sampled_from([-1.0, 0.0, 0.2, 0.9]),
+                                st.floats(-1.0, 1.0)))
+    return v / np.linalg.norm(v), rotations, min_facing
+
+
 class TestBatchedSynthesis:
     """synthesize_views against the per-rotation loop it replaces."""
 
@@ -325,6 +342,19 @@ class TestBatchedSynthesis:
     @given(case=synthesis_cases())
     def test_equals_per_rotation_loop(self, case):
         assert_matches_oracle(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=facing_cases())
+    def test_facing_test_equals_view_visible(self, case):
+        normal, rotations, min_facing = case
+        # a small lattice far from every border: any turn stays in bounds
+        # and in front of the camera, so only the facing test drops a view
+        surf = dataclasses.replace(side_case("inside"), mean_normal=normal)
+        image = GrayImage(np.random.default_rng(88).random((30, 40)))
+        kept = assert_matches_oracle(surf, image, rotations, min_facing)
+        want = [i for i, r in enumerate(rotations)
+                if view_visible(surf, r, min_facing)]
+        assert ([] if kept is None else kept.tolist()) == want
 
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
     def test_views_past_each_side_are_dropped(self, side):
