@@ -25,18 +25,17 @@ def main():
     attach_patches(tracks, images, patch_size=21, levels=cfg.levels)
 
     # the track whose appearance changes most over the orbit
-    track = max(tracks, key=lambda t: patch_scatter(np.array(t.patches)))
+    track = max(tracks, key=lambda t: patch_scatter(t.patches))
     print(f"track {track.id} (level {track.level}), {track.length} frames")
 
     params = DescriptorParams(patch_size=21)
     acc = MultiViewAccumulator(params)
-    patches = np.array(track.patches)
-    full_scatter = patch_scatter(patches)
+    full_scatter = patch_scatter(track.patches)
 
     print("frames  excitation  bytes")
     for f, patch in enumerate(track.patches):
         acc.update(patch_density(patch, params), patch)
-        exc = excitation_score(patches[:f + 1], full_scatter)
+        exc = excitation_score(track.patches[:f + 1], full_scatter)
         print(f"  {f + 1:3d}    {exc:8.3f}  {acc.memory_bytes:6d}")
 
     mv = acc.finalize()

@@ -163,8 +163,12 @@ def mv(track_ids, track_grids, params: DescriptorParams,
     bins) density stack. ``mean(axis=0)`` adds the frames in order and then
     divides by their count, as :class:`MultiViewAccumulator` does."""
     db = DescriptorDatabase("mv", params, metric)
-    db.extend(track_ids, _normalized_rows(
-        [np.mean(grids, axis=0) for grids in track_grids], params))
+    means = []
+    for tid, grids in zip(track_ids, track_grids):
+        if not len(grids):
+            raise ValueError(f"mv: track {tid} has no frames")
+        means.append(np.mean(grids, axis=0))
+    db.extend(track_ids, _normalized_rows(means, params))
     return db
 
 
@@ -494,6 +498,9 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
     # so both the excitation proxy and the appearance coverage grow with k.
     exc_cfg = cfg["excitation"]
     exc_size = exc_cfg["patch_size"]
+    scatters = {run.name: [patch_scatter(pats) for pats in
+                           preps[(run.name, exc_size)]["patches"]]
+                for run in runs}
     exc_points = []
     for k in exc_cfg["ks"]:
         for trial in range(exc_cfg["trials"]):
@@ -511,8 +518,8 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 r, nq = _rate(db, prep["queries"])
                 correct += r * nq
                 total += nq
-                exc_vals += [excitation_score(pats[subset], patch_scatter(pats))
-                             for pats in prep["patches"]]
+                exc_vals += [excitation_score(pats[subset], scatter) for pats, scatter
+                             in zip(prep["patches"], scatters[run.name])]
             exc_points.append({
                 "k": int(k),
                 "trial": trial,

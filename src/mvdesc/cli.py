@@ -63,10 +63,10 @@ def _cmd_describe(args) -> int:
     if args.frame < 0:
         raise ValueError(f"--frame must be at least 0, got {args.frame}")
     tracks, meta = load_tracks(args.tracks)
-    tracks = [t for t in tracks if t.patches]
+    tracks = [t for t in tracks if t.patches is not None]
     if not tracks:
         raise ValueError("no tracks with stored patches")
-    stored = tracks[0].patches[0].shape[0]
+    stored = tracks[0].patches.shape[1]
     patch_size = stored if args.patch_size is None else args.patch_size
     params = DescriptorParams(patch_size)
 

@@ -365,8 +365,8 @@ def _pgm_size(token: bytes, field: str) -> int:
 def read_pgm(path) -> GrayImage:
     """Read an 8-bit binary (P5) PGM file.
 
-    A foreign or cut header, a short raster or trailing bytes raise
-    ValueError naming the file and the field.
+    A foreign or cut header, a short raster, trailing bytes or an image
+    smaller than 3x3 raise ValueError naming the file and the field.
     """
     raw = Path(path).read_bytes()
     try:
@@ -380,10 +380,10 @@ def read_pgm(path) -> GrayImage:
         if len(raw) - offset > w * h:
             raise ValueError(f"{len(raw) - offset - w * h} trailing bytes after "
                              f"the PGM raster")
+        pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
+        return GrayImage.from_u8(pixels.reshape(h, w))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
-    return GrayImage.from_u8(pixels.reshape(h, w))
 
 
 def write_pgm(img: GrayImage, path) -> None:

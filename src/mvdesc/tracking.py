@@ -73,7 +73,7 @@ class Track:
     level: int
     positions: list = field(default_factory=list)
     alive: bool = True
-    patches: list = None
+    patches: np.ndarray = None  # (frames, p, p) stack, one patch per position
 
     @property
     def length(self) -> int:
@@ -375,25 +375,30 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
 
 def attach_patches(tracks: list, images: list, patch_size: int,
                    levels: int) -> None:
-    """Extract and store the normalized patch stack for each live track.
+    """Extract and store the normalized ``(frames, p, p)`` patch stack of
+    each live track.
 
     Stored patches are quantized to 8 bits, matching their on-disk form, so
     anything computed from them is identical in memory and after a reload.
     """
     pyrs = [build_pyramid(img, levels) for img in images]
     for tr in tracks:
-        tr.patches = [quantized_patch(pyrs[f].level(tr.level), pos, patch_size)
-                      for f, pos in enumerate(tr.positions)]
+        tr.patches = np.stack([quantized_patch(pyrs[f].level(tr.level), pos,
+                                               patch_size)
+                               for f, pos in enumerate(tr.positions)])
 
 
 # ---------------------------------------------------------------------------
-# track I/O: JSON manifest plus one PGM per stored patch
+# track I/O: JSON manifest plus one raster of every stored patch
 
 
 def save_tracks(tracks: list, out_dir, meta: dict = None) -> None:
-    out = Path(out_dir)
-    (out / "patches").mkdir(parents=True, exist_ok=True)
-    records = []
+    """Write ``tracks.json`` and, when any track has patches, ``patches.pgm``:
+    a ``p``-wide raster of every patch in record order, into which each such
+    record gives its ``first_patch``. Patches that are not one ``(frames, p,
+    p)`` stack per track, all of one ``p``, raise ValueError; nothing is
+    written then."""
+    records, stacks, first, size = [], [], 0, None
     for tr in tracks:
         rec = {
             "id": tr.id,
@@ -402,25 +407,35 @@ def save_tracks(tracks: list, out_dir, meta: dict = None) -> None:
             "positions": [[float(p[0]), float(p[1])] for p in tr.positions],
         }
         if tr.patches is not None:
-            names = []
-            for f, patch in enumerate(tr.patches):
-                name = f"patches/t{tr.id:05d}_f{f:03d}.pgm"
-                write_pgm(GrayImage(patch), out / name)
-                names.append(name)
-            rec["patches"] = names
+            pats = np.asarray(tr.patches)
+            if size is None:
+                size = pats.shape[-1] if pats.ndim else 0
+            if pats.shape != (tr.length, size, size):
+                raise ValueError(f"track {tr.id}: patches of shape {pats.shape}, "
+                                 f"expected ({tr.length}, {size}, {size})")
+            rec["first_patch"] = first
+            first += len(pats)
+            stacks.append(pats)
         records.append(rec)
-    doc = {"format_version": 1, "meta": meta or {}, "tracks": records}
+    raster = (GrayImage(np.concatenate(stacks).reshape(first * size, size))
+              if stacks else None)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if raster is not None:
+        write_pgm(raster, out / "patches.pgm")
+    doc = {"format_version": 2, "meta": meta or {}, "tracks": records}
     (out / "tracks.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _parse_tracks(doc) -> tuple[list, dict, list]:
-    """Tracks, meta and per-track patch file names (or None) of a parsed
+    """Tracks, meta and per-track ``first_patch`` (or None) of a parsed
     ``tracks.json``; ValueError naming the field on any malformed entry."""
     version = _json_field(doc, "format_version", int)
-    if version != 1:
-        raise ValueError(f"format_version: {version}, expected 1")
+    if version != 2:
+        raise ValueError(f"format_version: {version}, expected 2; rebuild it "
+                         f"with `mvdesc track`")
     meta = _json_field(doc, "meta", dict)
-    tracks, names = [], []
+    tracks, firsts = [], []
     for i, rec in enumerate(_json_field(doc, "tracks", list)):
         where = f"tracks[{i}]"
         level = _json_field(rec, "level", int, where)
@@ -433,33 +448,44 @@ def _parse_tracks(doc) -> tuple[list, dict, list]:
                               dtype=np.float64) for k, p in enumerate(raw)]
         tracks.append(Track(_json_field(rec, "id", int, where), level, positions,
                             _json_field(rec, "alive", bool, where)))
-        files = None
-        if "patches" in rec:
-            files = _json_field(rec, "patches", list, where)
-            if len(files) != len(positions):
-                raise ValueError(f"{where}.patches: {len(files)} files for "
-                                 f"{len(positions)} positions")
-            if not all(isinstance(n, str) for n in files):
-                raise ValueError(f"{where}.patches: not a list of file names")
-        names.append(files)
-    return tracks, meta, names
+        first = None
+        if "first_patch" in rec:
+            first = _json_field(rec, "first_patch", int, where)
+            if first < 0:
+                raise ValueError(f"{where}.first_patch: {first} is negative")
+        firsts.append(first)
+    return tracks, meta, firsts
 
 
 def load_tracks(path) -> tuple[list, dict]:
     """Read back what :func:`save_tracks` wrote.
 
     A malformed ``tracks.json`` (a missing or wrongly typed field, a position
-    that is not a pair of finite numbers, a patch list unlike the positions,
-    or a foreign ``format_version``) raises ValueError naming the file and
-    the field.
+    that is not a pair of finite numbers, a ``first_patch`` that is negative
+    or runs past the raster, or a foreign ``format_version``) or a malformed
+    ``patches.pgm`` raises ValueError naming the file and the field. Each
+    track with patches gets one ``(frames, p, p)`` array.
     """
     root = Path(path)
     file = root / "tracks.json"
     try:
-        tracks, meta, names = _parse_tracks(json.loads(file.read_text()))
+        tracks, meta, firsts = _parse_tracks(json.loads(file.read_text()))
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
-    for tr, files in zip(tracks, names):
-        if files is not None:
-            tr.patches = [read_pgm(root / n).data for n in files]
+    if any(f is not None for f in firsts):
+        raster = root / "patches.pgm"
+        data = read_pgm(raster).data
+        h, w = data.shape
+        if h % w:
+            raise ValueError(f"{raster}: PGM height: {h} is not a multiple of "
+                             f"the width {w}")
+        stack = data.reshape(h // w, w, w)
+        for i, (tr, first) in enumerate(zip(tracks, firsts)):
+            if first is None:
+                continue
+            if first + tr.length > len(stack):
+                raise ValueError(f"{file}: tracks[{i}].first_patch: {tr.length} "
+                                 f"patches from {first} run past the "
+                                 f"{len(stack)} in {raster}")
+            tr.patches = stack[first:first + tr.length]
     return tracks, meta

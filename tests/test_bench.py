@@ -104,6 +104,12 @@ class TestBuildersEqualThePerRowPath:
         self.assert_rows(bench.mv(self.ids, tracks, self.params), "mv",
                          accumulated(tracks, self.params), self.ids, [0] * 4)
 
+    @pytest.mark.filterwarnings("error")
+    def test_mv_names_a_track_with_no_frames(self):
+        tracks = [self.tracks()[0], np.empty((0, 3, 3, 8))]
+        with pytest.raises(ValueError, match="mv: track 3 has no frames"):
+            bench.mv([7, 3], tracks, self.params)
+
     def test_keepall(self):
         tracks = self.tracks()
         self.assert_rows(bench.keepall(self.ids, tracks, self.params),

@@ -41,8 +41,16 @@ class TestGenerateAndTrack:
         assert len(tracks) >= 5
         for tr in tracks[:5]:
             assert tr.length == 6
-            assert len(tr.patches) == 6
-            assert tr.patches[0].shape == (15, 15)
+            assert tr.patches.shape == (6, 15, 15)
+
+    def test_tracks_layout(self, workspace):
+        out = workspace / "tracks"
+        assert sorted(f.name for f in out.iterdir()) == ["patches.pgm",
+                                                          "tracks.json"]
+        doc = json.loads((out / "tracks.json").read_text())
+        assert doc["format_version"] == 2
+        firsts = [rec["first_patch"] for rec in doc["tracks"]]
+        assert firsts == [6 * i for i in range(len(firsts))]
 
 
 class TestTrackErrors:
@@ -273,6 +281,19 @@ class TestInputErrors:
                    "--out", str(tmp_path / "db")])
         assert rc == 1
         assert "tracks.json: not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
+
+    def test_describe_on_version_1_tracks(self, tmp_path, capsys):
+        (tmp_path / "tracks").mkdir()
+        (tmp_path / "tracks" / "tracks.json").write_text(json.dumps({
+            "format_version": 1, "meta": {}, "tracks": [{
+                "id": 0, "level": 0, "alive": True, "positions": [[1.0, 2.0]],
+                "patches": ["patches/t00000_f000.pgm"]}]}))
+        rc = main(["describe", "--tracks", str(tmp_path / "tracks"),
+                   "--out", str(tmp_path / "db")])
+        assert rc == 1
+        assert ("tracks.json: format_version: 1, expected 2; rebuild it with "
+                "`mvdesc track`") in capsys.readouterr().err
         assert not (tmp_path / "db").exists()
 
     def test_rhog_on_a_missing_dataset(self, workspace, tmp_path, capsys):

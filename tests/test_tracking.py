@@ -506,6 +506,8 @@ class TestTrackIO:
         ]
         attach_patches(tracks, [base, nxt], patch_size=9, levels=2)
         save_tracks(tracks, tmp_path, meta={"patch_size": 9})
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "patches.pgm", "tracks.json"]
 
         back, meta = load_tracks(tmp_path)
         assert meta == {"patch_size": 9}
@@ -516,13 +518,44 @@ class TestTrackIO:
             assert loaded.length == mine.length
             for p, q in zip(mine.positions, loaded.positions):
                 np.testing.assert_array_equal(q, p)
-            for p, q in zip(mine.patches, loaded.patches):
-                np.testing.assert_array_equal(q, p)
+            assert mine.patches.shape == (mine.length, 9, 9)
+            assert loaded.patches.shape == mine.patches.shape
+            np.testing.assert_array_equal(loaded.patches, mine.patches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tracks=st.lists(st.tuples(
+               st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 2),
+                        min_size=1, max_size=12),
+               st.integers(0, 5), st.booleans(), st.booleans()),
+               min_size=1, max_size=6),
+           size=st.integers(3, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_track_sets_roundtrip_bit_identically(
+            self, tracks, size, seed, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        mine = []
+        for tid, (positions, level, alive, with_patches) in enumerate(tracks):
+            tr = Track(tid, level, [np.array(p) for p in positions], alive)
+            if with_patches:
+                tr.patches = rng.integers(0, 256, (tr.length, size, size)) / 255.0
+            mine.append(tr)
+        root = tmp_path_factory.mktemp("tracks")
+        save_tracks(mine, root)
+        back, _ = load_tracks(root)
+        assert [(t.id, t.level, t.alive) for t in back] == [
+            (t.id, t.level, t.alive) for t in mine]
+        for m, b in zip(mine, back):
+            assert np.array(b.positions).tobytes() == np.array(m.positions).tobytes()
+            if m.patches is None:
+                assert b.patches is None
+            else:
+                assert b.patches.dtype == m.patches.dtype
+                assert b.patches.tobytes() == m.patches.tobytes()
 
     @pytest.mark.parametrize("mangle, field", [
         (lambda d: d.pop("tracks"), r"tracks: missing"),
         (lambda d: d.update(meta=[]), r"meta: expected dict, got list"),
-        (lambda d: d.update(format_version=2), r"format_version: 2, expected 1"),
+        (lambda d: d.update(format_version=1),
+         r"format_version: 1, expected 2; rebuild it with `mvdesc track`"),
         (lambda d: d.update(format_version="1"),
          r"format_version: expected int, got str"),
         (lambda d: d["tracks"].append(7), r"tracks\[2\]: not a JSON object"),
@@ -545,17 +578,23 @@ class TestTrackIO:
          r"positions\[0\]: not a list of 2 finite numbers"),
         (lambda d: d["tracks"][0]["positions"].__setitem__(0, {"x": 1}),
          r"positions\[0\]: not a list of 2 finite numbers"),
-        (lambda d: d["tracks"][0]["patches"].pop(),
-         r"tracks\[0\]\.patches: 1 files for 2 positions"),
-        (lambda d: d["tracks"][1].update(patches=["a.pgm", "b.pgm"]),
-         r"tracks\[1\]\.patches: 2 files for 1 positions"),
-        (lambda d: d["tracks"][0]["patches"].__setitem__(0, 3),
-         r"tracks\[0\]\.patches: not a list of file names"),
+        (lambda d: d["tracks"][0].update(first_patch=-1),
+         r"tracks\[0\]\.first_patch: -1 is negative"),
+        (lambda d: d["tracks"][0].update(first_patch="0"),
+         r"tracks\[0\]\.first_patch: expected int, got str"),
+        (lambda d: d["tracks"][0].update(first_patch=1.0),
+         r"tracks\[0\]\.first_patch: expected int, got float"),
+        (lambda d: d["tracks"][0].update(first_patch=1),
+         r"tracks\[0\]\.first_patch: 2 patches from 1 run past the 2 in "
+         r".*patches\.pgm"),
+        (lambda d: d["tracks"][1].update(first_patch=2),
+         r"tracks\[1\]\.first_patch: 1 patches from 2 run past the 2 in "),
     ], ids=["no-tracks", "meta-type", "version", "version-type", "track-type",
             "no-id", "id-type", "level-negative", "alive-type", "level-bool",
             "no-positions", "short-position", "string-coordinate",
-            "nan-coordinate", "position-type", "short-patches", "long-patches",
-            "patch-name-type"])
+            "nan-coordinate", "position-type", "first-patch-negative",
+            "first-patch-type", "first-patch-float", "first-patch-past-raster",
+            "first-patch-at-raster-end"])
     def test_load_names_file_and_field(self, tmp_path, mangle, field):
         tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])]),
                   Track(3, 1, [np.array([15.0, 16.0])], alive=False)]
@@ -570,6 +609,45 @@ class TestTrackIO:
             load_tracks(tmp_path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("raster, field", [
+        (b"P5\n9 17\n255\n" + bytes(9 * 17),
+         r"PGM height: 17 is not a multiple of the width 9"),
+        (b"P5\n2 4\n255\n" + bytes(8), r"image must be at least 3x3, got 2x4"),
+        (b"P5\n9 18\n255\n" + bytes(9 * 18 - 1), r"PGM raster cut short"),
+        (b"P5\n9 18\n255\n" + bytes(9 * 18 + 1), r"1 trailing bytes"),
+        (b"P2\n9 18\n255\n", r"PGM magic"),
+    ], ids=["height-not-multiple", "too-small", "cut", "padded", "foreign"])
+    def test_load_names_the_raster_and_field(self, tmp_path, raster, field):
+        tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])])]
+        tracks[0].patches = np.zeros((2, 9, 9))
+        save_tracks(tracks, tmp_path)
+        path = tmp_path / "patches.pgm"
+        path.write_bytes(raster)
+        with pytest.raises(ValueError, match=field) as err:
+            load_tracks(tmp_path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([(2, 9, 9), (1, 11, 11)],
+         r"track 1: patches of shape \(1, 11, 11\), expected \(1, 9, 9\)"),
+        ([(2, 9, 7), (1, 9, 9)],
+         r"track 0: patches of shape \(2, 9, 7\), expected \(2, 7, 7\)"),
+        ([(2, 9, 9), (2, 9, 9)],
+         r"track 1: patches of shape \(2, 9, 9\), expected \(1, 9, 9\)"),
+        ([(2, 9, 9), (9, 9)],
+         r"track 1: patches of shape \(9, 9\), expected \(1, 9, 9\)"),
+    ], ids=["mixed-sizes", "non-square", "count-unlike-positions", "flat"])
+    def test_save_refuses_patches_it_cannot_stack(self, tmp_path, shapes,
+                                                   message):
+        tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])]),
+                  Track(1, 0, [np.array([15.0, 16.0])])]
+        for tr, shape in zip(tracks, shapes):
+            tr.patches = np.full(shape, 0.5)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            save_tracks(tracks, out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, field", [
         ("[]", "not a JSON object"), ("{", "Expecting property name")])
     def test_load_rejects_a_foreign_document(self, tmp_path, text, field):
@@ -581,6 +659,7 @@ class TestTrackIO:
     def test_positions_only_tracks_roundtrip(self, tmp_path):
         tracks = [Track(7, 2, [np.array([3.5, 4.5])])]
         save_tracks(tracks, tmp_path)
+        assert [f.name for f in tmp_path.iterdir()] == ["tracks.json"]
         back, meta = load_tracks(tmp_path)
         assert meta == {}
         assert back[0].patches is None
