@@ -31,11 +31,12 @@ from .hog import (DescriptorParams, OrientationDensity, _normalized_rows,
 from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
-from .scene import VISIBLE, generate_dataset, ground_truth_correspondence
-from .tracking import TrackerConfig, quantized_patch, run_tracker
-from .viewsynth import (MIN_FACING, LocalSurface, sample_rotations,
+from .scene import VISIBLE, generate_dataset, ground_truth_correspondences
+from .tracking import TrackerConfig, quantized_patches, run_tracker
+from .viewsynth import (MIN_FACING, lift_surfaces, sample_rotations,
                         select_keyframes, synthesize_views, view_descriptors)
-# not called here; bound because perfbench/spans.py traces it on this module
+# not called here; bound because perfbench/spans.py traces them on this module
+from .scene import ground_truth_correspondence  # noqa: F401
 from .viewsynth import patch_density  # noqa: F401
 
 __all__ = [
@@ -205,19 +206,27 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
     return db
 
 
-def lift_keyframes(dataset, pyramids, track, keyframes,
+def lift_keyframes(dataset, pyramids, tracks, n_keyframes: int,
                    patch_size: int) -> list:
-    """``(LocalSurface, level image)`` of each keyframe whose depth lifts: the
-    pairs :func:`rhog` takes for one track."""
-    views = []
-    for k in keyframes:
-        try:
-            surface = LocalSurface.from_frame(
-                dataset.frames[k].depth, dataset.camera, track.positions[k],
-                patch_size, track.level)
-        except ValueError:
-            continue
-        views.append((surface, pyramids[k].level(track.level)))
+    """Per track, the ``(LocalSurface, level image)`` pair of each of its
+    ``select_keyframes(track.length, n_keyframes)`` whose depth lifts, in
+    keyframe order: the pairs :func:`rhog` takes for that track.
+
+    The tracks of one keyframe and pyramid level are lifted together, by
+    one :func:`lift_surfaces` call.
+    """
+    views = [[] for _ in tracks]
+    groups = {}
+    for i, tr in enumerate(tracks):
+        for k in select_keyframes(tr.length, n_keyframes).tolist():
+            groups.setdefault((k, tr.level), []).append(i)
+    for (k, level), group in sorted(groups.items()):
+        surfaces = lift_surfaces(dataset.frames[k].depth, dataset.camera,
+                                 [tracks[i].positions[k] for i in group],
+                                 patch_size, level)
+        for i, surface in zip(group, surfaces):
+            if surface is not None:
+                views[i].append((surface, pyramids[k].level(level)))
     return views
 
 
@@ -312,15 +321,26 @@ def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
 # per-scene pipeline
 
 
-def _has_support(image, xy, patch_size: int) -> bool:
-    """Whether the patch at ``xy`` fits in ``image`` with a pixel to spare."""
+def _has_support(shape, xy, patch_size: int) -> np.ndarray:
+    """Whether the patch at each ``xy`` (..., 2) fits in an image of
+    ``shape`` with a pixel to spare."""
     half = (patch_size - 1) / 2.0
-    h, w = image.shape
-    return half + 1 <= xy[0] <= w - 2 - half and half + 1 <= xy[1] <= h - 2 - half
+    h, w = shape
+    x, y = xy[..., 0], xy[..., 1]
+    return ((half + 1 <= x) & (x <= w - 2 - half)
+            & (half + 1 <= y) & (y <= h - 2 - half))
 
 
 class _SceneRun:
-    """Everything the benchmark derives from one scene."""
+    """Everything the benchmark derives from one scene.
+
+    The tracks that survive the whole orbit are held as arrays: their
+    ``positions`` (tracks, frames, 2) and pyramid ``levels`` (tracks,), and
+    the ground-truth landing point of each track's frame-0 anchor in each
+    test view, ``corr_xy`` (tracks, views, 2) with its ``corr_status``
+    (tracks, views). Each stage makes one array call per frame or test view
+    and pyramid level, not one per track.
+    """
 
     def __init__(self, spec: dict, cfg: dict, out_dir: Path):
         self.cfg = cfg
@@ -337,84 +357,114 @@ class _SceneRun:
         tracks = run_tracker(images, tcfg)
         self.tracks = [t for t in tracks
                        if t.alive and t.length == self.n_frames]
+        n = len(self.tracks)
+        self.levels = np.array([tr.level for tr in self.tracks], dtype=int)
+        self.positions = np.reshape([tr.positions for tr in self.tracks],
+                                    (n, self.n_frames, 2))
 
-        # ground-truth location of each track's frame-0 anchor in each test view
-        self.corrs = {}
-        for tr in self.tracks:
-            base0 = level_to_base(tr.positions[0], tr.level)
-            self.corrs[tr.id] = [
-                ground_truth_correspondence(self.dataset.frames[0], tv, base0)
-                for tv in self.dataset.tests
-            ]
+        base0 = np.empty((n, 2))
+        for lvl in np.unique(self.levels):
+            rows = self.levels == lvl
+            base0[rows] = level_to_base(self.positions[rows, 0], lvl)
+        views = len(self.dataset.tests)
+        self.corr_xy = np.empty((n, views, 2))
+        self.corr_status = np.empty((n, views), dtype=object)
+        for vi, tv in enumerate(self.dataset.tests):
+            self.corr_xy[:, vi], self.corr_status[:, vi] = (
+                ground_truth_correspondences(self.dataset.frames[0], tv, base0))
 
     # -- per patch size ---------------------------------------------------
 
     def prepare(self, patch_size: int):
         """Patches, densities, synthesized-view surfaces for one patch size.
 
-        Drops tracks that cannot supply every ingredient (full patch support
-        in every frame at their level, and a liftable surface in at least one
-        keyframe), so every method sees the same track set. ``"patches"`` is
-        one (tracks, frames, p, p) stack and ``"densities"`` its (tracks,
-        frames, cells, cells, bins) stack of unnormalized densities.
+        Keeps the first ``max_tracks`` tracks that can supply every
+        ingredient (full patch support in every frame at their level, and a
+        liftable surface in at least one keyframe), so every method sees the
+        same track set. Support is one array test per frame and level. The
+        candidates are lifted in batches of the places still open, by
+        :func:`lift_keyframes`, until the cap is met or none are left. The
+        patches are cut by one :func:`quantized_patches` call per frame and
+        level. ``"patches"`` is one (tracks, frames, p, p) stack and
+        ``"densities"`` its (tracks, frames, cells, cells, bins) stack of
+        unnormalized densities.
         """
         cfg = self.cfg
         params = DescriptorParams(patch_size)
         rot = sample_rotations(cfg["rhog"]["n_azimuth"], cfg["rhog"]["n_inplane"],
                                cfg["rhog"]["tilt"], cfg["rhog"]["inplane_halfwidth"])
-        keyframes = select_keyframes(self.n_frames, cfg["rhog"]["keyframes"])
         p = patch_size
 
-        tracks, views = [], []
-        for tr in self.tracks:
-            if len(tracks) >= cfg["max_tracks"]:
-                break
-            if not all(_has_support(self.frame_pyrs[f].level(tr.level), pos, p)
-                       for f, pos in enumerate(tr.positions)):
-                continue
-            lifted = lift_keyframes(self.dataset, self.frame_pyrs, tr,
-                                    keyframes, p)
-            if not lifted:
-                continue
-            tracks.append(tr)
-            views.append(lifted)
+        supported = np.ones(len(self.tracks), bool)
+        for f, pyr in enumerate(self.frame_pyrs):
+            for lvl in np.unique(self.levels):
+                rows = self.levels == lvl
+                supported[rows] &= _has_support(pyr.level(lvl).shape,
+                                                self.positions[rows, f], p)
+        candidates = np.flatnonzero(supported).tolist()
+        chosen, views = [], []
+        while candidates and len(chosen) < cfg["max_tracks"]:
+            take = cfg["max_tracks"] - len(chosen)
+            batch, candidates = candidates[:take], candidates[take:]
+            lifted = lift_keyframes(self.dataset, self.frame_pyrs,
+                                    [self.tracks[i] for i in batch],
+                                    cfg["rhog"]["keyframes"], p)
+            for i, pairs in zip(batch, lifted):
+                if pairs:
+                    chosen.append(i)
+                    views.append(pairs)
 
-        patches = np.reshape(
-            [quantized_patch(self.frame_pyrs[f].level(tr.level), pos, p)
-             for tr in tracks for f, pos in enumerate(tr.positions)],
-            (len(tracks), self.n_frames, p, p))
+        levels, positions = self.levels[chosen], self.positions[chosen]
+        patches = np.empty((len(chosen), self.n_frames, p, p))
+        for f, pyr in enumerate(self.frame_pyrs):
+            for lvl in np.unique(levels):
+                rows = levels == lvl
+                patches[rows, f] = quantized_patches(pyr.level(lvl).data,
+                                                     positions[rows, f], p)
         grids = patch_densities(patches.reshape(-1, p, p), params)
+        ids = [self.tracks[i].id for i in chosen]
         return {
             "params": params,
-            "track_ids": [tr.id for tr in tracks],
+            "track_ids": ids,
             "views": views,
-            "densities": grids.reshape(len(tracks), self.n_frames,
+            "densities": grids.reshape(len(chosen), self.n_frames,
                                        *grids.shape[1:]),
             "patches": patches,
             "rotations": rot,
-            "queries": self._build_queries(tracks, params),
+            "queries": self._build_queries(chosen, ids, params),
         }
 
-    def _build_queries(self, tracks, params: DescriptorParams):
-        """Descriptors at ground-truth positions in the test views.
+    def _build_queries(self, chosen, ids, params: DescriptorParams):
+        """Descriptors at ground-truth positions in the test views of the
+        tracks ``chosen`` (indices into ``self.tracks``), whose ids are
+        ``ids``.
 
         The same query set serves every method, so rate differences come
-        only from what each database stores.
+        only from what each database stores. A query is a track's visible
+        landing point in one test view, with full patch support there; the
+        patches of one view and level are cut together, and the queries are
+        ordered by track, then by view.
         """
         p = params.patch_size
-        ids, patches = [], []
-        for tr in tracks:
-            for vi, corr in enumerate(self.corrs[tr.id]):
-                if corr.status != VISIBLE:
-                    continue
-                lvl_img = self.test_pyrs[vi].level(tr.level)
-                xy = base_to_level(corr.xy, tr.level)
-                if not _has_support(lvl_img, xy, p):
-                    continue
-                patches.append(quantized_patch(lvl_img, xy, p))
-                ids.append(tr.id)
-        grids = patch_densities(np.reshape(patches, (-1, p, p)), params)
-        return {"track_ids": np.array(ids, dtype=int),
+        levels = self.levels[chosen]
+        visible = self.corr_status[chosen] == VISIBLE
+        corr_xy = self.corr_xy[chosen]
+        rows, cols = [np.empty(0, int)], [np.empty(0, int)]
+        stacks = [np.empty((0, p, p))]
+        for vi, pyr in enumerate(self.test_pyrs):
+            for lvl in np.unique(levels):
+                img = pyr.level(lvl)
+                at = np.flatnonzero(visible[:, vi] & (levels == lvl))
+                xy = base_to_level(corr_xy[at, vi], lvl)
+                keep = _has_support(img.shape, xy, p)
+                rows.append(at[keep])
+                cols.append(np.full(keep.sum(), vi))
+                stacks.append(quantized_patches(img.data, xy[keep], p))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((cols, rows))
+        patches = np.concatenate(stacks)[order]
+        grids = patch_densities(patches, params)
+        return {"track_ids": np.array(ids, dtype=int)[rows[order]],
                 "values": _normalized_rows(grids, params)}
 
 

@@ -13,7 +13,7 @@ from .hog import DescriptorParams, patch_densities
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
-from .viewsynth import MIN_FACING, patch_density, sample_rotations, select_keyframes
+from .viewsynth import MIN_FACING, patch_density, sample_rotations
 # not called here; bound because perfbench/spans.py traces them on this module
 from .viewsynth import synthesize_views, view_descriptors  # noqa: F401
 
@@ -40,7 +40,13 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_patch_size(size: int) -> None:
+    if size < 3:
+        raise ValueError(f"--patch-size must be at least 3, got {size}")
+
+
 def _cmd_track(args) -> int:
+    _check_patch_size(args.patch_size)
     ds = load_dataset(args.dataset)
     images = [v.image for v in ds.frames]
     cfg = TrackerConfig(n_features=args.features, levels=args.levels,
@@ -62,6 +68,8 @@ def _cmd_track(args) -> int:
 def _cmd_describe(args) -> int:
     if args.frame < 0:
         raise ValueError(f"--frame must be at least 0, got {args.frame}")
+    if args.patch_size is not None:
+        _check_patch_size(args.patch_size)
     tracks, meta = load_tracks(args.tracks)
     tracks = [t for t in tracks if t.patches is not None]
     if not tracks:
@@ -92,10 +100,7 @@ def _cmd_describe(args) -> int:
         ds = load_dataset(args.dataset)
         levels = int(meta.get("levels", 2))
         pyrs = [build_pyramid(v.image, levels) for v in ds.frames]
-        views = [bench.lift_keyframes(
-                     ds, pyrs, tr, select_keyframes(tr.length, args.keyframes),
-                     patch_size)
-                 for tr in tracks]
+        views = bench.lift_keyframes(ds, pyrs, tracks, args.keyframes, patch_size)
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)
     if not len(db):

@@ -88,9 +88,14 @@ class Pose:
         return cls(np.eye(3), np.zeros(3))
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply the transform to points of shape (..., 3)."""
+        """Apply the transform to points of shape (..., 3).
+
+        Every point is a (1, 3) row times ``r.T`` of its own, the product a
+        lone point makes, so a point transforms to the same bits alone or in
+        a stack; a plain ``(n, 3) @ r.T`` rounds some rows differently.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.r.T + self.t
+        return (pts[..., None, :] @ self.r.T)[..., 0, :] + self.t
 
     def inverse(self) -> "Pose":
         return Pose(self.r.T, -self.r.T @ self.t)

@@ -32,6 +32,7 @@ __all__ = [
     "Correspondence",
     "render_view",
     "ground_truth_correspondence",
+    "ground_truth_correspondences",
     "make_texture",
     "build_scene",
     "default_scene_spec",
@@ -408,6 +409,62 @@ def ground_truth_correspondence(src: RenderedView, dst: RenderedView,
     if expected > surf * (1.0 + OCCLUSION_REL_TOL):
         return Correspondence(uv, OCCLUDED, depth_source=z, depth_target=expected)
     return Correspondence(uv, VISIBLE, depth_source=z, depth_target=expected)
+
+
+def _interp_depths(depth: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """:func:`_interp_depth` at arrays of positions: ``(values, ok)``, with
+    ``ok`` false where it returns None.
+
+    The unused corners enter the sum as +0.0 terms. ``np.sum`` adds up to
+    four terms left to right, so the explicit left-to-right sum equals the
+    one ``_interp_depth`` takes over the used corners.
+    """
+    h, w = depth.shape
+    ok = (0.0 <= x) & (x <= w - 1) & (0.0 <= y) & (y <= h - 1)
+    x, y = np.where(ok, x, 0.0), np.where(ok, y, 0.0)
+    x0 = np.minimum(np.floor(x), w - 2).astype(np.intp)
+    y0 = np.minimum(np.floor(y), h - 2).astype(np.intp)
+    fx, fy = x - x0, y - y0
+    wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+    idx = y0 * w + x0
+    quad = depth.ravel().take(np.stack([idx, idx + 1, idx + w, idx + w + 1]))
+    used = wts > 1e-12
+    ok &= ~(used & ~np.isfinite(quad)).any(axis=0)
+    with np.errstate(invalid="ignore"):
+        lo = np.where(used, quad, np.inf).min(axis=0)
+        ok &= ~(np.where(used, quad, -np.inf).max(axis=0) - lo
+                > OCCLUSION_REL_TOL * lo)
+        terms = np.where(used, wts * quad, 0.0)
+    return ((terms[0] + terms[1]) + terms[2]) + terms[3], ok
+
+
+def ground_truth_correspondences(src: RenderedView, dst: RenderedView, xy):
+    """:func:`ground_truth_correspondence` of every source pixel ``xy``
+    (n, 2) at once: ``(uv, status)``, the (n, 2) landing points and the (n,)
+    statuses. ``uv[i]`` and ``status[i]`` equal the ``xy`` and ``status`` of
+    ``ground_truth_correspondence(src, dst, xy[i])`` bit for bit.
+    """
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    uv = np.full(xy.shape, np.nan)
+    status = np.full(len(xy), UNDEFINED, dtype=object)
+    z, lifted = _interp_depths(src.depth, xy[:, 0], xy[:, 1])
+    idx = np.flatnonzero(lifted)
+    pt_src = z[idx, None] * src.camera.ray_directions(xy[idx])
+    pt_dst = dst.pose.transform(src.pose.inverse().transform(pt_src))
+    behind = pt_dst[:, 2] <= 0.0
+    status[idx[behind]] = OUT_OF_VIEW
+    idx, pt_dst = idx[~behind], pt_dst[~behind]
+    land = dst.camera.project(pt_dst)
+    uv[idx] = land
+    # a (1, 3) @ (3, 1) product per row is the dot np.linalg.norm takes of
+    # one point
+    expected = np.sqrt((pt_dst[:, None, :] @ pt_dst[:, :, None])[:, 0, 0])
+    surf, reliable = _interp_depths(dst.depth, land[:, 0], land[:, 1])
+    status[idx] = np.where(
+        reliable,
+        np.where(expected > surf * (1.0 + OCCLUSION_REL_TOL), OCCLUDED, VISIBLE),
+        np.where(dst.camera.contains(land), OCCLUDED, OUT_OF_VIEW))
+    return uv, status
 
 
 # ---------------------------------------------------------------------------

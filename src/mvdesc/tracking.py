@@ -32,6 +32,7 @@ __all__ = [
     "extract_patch",
     "normalize_patch",
     "quantized_patch",
+    "quantized_patches",
     "save_tracks",
     "load_tracks",
 ]
@@ -250,6 +251,29 @@ def quantized_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     return GrayImage.from_u8(GrayImage(norm).to_u8()).data
 
 
+def quantized_patches(data: np.ndarray, xy, size: int) -> np.ndarray:
+    """``(n, size, size)`` stack of :func:`quantized_patch` of the image
+    ``data`` at every row of ``xy`` (n, 2), each slice bit-identical to it.
+
+    One window gather serves all positions. Every patch is normalized by
+    reductions along its own contiguous row of an ``(n, size * size)``
+    array, which add its pixels in the order a lone patch does.
+    """
+    if size < 3:
+        raise ValueError(f"patch size must be at least 3, got {size}")
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    rows = _windows(data, xy, size).reshape(len(xy), size * size)
+    s = rows.std(axis=1)
+    flat = s < 1e-12
+    z = rows[~flat]
+    z = (z - z.mean(axis=1, keepdims=True)) / s[~flat, None]
+    lo = z.min(axis=1, keepdims=True)
+    norm = np.full_like(rows, 0.5)
+    norm[~flat] = (z - lo) / (z.max(axis=1, keepdims=True) - lo)
+    u8 = np.clip(np.rint(norm * 255.0), 0, 255).astype(np.uint8)
+    return (u8 / 255.0).reshape(len(xy), size, size)
+
+
 def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
               guess=None):
     """Track the points ``pos`` (n, 2) from ``prev`` to ``nxt`` together.
@@ -380,12 +404,24 @@ def attach_patches(tracks: list, images: list, patch_size: int,
 
     Stored patches are quantized to 8 bits, matching their on-disk form, so
     anything computed from them is identical in memory and after a reload.
+    The patches of one frame and pyramid level are cut together, by one
+    :func:`quantized_patches` call.
     """
     pyrs = [build_pyramid(img, levels) for img in images]
-    for tr in tracks:
-        tr.patches = np.stack([quantized_patch(pyrs[f].level(tr.level), pos,
-                                               patch_size)
-                               for f, pos in enumerate(tr.positions)])
+    stacks = [np.empty((tr.length, patch_size, patch_size)) for tr in tracks]
+    for f, pyr in enumerate(pyrs):
+        for lvl in range(len(pyr)):
+            group = [i for i, tr in enumerate(tracks)
+                     if tr.level == lvl and tr.length > f]
+            if not group:
+                continue
+            pats = quantized_patches(pyr.level(lvl).data,
+                                     [tracks[i].positions[f] for i in group],
+                                     patch_size)
+            for i, pat in zip(group, pats):
+                stacks[i][f] = pat
+    for tr, stack in zip(tracks, stacks):
+        tr.patches = stack
 
 
 # ---------------------------------------------------------------------------

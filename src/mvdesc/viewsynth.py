@@ -25,6 +25,7 @@ from .image import (GrayImage, _central_differences, base_to_level,
 __all__ = [
     "ReprojectionOutOfBounds",
     "LocalSurface",
+    "lift_surfaces",
     "sample_rotations",
     "synthesize_patch",
     "view_visible",
@@ -127,13 +128,56 @@ class LocalSurface:
                    np.array([ax, ay]), level, camera, patch_size)
 
 
+def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
+                  patch_size: int, level: int = 0) -> list:
+    """:meth:`LocalSurface.from_frame` at every row of ``anchors`` (n, 2) at
+    once: per anchor its surface, bit-identical to the one ``from_frame``
+    lifts, or None where ``from_frame`` raises ValueError.
+
+    The lattices of all anchors share one depth gather and one normal
+    computation. Each mean normal is still reduced per surface, exactly as
+    ``from_frame`` reduces it, so its summation order cannot depend on how
+    many surfaces share the batch.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
+    offs = np.arange(patch_size) - (patch_size - 1) / 2.0
+    lattice = np.empty((len(anchors), patch_size, patch_size, 2))
+    lattice[..., 0] = anchors[:, 0, None, None] + offs
+    lattice[..., 1] = anchors[:, 1, None, None] + offs[:, None]
+    base_xy = level_to_base(lattice, level)
+
+    h, w = depth.shape
+    x, y = base_xy[..., 0], base_xy[..., 1]
+    idx = np.flatnonzero(~np.any((x < 0) | (x > w - 1) | (y < 0) | (y > h - 1),
+                                 axis=(1, 2)))
+    with np.errstate(invalid="ignore"):
+        z = bilinear_sample(depth, base_xy[idx], clamp=False)
+    whole = np.all(np.isfinite(z), axis=(1, 2))
+    idx, z, base_xy = idx[whole], z[whole], base_xy[idx[whole]]
+    points = z[..., None] * camera.ray_directions(base_xy)
+
+    anchor_base = level_to_base(anchors[idx], level)
+    za = bilinear_sample(depth, anchor_base, clamp=False)
+    anchor = za[:, None] * camera.ray_directions(anchor_base)
+
+    normals = _lattice_normals(points)
+    surfaces = [None] * len(anchors)
+    for j, i in enumerate(idx.tolist()):
+        mean_normal = normals[j].reshape(-1, 3).mean(axis=0)
+        mean_normal /= np.linalg.norm(mean_normal)
+        surfaces[i] = LocalSurface(points[j], normals[j], mean_normal, anchor[j],
+                                   anchors[i].copy(), level, camera, patch_size)
+    return surfaces
+
+
 def _lattice_normals(points: np.ndarray) -> np.ndarray:
-    """Per-lattice-point surface normals, oriented toward the camera.
+    """Per-lattice-point surface normals of (..., p, p, 3) lattice points,
+    oriented toward the camera.
 
     The interior factor 0.5 of the central differences scales the cross
     product and its norm by a power of two, which the division cancels."""
-    du, dv = _central_differences(np.ascontiguousarray(np.moveaxis(points, -1, 0)))
-    n = np.cross(du, dv, axisa=0, axisb=0)
+    du, dv = _central_differences(np.ascontiguousarray(np.moveaxis(points, -1, -3)))
+    n = np.cross(du, dv, axisa=-3, axisb=-3)
     norms = np.linalg.norm(n, axis=-1, keepdims=True)
     n = n / np.where(norms < 1e-300, 1.0, norms)
     flip = n[..., 2] > 0.0  # camera looks along +z; facing normals have z < 0

@@ -14,8 +14,10 @@ from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
 from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
                         patch_densities, sample_descriptor)
 from mvdesc.multiview import MultiViewAccumulator
+from mvdesc.image import build_pyramid
+from mvdesc.tracking import Track
 from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
-                              synthesize_views)
+                              select_keyframes, synthesize_views)
 
 
 class TestSpearman:
@@ -162,6 +164,40 @@ class TestBuildersEqualThePerRowPath:
         db = bench.rhog([4, 9], views, params, rotations)
         self.assert_rows(db, "rhog", rows, ids, groups)
         assert len(db) > 3 * 10
+
+
+class TestLiftKeyframes:
+    def test_equals_from_frame_per_track_and_keyframe(self, relief_ds):
+        """Tracks of both levels and of unequal lengths, some positions too
+        close to the border to lift: each track gets the surfaces
+        ``from_frame`` lifts at its own keyframes, in keyframe order."""
+        pyrs = [build_pyramid(v.image, 2) for v in relief_ds.frames]
+        rng = np.random.default_rng(109)
+        tracks = []
+        for i, (level, length) in enumerate([(0, 8), (1, 8), (0, 3), (1, 5),
+                                             (0, 8), (1, 1)]):
+            size = np.array([160.0, 120.0]) / 2 ** level
+            pos = rng.uniform(-0.05, 1.05, (length, 2)) * (size - 1)
+            tracks.append(Track(i, level, list(pos)))
+        got = bench.lift_keyframes(relief_ds, pyrs, tracks, 4, 11)
+        lifted = 0
+        for tr, views in zip(tracks, got):
+            want = []
+            for k in select_keyframes(tr.length, 4):
+                try:
+                    want.append((k, LocalSurface.from_frame(
+                        relief_ds.frames[k].depth, relief_ds.camera,
+                        tr.positions[k], 11, tr.level)))
+                except ValueError:
+                    pass
+            assert len(views) == len(want)
+            for (surface, image), (k, oracle) in zip(views, want):
+                assert image is pyrs[k].level(tr.level)
+                assert surface.points.tobytes() == oracle.points.tobytes()
+                assert surface.mean_normal.tobytes() == oracle.mean_normal.tobytes()
+                assert surface.anchor.tobytes() == oracle.anchor.tobytes()
+            lifted += len(views)
+        assert 0 < lifted < sum(len(select_keyframes(t.length, 4)) for t in tracks)
 
 
 class TestMemoryScaling:

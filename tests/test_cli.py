@@ -76,6 +76,18 @@ class TestTrackErrors:
         assert not (tmp_path / "tracks").exists()
 
 
+    @pytest.mark.parametrize("size", ["2", "0", "-3"])
+    def test_patch_size_below_three_fails_before_tracking(self, tmp_path,
+                                                           capsys, size):
+        # the dataset does not exist: the option is checked before it is read
+        rc = main(["track", "--dataset", str(tmp_path / "no-dataset"),
+                   "--out", str(tmp_path / "tracks"), "--patch-size", size])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"--patch-size must be at least 3, got {size}\n")
+        assert not (tmp_path / "tracks").exists()
+
+
 class TestDescribe:
     def build(self, workspace, method, extra=()):
         out = workspace / f"db_{method}"
@@ -132,7 +144,19 @@ class TestDescribe:
                    "--out", str(out), "--method", method,
                    "--patch-size", "0", *extra])
         assert rc == 1
-        assert "patch_size must be at least 3" in capsys.readouterr().err
+        assert "--patch-size must be at least 3, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["2", "0", "-3"])
+    def test_patch_size_below_three_names_the_option(
+            self, workspace, tmp_path, capsys, size):
+        out = tmp_path / "small.db"
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(out), "--method", "rhog", "--patch-size", size,
+                   "--dataset", str(workspace / "ds"), "--keyframes", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"--patch-size must be at least 3, got {size}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("keyframes", ["0", "-1"])

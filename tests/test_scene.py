@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvdesc.scene as scene
-from mvdesc.geometry import PinholeCamera, Pose, look_at
+from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, look_at
+from mvdesc.image import GrayImage
 from mvdesc.scene import (HeightfieldSurface, OCCLUDED, OUT_OF_VIEW,
-                          PlaneSurface, RenderError, SceneModel, UNDEFINED,
-                          VISIBLE, build_scene, default_scene_spec,
+                          PlaneSurface, RenderError, RenderedView, SceneModel,
+                          UNDEFINED, VISIBLE, build_scene, default_scene_spec,
                           generate_dataset, ground_truth_correspondence,
-                          load_dataset, make_texture, orbit_poses, read_depth,
-                          render_view, write_depth)
+                          ground_truth_correspondences, load_dataset,
+                          make_texture, orbit_poses, read_depth, render_view,
+                          write_depth)
 
 from conftest import small_spec
 
@@ -378,6 +380,88 @@ class TestCorrespondenceStatuses:
 
 def self_pose_overhead():
     return Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, 1.8]))
+
+
+def assert_correspondences_match(src, dst, xy):
+    """The batch, and the per-point oracle on each row, bit for bit."""
+    uv, status = ground_truth_correspondences(src, dst, xy)
+    assert uv.shape == (len(xy), 2) and status.shape == (len(xy),)
+    want = [ground_truth_correspondence(src, dst, q) for q in xy]
+    assert status.tolist() == [c.status for c in want]
+    assert uv.tobytes() == np.reshape([c.xy for c in want], (-1, 2)).tobytes()
+    return status
+
+
+@st.composite
+def correspondence_cases(draw):
+    """Two views of a small camera over noisy depth with discontinuities and
+    NaN or inf holes; the target pose is the source's, near it, or anywhere
+    (often turned away, so points land behind it). Source pixels sit at
+    integer and fractional positions, on the last column and row, and off
+    the image."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w, h = draw(st.integers(3, 24)), draw(st.integers(3, 18))
+    cam = PinholeCamera(draw(st.floats(5.0, 40.0)), (w - 1) / 2.0,
+                        (h - 1) / 2.0, w, h)
+
+    def depth():
+        d = 2.0 * (1.0 + 0.004 * rng.random((h, w)))
+        d[rng.random((h, w)) < 0.1] *= 1.5
+        d[rng.random((h, w)) < 0.1] = rng.choice([np.nan, np.inf])
+        return d
+
+    src_pose = Pose(axis_angle_rotation(rng.normal(size=3), rng.uniform(0, 3)),
+                    rng.normal(size=3))
+    move = draw(st.sampled_from(["same", "near", "anywhere"]))
+    if move == "same":
+        dst_pose = src_pose
+    else:
+        angle, shift = (0.05, 0.05) if move == "near" else (np.pi, 2.0)
+        turn = axis_angle_rotation(rng.normal(size=3), rng.uniform(0, angle))
+        dst_pose = Pose(turn @ src_pose.r,
+                        turn @ src_pose.t + rng.uniform(-shift, shift, 3))
+    src_depth = depth()
+    views = [RenderedView(GrayImage(np.zeros((h, w))), d, cam, pose)
+             for d, pose in ((src_depth, src_pose),
+                             (src_depth if move == "same" else depth(), dst_pose))]
+    xy = rng.uniform(-2.0, max(w, h) + 1.0, (draw(st.integers(0, 30)), 2))
+    kind = rng.integers(0, 4, len(xy))
+    xy[kind == 0] = np.round(xy[kind == 0])
+    xy[kind == 1, 0] = w - 1
+    xy[kind == 2, 1] = h - 1
+    return views[0], views[1], xy
+
+
+class TestBatchedCorrespondence:
+    @settings(max_examples=200, deadline=None)
+    @given(case=correspondence_cases())
+    def test_equals_per_point_oracle(self, case):
+        assert_correspondences_match(*case)
+
+    def test_rendered_views_equal_per_point(self, relief_ds):
+        src = relief_ds.frames[0]
+        h, w = src.depth.shape
+        xs = np.r_[np.arange(-2, w + 2, 7), w - 1, 50.25]
+        ys = np.r_[np.arange(-2, h + 2, 7), h - 1, 40.5]
+        xy = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2).astype(float)
+        seen = set()
+        for dst in relief_ds.tests + relief_ds.frames[1:]:
+            seen.update(assert_correspondences_match(src, dst, xy).tolist())
+        assert seen == {VISIBLE, OCCLUDED, OUT_OF_VIEW, UNDEFINED}
+
+    def test_target_turned_away_sees_nothing(self, plane_ds):
+        src = plane_ds.frames[0]
+        turn = axis_angle_rotation([0.0, 1.0, 0.0], np.pi)
+        away = Pose(turn @ src.pose.r, turn @ src.pose.t)  # same center
+        dst = RenderedView(src.image, src.depth, src.camera, away)
+        xy = np.array([[10.0, 10.0], [80.5, 60.25], [159.0, 119.0]])
+        status = assert_correspondences_match(src, dst, xy)
+        assert status.tolist() == [OUT_OF_VIEW] * 3
+
+    def test_empty_batch(self, plane_ds):
+        uv, status = ground_truth_correspondences(
+            plane_ds.frames[0], plane_ds.tests[0], np.zeros((0, 2)))
+        assert uv.shape == (0, 2) and status.shape == (0,)
 
 
 class TestInterpDepth:

@@ -14,7 +14,8 @@ from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _COND_LIMIT,
                              _CONVERGE, _nms, attach_patches, auto_threshold,
                              detect_corners, extract_patch, fast_score_map,
                              klt_step, klt_steps, load_tracks, normalize_patch,
-                             run_tracker, save_tracks)
+                             quantized_patch, quantized_patches, run_tracker,
+                             save_tracks)
 
 
 def fast_oracle(a, threshold, arc):
@@ -494,6 +495,66 @@ class TestPatches:
                                    atol=1e-12)
         np.testing.assert_array_equal(normalize_patch(np.full((5, 5), 0.2)),
                                       np.full((5, 5), 0.5))
+
+
+@st.composite
+def patch_cases(draw):
+    """An 8-bit image, odd patch size and centers: inside, on and past the
+    border (where the window clamps), and over a flat region."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    a = np.round(rng.random((h, w)) * 255.0) / 255.0
+    if draw(st.booleans()):
+        a[: h // 2 + 1, : w // 2 + 1] = np.round(rng.random() * 255.0) / 255.0
+    p = draw(st.sampled_from(range(3, 22, 2)))
+    xy = rng.uniform(-p, max(h, w) + p, (draw(st.integers(0, 12)), 2))
+    snap = rng.random(xy.shape) < 0.3
+    xy[snap] = np.round(xy[snap])
+    corners = np.array([[0.0, 0.0], [w - 1.0, h - 1.0], [-3.0, h + 2.0]])
+    return a, np.concatenate([xy, corners[: draw(st.integers(0, 3))]]), p
+
+
+class TestBatchedPatches:
+    @settings(max_examples=200, deadline=None)
+    @given(case=patch_cases())
+    def test_equals_quantized_patch(self, case):
+        a, xy, p = case
+        got = quantized_patches(a, xy, p)
+        want = np.reshape([quantized_patch(GrayImage(a), q, p) for q in xy],
+                          (len(xy), p, p))
+        assert got.shape == (len(xy), p, p)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [3, 11, 21])
+    def test_flat_patches_become_one_half(self, p):
+        a = np.full((30, 30), 0.3)
+        xy = np.array([[10.0, 10.0], [-4.0, 2.5], [29.0, 29.0]])
+        got = quantized_patches(a, xy, p)
+        assert (got == np.rint(0.5 * 255.0) / 255.0).all()
+        assert got.tobytes() == np.stack(
+            [quantized_patch(GrayImage(a), q, p) for q in xy]).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 0, -3])
+    def test_size_below_three_rejected(self, p):
+        with pytest.raises(ValueError, match=f"at least 3, got {p}"):
+            quantized_patches(np.zeros((9, 9)), np.zeros((1, 2)), p)
+
+    def test_attach_patches_equals_per_position_patches(self):
+        rng = np.random.default_rng(108)
+        frames = [GrayImage(make_texture(rng, 48, 3)) for _ in range(3)]
+        tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([-2.0, 9.5]),
+                               np.array([47.0, 30.0])]),
+                  Track(1, 1, [np.array([10.4, 3.0])], alive=False),
+                  Track(2, 0, [np.array([5.0, 5.0]), np.array([6.5, 4.0])],
+                        alive=False),
+                  Track(3, 1, [np.array([11.0, 12.0]), np.array([11.5, 12.5]),
+                               np.array([12.0, 13.0])])]
+        attach_patches(tracks, frames, patch_size=7, levels=2)
+        pyrs = [build_pyramid(f, 2) for f in frames]
+        for tr in tracks:
+            want = np.stack([quantized_patch(pyrs[f].level(tr.level), pos, 7)
+                             for f, pos in enumerate(tr.positions)])
+            assert tr.patches.tobytes() == want.tobytes()
 
 
 class TestTrackIO:

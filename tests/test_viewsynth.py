@@ -15,7 +15,7 @@ from mvdesc.image import GrayImage, bilinear_sample, level_to_base
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
                               _lattice_normals, aggregate_descriptor,
-                              patch_density, sample_rotations,
+                              lift_surfaces, patch_density, sample_rotations,
                               select_keyframes, synthesize_patch,
                               synthesize_views, view_descriptors, view_visible)
 
@@ -105,6 +105,61 @@ class TestLocalSurface:
         want = z * cam.ray_directions(base)
         np.testing.assert_allclose(surf.points[2, 2], want, atol=1e-12)
         assert surf.level == 1
+
+
+@st.composite
+def lift_cases(draw):
+    """A ray-depth map of a bumpy tilted surface with NaN or inf holes, a
+    pyramid level, an odd patch size and anchors inside, near and past the
+    border of that level, so some lattices leave the map or cover a hole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w, h = draw(st.integers(8, 48)), draw(st.integers(8, 40))
+    cam = PinholeCamera(draw(st.floats(10.0, 80.0)), (w - 1) / 2.0,
+                        (h - 1) / 2.0, w, h)
+    gx, gy = np.meshgrid(np.arange(w), np.arange(h))
+    depth = (2.0 + rng.uniform(-0.02, 0.02) * gx + rng.uniform(-0.02, 0.02) * gy
+             + 0.01 * rng.random((h, w)))
+    holes = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.002, 0.02]))
+    depth[holes] = rng.choice([np.nan, np.inf])
+    level = draw(st.integers(0, 2))
+    p = draw(st.sampled_from(range(3, 22, 2)))
+    lw, lh = w / 2 ** level, h / 2 ** level
+    n = draw(st.integers(0, 12))
+    anchors = (rng.uniform(-2.0, 1.0, (n, 2)) + [lw / 2, lh / 2]) * rng.uniform(
+        0.0, 2.0, (n, 2))
+    return depth, cam, anchors, p, level
+
+
+class TestBatchedLifting:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lift_cases())
+    def test_equals_from_frame(self, case):
+        depth, cam, anchors, p, level = case
+        got = lift_surfaces(depth, cam, anchors, p, level)
+        assert len(got) == len(anchors)
+        for anchor, surface in zip(anchors, got):
+            try:
+                want = LocalSurface.from_frame(depth, cam, anchor, p, level)
+            except ValueError:
+                assert surface is None
+                continue
+            assert surface is not None
+            for field in dataclasses.fields(LocalSurface):
+                a, b = getattr(surface, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape, field.name
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+
+    def test_rejects_what_from_frame_rejects(self, plane_ds):
+        frame = plane_ds.frames[0]
+        holed = frame.depth.copy()
+        holed[60, 81] = np.inf
+        anchors = np.array([[2.0, 2.0], [80.0, 60.0], [40.0, 30.0]])
+        got = lift_surfaces(holed, frame.camera, anchors, 11)
+        assert got[0] is None and got[1] is None and got[2] is not None
+        assert lift_surfaces(holed, frame.camera, np.zeros((0, 2)), 11) == []
 
 
 def explicit_difference_normals(points):
