@@ -2,7 +2,7 @@
 
 The multi-view density is just the running average of the per-frame
 unnormalized densities, normalized once at the end. The accumulator state
-never grows with track length, and its excitation statistic says how much
+never grows with track length, and the excitation score says how much
 genuinely new appearance the track has contributed so far.
 """
 
@@ -34,7 +34,7 @@ def main():
 
     print("frames  excitation  bytes")
     for f, patch in enumerate(track.patches):
-        acc.update(patch_density(patch, params), patch)
+        acc.update(patch_density(patch, params))
         exc = excitation_score(track.patches[:f + 1], full_scatter)
         print(f"  {f + 1:3d}    {exc:8.3f}  {acc.memory_bytes:6d}")
 

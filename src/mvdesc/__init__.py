@@ -11,8 +11,8 @@ from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                   density_at, normalize_density, orientation_density,
                   patch_densities, sample_descriptor)
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
-from .matching import (METRICS, DescriptorDatabase, distance, likelihood_query,
-                       log_likelihood, match_all, nn_query, pairwise_distances)
+from .matching import (METRICS, DescriptorDatabase, distance, match_all,
+                       nn_query, pairwise_distances)
 from .scene import (Correspondence, HeightfieldSurface, PlaneSurface,
                     RenderedView, RenderError, SceneModel, build_scene,
                     default_scene_spec, generate_dataset,

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (DescriptorParams, OrientationDensity, _normalized_rows,
-                  patch_densities)
+from .hog import (METHODS, DescriptorParams, OrientationDensity,
+                  _normalized_rows, patch_densities)
 from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
@@ -495,9 +495,10 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
     runs = [_SceneRun(spec, cfg, out / "scenes" / spec["name"])
             for spec in cfg["scenes"]]
 
-    methods = ["sv", "mv", "keepall", "rhog"]
     rows = []                 # (scene, method, patch_size, metric, rate)
-    pooled = {m: {} for m in methods}
+    # max-out matching is squared-l2 over rows, so the rhog metric is fixed
+    metrics = {m: "l2" if m == "rhog" else cfg["metric"] for m in METHODS}
+    pooled = {m: {} for m in METHODS}
     n_tracks = {}
     preps = {}
 
@@ -517,9 +518,8 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 picks = [d[int(rng.integers(0, len(d)))] for d in dens]
                 sv_rates.append(_rate(sv(ids, picks, params, cfg["metric"]),
                                       queries)[0])
-            # max-out matching is squared-l2 over rows, so the metric is fixed
             rhog_db = rhog(ids, prep["views"], params, prep["rotations"],
-                           cfg["rhog"]["min_facing"], "l2")
+                           cfg["rhog"]["min_facing"], metrics["rhog"])
             scene_rates = {
                 "sv": float(np.mean(sv_rates)),
                 "mv": _rate(mv(ids, dens, params, cfg["metric"]), queries)[0],
@@ -527,9 +527,8 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                                  queries)[0],
                 "rhog": _rate(rhog_db, queries)[0],
             }
-            for m in methods:
-                metric = "l2" if m == "rhog" else cfg["metric"]
-                rows.append((run.name, m, size, metric, scene_rates[m]))
+            for m in METHODS:
+                rows.append((run.name, m, size, metrics[m], scene_rates[m]))
                 bucket = pooled[m].setdefault(size, {"correct": 0.0, "n": 0})
                 bucket["correct"] += scene_rates[m] * len(truth)
                 bucket["n"] += len(truth)
@@ -537,10 +536,9 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
     pooled_rates = {m: {str(s): (b["correct"] / b["n"] if b["n"] else 0.0)
                         for s, b in per.items()}
                     for m, per in pooled.items()}
-    for m in methods:
+    for m in METHODS:
         for s, r in pooled_rates[m].items():
-            metric = "l2" if m == "rhog" else cfg["metric"]
-            rows.append(("ALL", m, int(s), metric, r))
+            rows.append(("ALL", m, int(s), metrics[m], r))
 
     # -- excitation study --------------------------------------------------
     # Subsets are contiguous windows of the (closed) orbit with a random

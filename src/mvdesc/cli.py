@@ -9,7 +9,8 @@ from pathlib import Path
 
 from . import bench
 from .bench import quick_benchmark_config, run_benchmark
-from .hog import DescriptorParams, patch_densities
+from .hog import METHODS, DescriptorParams, patch_densities
+from .image import _json_field
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
@@ -88,12 +89,17 @@ def _cmd_describe(args) -> int:
 
     ids = [tr.id for tr in tracks]
     if args.method == "sv":
-        picks = [patch_density(tr.patches[min(args.frame, len(tr.patches) - 1)],
-                               params).grid for tr in tracks]
+        shortest = min(len(tr.patches) for tr in tracks)
+        if args.frame >= shortest:
+            raise ValueError(f"--frame {args.frame} is past the last frame of "
+                             f"the shortest stored track ({shortest} frames)")
+        picks = [patch_density(tr.patches[args.frame], params).grid
+                 for tr in tracks]
         db = bench.sv(ids, picks, params, args.metric)
-    elif args.method == "mv":
-        db = bench.mv(ids, [patch_densities(tr.patches, params) for tr in tracks],
-                      params, args.metric)
+    elif args.method in ("mv", "keepall"):
+        build = bench.mv if args.method == "mv" else bench.keepall
+        db = build(ids, [patch_densities(tr.patches, params) for tr in tracks],
+                   params, args.metric)
     else:
         # looked up at call time, so perfbench's mvdesc.image wrapper sees it
         from .image import build_pyramid
@@ -150,23 +156,34 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.bench_dir) / "report.json"
-    rep = json.loads(path.read_text())
+    rep, num = _json_object(path), (int, float)
+    try:  # every field the summary prints, checked before it prints
+        pooled = _json_field(rep, "pooled", dict)
+        for m in pooled:
+            for s in _json_field(pooled, m, dict, "pooled"):
+                _json_field(pooled[m], s, num, f"pooled.{m}")
+        exc = _json_field(rep, "excitation", dict)
+        spearman = _json_field(exc, "spearman", num, "excitation")
+        points = _json_field(exc, "points", list, "excitation")
+        mem = _json_field(rep, "memory", dict)
+        ratio, keep, mv = [_json_field(mem, k, num, "memory") for k in
+                           ("slope_ratio", "keepall_slope", "mv_slope")]
+        n_tracks = _json_field(rep, "n_tracks", dict)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     print("recognition rate, pooled over scenes")
-    sizes = sorted({s for per in rep["pooled"].values() for s in per})
+    sizes = sorted({s for per in pooled.values() for s in per})
     print("method    " + "".join(f"patch {s:>4s}  " for s in sizes))
-    for method in ("sv", "mv", "keepall", "rhog"):
-        per = rep["pooled"].get(method, {})
+    for method in METHODS:
+        per = pooled.get(method, {})
         cells = "".join(f"{per.get(s, float('nan')):10.3f}  " for s in sizes)
         print(f"{method:8s}{cells}")
-    exc = rep["excitation"]
-    print(f"\nexcitation vs rate: spearman {exc['spearman']:.3f} "
-          f"over {len(exc['points'])} points")
-    mem = rep["memory"]
-    print(f"storage slope keepall/mv: {mem['slope_ratio']:.0f} "
-          f"(keepall {mem['keepall_slope']:.0f} B/frame, "
-          f"mv {mem['mv_slope']:.1f} B/frame)")
+    print(f"\nexcitation vs rate: spearman {spearman:.3f} "
+          f"over {len(points)} points")
+    print(f"storage slope keepall/mv: {ratio:.0f} (keepall {keep:.0f} B/frame, "
+          f"mv {mv:.1f} B/frame)")
     print("\ntracks used per scene/patch size:")
-    for key, n in sorted(rep["n_tracks"].items()):
+    for key, n in sorted(n_tracks.items()):
         print(f"  {key}: {n}")
     return 0
 
@@ -199,7 +216,7 @@ def main(argv=None) -> int:
     d = sub.add_parser("describe", help="build a descriptor database from tracks")
     d.add_argument("--tracks", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--method", choices=["sv", "mv", "rhog"], default="mv")
+    d.add_argument("--method", choices=METHODS, default="mv")
     d.add_argument("--frame", type=int, default=0, help="frame index for sv")
     d.add_argument("--keyframes", type=int, default=10, help="keyframes for rhog")
     d.add_argument("--dataset", help="dataset dir (rhog needs depth maps)")

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (KERNELS, METHODS, DescriptorParams, DescriptorVector,
-                  OrientationDensity)
+from .hog import KERNELS, METHODS, DescriptorParams, DescriptorVector
 from .image import _need
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "DescriptorDatabase",
     "nn_query",
     "match_all",
-    "log_likelihood",
-    "likelihood_query",
 ]
 
 METRICS = ("l1", "l2", "neg-correlation", "chi2", "bhattacharyya", "kl")
@@ -185,20 +182,6 @@ def distance(a, b, metric: str, bins: int = None) -> float:
         bins = b.bins if bins is None else bins
         b = b.values
     return float(pairwise_distances(a, b, metric, bins)[0, 0])
-
-
-# ---------------------------------------------------------------------------
-# likelihood scoring
-
-def log_likelihood(model: np.ndarray, query: np.ndarray, bins: int) -> float:
-    """Cross-entropy score of a query distribution under a model distribution.
-
-    Both arguments are flattened per-cell distributions. The model is
-    smoothed so empty model bins cannot produce -inf; higher is better.
-    """
-    m = _smooth(_cellwise(np.asarray(model, dtype=np.float64), bins), bins)
-    q = _cellwise(np.asarray(query, dtype=np.float64), bins)
-    return float(np.sum(q * np.log(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +361,3 @@ def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str = None):
     best = _best_rows(dists, db.track_ids)
     return db.track_ids[best], dists[np.arange(q.shape[0]), best]
 
-
-def likelihood_query(db: DescriptorDatabase, query):
-    """Maximum-likelihood lookup; returns (track_id, log_likelihood).
-
-    Stored rows act as per-cell model distributions for the query
-    distribution. A track scores by its best row; ties prefer the lowest id.
-    """
-    if isinstance(query, OrientationDensity):
-        if not query.normalized:
-            raise ValueError("likelihood queries need a normalized density")
-        values = query.grid.reshape(-1)
-    elif isinstance(query, DescriptorVector):
-        values = query.values
-    else:
-        values = np.asarray(query, dtype=np.float64)
-    bins = db.params.bins
-    m = _smooth(_cellwise(db.matrix, bins), bins)
-    ll = np.sum(_cellwise(values, bins)[None] * np.log(m), axis=(1, 2))
-    best = _best_rows(-ll[None, :], db.track_ids)[0]
-    return int(db.track_ids[best]), float(ll[best])

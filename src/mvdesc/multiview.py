@@ -2,8 +2,8 @@
 
 A track's multi-view descriptor is the per-cell normalized average of the
 unnormalized single-frame densities. The running state is a single density
-grid plus patch moment images, so per-frame updates cost the same no matter
-how many frames came before, and memory does not grow with track length.
+grid, so per-frame updates cost the same no matter how many frames came
+before, and memory does not grow with track length.
 """
 
 from __future__ import annotations
@@ -22,41 +22,21 @@ __all__ = [
 class MultiViewAccumulator:
     """Running average of unnormalized densities over the frames of a track."""
 
-    __slots__ = ("params", "frames", "density_sum", "patch_sum", "patch_sumsq")
+    __slots__ = ("params", "frames", "density_sum")
 
     def __init__(self, params: DescriptorParams):
         self.params = params
         self.frames = 0
         self.density_sum = np.zeros((params.cells, params.cells, params.bins))
-        self.patch_sum = np.zeros((params.patch_size, params.patch_size))
-        self.patch_sumsq = np.zeros((params.patch_size, params.patch_size))
 
-    def update(self, density: OrientationDensity, patch: np.ndarray = None) -> None:
-        """Fold one frame in. ``density`` must be unnormalized.
-
-        ``patch`` (the intensity window the density came from) is optional
-        and only feeds the excitation statistics.
-        """
+    def update(self, density: OrientationDensity) -> None:
+        """Fold one frame in. ``density`` must be unnormalized."""
         if density.normalized:
             raise ValueError("accumulate unnormalized densities, not distributions")
         if density.params != self.params:
             raise ValueError("density params do not match accumulator")
         self.density_sum += density.grid
         self.frames += 1
-        if patch is not None:
-            if patch.shape != self.patch_sum.shape:
-                raise ValueError(f"patch shape {patch.shape} does not match params")
-            self.patch_sum += patch
-            self.patch_sumsq += patch * patch
-
-    def merge(self, other: "MultiViewAccumulator") -> None:
-        """Absorb another accumulator over a disjoint set of frames."""
-        if other.params != self.params:
-            raise ValueError("cannot merge accumulators with different params")
-        self.density_sum += other.density_sum
-        self.frames += other.frames
-        self.patch_sum += other.patch_sum
-        self.patch_sumsq += other.patch_sumsq
 
     def mean_density(self) -> OrientationDensity:
         """Average unnormalized density over the frames seen so far."""
@@ -68,26 +48,16 @@ class MultiViewAccumulator:
         """Per-cell normalized multi-view density."""
         return normalize_density(self.mean_density())
 
-    def patch_scatter(self) -> float:
-        """Mean squared distance of the seen patches to their mean patch."""
-        if self.frames == 0:
-            raise ValueError("no frames accumulated")
-        t = self.frames
-        var = self.patch_sumsq / t - (self.patch_sum / t) ** 2
-        return float(np.sum(np.maximum(var, 0.0)))
-
     @property
     def memory_bytes(self) -> int:
         """Bytes held by the running state (independent of frame count)."""
-        return (self.density_sum.nbytes + self.patch_sum.nbytes
-                + self.patch_sumsq.nbytes)
+        return self.density_sum.nbytes
 
 
 def patch_scatter(patches: np.ndarray) -> float:
     """Mean over frames of the squared l2 distance to the mean patch.
 
-    ``patches`` is (frames, h, w). Two-pass reference form of
-    :meth:`MultiViewAccumulator.patch_scatter`.
+    ``patches`` is (frames, h, w).
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 3 or patches.shape[0] < 1:
@@ -96,17 +66,14 @@ def patch_scatter(patches: np.ndarray) -> float:
     return float(np.mean(np.sum((patches - mean) ** 2, axis=(1, 2))))
 
 
-def excitation_score(patches: np.ndarray, normalizer: float = None) -> float:
+def excitation_score(patches: np.ndarray, normalizer: float) -> float:
     """Patch-diversity score in [0, 1].
 
-    Raw scatter divided by ``normalizer`` (the full track's scatter, so the
-    whole track scores 1), clipped to 1 since a subset of frames can be more
-    varied than the track as a whole. A track with no appearance change at
-    all scores 0.
+    :func:`patch_scatter` divided by ``normalizer`` (the full track's
+    scatter, so the whole track scores 1), clipped to 1 since a subset of
+    frames can be more varied than the track as a whole. A normalizer of 0
+    (a track with no appearance change at all) gives 0 for every subset.
     """
-    raw = patch_scatter(patches)
-    if normalizer is None:
-        normalizer = raw
     if normalizer <= 0.0:
         return 0.0
-    return min(raw / normalizer, 1.0)
+    return min(patch_scatter(patches) / normalizer, 1.0)

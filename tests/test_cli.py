@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mvdesc import bench
 from mvdesc.cli import main
+from mvdesc.hog import DescriptorParams, patch_densities
 from mvdesc.matching import DescriptorDatabase
 from mvdesc.tracking import load_tracks
 
@@ -109,6 +112,31 @@ class TestDescribe:
         assert db.method == "mv"
         assert len(db) == n_tracks
 
+    def test_keepall_database_equals_the_bench_builder(self, workspace):
+        tracks, _ = load_tracks(workspace / "tracks")
+        params = DescriptorParams(15)
+        want = bench.keepall([tr.id for tr in tracks],
+                             [patch_densities(tr.patches, params)
+                              for tr in tracks], params)
+        db = self.build(workspace, "keepall")
+        assert db.method == "keepall"
+        assert len(db) == sum(len(tr.patches) for tr in tracks)
+        assert np.array_equal(db.track_ids, want.track_ids)
+        assert np.array_equal(db.groups, want.groups)
+        # the file stores float32 values
+        assert np.array_equal(db.matrix,
+                              want.matrix.astype(np.float32).astype(np.float64))
+
+    def test_last_frame_is_the_sv_pick(self, workspace, tmp_path):
+        tracks, _ = load_tracks(workspace / "tracks")
+        params = DescriptorParams(15)
+        want = bench.sv([tr.id for tr in tracks],
+                        [patch_densities(tr.patches[5:6], params)[0]
+                         for tr in tracks], params)
+        db = self.build(workspace, "sv", ("--frame", "5"))
+        assert np.array_equal(db.matrix,
+                              want.matrix.astype(np.float32).astype(np.float64))
+
     def test_reconstruction_database(self, workspace):
         n_tracks = len(load_tracks(workspace / "tracks")[0])
         db = self.build(workspace, "rhog",
@@ -124,7 +152,7 @@ class TestDescribe:
         assert rc == 1
         assert "depth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["sv", "mv"])
+    @pytest.mark.parametrize("method", ["sv", "mv", "keepall"])
     def test_patch_size_must_match_stored_patches(self, workspace, capsys,
                                                   method):
         rc = main(["describe", "--tracks", str(workspace / "tracks"),
@@ -353,3 +381,47 @@ class TestInputErrors:
         assert f"--frame must be at least 0, got {frame}" \
             in capsys.readouterr().err
         assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("frame", ["6", "99"])
+    def test_describe_with_a_frame_past_the_tracks(self, workspace, tmp_path,
+                                                   capsys, frame):
+        # the tracks have 6 frames; a later frame is refused, not clamped
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(tmp_path / "db"), "--method", "sv",
+                   "--frame", frame])
+        assert rc == 1
+        assert (f"--frame {frame} is past the last frame of the shortest "
+                f"stored track (6 frames)") in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "pooled: missing"),
+        ("[1]", "expected a JSON object, got list"),
+        ("not json", "Expecting value"),
+        ('{"pooled": []}', "pooled: expected dict, got list"),
+        ('{"pooled": {"sv": {"11": "0.5"}}}',
+         "pooled.sv.11: expected int or float, got str"),
+        ('{"pooled": {"sv": {"11": 0.5}}, "excitation": {"spearman": null}}',
+         "excitation.spearman: expected int or float, got NoneType"),
+    ], ids=["empty", "list", "unparsable", "pooled-list", "rate-string",
+            "spearman-null"])
+    def test_report_on_a_malformed_report(self, tmp_path, capsys, text,
+                                          message):
+        (tmp_path / "report.json").write_text(text)
+        assert main(["report", "--bench-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{tmp_path / 'report.json'}: " in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("section, field", [
+        ("memory", "mv_slope"), ("excitation", "points"), (None, "n_tracks"),
+    ], ids=["memory.mv_slope", "excitation.points", "n_tracks"])
+    def test_report_missing_a_printed_field(self, bench_dir, tmp_path, capsys,
+                                            section, field):
+        rep = json.loads((bench_dir / "report.json").read_text())
+        del (rep[section] if section else rep)[field]
+        (tmp_path / "report.json").write_text(json.dumps(rep))
+        assert main(["report", "--bench-dir", str(tmp_path)]) == 1
+        name = f"{section}.{field}" if section else field
+        assert f"report.json: {name}: missing" in capsys.readouterr().err

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import METHODS, DescriptorParams, DescriptorVector, \
-    normalize_density, OrientationDensity
+from mvdesc.hog import METHODS, DescriptorParams, DescriptorVector
 from mvdesc.image import GrayImage, read_pgm, write_pgm
 from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, METRICS,
-                             DescriptorDatabase, distance, likelihood_query,
-                             log_likelihood, match_all, nn_query,
+                             DescriptorDatabase, distance, match_all, nn_query,
                              pairwise_distances)
 from mvdesc.scene import read_depth, write_depth
 
@@ -413,47 +411,6 @@ class TestQueries:
         _, d = nn_query(db, q, metric="l1")
         dists = pairwise_distances(q, db.matrix, "l1")[0]
         assert d == pytest.approx(float(dists.min()), rel=1e-12)
-
-
-class TestLikelihood:
-    def test_log_likelihood_formula(self):
-        rng = np.random.default_rng(50)
-        model = unit_cells(rng, 1)[0]
-        query = unit_cells(rng, 1)[0]
-        s = 1e-8
-        m = (model.reshape(4, 4) + s) / (1 + 4 * s)
-        want = float(np.sum(query.reshape(4, 4) * np.log(m)))
-        assert log_likelihood(model, query, 4) == pytest.approx(want, rel=1e-12)
-
-    def test_true_model_wins(self):
-        rng = np.random.default_rng(51)
-        db = DescriptorDatabase("mv", PARAMS, "l2")
-        rows = unit_cells(rng, 6)
-        for i, row in enumerate(rows):
-            db.add(i, DescriptorVector(row, "mv", PARAMS))
-        # querying with a stored distribution recovers its own track
-        for i in (0, 2, 5):
-            tid, ll = likelihood_query(db, rows[i])
-            assert tid == i
-            assert ll == pytest.approx(log_likelihood(rows[i], rows[i], 4),
-                                       rel=1e-9)
-
-    def test_exact_tie_prefers_lowest_id(self):
-        row = unit_cells(np.random.default_rng(54), 1)[0]
-        db = DescriptorDatabase("mv", PARAMS, "l2")
-        for tid in (9, 2, 7):
-            db.add(tid, DescriptorVector(row, "mv", PARAMS))
-        assert likelihood_query(db, row)[0] == 2
-
-    def test_requires_normalized_density(self):
-        rng = np.random.default_rng(52)
-        db = DescriptorDatabase("mv", PARAMS, "l2")
-        db.add(0, DescriptorVector(unit_cells(rng, 1)[0], "mv", PARAMS))
-        raw = OrientationDensity(rng.random((2, 2, 4)), PARAMS)
-        with pytest.raises(ValueError):
-            likelihood_query(db, raw)
-        tid, _ = likelihood_query(db, normalize_density(raw))
-        assert tid == 0
 
 
 def _literal_distance(q, x, metric, bins):
