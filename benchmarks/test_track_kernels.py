@@ -1,4 +1,5 @@
-"""Layer benchmark for tracking: ``run_tracker``, the batched KLT step and ``_nms``.
+"""Layer benchmark for tracking: ``run_tracker``, corner detection, the
+batched KLT step and ``_nms``.
 
 Run from the repository root with one BLAS thread (kept out of
 ``testpaths``, so the unit tests do not pay for it):
@@ -7,10 +8,11 @@ Run from the repository root with one BLAS thread (kept out of
 
 The scene has the size of the plane-match benchmark workload: a 120 x 90
 plane orbit of 10 frames with a 15 degree sway, 60 corners over two
-pyramid levels. ``klt_steps`` is timed on every level-0 corner of the
-first frame pair, beside the same points through ``klt_step`` one at a
-time; ``_nms`` on the candidates of level 0 at the lowest detector
-threshold, the largest set ``auto_threshold`` suppresses.
+pyramid levels. ``detect_corners`` is timed over the whole threshold
+search on the first frame; ``klt_steps`` in one call on every corner of
+both levels of the first frame pair, beside the same points through
+``klt_step`` one at a time; ``_nms`` on the candidates of level 0 at the
+lowest detector threshold, the largest set ``auto_threshold`` suppresses.
 """
 
 import time
@@ -46,22 +48,36 @@ def test_run_tracker(benchmark, frames):
     assert tracks
 
 
+def test_detect_corners(benchmark, frames):
+    pyr = build_pyramid(frames[0], CFG.levels)
+    det = benchmark.pedantic(detect_corners, args=(pyr, CFG), rounds=20,
+                             iterations=1, warmup_rounds=1)
+    ms = 1e3 * benchmark.stats.stats.median
+    benchmark.extra_info.update(corners=len(det))
+    print(f"\ndetect_corners: {len(det)} corners, {ms:.1f} ms per threshold "
+          f"search")
+    assert {lvl for lvl, _, _ in det} == {0, 1}
+
+
 def test_klt_steps(benchmark, frames):
     p0, p1 = build_pyramid(frames[0], CFG.levels), build_pyramid(frames[1], CFG.levels)
-    pos = np.array([xy for lvl, xy, _ in detect_corners(p0, CFG) if lvl == 0])
-    prev, nxt = p0.level(0), p1.level(0)
+    det = detect_corners(p0, CFG)
+    pos = np.array([xy for _, xy, _ in det])
+    levels = [lvl for lvl, _, _ in det]
 
-    new, ok = benchmark.pedantic(klt_steps, args=(prev, nxt, pos, CFG),
+    new, ok = benchmark.pedantic(klt_steps, args=(p0, p1, pos, levels, CFG),
                                  rounds=20, iterations=5, warmup_rounds=1)
     batched = 1e6 * benchmark.stats.stats.median / len(pos)
 
     t0 = time.perf_counter()
     for _ in range(5):
-        one = [klt_step(prev, nxt, p, CFG) for p in pos]
+        one = [klt_step(p0.level(lvl), p1.level(lvl), p, CFG)
+               for lvl, p in zip(levels, pos)]
     single = 1e6 * (time.perf_counter() - t0) / (5 * len(pos))
     benchmark.extra_info.update(points=len(pos), us_per_point=batched,
                                 us_per_point_single=single)
-    print(f"\nklt_steps: {len(pos)} points, {batched:.0f} us per point-frame "
+    print(f"\nklt_steps: {len(pos)} points on {CFG.levels} levels, "
+          f"{batched:.0f} us per point-frame "
           f"batched, {single:.0f} us one at a time")
     assert [o is not None for o in one] == ok.tolist()
 

@@ -255,8 +255,14 @@ def bilinear_sample(data: np.ndarray, xy: np.ndarray, clamp: bool = True) -> np.
     """
     h, w = data.shape
     xy = np.asarray(xy, dtype=np.float64)
-    x = xy[..., 0]
-    y = xy[..., 1]
+    return _bilinear(np.asarray(data, dtype=np.float64).ravel(), xy[..., 0],
+                     xy[..., 1], w, h, 0, clamp)
+
+
+def _bilinear(flat: np.ndarray, x, y, w, h, offset, clamp: bool = True):
+    """:func:`bilinear_sample` at ``(x, y)`` of row-major images stored end
+    to end in ``flat``: each sample reads the ``h`` x ``w`` image starting at
+    ``offset``. Bounds, ``x`` and ``y`` are scalars or broadcast arrays."""
     if clamp:
         x = np.clip(x, 0.0, w - 1.0)
         y = np.clip(y, 0.0, h - 1.0)
@@ -271,9 +277,7 @@ def bilinear_sample(data: np.ndarray, xy: np.ndarray, clamp: bool = True) -> np.
     # flat gathers read the elements data[y0, x0] ... data[y0 + 1, x0 + 1];
     # the in-place products and sums keep v00*gx*gy + v01*fx*gy + ... in
     # that order, without a temporary per term
-    flat = np.asarray(data, dtype=np.float64).ravel()
-    idx = y0 * w
-    idx += x0
+    idx = y0 * w + offset + x0
     out = flat.take(idx)
     out *= gx
     out *= gy

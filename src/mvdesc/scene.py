@@ -737,7 +737,8 @@ def load_dataset(path) -> SceneDataset:
     tenth of a pixel. A malformed ``manifest.json`` (a missing or wrongly
     typed field, a pose that is not finite numbers of the right shape, or a
     foreign ``format_version``) raises ValueError naming the file and the
-    field.
+    field; an image or depth map of another size than the camera's raises
+    ValueError naming the file and both sizes.
     """
     root = Path(path)
     file = root / "manifest.json"
@@ -747,8 +748,15 @@ def load_dataset(path) -> SceneDataset:
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
 
+    def load(name, read):
+        data = read(root / name)
+        if data.shape != (cam.height, cam.width):
+            raise ValueError(f"{root / name}: {data.shape[1]}x{data.shape[0]} does "
+                             f"not match the camera's {cam.width}x{cam.height}")
+        return data
+
     def load_views(records):
-        return [RenderedView(read_pgm(root / image), read_depth(root / depth),
+        return [RenderedView(load(image, read_pgm), load(depth, read_depth),
                              cam, pose, photo)
                 for image, depth, pose, photo in records]
 

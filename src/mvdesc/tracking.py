@@ -2,7 +2,7 @@
 
 Detection is a segment-test corner detector on every pyramid level of the
 first frame; tracking is translational Lucas-Kanade (inverse compositional)
-run independently per level, with gain/bias-matched windows so smooth
+on each track's own pyramid level, with gain/bias-matched windows so smooth
 illumination changes between frames do not break brightness constancy.
 Positions are kept in the coordinates of the track's own pyramid level.
 """
@@ -10,13 +10,14 @@ Positions are kept in the coordinates of the track's own pyramid level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .image import (GrayImage, ImagePyramid, _central_differences,
-                    _finite_numbers, _json_field, bilinear_sample, build_pyramid,
+                    _bilinear, _finite_numbers, _json_field, build_pyramid,
                     read_pgm, write_pgm)
 
 __all__ = [
@@ -64,6 +65,14 @@ class TrackerConfig:
             raise ValueError("tracking window must be odd and at least 5")
         if not 1 <= self.arc <= 16:
             raise ValueError("segment-test arc length must be in 1..16")
+        for name in ("n_features", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.reject_thresh) and self.reject_thresh > 0):
+            raise ValueError(f"reject_thresh must be a finite number above 0, "
+                             f"got {self.reject_thresh}")
+        if self.min_border < 0:
+            raise ValueError(f"min_border must not be negative, got {self.min_border}")
 
 
 @dataclass
@@ -85,6 +94,51 @@ class Track:
 # detection
 
 
+class _SegmentTest:
+    """One image's segment test, reduced once for every threshold.
+
+    Holds the candidate pixels at least ``border`` (and 3) pixels inside the
+    image, their centers and circles, and two reductions over the circle's
+    ``arc``-long runs: ``bright``, the largest run minimum, and ``dark``, the
+    smallest run maximum. A whole run is brighter than ``center + t`` exactly
+    when its minimum is, so the test at ``t`` is ``(bright > center + t) |
+    (dark < center - t)``."""
+
+    def __init__(self, a: np.ndarray, arc: int, border: int):
+        h, w = a.shape
+        b = max(border, 3)
+        if min(h, w) <= 2 * b:
+            h = w = 2 * b  # no candidates: every slice below is empty
+        ys, xs = np.mgrid[b:h - b, b:w - b]
+        self.xy = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+        self.center = a[b:h - b, b:w - b].ravel()
+        self.circle = np.stack([a[b + dy:h - b + dy, b + dx:w - b + dx].ravel()
+                                for dx, dy in FAST_OFFSETS])
+        runs = np.concatenate([self.circle, self.circle[:arc - 1]])
+        lo, hi = runs[:16].copy(), runs[:16].copy()
+        for k in range(1, arc):
+            np.minimum(lo, runs[k:k + 16], out=lo)
+            np.maximum(hi, runs[k:k + 16], out=hi)
+        self.bright = lo.max(axis=0)
+        self.dark = hi.min(axis=0)
+
+    def at(self, t: float):
+        """Indices into the candidates of the pixels passing at threshold
+        ``t``, and their scores: the intensity excess beyond ``t`` over the
+        circle, summed in circle order, for the stronger polarity."""
+        c = self.center
+        sel = np.flatnonzero((self.bright > c + t) | (self.dark < c - t))
+        c = c[sel]
+        circle = self.circle[:, sel]
+        diff, ct = circle - c, c - t
+        excess_b = np.maximum(diff[0] - t, 0.0)
+        excess_d = np.maximum(ct - circle[0], 0.0)
+        for k in range(1, 16):
+            excess_b += np.maximum(diff[k] - t, 0.0)
+            excess_d += np.maximum(ct - circle[k], 0.0)
+        return sel, np.maximum(excess_b, excess_d)
+
+
 def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
     """Segment-test corner mask and scores for one image.
 
@@ -94,32 +148,11 @@ def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
     whichever polarity is stronger. Returns (mask, score) over the full
     image; a 3-pixel border never fires.
     """
-    a = img.data
-    h, w = a.shape
-    if h < 7 or w < 7:
-        return np.zeros((h, w), bool), np.zeros((h, w))
-    center = a[3:h - 3, 3:w - 3]
-    circle = np.empty((16,) + center.shape)
-    for k, (dx, dy) in enumerate(FAST_OFFSETS):
-        circle[k] = a[3 + dy:h - 3 + dy, 3 + dx:w - 3 + dx]
-
-    brighter = circle > center + threshold
-    darker = circle < center - threshold
-    bright_arc = brighter.copy()
-    dark_arc = darker.copy()
-    for k in range(1, arc):
-        bright_arc &= np.roll(brighter, -k, axis=0)
-        dark_arc &= np.roll(darker, -k, axis=0)
-    mask_in = bright_arc.any(axis=0) | dark_arc.any(axis=0)
-
-    excess_b = np.maximum(circle - center - threshold, 0.0).sum(axis=0)
-    excess_d = np.maximum(center - threshold - circle, 0.0).sum(axis=0)
-    score_in = np.where(mask_in, np.maximum(excess_b, excess_d), 0.0)
-
-    mask = np.zeros((h, w), bool)
-    score = np.zeros((h, w))
-    mask[3:h - 3, 3:w - 3] = mask_in
-    score[3:h - 3, 3:w - 3] = score_in
+    test = _SegmentTest(img.data, arc, 3)
+    sel, sc = test.at(threshold)
+    xs, ys = test.xy[sel].astype(np.intp).T
+    mask, score = np.zeros(img.shape, bool), np.zeros(img.shape)
+    mask[ys, xs], score[ys, xs] = True, sc
     return mask, score
 
 
@@ -154,25 +187,13 @@ def _nms(xy: np.ndarray, scores: np.ndarray, radius: float):
     return np.array(kept, dtype=np.intp)
 
 
-def _detect_at_threshold(pyr: ImagePyramid, t: float, cfg: TrackerConfig):
+def _detect_at_threshold(tests: list, t: float, cfg: TrackerConfig):
     """Corners at one threshold: list of (level, xy, score) after suppression."""
     found = []
-    for lvl in range(len(pyr)):
-        img = pyr.level(lvl)
-        mask, score = fast_score_map(img, t, cfg.arc)
-        m = cfg.min_border
-        inner = np.zeros_like(mask)
-        if img.height > 2 * m and img.width > 2 * m:
-            inner[m:img.height - m, m:img.width - m] = True
-        mask &= inner
-        ys, xs = np.nonzero(mask)
-        if xs.size == 0:
-            continue
-        xy = np.stack([xs, ys], axis=1).astype(np.float64)
-        sc = score[ys, xs]
-        keep = _nms(xy, sc, cfg.nms_radius)
-        for i in keep:
-            found.append((lvl, xy[i], sc[i]))
+    for lvl, test in enumerate(tests):
+        sel, sc = test.at(t)
+        xy = test.xy[sel]
+        found += [(lvl, xy[i], sc[i]) for i in _nms(xy, sc, cfg.nms_radius)]
     return found
 
 
@@ -182,22 +203,25 @@ def auto_threshold(pyr: ImagePyramid, cfg: TrackerConfig):
     The count decreases monotonically with the threshold, so bisection over
     ``cfg.threshold_range`` lands within ``count_tol`` of ``n_features``
     whenever that is attainable; otherwise the closest endpoint or midpoint
-    seen is used. Returns (threshold, detections).
+    seen is used. Each level's segment test is reduced once and evaluated
+    at every threshold tried. Returns (threshold, detections).
     """
+    tests = [_SegmentTest(pyr.level(k).data, cfg.arc, cfg.min_border)
+             for k in range(len(pyr))]
     lo, hi = cfg.threshold_range
-    lo_det = _detect_at_threshold(pyr, lo, cfg)
+    lo_det = _detect_at_threshold(tests, lo, cfg)
     target = cfg.n_features
     band = (target * (1.0 - cfg.count_tol), target * (1.0 + cfg.count_tol))
     if len(lo_det) <= band[1]:
         return lo, lo_det  # even the most permissive threshold is not too many
-    hi_det = _detect_at_threshold(pyr, hi, cfg)
+    hi_det = _detect_at_threshold(tests, hi, cfg)
     if len(hi_det) >= band[0]:
         return hi, hi_det
 
     best = (abs(len(lo_det) - target), lo, lo_det)
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        det = _detect_at_threshold(pyr, mid, cfg)
+        det = _detect_at_threshold(tests, mid, cfg)
         n = len(det)
         if abs(n - target) < best[0]:
             best = (abs(n - target), mid, det)
@@ -221,13 +245,19 @@ def detect_corners(pyr: ImagePyramid, cfg: TrackerConfig):
 # tracking
 
 
-def _windows(data: np.ndarray, xy: np.ndarray, size: int) -> np.ndarray:
-    """(n, size, size) bilinear windows centered on the rows of xy (n, 2)."""
+def _windows(data: np.ndarray, xy: np.ndarray, size: int,
+             bounds=None) -> np.ndarray:
+    """(n, size, size) bilinear windows centered on the rows of xy (n, 2) of
+    the image ``data``; with per-row ``bounds`` (w, h, offset), of the
+    images stored end to end in the flat ``data``."""
     offs = np.arange(size) - (size - 1) / 2.0
-    grid = np.empty((len(xy), size, size, 2))
-    grid[..., 0] = xy[:, 0, None, None] + offs
-    grid[..., 1] = xy[:, 1, None, None] + offs[:, None]
-    return bilinear_sample(data, grid)
+    x = xy[:, 0, None, None] + offs
+    y = xy[:, 1, None, None] + offs[:, None]
+    if bounds is None:
+        h, w = data.shape
+        return _bilinear(np.asarray(data, dtype=np.float64).ravel(), x, y, w, h, 0)
+    w, h, offset = (b[:, None, None] for b in bounds)
+    return _bilinear(data, x, y, w, h, offset)
 
 
 def extract_patch(img: GrayImage, xy, size: int) -> np.ndarray:
@@ -274,36 +304,48 @@ def quantized_patches(data: np.ndarray, xy, size: int) -> np.ndarray:
     return (u8 / 255.0).reshape(len(xy), size, size)
 
 
-def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
-              guess=None):
-    """Track the points ``pos`` (n, 2) from ``prev`` to ``nxt`` together.
+def klt_steps(prev: ImagePyramid, nxt: ImagePyramid, pos, levels,
+              cfg: TrackerConfig, guess=None):
+    """Track the points ``pos`` (n, 2), each in the coordinates of its
+    pyramid level ``levels`` (n,), from ``prev`` to ``nxt`` together.
 
     Returns ``(new, ok)``: the new positions (n, 2) and which points were
     tracked; the rows of dropped points are meaningless. ``guess`` (n, 2)
-    starts the search, by default at ``pos``.
+    starts the search, by default at ``pos``. The two pyramids must have
+    levels of equal sizes.
 
     Inverse-compositional translational alignment of a window around each
     point. Both windows are shifted to zero mean and the moving window is
     gain matched to the template, so affine lighting changes cancel. A point
     is dropped when its template is degenerate (flat or one-dimensional, by
-    a condition-number test), when it wanders out of the image, or when its
+    a condition-number test), when it wanders out of its level, or when its
     converged residual stays large. Every iteration gathers the windows of
-    the points still moving at once; each point sees exactly the arithmetic
-    of tracking it alone, because every reduction runs over one contiguous
-    window.
+    the points still moving, of all levels, at once; each point sees exactly
+    the arithmetic of tracking it alone, because every reduction runs over
+    one contiguous window.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
     cur = (pos.copy() if guess is None
            else np.array(guess, dtype=np.float64).reshape(-1, 2))
+    sizes = [lv.shape for lv in prev.levels]
+    if [lv.shape for lv in nxt.levels] != sizes:
+        raise ValueError(f"pyramid level sizes differ: {sizes} against "
+                         f"{[lv.shape for lv in nxt.levels]}")
+    lvl = np.broadcast_to(np.asarray(levels, dtype=np.intp), len(pos))
+    hs, ws = np.array(sizes, dtype=np.intp).T
+    starts = np.concatenate([[0], np.cumsum(hs * ws)[:-1]])
+    h, w, start = hs[lvl], ws[lvl], starts[lvl]
+    src = np.concatenate([lv.data.ravel() for lv in prev.levels])
+    dst = np.concatenate([lv.data.ravel() for lv in nxt.levels])
     half = (cfg.window - 1) / 2.0
-    h, w = prev.shape
 
-    def in_bounds(p):
-        return ((half <= p[:, 0]) & (p[:, 0] <= w - 1 - half)
-                & (half <= p[:, 1]) & (p[:, 1] <= h - 1 - half))
+    def in_bounds(p, i=slice(None)):
+        """Which windows around ``p`` fit in the levels of the points ``i``."""
+        return ((half <= p[:, 0]) & (p[:, 0] <= w[i] - 1 - half)
+                & (half <= p[:, 1]) & (p[:, 1] <= h[i] - 1 - half))
 
     idx = np.flatnonzero(in_bounds(pos))
-    t = _windows(prev.data, pos[idx], cfg.window)
+    t = _windows(src, pos[idx], cfg.window, (w[idx], h[idx], start[idx]))
     t_std = t.std(axis=(1, 2))
     flat = t_std < 1e-9
     idx, t, t_std = idx[~flat], t[~flat], t_std[~flat]
@@ -327,12 +369,16 @@ def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
     resid = np.full(len(pos), np.nan)
     finished = np.zeros(len(pos), bool)
     for it in range(cfg.max_iters):
-        inside = in_bounds(cur[state[0]])
-        state = [a[inside] for a in state]
-        win = _windows(nxt.data, cur[state[0]], cfg.window)
+        inside = in_bounds(cur[state[0]], state[0])
+        if not inside.all():
+            state = [a[inside] for a in state]
+        i = state[0]
+        win = _windows(dst, cur[i], cfg.window, (w[i], h[i], start[i]))
         w_std = win.std(axis=(1, 2))
         moving = ~(w_std < 1e-9)
-        state, win, w_std = [a[moving] for a in state], win[moving], w_std[moving]
+        if not moving.all():
+            state, win, w_std = ([a[moving] for a in state], win[moving],
+                                 w_std[moving])
         idx, tz, gx, gy, t_std, inv00, inv01, inv11 = state
         r = ((win - win.mean(axis=(1, 2), keepdims=True))
              * (t_std / w_std)[:, None, None] - tz)
@@ -344,9 +390,10 @@ def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
         cur[idx, 1] -= dy
         done = ((dx * dx + dy * dy < _CONVERGE * _CONVERGE)
                 | (it == cfg.max_iters - 1))
-        resid[idx[done]] = np.abs(r[done]).mean(axis=(1, 2))
-        finished[idx[done]] = True
-        state = [a[~done] for a in state]
+        if done.any():
+            resid[idx[done]] = np.abs(r[done]).mean(axis=(1, 2))
+            finished[idx[done]] = True
+            state = [a[~done] for a in state]
         if not len(state[0]):
             break
     ok = finished & in_bounds(cur) & ~(resid > cfg.reject_thresh)
@@ -356,44 +403,48 @@ def klt_steps(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
 def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
              guess=None):
     """Track one point from ``prev`` to ``nxt``; returns the new (x, y) or
-    None. The stack of one of :func:`klt_steps`."""
-    new, ok = klt_steps(prev, nxt, pos, cfg, guess)
+    None. The stack of one of :func:`klt_steps`, on one-level pyramids."""
+    new, ok = klt_steps(ImagePyramid([prev]), ImagePyramid([nxt]), pos, 0,
+                        cfg, guess)
     return new[0] if ok[0] else None
 
 
 def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
     """Detect on the first frame and track every corner through the sequence.
 
-    ``images`` are base-resolution frames. A track that fails on any frame is
-    marked dead and stops growing, so ``positions`` always covers frames
-    0..length-1 contiguously. Position init for each new frame assumes
-    constant velocity. The live tracks of one pyramid level are tracked
-    together, one :func:`klt_steps` call per frame and level.
+    ``images`` are base-resolution frames, all of one size. A track that
+    fails on any frame is marked dead and stops growing, so ``positions``
+    always covers frames 0..length-1 contiguously. Position init for each
+    new frame assumes constant velocity. The live tracks of every pyramid
+    level are tracked together, one :func:`klt_steps` call per frame.
     """
     cfg = cfg or TrackerConfig()
     if not images:
         raise ValueError("no frames to track")
+    for f, img in enumerate(images):
+        if img.shape != images[0].shape:
+            raise ValueError(f"frame {f} is {img.width}x{img.height}, frame 0 "
+                             f"is {images[0].width}x{images[0].height}")
     pyrs = [build_pyramid(img, cfg.levels) for img in images]
 
     detections = detect_corners(pyrs[0], cfg)
     tracks = [Track(i, lvl, [xy.copy()]) for i, (lvl, xy, _) in enumerate(detections)]
 
     for f in range(1, len(images)):
-        for lvl in range(len(pyrs[f])):
-            group = [tr for tr in tracks if tr.alive and tr.level == lvl]
-            if not group:
-                continue
-            pos = np.array([tr.positions[-1] for tr in group])
-            guess = pos
-            if f >= 2:  # every live track holds frames 0..f-1
-                guess = pos + (pos - np.array([tr.positions[-2] for tr in group]))
-            new, ok = klt_steps(pyrs[f - 1].level(lvl), pyrs[f].level(lvl),
-                                pos, cfg, guess)
-            for tr, p, good in zip(group, new, ok):
-                if good:
-                    tr.positions.append(p)
-                else:
-                    tr.alive = False
+        live = [tr for tr in tracks if tr.alive]
+        if not live:
+            break
+        pos = np.array([tr.positions[-1] for tr in live])
+        guess = pos
+        if f >= 2:  # every live track holds frames 0..f-1
+            guess = pos + (pos - np.array([tr.positions[-2] for tr in live]))
+        new, ok = klt_steps(pyrs[f - 1], pyrs[f], pos,
+                            [tr.level for tr in live], cfg, guess)
+        for tr, p, good in zip(live, new, ok):
+            if good:
+                tr.positions.append(p)
+            else:
+                tr.alive = False
     return tracks
 
 

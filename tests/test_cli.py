@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a small scene."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mvdesc import bench
 from mvdesc.cli import main
 from mvdesc.hog import DescriptorParams, patch_densities
+from mvdesc.image import GrayImage, write_pgm
 from mvdesc.matching import DescriptorDatabase
 from mvdesc.tracking import load_tracks
 
@@ -62,7 +64,12 @@ class TestTrackErrors:
         (False, ["--levels", "6"], "levels must be in 1..5"),
         # 40 x 30 frames hold 4 pyramid levels, not 5
         (True, ["--levels", "5"], "image too small for 5 pyramid levels"),
-    ], ids=["even-window", "levels-past-max", "levels-past-image"])
+        (False, ["--features", "0"], "n_features must be at least 1, got 0"),
+        (False, ["--features", "-5"], "n_features must be at least 1, got -5"),
+        (False, ["--reject", "nan"], "reject_thresh must be a finite number"),
+        (False, ["--reject", "-1"], "reject_thresh must be a finite number"),
+    ], ids=["even-window", "levels-past-max", "levels-past-image",
+            "no-features", "negative-features", "nan-reject", "negative-reject"])
     def test_invalid_option_prints_the_error(self, workspace, tmp_path, capsys,
                                              tiny, args, message):
         ds = workspace / "ds"
@@ -324,6 +331,18 @@ class TestInputErrors:
                    "--out", str(tmp_path / "tracks")])
         assert rc == 1
         assert "manifest.json: spec: missing" in capsys.readouterr().err
+        assert not (tmp_path / "tracks").exists()
+
+    def test_track_on_a_frame_of_another_size(self, workspace, tmp_path,
+                                              capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(workspace / "ds", ds)
+        frame = ds / json.loads((ds / "manifest.json").read_text())["frames"][3]["image"]
+        write_pgm(GrayImage(np.full((40, 50), 0.5)), frame)
+        rc = main(["track", "--dataset", str(ds), "--out",
+                   str(tmp_path / "tracks")])
+        assert rc == 1
+        assert f"{frame}: 50x40 does not match the camera's " in capsys.readouterr().err
         assert not (tmp_path / "tracks").exists()
 
     def test_describe_on_malformed_tracks(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mvdesc.scene as scene
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, look_at
-from mvdesc.image import GrayImage
+from mvdesc.image import GrayImage, write_pgm
 from mvdesc.scene import (HeightfieldSurface, OCCLUDED, OUT_OF_VIEW,
                           PlaneSurface, RenderError, RenderedView, SceneModel,
                           UNDEFINED, VISIBLE, build_scene, default_scene_spec,
@@ -599,6 +599,23 @@ class TestDataset:
         with pytest.raises(ValueError, match=field) as err:
             load_dataset(tmp_path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kind, index", [("frames", 2), ("tests", 0)])
+    @pytest.mark.parametrize("field", ["image", "depth"])
+    def test_view_of_another_size_names_the_file(self, plane_ds, tmp_path,
+                                                 kind, index, field):
+        root = tmp_path / "ds"
+        generate_dataset(dict(plane_ds.spec), root)
+        path = root / plane_ds.manifest[kind][index][field]
+        if field == "image":
+            write_pgm(GrayImage(np.full((40, 50), 0.5)), path)
+        else:
+            write_depth(path, np.ones((40, 50)))
+        cam = plane_ds.camera
+        with pytest.raises(ValueError) as err:
+            load_dataset(root)
+        assert str(err.value) == (f"{path}: 50x40 does not match the camera's "
+                                  f"{cam.width}x{cam.height}")
 
     def test_photometric_jitter_varies_between_frames(self, plane_ds):
         gains = {v.photometric["a"] for v in plane_ds.frames}

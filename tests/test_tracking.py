@@ -1,14 +1,15 @@
 """Corner detection, KLT tracking, patch extraction, and track I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.image import (GrayImage, _central_differences, bilinear_sample,
-                          build_pyramid)
+from mvdesc.image import (GrayImage, ImagePyramid, _central_differences,
+                          bilinear_sample, build_pyramid)
 from mvdesc.scene import make_texture
 from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _COND_LIMIT,
                              _CONVERGE, _nms, attach_patches, auto_threshold,
@@ -19,7 +20,8 @@ from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _COND_LIMIT,
 
 
 def fast_oracle(a, threshold, arc):
-    """Literal per-pixel segment test with wraparound arcs."""
+    """Literal per-pixel segment test with wraparound arcs; each score adds
+    its 16 circle excesses in circle order."""
     h, w = a.shape
     mask = np.zeros((h, w), bool)
     score = np.zeros((h, w))
@@ -32,8 +34,10 @@ def fast_oracle(a, threshold, arc):
             if any(b[s:s + arc].all() or d[s:s + arc].all()
                    for s in range(16)):
                 mask[y, x] = True
-                eb = np.maximum(vals - c - threshold, 0.0).sum()
-                ed = np.maximum(c - threshold - vals, 0.0).sum()
+                eb = ed = 0.0
+                for v in vals:
+                    eb += max(v - c - threshold, 0.0)
+                    ed += max(c - threshold - v, 0.0)
                 score[y, x] = max(eb, ed)
     return mask, score
 
@@ -54,6 +58,26 @@ def nms_oracle(xy, scores, radius):
         if ok:
             kept.append(i)
     return np.array(kept, dtype=np.intp)
+
+
+def detect_oracle(pyr, threshold, cfg):
+    """Corners at one threshold from fast_oracle and nms_oracle, per level:
+    list of (level, xy, score) as auto_threshold returns them."""
+    found = []
+    for lvl in range(len(pyr)):
+        a = pyr.level(lvl).data
+        mask, score = fast_oracle(a, threshold, cfg.arc)
+        h, w = a.shape
+        m = cfg.min_border
+        inner = np.zeros_like(mask)
+        if h > 2 * m and w > 2 * m:
+            inner[m:h - m, m:w - m] = True
+        ys, xs = np.nonzero(mask & inner)
+        xy = np.stack([xs, ys], axis=1).astype(np.float64)
+        sc = score[ys, xs]
+        found += [(lvl, xy[i], sc[i])
+                  for i in nms_oracle(xy, sc, cfg.nms_radius)]
+    return found
 
 
 def window_oracle(img, xy, size):
@@ -155,7 +179,7 @@ class TestFast:
             mask, score = fast_score_map(GrayImage(a), 0.08, arc)
             want_mask, want_score = fast_oracle(a, 0.08, arc)
             np.testing.assert_array_equal(mask, want_mask)
-            np.testing.assert_allclose(score, want_score, atol=1e-12)
+            assert score.tobytes() == want_score.tobytes()
 
     def test_square_corners_fire(self):
         a = np.full((32, 32), 0.9)
@@ -233,7 +257,42 @@ class TestNms:
         assert got.tolist() == nms_oracle(xy, scores, radius).tolist()
 
 
+@st.composite
+def detection_cases(draw):
+    """A random, 8-bit or smooth image on 1-3 pyramid levels of odd or even
+    size; a threshold at or inside the detector's range; arc and border."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(12, 34)), draw(st.integers(12, 34))
+    kind = draw(st.sampled_from(["random", "8-bit", "smooth"]))
+    if kind == "random":
+        a = rng.random((h, w))
+    elif kind == "8-bit":
+        a = rng.integers(0, 256, (h, w)) / 255.0
+    else:
+        a = make_texture(rng, max(h, w), 3)[:h, :w]
+    cfg = TrackerConfig(levels=draw(st.integers(1, 3)),
+                        arc=draw(st.sampled_from([1, 5, 9, 12, 16])),
+                        min_border=draw(st.sampled_from([0, 2, 3, 5, 13])),
+                        nms_radius=draw(st.sampled_from([0.0, 2.0, 4.0])))
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0 / 255.0, 0.5]),
+                       st.floats(0.0, 0.5)))
+    return build_pyramid(GrayImage(a), cfg.levels), t, cfg
+
+
 class TestDetection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=detection_cases())
+    def test_detections_equal_the_oracle_detector(self, case):
+        pyr, t, cfg = case
+        # a one-point range evaluates exactly that threshold
+        cfg.threshold_range, cfg.n_features = (t, t), 1
+        got_t, got = auto_threshold(pyr, cfg)
+        want = detect_oracle(pyr, t, cfg)
+        assert got_t == t and len(got) == len(want)
+        for (lg, xg, sg), (lw, xw, sw) in zip(got, want):
+            assert lg == lw and xg.tobytes() == xw.tobytes()
+            assert np.float64(sg).tobytes() == np.float64(sw).tobytes()
+
     def test_threshold_bisection_hits_the_band(self):
         rng = np.random.default_rng(91)
         img = GrayImage(rng.random((80, 80)))
@@ -256,6 +315,21 @@ class TestDetection:
             TrackerConfig(window=10)
         with pytest.raises(ValueError):
             TrackerConfig(arc=17)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_features", 0, "n_features must be at least 1, got 0"),
+        ("n_features", -5, "n_features must be at least 1, got -5"),
+        ("max_iters", 0, "max_iters must be at least 1, got 0"),
+        ("reject_thresh", math.nan, "reject_thresh must be a finite number"),
+        ("reject_thresh", math.inf, "reject_thresh must be a finite number"),
+        ("reject_thresh", 0.0, "reject_thresh must be a finite number"),
+        ("reject_thresh", -1.0, "reject_thresh must be a finite number"),
+        ("min_border", -1, "min_border must not be negative, got -1"),
+    ])
+    def test_values_that_break_tracking_are_refused(self, field, value,
+                                                    message):
+        with pytest.raises(ValueError, match=message):
+            TrackerConfig(**{field: value})
 
 
 class TestKlt:
@@ -368,9 +442,13 @@ def klt_cases(draw):
     return prev, nxt, pos, cfg, pos + rng.uniform(-step, step, pos.shape)
 
 
+def one_level(img):
+    return ImagePyramid([img])
+
+
 def assert_klt_matches_oracle(prev, nxt, pos, cfg, guess):
     """klt_steps on the stack, and klt_step on each point, bit for bit."""
-    new, ok = klt_steps(prev, nxt, pos, cfg, guess)
+    new, ok = klt_steps(one_level(prev), one_level(nxt), pos, 0, cfg, guess)
     assert new.shape == pos.shape and ok.shape == (len(pos),)
     for i in range(len(pos)):
         g = None if guess is None else guess[i]
@@ -380,6 +458,45 @@ def assert_klt_matches_oracle(prev, nxt, pos, cfg, guess):
         if want is not None:
             assert new[i].tobytes() == want.tobytes() == one.tobytes()
     return ok
+
+
+@st.composite
+def multilevel_klt_cases(draw):
+    """A texture of odd or even size on 2 or 3 levels and its shifted,
+    relit or unrelated next frame; points of mixed levels at random, on and
+    just past each level's border; guesses at, near or far from them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h, w = draw(st.integers(27, 61)), draw(st.integers(27, 61))
+    cfg = TrackerConfig(levels=draw(st.integers(2, 3)),
+                        window=draw(st.sampled_from([5, 7, 11])),
+                        max_iters=draw(st.sampled_from([1, 5, 30])),
+                        reject_thresh=draw(st.sampled_from([0.04, 0.3])))
+    prev = GrayImage(make_texture(rng, max(h, w), 4)[:h, :w])
+    target = draw(st.sampled_from(["shifted", "relit", "unrelated"]))
+    if target == "unrelated":
+        b = make_texture(rng, max(h, w), 4)[:h, :w]
+    else:
+        b = shifted(prev, rng.uniform(-2.0, 2.0, 2)).data
+        if target == "relit":
+            b = 0.6 * b + 0.2
+    p0, p1 = build_pyramid(prev, cfg.levels), build_pyramid(GrayImage(b), cfg.levels)
+    n = draw(st.integers(1, 12))
+    levels = rng.integers(0, cfg.levels, n)
+    half = (cfg.window - 1) / 2.0
+    pos = np.empty((n, 2))
+    for i, lvl in enumerate(levels):
+        lh, lw = p0.level(lvl).shape
+        lo, hi = np.array([half, half]), np.array([lw - 1 - half, lh - 1 - half])
+        pos[i] = lo - 1.0 + rng.random(2) * (hi - lo + 2.0)  # hi < lo: none fit
+        edges = np.array([lo, np.nextafter(lo, -np.inf), hi,
+                          np.nextafter(hi, np.inf)])
+        pick = rng.random(2) < 0.4
+        pos[i, pick] = edges[rng.integers(0, 4, 2), [0, 1]][pick]
+    guess = draw(st.sampled_from(["none", "at", "near", "far"]))
+    if guess == "none":
+        return p0, p1, pos, levels, cfg, None
+    step = {"at": 0.0, "near": 1.5, "far": 8.0}[guess]
+    return p0, p1, pos, levels, cfg, pos + rng.uniform(-step, step, pos.shape)
 
 
 class TestBatchedKlt:
@@ -417,7 +534,7 @@ class TestBatchedKlt:
         nxt = shifted(base, (6.0, 0.0))
         cfg = TrackerConfig(levels=1)
         pos = np.array([[20.0, 20.0], [29.0, 20.0], [33.5, 20.0]])
-        new, ok = klt_steps(base, nxt, pos, cfg)
+        new, ok = klt_steps(one_level(base), one_level(nxt), pos, 0, cfg)
         # the last two start inside but their targets lie past the border
         assert ok.tolist() == [True, False, False]
         np.testing.assert_allclose(new[0], [26.0, 20.0], atol=1e-3)
@@ -426,8 +543,28 @@ class TestBatchedKlt:
 
     def test_empty_stack(self):
         base = GrayImage(make_texture(np.random.default_rng(103), 32, 3))
-        new, ok = klt_steps(base, base, np.zeros((0, 2)), TrackerConfig(levels=1))
+        new, ok = klt_steps(one_level(base), one_level(base), np.zeros((0, 2)),
+                            [], TrackerConfig(levels=1))
         assert new.shape == (0, 2) and ok.shape == (0,)
+
+    def test_pyramids_of_other_sizes_are_refused(self):
+        a = GrayImage(make_texture(np.random.default_rng(108), 32, 3))
+        b = GrayImage(a.data[:30])
+        with pytest.raises(ValueError, match="pyramid level sizes differ"):
+            klt_steps(build_pyramid(a, 2), build_pyramid(b, 2),
+                      [[16.0, 16.0]], [0], TrackerConfig(levels=2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=multilevel_klt_cases())
+    def test_all_levels_at_once_equal_the_oracle(self, case):
+        prev, nxt, pos, levels, cfg, guess = case
+        new, ok = klt_steps(prev, nxt, pos, levels, cfg, guess)
+        for i, lvl in enumerate(levels):
+            want = klt_oracle(prev.level(lvl), nxt.level(lvl), pos[i], cfg,
+                              None if guess is None else guess[i])
+            assert bool(ok[i]) == (want is not None)
+            if want is not None:
+                assert new[i].tobytes() == want.tobytes()
 
 
 class TestRunTracker:
@@ -470,6 +607,27 @@ class TestRunTracker:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             run_tracker([])
+
+    def test_frames_of_another_size_are_refused(self):
+        base = GrayImage(make_texture(np.random.default_rng(109), 64, 3))
+        with pytest.raises(ValueError, match="frame 2 is 64x50, frame 0 is 64x64"):
+            run_tracker([base, base, GrayImage(base.data[:50])])
+
+    def test_one_klt_steps_call_per_frame(self, monkeypatch):
+        import mvdesc.tracking as tracking
+
+        calls = []
+
+        def counted(prev, nxt, pos, levels, cfg, guess=None):
+            calls.append(sorted(set(np.asarray(levels).tolist())))
+            return klt_steps(prev, nxt, pos, levels, cfg, guess)
+
+        monkeypatch.setattr(tracking, "klt_steps", counted)
+        base = GrayImage(make_texture(np.random.default_rng(110), 96, 4))
+        frames = [shifted(base, (0.5 * k, 0.3 * k)) for k in range(5)]
+        tracks = run_tracker(frames, TrackerConfig(n_features=60, levels=2))
+        assert all(t.length == 5 for t in tracks if t.alive)
+        assert calls == [[0, 1]] * 4
 
 
 class TestPatches:
