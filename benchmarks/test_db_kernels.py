@@ -51,6 +51,8 @@ def traced_peak_mib(fn, *args) -> float:
 
 
 def report(benchmark, name, peak):
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     ms = 1e3 * benchmark.stats.stats.median
     benchmark.extra_info.update(ms=ms, peak_mib=peak)
     print(f"\n{name}: {ROWS} x {PARAMS.cells ** 2 * PARAMS.bins} rows, "

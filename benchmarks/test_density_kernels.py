@@ -36,8 +36,10 @@ def test_patch_densities(benchmark, patch_size, stack):
 
     grids = benchmark.pedantic(patch_densities, args=(patches, params),
                                rounds=20, iterations=5, warmup_rounds=1)
+    assert grids.shape == (stack, params.cells, params.cells, params.bins)
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     us = 1e6 * benchmark.stats.stats.median / stack
     benchmark.extra_info.update(us_per_patch=us, peak_mib=peak / 2 ** 20)
     print(f"\npatch {patch_size}, stack {stack}: {us:.1f} us per patch, "
           f"peak {peak / 2 ** 20:.2f} MiB")
-    assert grids.shape == (stack, params.cells, params.cells, params.bins)

@@ -38,10 +38,12 @@ def test_render_view(benchmark, kind):
 
     view = benchmark.pedantic(render, rounds=ROUNDS[kind], iterations=1,
                               warmup_rounds=1)
+    assert view.image.shape == (cam.height, cam.width)
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     ms = 1e3 * benchmark.stats.stats.median
     benchmark.extra_info.update(ms_per_view=ms)
     print(f"\n{kind}: {ms:.2f} ms per {cam.width}x{cam.height} view")
-    assert view.image.shape == (cam.height, cam.width)
 
 
 def test_height_per_point(benchmark):
@@ -52,7 +54,9 @@ def test_height_per_point(benchmark):
 
     z = benchmark.pedantic(surface.height, args=(x, y), rounds=20,
                            iterations=1, warmup_rounds=1)
+    assert z.shape == x.shape and np.all(np.isfinite(z))
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     ns = 1e9 * benchmark.stats.stats.median / x.size
     benchmark.extra_info.update(ns_per_point=ns)
     print(f"\nheight: {ns:.1f} ns per point")
-    assert z.shape == x.shape and np.all(np.isfinite(z))

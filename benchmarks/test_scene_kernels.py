@@ -10,10 +10,11 @@ The scene has the size of the plane-match benchmark workload: a 120 x 90
 plane orbit of 10 frames with a 15 degree sway and its detector settings.
 ``quantized_patches`` cuts 1, 24 and 240 patches at p 11 and 21 (one
 query, one frame of the workload's 24 tracks, ten such frames) centered on
-the level-0 corners of frame 0, cycled as needed.
+the corners of frame 0, each at its own pyramid level, cycled as needed.
 ``ground_truth_correspondences`` maps the frame-0 corners of both levels
 into the first test view. Each case prints the time per item, batched and
-one at a time, and checks that both give the same bits.
+one at a time, and checks that both give the same bits. Under
+``--benchmark-disable`` each case runs once, untimed, as a smoke check.
 """
 
 import time
@@ -53,36 +54,43 @@ def per_item_seconds(fn, items, reps=5):
 @pytest.mark.parametrize("patch_size", [11, 21])
 def test_quantized_patches(benchmark, scene, patch_size, n):
     _, pyr, corners = scene
-    img = pyr.level(0)
-    level0 = np.array([xy for lvl, xy, _ in corners if lvl == 0])
-    xy = level0[np.arange(n) % len(level0)]
+    pick = np.arange(n) % len(corners)
+    levels = np.array([lvl for lvl, _, _ in corners])[pick]
+    xy = np.array([xy for _, xy, _ in corners])[pick]
 
     got = benchmark.pedantic(quantized_patches,
-                             args=(img.data, xy, patch_size),
+                             args=(pyr, xy, levels, patch_size),
                              rounds=20, iterations=5, warmup_rounds=1)
+    single, one = per_item_seconds(
+        lambda i: quantized_patch(pyr.level(levels[i]), xy[i], patch_size),
+        range(n))
+    assert got.tobytes() == np.stack(one).tobytes()
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     batched = 1e6 * benchmark.stats.stats.median / n
-    single, one = per_item_seconds(lambda q: quantized_patch(img, q, patch_size), xy)
     benchmark.extra_info.update(us_per_patch=batched,
                                 us_per_patch_single=1e6 * single)
     print(f"\npatch {patch_size}, {n} patches: {batched:.1f} us per patch "
           f"batched, {1e6 * single:.1f} us one at a time")
-    assert got.tobytes() == np.stack(one).tobytes()
 
 
 def test_ground_truth_correspondences(benchmark, scene):
     ds, _, corners = scene
     src, dst = ds.frames[0], ds.tests[0]
-    xy = np.array([level_to_base(xy, lvl) for lvl, xy, _ in corners])
+    xy = level_to_base(np.array([xy for _, xy, _ in corners]),
+                       np.array([lvl for lvl, _, _ in corners]))
 
     uv, status = benchmark.pedantic(ground_truth_correspondences,
                                     args=(src, dst, xy),
                                     rounds=20, iterations=5, warmup_rounds=1)
-    batched = 1e6 * benchmark.stats.stats.median / len(xy)
     single, one = per_item_seconds(
         lambda q: ground_truth_correspondence(src, dst, q), xy)
+    assert status.tolist() == [c.status for c in one]
+    assert uv.tobytes() == np.array([c.xy for c in one]).tobytes()
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
+    batched = 1e6 * benchmark.stats.stats.median / len(xy)
     benchmark.extra_info.update(points=len(xy), us_per_point=batched,
                                 us_per_point_single=1e6 * single)
     print(f"\n{len(xy)} points into one test view: {batched:.1f} us per point "
           f"batched, {1e6 * single:.1f} us one at a time")
-    assert status.tolist() == [c.status for c in one]
-    assert uv.tobytes() == np.array([c.xy for c in one]).tobytes()

@@ -44,9 +44,11 @@ def test_synthesize_views(benchmark, patch_size, n_rot):
     stack, kept = benchmark.pedantic(synthesize_views,
                                      args=(surface, image, rotations),
                                      rounds=20, iterations=5, warmup_rounds=1)
+    assert stack.shape == (n_rot, patch_size, patch_size)
+    assert len(kept) == n_rot
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     us = 1e6 * benchmark.stats.stats.median / n_rot
     benchmark.extra_info.update(us_per_rotation=us, peak_mib=peak / 2 ** 20)
     print(f"\npatch {patch_size}, {n_rot} rotations: {us:.1f} us per "
           f"rotation, peak {peak / 2 ** 20:.2f} MiB")
-    assert stack.shape == (n_rot, patch_size, patch_size)
-    assert len(kept) == n_rot

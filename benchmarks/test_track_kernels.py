@@ -13,6 +13,7 @@ search on the first frame; ``klt_steps`` in one call on every corner of
 both levels of the first frame pair, beside the same points through
 ``klt_step`` one at a time; ``_nms`` on the candidates of level 0 at the
 lowest detector threshold, the largest set ``auto_threshold`` suppresses.
+Under ``--benchmark-disable`` each case runs once, untimed, as a smoke check.
 """
 
 import time
@@ -40,23 +41,27 @@ def frames(tmp_path_factory):
 def test_run_tracker(benchmark, frames):
     tracks = benchmark.pedantic(run_tracker, args=(frames, CFG), rounds=5,
                                 iterations=1, warmup_rounds=1)
+    assert tracks
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     steps = sum(t.length - 1 for t in tracks) + sum(not t.alive for t in tracks)
     ms = 1e3 * benchmark.stats.stats.median
     benchmark.extra_info.update(tracks=len(tracks), point_frames=steps)
     print(f"\nrun_tracker: {len(tracks)} tracks, {steps} point-frames, "
           f"{ms:.1f} ms per sequence")
-    assert tracks
 
 
 def test_detect_corners(benchmark, frames):
     pyr = build_pyramid(frames[0], CFG.levels)
     det = benchmark.pedantic(detect_corners, args=(pyr, CFG), rounds=20,
                              iterations=1, warmup_rounds=1)
+    assert {lvl for lvl, _, _ in det} == {0, 1}
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     ms = 1e3 * benchmark.stats.stats.median
     benchmark.extra_info.update(corners=len(det))
     print(f"\ndetect_corners: {len(det)} corners, {ms:.1f} ms per threshold "
           f"search")
-    assert {lvl for lvl, _, _ in det} == {0, 1}
 
 
 def test_klt_steps(benchmark, frames):
@@ -67,19 +72,20 @@ def test_klt_steps(benchmark, frames):
 
     new, ok = benchmark.pedantic(klt_steps, args=(p0, p1, pos, levels, CFG),
                                  rounds=20, iterations=5, warmup_rounds=1)
-    batched = 1e6 * benchmark.stats.stats.median / len(pos)
-
     t0 = time.perf_counter()
     for _ in range(5):
         one = [klt_step(p0.level(lvl), p1.level(lvl), p, CFG)
                for lvl, p in zip(levels, pos)]
     single = 1e6 * (time.perf_counter() - t0) / (5 * len(pos))
+    assert [o is not None for o in one] == ok.tolist()
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
+    batched = 1e6 * benchmark.stats.stats.median / len(pos)
     benchmark.extra_info.update(points=len(pos), us_per_point=batched,
                                 us_per_point_single=single)
     print(f"\nklt_steps: {len(pos)} points on {CFG.levels} levels, "
           f"{batched:.0f} us per point-frame "
           f"batched, {single:.0f} us one at a time")
-    assert [o is not None for o in one] == ok.tolist()
 
 
 def test_nms(benchmark, frames):
@@ -92,9 +98,11 @@ def test_nms(benchmark, frames):
     xy = np.stack([xs, ys], axis=1).astype(np.float64)
     kept = benchmark.pedantic(_nms, args=(xy, score[ys, xs], CFG.nms_radius),
                               rounds=20, iterations=1, warmup_rounds=1)
+    assert 0 < len(kept) < len(xy)
+    if benchmark.stats is None:  # --benchmark-disable: run once, untimed
+        return
     us = 1e6 * benchmark.stats.stats.median / len(xy)
     benchmark.extra_info.update(candidates=len(xy), kept=len(kept),
                                 us_per_candidate=us)
     print(f"\n_nms: {len(xy)} candidates, {len(kept)} kept, "
           f"{us:.2f} us per candidate")
-    assert 0 < len(kept) < len(xy)

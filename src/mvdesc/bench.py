@@ -32,7 +32,7 @@ from .image import base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import VISIBLE, generate_dataset, ground_truth_correspondences
-from .tracking import TrackerConfig, quantized_patches, run_tracker
+from .tracking import TrackerConfig, _fits, quantized_patches, run_tracker
 from .viewsynth import (MIN_FACING, lift_surfaces, sample_rotations,
                         select_keyframes, synthesize_views, view_descriptors)
 # not called here; bound because perfbench/spans.py traces them on this module
@@ -212,21 +212,21 @@ def lift_keyframes(dataset, pyramids, tracks, n_keyframes: int,
     ``select_keyframes(track.length, n_keyframes)`` whose depth lifts, in
     keyframe order: the pairs :func:`rhog` takes for that track.
 
-    The tracks of one keyframe and pyramid level are lifted together, by
-    one :func:`lift_surfaces` call.
+    The tracks of one keyframe are lifted together, each at its own level,
+    by one :func:`lift_surfaces` call.
     """
     views = [[] for _ in tracks]
     groups = {}
     for i, tr in enumerate(tracks):
         for k in select_keyframes(tr.length, n_keyframes).tolist():
-            groups.setdefault((k, tr.level), []).append(i)
-    for (k, level), group in sorted(groups.items()):
+            groups.setdefault(k, []).append(i)
+    for k, group in sorted(groups.items()):
         surfaces = lift_surfaces(dataset.frames[k].depth, dataset.camera,
                                  [tracks[i].positions[k] for i in group],
-                                 patch_size, level)
+                                 patch_size, [tracks[i].level for i in group])
         for i, surface in zip(group, surfaces):
             if surface is not None:
-                views[i].append((surface, pyramids[k].level(level)))
+                views[i].append((surface, pyramids[k].level(surface.level)))
     return views
 
 
@@ -321,16 +321,6 @@ def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
 # per-scene pipeline
 
 
-def _has_support(shape, xy, patch_size: int) -> np.ndarray:
-    """Whether the patch at each ``xy`` (..., 2) fits in an image of
-    ``shape`` with a pixel to spare."""
-    half = (patch_size - 1) / 2.0
-    h, w = shape
-    x, y = xy[..., 0], xy[..., 1]
-    return ((half + 1 <= x) & (x <= w - 2 - half)
-            & (half + 1 <= y) & (y <= h - 2 - half))
-
-
 class _SceneRun:
     """Everything the benchmark derives from one scene.
 
@@ -338,8 +328,8 @@ class _SceneRun:
     ``positions`` (tracks, frames, 2) and pyramid ``levels`` (tracks,), and
     the ground-truth landing point of each track's frame-0 anchor in each
     test view, ``corr_xy`` (tracks, views, 2) with its ``corr_status``
-    (tracks, views). Each stage makes one array call per frame or test view
-    and pyramid level, not one per track.
+    (tracks, views). Each stage makes one array call per frame or test
+    view, each track at its own level, not one per track.
     """
 
     def __init__(self, spec: dict, cfg: dict, out_dir: Path):
@@ -353,6 +343,8 @@ class _SceneRun:
         self.frame_pyrs = [build_pyramid(im, tcfg.levels) for im in images]
         self.test_pyrs = [build_pyramid(v.image, tcfg.levels)
                           for v in self.dataset.tests]
+        # every view has the camera's size: one set of level bounds for all
+        _, self.bounds = self.frame_pyrs[0].layout()
 
         tracks = run_tracker(images, tcfg)
         self.tracks = [t for t in tracks
@@ -362,10 +354,7 @@ class _SceneRun:
         self.positions = np.reshape([tr.positions for tr in self.tracks],
                                     (n, self.n_frames, 2))
 
-        base0 = np.empty((n, 2))
-        for lvl in np.unique(self.levels):
-            rows = self.levels == lvl
-            base0[rows] = level_to_base(self.positions[rows, 0], lvl)
+        base0 = level_to_base(self.positions[:, 0], self.levels)
         views = len(self.dataset.tests)
         self.corr_xy = np.empty((n, views, 2))
         self.corr_status = np.empty((n, views), dtype=object)
@@ -381,13 +370,13 @@ class _SceneRun:
         Keeps the first ``max_tracks`` tracks that can supply every
         ingredient (full patch support in every frame at their level, and a
         liftable surface in at least one keyframe), so every method sees the
-        same track set. Support is one array test per frame and level. The
+        same track set. Support is one array test over every frame. The
         candidates are lifted in batches of the places still open, by
         :func:`lift_keyframes`, until the cap is met or none are left. The
-        patches are cut by one :func:`quantized_patches` call per frame and
-        level. ``"patches"`` is one (tracks, frames, p, p) stack and
-        ``"densities"`` its (tracks, frames, cells, cells, bins) stack of
-        unnormalized densities.
+        patches are cut by one :func:`quantized_patches` call per frame.
+        ``"patches"`` is one (tracks, frames, p, p) stack and ``"densities"``
+        its (tracks, frames, cells, cells, bins) stack of unnormalized
+        densities.
         """
         cfg = self.cfg
         params = DescriptorParams(patch_size)
@@ -395,12 +384,9 @@ class _SceneRun:
                                cfg["rhog"]["tilt"], cfg["rhog"]["inplane_halfwidth"])
         p = patch_size
 
-        supported = np.ones(len(self.tracks), bool)
-        for f, pyr in enumerate(self.frame_pyrs):
-            for lvl in np.unique(self.levels):
-                rows = self.levels == lvl
-                supported[rows] &= _has_support(pyr.level(lvl).shape,
-                                                self.positions[rows, f], p)
+        # support: the patch fits in its level with a pixel to spare
+        supported = _fits(self.bounds, self.positions, self.levels[:, None],
+                          (p - 1) / 2.0 + 1).all(axis=1)
         candidates = np.flatnonzero(supported).tolist()
         chosen, views = [], []
         while candidates and len(chosen) < cfg["max_tracks"]:
@@ -417,10 +403,7 @@ class _SceneRun:
         levels, positions = self.levels[chosen], self.positions[chosen]
         patches = np.empty((len(chosen), self.n_frames, p, p))
         for f, pyr in enumerate(self.frame_pyrs):
-            for lvl in np.unique(levels):
-                rows = levels == lvl
-                patches[rows, f] = quantized_patches(pyr.level(lvl).data,
-                                                     positions[rows, f], p)
+            patches[:, f] = quantized_patches(pyr, positions[:, f], levels, p)
         grids = patch_densities(patches.reshape(-1, p, p), params)
         ids = [self.tracks[i].id for i in chosen]
         return {
@@ -442,29 +425,22 @@ class _SceneRun:
         The same query set serves every method, so rate differences come
         only from what each database stores. A query is a track's visible
         landing point in one test view, with full patch support there; the
-        patches of one view and level are cut together, and the queries are
-        ordered by track, then by view.
+        patches of one view are cut together, and the queries are ordered by
+        track, then by view.
         """
         p = params.patch_size
-        levels = self.levels[chosen]
-        visible = self.corr_status[chosen] == VISIBLE
-        corr_xy = self.corr_xy[chosen]
-        rows, cols = [np.empty(0, int)], [np.empty(0, int)]
-        stacks = [np.empty((0, p, p))]
+        levels = self.levels[chosen, None]
+        xy = base_to_level(self.corr_xy[chosen], levels)
+        keep = ((self.corr_status[chosen] == VISIBLE)
+                & _fits(self.bounds, xy, levels, (p - 1) / 2.0 + 1))
+        rows, cols = np.nonzero(keep)
+        patches = np.empty((len(rows), p, p))
         for vi, pyr in enumerate(self.test_pyrs):
-            for lvl in np.unique(levels):
-                img = pyr.level(lvl)
-                at = np.flatnonzero(visible[:, vi] & (levels == lvl))
-                xy = base_to_level(corr_xy[at, vi], lvl)
-                keep = _has_support(img.shape, xy, p)
-                rows.append(at[keep])
-                cols.append(np.full(keep.sum(), vi))
-                stacks.append(quantized_patches(img.data, xy[keep], p))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((cols, rows))
-        patches = np.concatenate(stacks)[order]
+            at = cols == vi
+            patches[at] = quantized_patches(pyr, xy[rows[at], vi],
+                                            levels[rows[at], 0], p)
         grids = patch_densities(patches, params)
-        return {"track_ids": np.array(ids, dtype=int)[rows[order]],
+        return {"track_ids": np.array(ids, dtype=int)[rows],
                 "values": _normalized_rows(grids, params)}
 
 

@@ -100,6 +100,15 @@ class ImagePyramid:
     def level(self, k: int) -> GrayImage:
         return self.levels[k]
 
+    def layout(self):
+        """``(pixels, (widths, heights, offsets))``: every level's row-major
+        pixels end to end, and each level's size and start in them. Built per
+        call, so the pyramid holds no second copy of its pixels."""
+        hs, ws = np.array([lv.shape for lv in self.levels], dtype=np.intp).T
+        offsets = np.concatenate([[0], np.cumsum(hs * ws)[:-1]])
+        return (np.concatenate([lv.data.ravel() for lv in self.levels]),
+                (ws, hs, offsets))
+
 
 class GradientField:
     """Per-pixel image gradient: vector, magnitude, and orientation.
@@ -180,19 +189,21 @@ def build_pyramid(img: GrayImage, levels: int) -> ImagePyramid:
     return ImagePyramid(out)
 
 
-def level_to_base(xy, level: int):
-    """Map pixel coordinates at pyramid ``level`` to base-resolution coordinates.
+def level_to_base(xy, level):
+    """Map pixel coordinates (..., 2) at pyramid ``level`` to base-resolution
+    coordinates; ``level`` is one integer or one per row, shaped like
+    ``xy[..., 0]`` or broadcasting to it.
 
     A level-k pixel covers a 2**k block of base pixels; its center maps to
     the center of that block.
     """
-    s = float(2 ** level)
+    s = np.ldexp(1.0, level)[..., None]
     return np.asarray(xy, dtype=np.float64) * s + (s - 1.0) / 2.0
 
 
-def base_to_level(xy, level: int):
+def base_to_level(xy, level):
     """Inverse of :func:`level_to_base`."""
-    s = float(2 ** level)
+    s = np.ldexp(1.0, level)[..., None]
     return (np.asarray(xy, dtype=np.float64) - (s - 1.0) / 2.0) / s
 
 

@@ -95,24 +95,31 @@ class Track:
 
 
 class _SegmentTest:
-    """One image's segment test, reduced once for every threshold.
+    """One pyramid's segment test, reduced once for every threshold.
 
-    Holds the candidate pixels at least ``border`` (and 3) pixels inside the
-    image, their centers and circles, and two reductions over the circle's
-    ``arc``-long runs: ``bright``, the largest run minimum, and ``dark``, the
-    smallest run maximum. A whole run is brighter than ``center + t`` exactly
-    when its minimum is, so the test at ``t`` is ``(bright > center + t) |
-    (dark < center - t)``."""
+    Holds the candidate pixels of every level at least ``border`` (and 3)
+    pixels inside it, with their ``level`` and in-level ``xy``, their
+    centers and circles, and two reductions over the circle's ``arc``-long
+    runs: ``bright``, the largest run minimum, and ``dark``, the smallest run
+    maximum. A whole run is brighter than ``center + t`` exactly when its
+    minimum is, so the test at ``t`` is ``(bright > center + t) | (dark <
+    center - t)``. Candidates are ordered by level, then row-major."""
 
-    def __init__(self, a: np.ndarray, arc: int, border: int):
-        h, w = a.shape
+    def __init__(self, pyr: ImagePyramid, arc: int, border: int):
+        pixels, (ws, hs, offsets) = pyr.layout()
         b = max(border, 3)
-        if min(h, w) <= 2 * b:
-            h = w = 2 * b  # no candidates: every slice below is empty
-        ys, xs = np.mgrid[b:h - b, b:w - b]
-        self.xy = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-        self.center = a[b:h - b, b:w - b].ravel()
-        self.circle = np.stack([a[b + dy:h - b + dy, b + dx:w - b + dx].ravel()
+        at = np.arange(pixels.size)
+        level = np.searchsorted(offsets, at, side="right") - 1
+        w = ws[level]
+        y, x = np.divmod(at - offsets[level], w)
+        inner = np.flatnonzero((b <= x) & (x < w - b)
+                               & (b <= y) & (y < hs[level] - b))
+        # rebound, so no array over every pixel outlives the selection
+        at, level, w, x, y = (a[inner] for a in (at, level, w, x, y))
+        self.level = level
+        self.xy = np.stack([x, y], axis=1).astype(np.float64)
+        self.center = pixels[at]
+        self.circle = np.stack([pixels[at + dy * w + dx]
                                 for dx, dy in FAST_OFFSETS])
         runs = np.concatenate([self.circle, self.circle[:arc - 1]])
         lo, hi = runs[:16].copy(), runs[:16].copy()
@@ -148,7 +155,7 @@ def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
     whichever polarity is stronger. Returns (mask, score) over the full
     image; a 3-pixel border never fires.
     """
-    test = _SegmentTest(img.data, arc, 3)
+    test = _SegmentTest(ImagePyramid([img]), arc, 3)
     sel, sc = test.at(threshold)
     xs, ys = test.xy[sel].astype(np.intp).T
     mask, score = np.zeros(img.shape, bool), np.zeros(img.shape)
@@ -156,45 +163,47 @@ def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
     return mask, score
 
 
-def _nms(xy: np.ndarray, scores: np.ndarray, radius: float):
-    """Greedy suppression: strongest first, drop anything within radius.
+def _nms(xy: np.ndarray, scores: np.ndarray, radius: float, levels=None):
+    """Greedy suppression: strongest first, drop anything within radius on
+    the same pyramid level ``levels`` (n,), by default one level for all.
+    The kept indices are ordered by level, then by falling score.
 
-    Kept points are bucketed in a grid of ``radius``-sized cells, so each
-    candidate is tested only against the kept points of the cells its
-    ``[x - radius, x + radius]`` box touches (3 x 3 of them). The cell index
-    ``floor(v / radius)`` is monotone in ``v``, so those cells hold every
-    kept point within ``radius``. A radius of zero or less keeps everything.
-    Coordinates must be finite.
+    Kept points are bucketed in a grid of ``radius``-sized cells per level,
+    so each candidate is tested only against the kept points of the cells
+    its ``[x - radius, x + radius]`` box touches (3 x 3 of them). The cell
+    index ``floor(v / radius)`` is monotone in ``v``, so those cells hold
+    every kept point within ``radius``. A radius of zero or less keeps
+    everything. Coordinates must be finite.
     """
-    order = np.argsort(-scores, kind="stable").astype(np.intp)
+    levels = np.zeros(len(xy), np.intp) if levels is None else levels
+    order = np.lexsort((-scores, levels)).astype(np.intp)
     if radius <= 0 or order.size == 0:
         return order
     r2 = radius * radius
     lo = np.floor((xy - radius) / radius).astype(np.int64).tolist()
     hi = np.floor((xy + radius) / radius).astype(np.int64).tolist()
     cell = np.floor(xy / radius).astype(np.int64).tolist()
-    pts = xy.tolist()
+    pts, lvl = xy.tolist(), levels.tolist()
     grid: dict = {}
     kept: list[int] = []
     for i in order.tolist():
-        x, y = pts[i]
+        (x, y), k = pts[i], lvl[i]
         (x0, y0), (x1, y1) = lo[i], hi[i]
         if not any((x - px) * (x - px) + (y - py) * (y - py) < r2
                    for cx in range(x0, x1 + 1) for cy in range(y0, y1 + 1)
-                   for px, py in grid.get((cx, cy), ())):
+                   for px, py in grid.get((k, cx, cy), ())):
             kept.append(i)
-            grid.setdefault(tuple(cell[i]), []).append((x, y))
+            grid.setdefault((k, *cell[i]), []).append((x, y))
     return np.array(kept, dtype=np.intp)
 
 
-def _detect_at_threshold(tests: list, t: float, cfg: TrackerConfig):
-    """Corners at one threshold: list of (level, xy, score) after suppression."""
-    found = []
-    for lvl, test in enumerate(tests):
-        sel, sc = test.at(t)
-        xy = test.xy[sel]
-        found += [(lvl, xy[i], sc[i]) for i in _nms(xy, sc, cfg.nms_radius)]
-    return found
+def _detect_at_threshold(test: _SegmentTest, t: float, cfg: TrackerConfig):
+    """Corners at one threshold: list of (level, xy, score) after
+    suppression, by level, then by falling score."""
+    sel, sc = test.at(t)
+    xy, lvl = test.xy[sel], test.level[sel]
+    return [(int(lvl[i]), xy[i], sc[i])
+            for i in _nms(xy, sc, cfg.nms_radius, lvl)]
 
 
 def auto_threshold(pyr: ImagePyramid, cfg: TrackerConfig):
@@ -203,25 +212,24 @@ def auto_threshold(pyr: ImagePyramid, cfg: TrackerConfig):
     The count decreases monotonically with the threshold, so bisection over
     ``cfg.threshold_range`` lands within ``count_tol`` of ``n_features``
     whenever that is attainable; otherwise the closest endpoint or midpoint
-    seen is used. Each level's segment test is reduced once and evaluated
-    at every threshold tried. Returns (threshold, detections).
+    seen is used. The segment test of every level is reduced once and
+    evaluated at every threshold tried. Returns (threshold, detections).
     """
-    tests = [_SegmentTest(pyr.level(k).data, cfg.arc, cfg.min_border)
-             for k in range(len(pyr))]
+    test = _SegmentTest(pyr, cfg.arc, cfg.min_border)
     lo, hi = cfg.threshold_range
-    lo_det = _detect_at_threshold(tests, lo, cfg)
+    lo_det = _detect_at_threshold(test, lo, cfg)
     target = cfg.n_features
     band = (target * (1.0 - cfg.count_tol), target * (1.0 + cfg.count_tol))
     if len(lo_det) <= band[1]:
         return lo, lo_det  # even the most permissive threshold is not too many
-    hi_det = _detect_at_threshold(tests, hi, cfg)
+    hi_det = _detect_at_threshold(test, hi, cfg)
     if len(hi_det) >= band[0]:
         return hi, hi_det
 
     best = (abs(len(lo_det) - target), lo, lo_det)
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        det = _detect_at_threshold(tests, mid, cfg)
+        det = _detect_at_threshold(test, mid, cfg)
         n = len(det)
         if abs(n - target) < best[0]:
             best = (abs(n - target), mid, det)
@@ -245,25 +253,32 @@ def detect_corners(pyr: ImagePyramid, cfg: TrackerConfig):
 # tracking
 
 
-def _windows(data: np.ndarray, xy: np.ndarray, size: int,
-             bounds=None) -> np.ndarray:
-    """(n, size, size) bilinear windows centered on the rows of xy (n, 2) of
-    the image ``data``; with per-row ``bounds`` (w, h, offset), of the
-    images stored end to end in the flat ``data``."""
+def _windows(layout, xy: np.ndarray, levels, size: int) -> np.ndarray:
+    """(n, size, size) bilinear windows centered on the rows of xy (n, 2),
+    each at its own pyramid level ``levels`` (n,) or one level for all, of a
+    pyramid's :meth:`~mvdesc.image.ImagePyramid.layout`."""
+    pixels, bounds = layout
     offs = np.arange(size) - (size - 1) / 2.0
     x = xy[:, 0, None, None] + offs
     y = xy[:, 1, None, None] + offs[:, None]
-    if bounds is None:
-        h, w = data.shape
-        return _bilinear(np.asarray(data, dtype=np.float64).ravel(), x, y, w, h, 0)
-    w, h, offset = (b[:, None, None] for b in bounds)
-    return _bilinear(data, x, y, w, h, offset)
+    w, h, offset = (b[levels][..., None, None] for b in bounds)
+    return _bilinear(pixels, x, y, w, h, offset)
+
+
+def _fits(bounds, xy: np.ndarray, levels, margin: float) -> np.ndarray:
+    """Whether each point ``xy`` (..., 2) lies ``margin`` or more inside its
+    level ``levels`` (broadcasting to ``xy[..., 0]``) of a layout's
+    ``bounds``; a window of ``size`` fits from margin ``(size - 1) / 2``."""
+    w, h = bounds[0][levels], bounds[1][levels]
+    x, y = xy[..., 0], xy[..., 1]
+    return ((margin <= x) & (x <= w - 1 - margin)
+            & (margin <= y) & (y <= h - 1 - margin))
 
 
 def extract_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     """size x size bilinear window centered on xy (border-clamped)."""
-    return _windows(img.data, np.asarray(xy, dtype=np.float64).reshape(1, 2),
-                    size)[0]
+    return _windows(ImagePyramid([img]).layout(),
+                    np.asarray(xy, dtype=np.float64).reshape(1, 2), 0, size)[0]
 
 
 def normalize_patch(patch: np.ndarray) -> np.ndarray:
@@ -281,18 +296,20 @@ def quantized_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     return GrayImage.from_u8(GrayImage(norm).to_u8()).data
 
 
-def quantized_patches(data: np.ndarray, xy, size: int) -> np.ndarray:
-    """``(n, size, size)`` stack of :func:`quantized_patch` of the image
-    ``data`` at every row of ``xy`` (n, 2), each slice bit-identical to it.
+def quantized_patches(pyr: ImagePyramid, xy, levels, size: int) -> np.ndarray:
+    """``(n, size, size)`` stack of :func:`quantized_patch` at every row of
+    ``xy`` (n, 2) on its own level ``levels`` (n,) of ``pyr``, or one level
+    for all, each slice bit-identical to ``quantized_patch(pyr.level(l), q,
+    size)``.
 
-    One window gather serves all positions. Every patch is normalized by
-    reductions along its own contiguous row of an ``(n, size * size)``
-    array, which add its pixels in the order a lone patch does.
+    One window gather serves all positions and levels. Every patch is
+    normalized by reductions along its own contiguous row of an ``(n, size
+    * size)`` array, which add its pixels in the order a lone patch does.
     """
     if size < 3:
         raise ValueError(f"patch size must be at least 3, got {size}")
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    rows = _windows(data, xy, size).reshape(len(xy), size * size)
+    rows = _windows(pyr.layout(), xy, levels, size).reshape(len(xy), size * size)
     s = rows.std(axis=1)
     flat = s < 1e-12
     z = rows[~flat]
@@ -302,6 +319,13 @@ def quantized_patches(data: np.ndarray, xy, size: int) -> np.ndarray:
     norm[~flat] = (z - lo) / (z.max(axis=1, keepdims=True) - lo)
     u8 = np.clip(np.rint(norm * 255.0), 0, 255).astype(np.uint8)
     return (u8 / 255.0).reshape(len(xy), size, size)
+
+
+def _centered(win: np.ndarray, size: int):
+    """``win`` (n, size, size) centered per window, and each window's std by
+    ``np.std``'s own steps; ``size ** 2`` serves an empty stack too."""
+    win = win - win.mean(axis=(1, 2), keepdims=True)
+    return win, np.sqrt((win * win).sum(axis=(1, 2)) / size ** 2)
 
 
 def klt_steps(prev: ImagePyramid, nxt: ImagePyramid, pos, levels,
@@ -327,29 +351,19 @@ def klt_steps(prev: ImagePyramid, nxt: ImagePyramid, pos, levels,
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
     cur = (pos.copy() if guess is None
            else np.array(guess, dtype=np.float64).reshape(-1, 2))
-    sizes = [lv.shape for lv in prev.levels]
-    if [lv.shape for lv in nxt.levels] != sizes:
-        raise ValueError(f"pyramid level sizes differ: {sizes} against "
-                         f"{[lv.shape for lv in nxt.levels]}")
+    src, dst = prev.layout(), nxt.layout()
+    if not np.array_equal(src[1], dst[1]):
+        raise ValueError(f"pyramid level sizes differ: (width, height) "
+                         f"{np.transpose(src[1][:2]).tolist()} against "
+                         f"{np.transpose(dst[1][:2]).tolist()}")
     lvl = np.broadcast_to(np.asarray(levels, dtype=np.intp), len(pos))
-    hs, ws = np.array(sizes, dtype=np.intp).T
-    starts = np.concatenate([[0], np.cumsum(hs * ws)[:-1]])
-    h, w, start = hs[lvl], ws[lvl], starts[lvl]
-    src = np.concatenate([lv.data.ravel() for lv in prev.levels])
-    dst = np.concatenate([lv.data.ravel() for lv in nxt.levels])
     half = (cfg.window - 1) / 2.0
 
-    def in_bounds(p, i=slice(None)):
-        """Which windows around ``p`` fit in the levels of the points ``i``."""
-        return ((half <= p[:, 0]) & (p[:, 0] <= w[i] - 1 - half)
-                & (half <= p[:, 1]) & (p[:, 1] <= h[i] - 1 - half))
-
-    idx = np.flatnonzero(in_bounds(pos))
-    t = _windows(src, pos[idx], cfg.window, (w[idx], h[idx], start[idx]))
-    t_std = t.std(axis=(1, 2))
+    idx = np.flatnonzero(_fits(src[1], pos, lvl, half))
+    t = _windows(src, pos[idx], lvl[idx], cfg.window)
+    tz, t_std = _centered(t, cfg.window)
     flat = t_std < 1e-9
-    idx, t, t_std = idx[~flat], t[~flat], t_std[~flat]
-    tz = t - t.mean(axis=(1, 2), keepdims=True)
+    idx, t, tz, t_std = idx[~flat], t[~flat], tz[~flat], t_std[~flat]
     gx, gy = _central_differences(t)
     h00 = (gx * gx).sum(axis=(1, 2))
     h01 = (gx * gy).sum(axis=(1, 2))
@@ -369,19 +383,18 @@ def klt_steps(prev: ImagePyramid, nxt: ImagePyramid, pos, levels,
     resid = np.full(len(pos), np.nan)
     finished = np.zeros(len(pos), bool)
     for it in range(cfg.max_iters):
-        inside = in_bounds(cur[state[0]], state[0])
+        inside = _fits(src[1], cur[state[0]], lvl[state[0]], half)
         if not inside.all():
             state = [a[inside] for a in state]
         i = state[0]
-        win = _windows(dst, cur[i], cfg.window, (w[i], h[i], start[i]))
-        w_std = win.std(axis=(1, 2))
+        win, w_std = _centered(_windows(dst, cur[i], lvl[i], cfg.window),
+                              cfg.window)
         moving = ~(w_std < 1e-9)
         if not moving.all():
             state, win, w_std = ([a[moving] for a in state], win[moving],
                                  w_std[moving])
         idx, tz, gx, gy, t_std, inv00, inv01, inv11 = state
-        r = ((win - win.mean(axis=(1, 2), keepdims=True))
-             * (t_std / w_std)[:, None, None] - tz)
+        r = win * (t_std / w_std)[:, None, None] - tz
         bx = (gx * r).sum(axis=(1, 2))
         by = (gy * r).sum(axis=(1, 2))
         dx = inv00 * bx + inv01 * by
@@ -396,7 +409,7 @@ def klt_steps(prev: ImagePyramid, nxt: ImagePyramid, pos, levels,
             state = [a[~done] for a in state]
         if not len(state[0]):
             break
-    ok = finished & in_bounds(cur) & ~(resid > cfg.reject_thresh)
+    ok = finished & _fits(src[1], cur, lvl, half) & ~(resid > cfg.reject_thresh)
     return cur, ok
 
 
@@ -416,7 +429,8 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
     fails on any frame is marked dead and stops growing, so ``positions``
     always covers frames 0..length-1 contiguously. Position init for each
     new frame assumes constant velocity. The live tracks of every pyramid
-    level are tracked together, one :func:`klt_steps` call per frame.
+    level are tracked together, one :func:`klt_steps` call per frame; only
+    the pyramids of the frame pair at hand are held.
     """
     cfg = cfg or TrackerConfig()
     if not images:
@@ -425,21 +439,21 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
         if img.shape != images[0].shape:
             raise ValueError(f"frame {f} is {img.width}x{img.height}, frame 0 "
                              f"is {images[0].width}x{images[0].height}")
-    pyrs = [build_pyramid(img, cfg.levels) for img in images]
-
-    detections = detect_corners(pyrs[0], cfg)
+    nxt = build_pyramid(images[0], cfg.levels)
+    detections = detect_corners(nxt, cfg)
     tracks = [Track(i, lvl, [xy.copy()]) for i, (lvl, xy, _) in enumerate(detections)]
 
     for f in range(1, len(images)):
         live = [tr for tr in tracks if tr.alive]
         if not live:
             break
+        prev, nxt = nxt, build_pyramid(images[f], cfg.levels)
         pos = np.array([tr.positions[-1] for tr in live])
         guess = pos
         if f >= 2:  # every live track holds frames 0..f-1
             guess = pos + (pos - np.array([tr.positions[-2] for tr in live]))
-        new, ok = klt_steps(pyrs[f - 1], pyrs[f], pos,
-                            [tr.level for tr in live], cfg, guess)
+        new, ok = klt_steps(prev, nxt, pos, [tr.level for tr in live], cfg,
+                            guess)
         for tr, p, good in zip(live, new, ok):
             if good:
                 tr.positions.append(p)
@@ -455,22 +469,17 @@ def attach_patches(tracks: list, images: list, patch_size: int,
 
     Stored patches are quantized to 8 bits, matching their on-disk form, so
     anything computed from them is identical in memory and after a reload.
-    The patches of one frame and pyramid level are cut together, by one
-    :func:`quantized_patches` call.
+    The patches of one frame are cut together, each at its track's level, by
+    one :func:`quantized_patches` call.
     """
-    pyrs = [build_pyramid(img, levels) for img in images]
     stacks = [np.empty((tr.length, patch_size, patch_size)) for tr in tracks]
-    for f, pyr in enumerate(pyrs):
-        for lvl in range(len(pyr)):
-            group = [i for i, tr in enumerate(tracks)
-                     if tr.level == lvl and tr.length > f]
-            if not group:
-                continue
-            pats = quantized_patches(pyr.level(lvl).data,
-                                     [tracks[i].positions[f] for i in group],
-                                     patch_size)
-            for i, pat in zip(group, pats):
-                stacks[i][f] = pat
+    for f, img in enumerate(images):
+        group = [i for i, tr in enumerate(tracks) if tr.length > f]
+        pats = quantized_patches(build_pyramid(img, levels),
+                                 [tracks[i].positions[f] for i in group],
+                                 [tracks[i].level for i in group], patch_size)
+        for i, pat in zip(group, pats):
+            stacks[i][f] = pat
     for tr, stack in zip(tracks, stacks):
         tr.patches = stack
 

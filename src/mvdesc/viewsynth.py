@@ -129,9 +129,10 @@ class LocalSurface:
 
 
 def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
-                  patch_size: int, level: int = 0) -> list:
+                  patch_size: int, levels=0) -> list:
     """:meth:`LocalSurface.from_frame` at every row of ``anchors`` (n, 2) at
-    once: per anchor its surface, bit-identical to the one ``from_frame``
+    once, each on its own pyramid level ``levels`` (n,) or one level for
+    all: per anchor its surface, bit-identical to the one ``from_frame``
     lifts, or None where ``from_frame`` raises ValueError.
 
     The lattices of all anchors share one depth gather and one normal
@@ -140,11 +141,12 @@ def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
     many surfaces share the batch.
     """
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
+    levels = np.broadcast_to(np.asarray(levels, dtype=np.intp), len(anchors))
     offs = np.arange(patch_size) - (patch_size - 1) / 2.0
     lattice = np.empty((len(anchors), patch_size, patch_size, 2))
     lattice[..., 0] = anchors[:, 0, None, None] + offs
     lattice[..., 1] = anchors[:, 1, None, None] + offs[:, None]
-    base_xy = level_to_base(lattice, level)
+    base_xy = level_to_base(lattice, levels[:, None, None])
 
     h, w = depth.shape
     x, y = base_xy[..., 0], base_xy[..., 1]
@@ -156,7 +158,7 @@ def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
     idx, z, base_xy = idx[whole], z[whole], base_xy[idx[whole]]
     points = z[..., None] * camera.ray_directions(base_xy)
 
-    anchor_base = level_to_base(anchors[idx], level)
+    anchor_base = level_to_base(anchors[idx], levels[idx])
     za = bilinear_sample(depth, anchor_base, clamp=False)
     anchor = za[:, None] * camera.ray_directions(anchor_base)
 
@@ -166,7 +168,8 @@ def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
         mean_normal = normals[j].reshape(-1, 3).mean(axis=0)
         mean_normal /= np.linalg.norm(mean_normal)
         surfaces[i] = LocalSurface(points[j], normals[j], mean_normal, anchor[j],
-                                   anchors[i].copy(), level, camera, patch_size)
+                                   anchors[i].copy(), int(levels[i]),
+                                   camera, patch_size)
     return surfaces
 
 

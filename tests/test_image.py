@@ -133,6 +133,20 @@ class TestPyramid:
             np.testing.assert_allclose(base_to_level(base, level), xy,
                                        atol=1e-12)
 
+    def test_coordinate_mapping_with_a_level_per_row(self):
+        rng = np.random.default_rng(6)
+        xy = rng.uniform(-50.0, 200.0, (40, 2))
+        levels = rng.integers(0, 5, 40)
+        for fn in (level_to_base, base_to_level):
+            got = fn(xy, levels)
+            want = np.array([fn(q, int(lvl)) for q, lvl in zip(xy, levels)])
+            assert got.tobytes() == want.tobytes()
+            # a level per row of a (tracks, views, 2) array, broadcast
+            grid = xy.reshape(8, 5, 2)
+            got = fn(grid, levels[:8, None])
+            assert got.tobytes() == np.array(
+                [fn(row, int(lvl)) for row, lvl in zip(grid, levels[:8])]).tobytes()
+
     def test_coordinate_mapping_known_values(self):
         # level-1 pixel 0 covers base pixels 0 and 1, centered at 0.5
         np.testing.assert_allclose(level_to_base(np.array([0.0, 0.0]), 1),

@@ -657,45 +657,55 @@ class TestPatches:
 
 @st.composite
 def patch_cases(draw):
-    """An 8-bit image, odd patch size and centers: inside, on and past the
+    """A pyramid of 1-3 levels over an 8-bit image, an odd patch size and
+    centers, each on a level of its own: inside, on and past that level's
     border (where the window clamps), and over a flat region."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    n_levels = draw(st.integers(1, 3))
+    least = 3 * 2 ** (n_levels - 1)
+    h, w = draw(st.integers(least, 40)), draw(st.integers(least, 40))
     a = np.round(rng.random((h, w)) * 255.0) / 255.0
     if draw(st.booleans()):
         a[: h // 2 + 1, : w // 2 + 1] = np.round(rng.random() * 255.0) / 255.0
+    pyr = build_pyramid(GrayImage(a), n_levels)
     p = draw(st.sampled_from(range(3, 22, 2)))
-    xy = rng.uniform(-p, max(h, w) + p, (draw(st.integers(0, 12)), 2))
+    n = draw(st.integers(0, 12)) + 3
+    levels = rng.integers(0, n_levels, n)
+    size = np.array([pyr.level(lvl).shape[::-1] for lvl in levels], float)
+    xy = rng.uniform(-p, 1.0, (n, 2)) + rng.random((n, 2)) * (size + p)
     snap = rng.random(xy.shape) < 0.3
     xy[snap] = np.round(xy[snap])
-    corners = np.array([[0.0, 0.0], [w - 1.0, h - 1.0], [-3.0, h + 2.0]])
-    return a, np.concatenate([xy, corners[: draw(st.integers(0, 3))]]), p
+    # the last three: a level's first pixel, its last, and past a corner
+    xy[-3:] = [0.0, 0.0], size[-2] - 1.0, [-3.0, size[-1, 1] + 2.0]
+    keep = n - draw(st.integers(0, 3))
+    return pyr, xy[:keep], levels[:keep], p
 
 
 class TestBatchedPatches:
     @settings(max_examples=200, deadline=None)
     @given(case=patch_cases())
     def test_equals_quantized_patch(self, case):
-        a, xy, p = case
-        got = quantized_patches(a, xy, p)
-        want = np.reshape([quantized_patch(GrayImage(a), q, p) for q in xy],
-                          (len(xy), p, p))
+        pyr, xy, levels, p = case
+        got = quantized_patches(pyr, xy, levels, p)
+        want = np.reshape([quantized_patch(pyr.level(lvl), q, p)
+                           for q, lvl in zip(xy, levels)], (len(xy), p, p))
         assert got.shape == (len(xy), p, p)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p", [3, 11, 21])
     def test_flat_patches_become_one_half(self, p):
-        a = np.full((30, 30), 0.3)
+        img = GrayImage(np.full((30, 30), 0.3))
         xy = np.array([[10.0, 10.0], [-4.0, 2.5], [29.0, 29.0]])
-        got = quantized_patches(a, xy, p)
+        got = quantized_patches(one_level(img), xy, 0, p)
         assert (got == np.rint(0.5 * 255.0) / 255.0).all()
         assert got.tobytes() == np.stack(
-            [quantized_patch(GrayImage(a), q, p) for q in xy]).tobytes()
+            [quantized_patch(img, q, p) for q in xy]).tobytes()
 
     @pytest.mark.parametrize("p", [2, 0, -3])
     def test_size_below_three_rejected(self, p):
         with pytest.raises(ValueError, match=f"at least 3, got {p}"):
-            quantized_patches(np.zeros((9, 9)), np.zeros((1, 2)), p)
+            quantized_patches(one_level(GrayImage(np.zeros((9, 9)))),
+                              np.zeros((1, 2)), 0, p)
 
     def test_attach_patches_equals_per_position_patches(self):
         rng = np.random.default_rng(108)

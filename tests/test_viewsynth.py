@@ -110,8 +110,9 @@ class TestLocalSurface:
 @st.composite
 def lift_cases(draw):
     """A ray-depth map of a bumpy tilted surface with NaN or inf holes, a
-    pyramid level, an odd patch size and anchors inside, near and past the
-    border of that level, so some lattices leave the map or cover a hole."""
+    pyramid level for all anchors or one per anchor, an odd patch size and
+    anchors inside, near and past the border of their level, so some
+    lattices leave the map or cover a hole."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w, h = draw(st.integers(8, 48)), draw(st.integers(8, 40))
     cam = PinholeCamera(draw(st.floats(10.0, 80.0)), (w - 1) / 2.0,
@@ -121,12 +122,13 @@ def lift_cases(draw):
              + 0.01 * rng.random((h, w)))
     holes = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.002, 0.02]))
     depth[holes] = rng.choice([np.nan, np.inf])
-    level = draw(st.integers(0, 2))
     p = draw(st.sampled_from(range(3, 22, 2)))
-    lw, lh = w / 2 ** level, h / 2 ** level
     n = draw(st.integers(0, 12))
-    anchors = (rng.uniform(-2.0, 1.0, (n, 2)) + [lw / 2, lh / 2]) * rng.uniform(
-        0.0, 2.0, (n, 2))
+    level = (rng.integers(0, 3, n) if draw(st.booleans())
+             else draw(st.integers(0, 2)))
+    scale = np.ldexp(1.0, np.broadcast_to(level, n))[:, None]
+    anchors = (rng.uniform(-2.0, 1.0, (n, 2)) + [w / 2, h / 2] / scale) * (
+        rng.uniform(0.0, 2.0, (n, 2)))
     return depth, cam, anchors, p, level
 
 
@@ -137,9 +139,10 @@ class TestBatchedLifting:
         depth, cam, anchors, p, level = case
         got = lift_surfaces(depth, cam, anchors, p, level)
         assert len(got) == len(anchors)
-        for anchor, surface in zip(anchors, got):
+        levels = np.broadcast_to(level, len(anchors))
+        for anchor, lvl, surface in zip(anchors, levels, got):
             try:
-                want = LocalSurface.from_frame(depth, cam, anchor, p, level)
+                want = LocalSurface.from_frame(depth, cam, anchor, p, int(lvl))
             except ValueError:
                 assert surface is None
                 continue
