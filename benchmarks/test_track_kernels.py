@@ -8,7 +8,8 @@ Run from the repository root with one BLAS thread (kept out of
 
 The scene has the size of the plane-match benchmark workload: a 120 x 90
 plane orbit of 10 frames with a 15 degree sway, 60 corners over two
-pyramid levels. ``detect_corners`` is timed over the whole threshold
+pyramid levels, each frame's pyramid built once by the fixture, as the
+benchmark and ``mvdesc track`` build them. ``detect_corners`` is timed over the whole threshold
 search on the first frame; ``klt_steps`` in one call on every corner of
 both levels of the first frame pair, beside the same points through
 ``klt_step`` one at a time; ``_nms`` on the candidates of level 0 at the
@@ -30,16 +31,16 @@ CFG = TrackerConfig(n_features=60, levels=2, reject_thresh=0.08, count_tol=0.02)
 
 
 @pytest.fixture(scope="module")
-def frames(tmp_path_factory):
+def pyrs(tmp_path_factory):
     spec = default_scene_spec("bench-plane", "plane", 7)
     spec.update(n_frames=10, orbit_azimuth_amp_deg=15, resolution=[120, 90],
                 focal=127.5)
     ds = generate_dataset(spec, tmp_path_factory.mktemp("track-bench"))
-    return [v.image for v in ds.frames]
+    return [build_pyramid(v.image, CFG.levels) for v in ds.frames]
 
 
-def test_run_tracker(benchmark, frames):
-    tracks = benchmark.pedantic(run_tracker, args=(frames, CFG), rounds=5,
+def test_run_tracker(benchmark, pyrs):
+    tracks = benchmark.pedantic(run_tracker, args=(pyrs, CFG), rounds=5,
                                 iterations=1, warmup_rounds=1)
     assert tracks
     if benchmark.stats is None:  # --benchmark-disable: run once, untimed
@@ -51,9 +52,8 @@ def test_run_tracker(benchmark, frames):
           f"{ms:.1f} ms per sequence")
 
 
-def test_detect_corners(benchmark, frames):
-    pyr = build_pyramid(frames[0], CFG.levels)
-    det = benchmark.pedantic(detect_corners, args=(pyr, CFG), rounds=20,
+def test_detect_corners(benchmark, pyrs):
+    det = benchmark.pedantic(detect_corners, args=(pyrs[0], CFG), rounds=20,
                              iterations=1, warmup_rounds=1)
     assert {lvl for lvl, _, _ in det} == {0, 1}
     if benchmark.stats is None:  # --benchmark-disable: run once, untimed
@@ -64,8 +64,8 @@ def test_detect_corners(benchmark, frames):
           f"search")
 
 
-def test_klt_steps(benchmark, frames):
-    p0, p1 = build_pyramid(frames[0], CFG.levels), build_pyramid(frames[1], CFG.levels)
+def test_klt_steps(benchmark, pyrs):
+    p0, p1 = pyrs[:2]
     det = detect_corners(p0, CFG)
     pos = np.array([xy for _, xy, _ in det])
     levels = [lvl for lvl, _, _ in det]
@@ -88,8 +88,8 @@ def test_klt_steps(benchmark, frames):
           f"batched, {single:.0f} us one at a time")
 
 
-def test_nms(benchmark, frames):
-    img = build_pyramid(frames[0], CFG.levels).level(0)
+def test_nms(benchmark, pyrs):
+    img = pyrs[0].level(0)
     mask, score = fast_score_map(img, CFG.threshold_range[0], CFG.arc)
     m = CFG.min_border
     mask[:m] = mask[-m:] = False

@@ -10,8 +10,9 @@ import argparse
 
 import numpy as np
 
-from mvdesc import (TrackerConfig, default_scene_spec, generate_dataset,
-                    ground_truth_correspondence, level_to_base, run_tracker)
+from mvdesc import (TrackerConfig, build_pyramid, default_scene_spec,
+                    generate_dataset, ground_truth_correspondence,
+                    level_to_base, run_tracker)
 
 
 def main():
@@ -25,8 +26,10 @@ def main():
     spec = default_scene_spec("trackdemo", "plane", args.seed)
     ds = generate_dataset(spec, args.out)
 
+    # the caller builds each frame's pyramid once; the tracker reads them
     cfg = TrackerConfig(n_features=300, levels=2)
-    tracks = run_tracker([v.image for v in ds.frames], cfg)
+    tracks = run_tracker([build_pyramid(v.image, cfg.levels) for v in ds.frames],
+                         cfg)
     full = [t for t in tracks if t.alive]
     print(f"{len(tracks)} corners detected, {len(full)} tracked through "
           f"all {len(ds.frames)} frames")

@@ -9,8 +9,9 @@ genuinely new appearance the track has contributed so far.
 import numpy as np
 
 from mvdesc import (DescriptorParams, MultiViewAccumulator, TrackerConfig,
-                    attach_patches, default_scene_spec, excitation_score,
-                    generate_dataset, patch_scatter, run_tracker)
+                    attach_patches, build_pyramid, default_scene_spec,
+                    excitation_score, generate_dataset, patch_scatter,
+                    run_tracker)
 from mvdesc.viewsynth import patch_density
 
 
@@ -18,11 +19,12 @@ def main():
     spec = default_scene_spec("mvdemo", "plane", seed=5)
     spec["n_frames"] = 12
     ds = generate_dataset(spec, "demo_out/mv_scene")
-    images = [v.image for v in ds.frames]
 
+    # one pyramid per frame serves both tracking and patch cutting
     cfg = TrackerConfig(n_features=200, levels=2)
-    tracks = [t for t in run_tracker(images, cfg) if t.alive]
-    attach_patches(tracks, images, patch_size=21, levels=cfg.levels)
+    pyrs = [build_pyramid(v.image, cfg.levels) for v in ds.frames]
+    tracks = [t for t in run_tracker(pyrs, cfg) if t.alive]
+    attach_patches(tracks, pyrs, patch_size=21)
 
     # the track whose appearance changes most over the orbit
     track = max(tracks, key=lambda t: patch_scatter(t.patches))

@@ -19,6 +19,7 @@ Methods compared:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -28,10 +29,11 @@ import numpy as np
 
 from .hog import (METHODS, DescriptorParams, OrientationDensity,
                   _normalized_rows, patch_densities)
-from .image import base_to_level, build_pyramid, level_to_base
+from .image import _json_field, base_to_level, build_pyramid, level_to_base
 from .matching import DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
-from .scene import VISIBLE, generate_dataset, ground_truth_correspondences
+from .scene import (VISIBLE, _check_spec, default_scene_spec, generate_dataset,
+                    ground_truth_correspondences)
 from .tracking import TrackerConfig, _fits, quantized_patches, run_tracker
 from .viewsynth import (MIN_FACING, lift_surfaces, sample_rotations,
                         select_keyframes, synthesize_views, view_descriptors)
@@ -114,6 +116,51 @@ def _merge_config(overrides: dict = None) -> dict:
         else:
             cfg[k] = v
     return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    """ValueError naming the first field of a merged benchmark config that
+    the run cannot use, before anything is rendered. Tracker fields are
+    those of :class:`TrackerConfig`, which checks their values."""
+    defaults = default_benchmark_config()
+    for key in cfg:
+        if key not in defaults:
+            raise ValueError(f"{key}: not a benchmark config field")
+    sections = {"tracker": [f.name for f in dataclasses.fields(TrackerConfig)],
+                "rhog": defaults["rhog"], "excitation": defaults["excitation"]}
+    for section, known in sections.items():
+        for key in _json_field(cfg, section, dict):
+            if key not in known:
+                raise ValueError(f"{section}.{key}: not a {section} field")
+    try:
+        TrackerConfig(**cfg["tracker"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"tracker: {exc}") from None
+    for path, n in (("max_tracks", _json_field(cfg, "max_tracks", int)),
+                    ("sv_trials", _json_field(cfg, "sv_trials", int)),
+                    ("rhog.keyframes",
+                     _json_field(cfg["rhog"], "keyframes", int, "rhog"))):
+        if n < 1:
+            raise ValueError(f"{path}: {n}, expected at least 1")
+    sizes = _json_field(cfg, "patch_sizes", list)
+    exc_size = _json_field(cfg["excitation"], "patch_size", int, "excitation")
+    if exc_size not in sizes:
+        raise ValueError(f"excitation.patch_size: {exc_size} is not one of "
+                         f"patch_sizes {sizes}")
+    scenes = _json_field(cfg, "scenes", list)
+    if not scenes:
+        raise ValueError("scenes: empty")
+    names = []
+    for i, entry in enumerate(scenes):
+        name = _json_field(entry, "name", str, f"scenes[{i}]")
+        if name in names:
+            raise ValueError(f"scenes[{i}].name: {name!r} is also "
+                             f"scenes[{names.index(name)}].name")
+        names.append(name)
+        try:
+            _check_spec({**default_scene_spec(), **entry})
+        except ValueError as exc:
+            raise ValueError(f"scenes[{i}].{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +386,14 @@ class _SceneRun:
         tcfg = TrackerConfig(**cfg["tracker"])
         self.n_frames = len(self.dataset.frames)
 
-        images = [v.image for v in self.dataset.frames]
-        self.frame_pyrs = [build_pyramid(im, tcfg.levels) for im in images]
+        self.frame_pyrs = [build_pyramid(v.image, tcfg.levels)
+                           for v in self.dataset.frames]
         self.test_pyrs = [build_pyramid(v.image, tcfg.levels)
                           for v in self.dataset.tests]
         # every view has the camera's size: one set of level bounds for all
         _, self.bounds = self.frame_pyrs[0].layout()
 
-        tracks = run_tracker(images, tcfg)
+        tracks = run_tracker(self.frame_pyrs, tcfg)
         self.tracks = [t for t in tracks
                        if t.alive and t.length == self.n_frames]
         n = len(self.tracks)
@@ -464,6 +511,7 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
     Returns the report dictionary.
     """
     cfg = _merge_config(config)
+    _check_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
@@ -481,6 +529,10 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
     for run in runs:
         for size in cfg["patch_sizes"]:
             prep = run.prepare(size)
+            if not prep["track_ids"]:
+                raise ValueError(f"scene {run.name}, patch size {size}: no "
+                                 f"track has full patch support in every "
+                                 f"frame and a liftable keyframe")
             preps[(run.name, size)] = prep
             n_tracks[f"{run.name}/{size}"] = len(prep["track_ids"])
             ids, dens, params = prep["track_ids"], prep["densities"], prep["params"]

@@ -7,10 +7,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import bench
+from . import bench, image
 from .bench import quick_benchmark_config, run_benchmark
 from .hog import METHODS, DescriptorParams, patch_densities
-from .image import _json_field
+from .image import MAX_PYRAMID_LEVELS, _json_field
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
@@ -49,12 +49,13 @@ def _check_patch_size(size: int) -> None:
 def _cmd_track(args) -> int:
     _check_patch_size(args.patch_size)
     ds = load_dataset(args.dataset)
-    images = [v.image for v in ds.frames]
     cfg = TrackerConfig(n_features=args.features, levels=args.levels,
                         window=args.window, reject_thresh=args.reject)
-    tracks = run_tracker(images, cfg)
-    full = [t for t in tracks if t.alive and t.length == len(images)]
-    attach_patches(full, images, args.patch_size, cfg.levels)
+    # read from the module at call time, so perfbench's wrapper sees it
+    pyrs = [image.build_pyramid(v.image, cfg.levels) for v in ds.frames]
+    tracks = run_tracker(pyrs, cfg)
+    full = [t for t in tracks if t.alive and t.length == len(pyrs)]
+    attach_patches(full, pyrs, args.patch_size)
     save_tracks(full, args.out, meta={
         "dataset": str(args.dataset),
         "patch_size": args.patch_size,
@@ -62,8 +63,26 @@ def _cmd_track(args) -> int:
         "n_detected": len(tracks),
     })
     print(f"{len(full)} of {len(tracks)} tracks survived all "
-          f"{len(images)} frames; saved to {args.out}")
+          f"{len(pyrs)} frames; saved to {args.out}")
     return 0
+
+
+def _stored_depth(file, meta: dict, tracks: list) -> int:
+    """``meta.levels`` of a ``tracks.json``: the depth its tracks' pyramids
+    were built with, which must lie in 1..MAX_PYRAMID_LEVELS and exceed
+    every track's level; ValueError naming the file and the field."""
+    try:
+        levels = _json_field(meta, "levels", int, "meta")
+        if not 1 <= levels <= MAX_PYRAMID_LEVELS:
+            raise ValueError(f"meta.levels: {levels}, expected "
+                             f"1..{MAX_PYRAMID_LEVELS}")
+        for i, tr in enumerate(tracks):
+            if tr.level >= levels:
+                raise ValueError(f"tracks[{i}].level: {tr.level} is not below "
+                                 f"meta.levels {levels}")
+    except ValueError as exc:
+        raise ValueError(f"{file}: {exc}") from None
+    return levels
 
 
 def _cmd_describe(args) -> int:
@@ -71,8 +90,8 @@ def _cmd_describe(args) -> int:
         raise ValueError(f"--frame must be at least 0, got {args.frame}")
     if args.patch_size is not None:
         _check_patch_size(args.patch_size)
-    tracks, meta = load_tracks(args.tracks)
-    tracks = [t for t in tracks if t.patches is not None]
+    loaded, meta = load_tracks(args.tracks)
+    tracks = [t for t in loaded if t.patches is not None]
     if not tracks:
         raise ValueError("no tracks with stored patches")
     stored = tracks[0].patches.shape[1]
@@ -101,11 +120,9 @@ def _cmd_describe(args) -> int:
         db = build(ids, [patch_densities(tr.patches, params) for tr in tracks],
                    params, args.metric)
     else:
-        # looked up at call time, so perfbench's mvdesc.image wrapper sees it
-        from .image import build_pyramid
+        levels = _stored_depth(Path(args.tracks) / "tracks.json", meta, loaded)
         ds = load_dataset(args.dataset)
-        levels = int(meta.get("levels", 2))
-        pyrs = [build_pyramid(v.image, levels) for v in ds.frames]
+        pyrs = [image.build_pyramid(v.image, levels) for v in ds.frames]
         views = bench.lift_keyframes(ds, pyrs, tracks, args.keyframes, patch_size)
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)

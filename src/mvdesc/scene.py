@@ -534,6 +534,25 @@ def default_scene_spec(name: str = "scene", kind: str = "plane",
     }
 
 
+def _check_spec(spec: dict) -> None:
+    """ValueError naming the field of a scene spec (defaults merged in) that
+    is unknown, an orbit of no frames, or a test-view list whose length
+    differs from the azimuths'."""
+    known = default_scene_spec()
+    for key in spec:
+        if key not in known:
+            raise ValueError(f"{key}: not a scene spec field")
+    n = _json_field(spec, "n_frames", int)
+    if n < 1:
+        raise ValueError(f"n_frames: {n}, expected at least 1")
+    views = len(_json_field(spec, "test_azimuths_deg", list))
+    for key in ("test_elevations_deg", "test_distance_scale"):
+        count = len(_json_field(spec, key, list))
+        if count != views:
+            raise ValueError(f"{key}: {count} entries, test_azimuths_deg has "
+                             f"{views}")
+
+
 def _spec_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, *tags)))
 
@@ -623,6 +642,7 @@ def generate_dataset(spec: dict, out_dir) -> "SceneDataset":
     spec regenerates byte-identical files.
     """
     spec = {**default_scene_spec(), **spec}
+    _check_spec(spec)
     out = Path(out_dir)
     (out / "frames").mkdir(parents=True, exist_ok=True)
     (out / "tests").mkdir(parents=True, exist_ok=True)

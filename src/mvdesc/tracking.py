@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import (GrayImage, ImagePyramid, _central_differences,
-                    _bilinear, _finite_numbers, _json_field, build_pyramid,
-                    read_pgm, write_pgm)
+from .image import (MAX_PYRAMID_LEVELS, GrayImage, ImagePyramid,
+                    _central_differences, _bilinear, _finite_numbers,
+                    _json_field, build_pyramid, read_pgm, write_pgm)
 
 __all__ = [
     "TrackerConfig",
@@ -63,6 +63,9 @@ class TrackerConfig:
     def __post_init__(self):
         if self.window % 2 == 0 or self.window < 5:
             raise ValueError("tracking window must be odd and at least 5")
+        if not 1 <= self.levels <= MAX_PYRAMID_LEVELS:
+            raise ValueError(f"levels must be in 1..{MAX_PYRAMID_LEVELS}, "
+                             f"got {self.levels}")
         if not 1 <= self.arc <= 16:
             raise ValueError("segment-test arc length must be in 1..16")
         for name in ("n_features", "max_iters"):
@@ -155,7 +158,7 @@ def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
     whichever polarity is stronger. Returns (mask, score) over the full
     image; a 3-pixel border never fires.
     """
-    test = _SegmentTest(ImagePyramid([img]), arc, 3)
+    test = _SegmentTest(build_pyramid(img, 1), arc, 3)
     sel, sc = test.at(threshold)
     xs, ys = test.xy[sel].astype(np.intp).T
     mask, score = np.zeros(img.shape, bool), np.zeros(img.shape)
@@ -277,7 +280,7 @@ def _fits(bounds, xy: np.ndarray, levels, margin: float) -> np.ndarray:
 
 def extract_patch(img: GrayImage, xy, size: int) -> np.ndarray:
     """size x size bilinear window centered on xy (border-clamped)."""
-    return _windows(ImagePyramid([img]).layout(),
+    return _windows(build_pyramid(img, 1).layout(),
                     np.asarray(xy, dtype=np.float64).reshape(1, 2), 0, size)[0]
 
 
@@ -417,43 +420,42 @@ def klt_step(prev: GrayImage, nxt: GrayImage, pos, cfg: TrackerConfig,
              guess=None):
     """Track one point from ``prev`` to ``nxt``; returns the new (x, y) or
     None. The stack of one of :func:`klt_steps`, on one-level pyramids."""
-    new, ok = klt_steps(ImagePyramid([prev]), ImagePyramid([nxt]), pos, 0,
-                        cfg, guess)
+    new, ok = klt_steps(build_pyramid(prev, 1), build_pyramid(nxt, 1), pos,
+                        0, cfg, guess)
     return new[0] if ok[0] else None
 
 
-def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
+def run_tracker(pyramids: list, cfg: TrackerConfig = None) -> list:
     """Detect on the first frame and track every corner through the sequence.
 
-    ``images`` are base-resolution frames, all of one size. A track that
-    fails on any frame is marked dead and stops growing, so ``positions``
-    always covers frames 0..length-1 contiguously. Position init for each
-    new frame assumes constant velocity. The live tracks of every pyramid
-    level are tracked together, one :func:`klt_steps` call per frame; only
-    the pyramids of the frame pair at hand are held.
+    ``pyramids`` are the frames' pyramids, built by the caller, all of one
+    size and depth. A track that fails on any frame is marked dead and stops
+    growing, so ``positions`` always covers frames 0..length-1 contiguously.
+    Position init for each new frame assumes constant velocity. The live
+    tracks of every pyramid level are tracked together, one
+    :func:`klt_steps` call per frame.
     """
     cfg = cfg or TrackerConfig()
-    if not images:
+    if not pyramids:
         raise ValueError("no frames to track")
-    for f, img in enumerate(images):
-        if img.shape != images[0].shape:
+    first = pyramids[0].level(0)
+    for f, img in enumerate(pyr.level(0) for pyr in pyramids):
+        if img.shape != first.shape:
             raise ValueError(f"frame {f} is {img.width}x{img.height}, frame 0 "
-                             f"is {images[0].width}x{images[0].height}")
-    nxt = build_pyramid(images[0], cfg.levels)
-    detections = detect_corners(nxt, cfg)
+                             f"is {first.width}x{first.height}")
+    detections = detect_corners(pyramids[0], cfg)
     tracks = [Track(i, lvl, [xy.copy()]) for i, (lvl, xy, _) in enumerate(detections)]
 
-    for f in range(1, len(images)):
+    for f in range(1, len(pyramids)):
         live = [tr for tr in tracks if tr.alive]
         if not live:
             break
-        prev, nxt = nxt, build_pyramid(images[f], cfg.levels)
         pos = np.array([tr.positions[-1] for tr in live])
         guess = pos
         if f >= 2:  # every live track holds frames 0..f-1
             guess = pos + (pos - np.array([tr.positions[-2] for tr in live]))
-        new, ok = klt_steps(prev, nxt, pos, [tr.level for tr in live], cfg,
-                            guess)
+        new, ok = klt_steps(pyramids[f - 1], pyramids[f], pos,
+                            [tr.level for tr in live], cfg, guess)
         for tr, p, good in zip(live, new, ok):
             if good:
                 tr.positions.append(p)
@@ -462,10 +464,9 @@ def run_tracker(images: list, cfg: TrackerConfig = None) -> list:
     return tracks
 
 
-def attach_patches(tracks: list, images: list, patch_size: int,
-                   levels: int) -> None:
+def attach_patches(tracks: list, pyramids: list, patch_size: int) -> None:
     """Extract and store the normalized ``(frames, p, p)`` patch stack of
-    each live track.
+    each live track from the frames' ``pyramids``.
 
     Stored patches are quantized to 8 bits, matching their on-disk form, so
     anything computed from them is identical in memory and after a reload.
@@ -473,10 +474,9 @@ def attach_patches(tracks: list, images: list, patch_size: int,
     one :func:`quantized_patches` call.
     """
     stacks = [np.empty((tr.length, patch_size, patch_size)) for tr in tracks]
-    for f, img in enumerate(images):
+    for f, pyr in enumerate(pyramids):
         group = [i for i, tr in enumerate(tracks) if tr.length > f]
-        pats = quantized_patches(build_pyramid(img, levels),
-                                 [tracks[i].positions[f] for i in group],
+        pats = quantized_patches(pyr, [tracks[i].positions[f] for i in group],
                                  [tracks[i].level for i in group], patch_size)
         for i, pat in zip(group, pats):
             stacks[i][f] = pat

@@ -4,6 +4,9 @@ import time
 
 import pytest
 
+import mvdesc.bench
+import mvdesc.image
+import mvdesc.tracking
 from mvdesc.bench import run_benchmark
 from mvdesc.scene import default_scene_spec, generate_dataset
 
@@ -54,3 +57,18 @@ def full_bench(tmp_path_factory):
     report = run_benchmark({}, out)
     elapsed = time.perf_counter() - t0
     return {"report": report, "elapsed": elapsed, "out": out}
+
+
+@pytest.fixture
+def pyramid_builds(monkeypatch):
+    """Records ``build_pyramid`` calls through every module that binds it:
+    the returned list gets the depth of each pyramid built."""
+    real, depths = mvdesc.image.build_pyramid, []
+
+    def counted(img, levels):
+        depths.append(levels)
+        return real(img, levels)
+
+    for module in (mvdesc.bench, mvdesc.image, mvdesc.tracking):
+        monkeypatch.setattr(module, "build_pyramid", counted)
+    return depths

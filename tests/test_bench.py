@@ -15,6 +15,7 @@ from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
                         patch_densities, sample_descriptor)
 from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.image import build_pyramid
+from mvdesc.scene import default_scene_spec
 from mvdesc.tracking import Track
 from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
                               select_keyframes, synthesize_views)
@@ -289,3 +290,14 @@ class TestConfig:
     def test_scene_entries_are_complete(self):
         for sc in default_benchmark_config()["scenes"]:
             assert {"name", "kind", "seed"} <= set(sc)
+
+
+class TestSceneRun:
+    def test_one_pyramid_per_view(self, tmp_path, pyramid_builds):
+        spec = {"name": "once", "kind": "plane", "seed": 5, "n_frames": 4}
+        run = bench._SceneRun(spec, _merge_config(quick_benchmark_config()),
+                              tmp_path)
+        n_tests = len(default_scene_spec()["test_azimuths_deg"])
+        assert len(run.frame_pyrs) == 4 and len(run.test_pyrs) == n_tests
+        assert run.tracks
+        assert pyramid_builds == [2] * (4 + n_tests)

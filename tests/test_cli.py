@@ -58,6 +58,15 @@ class TestGenerateAndTrack:
         assert firsts == [6 * i for i in range(len(firsts))]
 
 
+    def test_one_pyramid_per_frame(self, workspace, tmp_path, pyramid_builds):
+        assert main(["track", "--dataset", str(workspace / "ds"),
+                     "--out", str(tmp_path / "tracks"),
+                     "--features", "150", "--patch-size", "15"]) == 0
+        assert pyramid_builds == [2] * 6
+        assert (tmp_path / "tracks" / "tracks.json").read_bytes() == \
+            (workspace / "tracks" / "tracks.json").read_bytes()
+
+
 class TestTrackErrors:
     @pytest.mark.parametrize("tiny, args, message", [
         (False, ["--window", "10"], "tracking window must be odd"),
@@ -389,6 +398,82 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert f"{spec}: " in err and message in err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"test_azimuths_deg": [0.0, 20.0, -20.0],
+          "test_elevations_deg": [46.0, 44.0],
+          "test_distance_scale": [1.0, 1.05, 0.95]},
+         "test_elevations_deg: 2 entries, test_azimuths_deg has 3"),
+        ({"n_frames": 0}, "n_frames: 0, expected at least 1"),
+        ({"bogus": 3}, "bogus: not a scene spec field"),
+    ], ids=["test-view-lengths", "no-frames", "unknown-field"])
+    def test_generate_with_a_refused_spec(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["generate", "--out", str(tmp_path / "ds"),
+                   "--spec", str(path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"patch_sizes": [11]},
+         "excitation.patch_size: 21 is not one of patch_sizes [11]"),
+        ({"max_tracks": 0}, "max_tracks: 0, expected at least 1"),
+        ({"rhog": {"keyframes": 0}}, "rhog.keyframes: 0, expected at least 1"),
+        ({"tracker": {"bogus": 1}}, "tracker.bogus: not a tracker field"),
+        ({"bogus": 1}, "bogus: not a benchmark config field"),
+        ({"scenes": [{"name": "a", "n_frames": 0}]},
+         "scenes[0].n_frames: 0, expected at least 1"),
+    ], ids=["excitation-size", "no-tracks", "no-keyframes", "tracker-field",
+            "unknown-field", "scene-spec"])
+    def test_bench_with_a_refused_config(self, tmp_path, capsys, config,
+                                         field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        rc = main(["bench", "--out", str(tmp_path / "bench"),
+                   "--config", str(path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    def test_bench_on_a_scene_that_keeps_no_track(self, tmp_path, capsys):
+        # a 119-pixel patch fits in no level of a 160 x 120 frame
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenes": [{"name": "tiny", "kind": "plane", "seed": 101,
+                        "n_frames": 3}],
+            "patch_sizes": [119], "excitation": {"patch_size": 119}}))
+        rc = main(["bench", "--out", str(tmp_path / "bench"),
+                   "--config", str(path)])
+        assert rc == 1
+        assert "scene tiny, patch size 119: no track" in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "report.json").exists()
+
+    @pytest.mark.parametrize("mangle, field", [
+        (lambda doc: doc["meta"].update(levels=9),
+         "meta.levels: 9, expected 1..5"),
+        (lambda doc: doc["meta"].update(levels="two"),
+         "meta.levels: expected int, got str"),
+        (lambda doc: doc["tracks"][1].update(level=2),
+         "tracks[1].level: 2 is not below meta.levels 2"),
+        (lambda doc: doc["tracks"][3].update(level=4),
+         "tracks[3].level: 4 is not below meta.levels 2"),
+    ], ids=["levels-past-max", "levels-string", "level-at-depth",
+            "level-past-depth"])
+    def test_rhog_on_tracks_of_another_depth(self, workspace, tmp_path, capsys,
+                                             mangle, field):
+        tracks = tmp_path / "tracks"
+        shutil.copytree(workspace / "tracks", tracks)
+        doc = json.loads((tracks / "tracks.json").read_text())
+        mangle(doc)
+        (tracks / "tracks.json").write_text(json.dumps(doc))
+        rc = main(["describe", "--tracks", str(tracks), "--out",
+                   str(tmp_path / "db"), "--method", "rhog",
+                   "--dataset", str(workspace / "ds")])
+        assert rc == 1
+        assert f"{tracks / 'tracks.json'}: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "db").exists()
 
     @pytest.mark.parametrize("frame", ["-1", "-100"])
     def test_describe_with_a_negative_frame(self, workspace, tmp_path, capsys,

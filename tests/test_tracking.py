@@ -325,6 +325,8 @@ class TestDetection:
         ("reject_thresh", 0.0, "reject_thresh must be a finite number"),
         ("reject_thresh", -1.0, "reject_thresh must be a finite number"),
         ("min_border", -1, "min_border must not be negative, got -1"),
+        ("levels", 0, "levels must be in 1..5, got 0"),
+        ("levels", 6, "levels must be in 1..5, got 6"),
     ])
     def test_values_that_break_tracking_are_refused(self, field, value,
                                                     message):
@@ -574,7 +576,8 @@ class TestRunTracker:
         v = np.array([0.7, -0.4])
         frames = [shifted(base, k * v) for k in range(4)] + [junk]
         cfg = TrackerConfig(n_features=80, levels=2, reject_thresh=0.08)
-        got, want = run_tracker(frames, cfg), tracker_oracle(frames, cfg)
+        got = run_tracker([build_pyramid(f, cfg.levels) for f in frames], cfg)
+        want = tracker_oracle(frames, cfg)
         assert len(got) == len(want) > 40
         assert {t.level for t in got} == {0, 1}
         assert 0 < sum(t.length == 4 for t in got) < len(got)
@@ -586,7 +589,8 @@ class TestRunTracker:
         base = GrayImage(make_texture(np.random.default_rng(95), 96, 4))
         v = np.array([0.8, 0.5])
         frames = [shifted(base, k * v) for k in range(5)]
-        tracks = run_tracker(frames, TrackerConfig(n_features=60))
+        tracks = run_tracker([build_pyramid(f, 3) for f in frames],
+                             TrackerConfig(n_features=60))
         full = [t for t in tracks if t.length == 5 and t.level == 0]
         assert len(full) >= 20
         errs = [np.abs(t.positions[-1] - t.positions[0] - 4 * v).max()
@@ -598,7 +602,8 @@ class TestRunTracker:
     def test_dead_tracks_stop_growing(self):
         base = GrayImage(make_texture(np.random.default_rng(96), 96, 4))
         junk = GrayImage(make_texture(np.random.default_rng(97), 96, 4))
-        tracks = run_tracker([base, base, junk, junk])
+        tracks = run_tracker([build_pyramid(f, 3)
+                              for f in (base, base, junk, junk)])
         # positions stay contiguous: a track is alive iff it covers all frames
         assert all((t.length == 4) == t.alive for t in tracks)
         # most tracks die right at the scene cut
@@ -611,7 +616,8 @@ class TestRunTracker:
     def test_frames_of_another_size_are_refused(self):
         base = GrayImage(make_texture(np.random.default_rng(109), 64, 3))
         with pytest.raises(ValueError, match="frame 2 is 64x50, frame 0 is 64x64"):
-            run_tracker([base, base, GrayImage(base.data[:50])])
+            run_tracker([build_pyramid(f, 3) for f in
+                         (base, base, GrayImage(base.data[:50]))])
 
     def test_one_klt_steps_call_per_frame(self, monkeypatch):
         import mvdesc.tracking as tracking
@@ -625,7 +631,8 @@ class TestRunTracker:
         monkeypatch.setattr(tracking, "klt_steps", counted)
         base = GrayImage(make_texture(np.random.default_rng(110), 96, 4))
         frames = [shifted(base, (0.5 * k, 0.3 * k)) for k in range(5)]
-        tracks = run_tracker(frames, TrackerConfig(n_features=60, levels=2))
+        tracks = run_tracker([build_pyramid(f, 2) for f in frames],
+                             TrackerConfig(n_features=60, levels=2))
         assert all(t.length == 5 for t in tracks if t.alive)
         assert calls == [[0, 1]] * 4
 
@@ -717,8 +724,8 @@ class TestBatchedPatches:
                         alive=False),
                   Track(3, 1, [np.array([11.0, 12.0]), np.array([11.5, 12.5]),
                                np.array([12.0, 13.0])])]
-        attach_patches(tracks, frames, patch_size=7, levels=2)
         pyrs = [build_pyramid(f, 2) for f in frames]
+        attach_patches(tracks, pyrs, patch_size=7)
         for tr in tracks:
             want = np.stack([quantized_patch(pyrs[f].level(tr.level), pos, 7)
                              for f, pos in enumerate(tr.positions)])
@@ -733,7 +740,8 @@ class TestTrackIO:
             Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])]),
             Track(3, 1, [np.array([15.0, 16.0])], alive=False),
         ]
-        attach_patches(tracks, [base, nxt], patch_size=9, levels=2)
+        attach_patches(tracks, [build_pyramid(base, 2), build_pyramid(nxt, 2)],
+                       patch_size=9)
         save_tracks(tracks, tmp_path, meta={"patch_size": 9})
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "patches.pgm", "tracks.json"]
@@ -828,7 +836,7 @@ class TestTrackIO:
         tracks = [Track(0, 0, [np.array([20.2, 21.7]), np.array([20.9, 22.1])]),
                   Track(3, 1, [np.array([15.0, 16.0])], alive=False)]
         base = GrayImage(make_texture(np.random.default_rng(106), 64, 3))
-        attach_patches(tracks[:1], [base, base], patch_size=9, levels=2)
+        attach_patches(tracks[:1], [build_pyramid(base, 2)] * 2, patch_size=9)
         save_tracks(tracks, tmp_path)
         path = tmp_path / "tracks.json"
         doc = json.loads(path.read_text())
