@@ -16,7 +16,8 @@ the corners of frame 0, each at its own pyramid level, cycled as needed.
 survive the orbit from the frames' pyramids, each built once by the fixture.
 ``ground_truth_correspondences`` maps the frame-0 corners of both levels
 into the first test view. Each case prints the time per item, batched and
-one at a time, and checks that both give the same bits. Under
+one at a time through the scalar reference forms of ``tests/oracles.py``,
+and checks that both give the same bits. Under
 ``--benchmark-disable`` each case runs once, untimed, as a smoke check.
 """
 
@@ -27,10 +28,11 @@ import pytest
 
 from mvdesc.image import build_pyramid, level_to_base
 from mvdesc.scene import (default_scene_spec, generate_dataset,
-                          ground_truth_correspondence,
                           ground_truth_correspondences)
 from mvdesc.tracking import (TrackerConfig, attach_patches, detect_corners,
-                             quantized_patch, quantized_patches, run_tracker)
+                             quantized_patches, run_tracker)
+
+from oracles import ground_truth_correspondence, quantized_patch
 
 CFG = TrackerConfig(n_features=60, levels=2, reject_thresh=0.08, count_tol=0.02)
 

@@ -24,8 +24,10 @@ import pytest
 
 from mvdesc.image import build_pyramid
 from mvdesc.scene import default_scene_spec, generate_dataset
-from mvdesc.tracking import (TrackerConfig, _nms, detect_corners,
-                             fast_score_map, klt_step, klt_steps, run_tracker)
+from mvdesc.tracking import (TrackerConfig, _nms, detect_corners, klt_step,
+                             klt_steps, run_tracker)
+
+from oracles import fast_score_map
 
 CFG = TrackerConfig(n_features=60, levels=2, reject_thresh=0.08, count_tol=0.02)
 

@@ -21,10 +21,10 @@ from .scene import (Correspondence, HeightfieldSurface, PlaneSurface,
 from .viewsynth import (LocalSurface, ReprojectionOutOfBounds,
                         aggregate_descriptor, patch_density,
                         sample_rotations, select_keyframes, synthesize_patch,
-                        synthesize_views, view_descriptors, view_visible)
+                        synthesize_views, view_descriptors)
 from .tracking import (Track, TrackerConfig, attach_patches, detect_corners,
-                       extract_patch, klt_step, klt_steps, load_tracks,
-                       normalize_patch, run_tracker, save_tracks)
+                       extract_patch, klt_steps, load_tracks, run_tracker,
+                       save_tracks)
 from .bench import (default_benchmark_config, memory_scaling,
                     quick_benchmark_config, run_benchmark, spearman,
                     update_cost_profile)

@@ -161,6 +161,18 @@ def _check_config(cfg: dict) -> None:
             _check_spec({**default_scene_spec(), **entry})
         except ValueError as exc:
             raise ValueError(f"scenes[{i}].{exc}") from None
+    # memory_scaling cuts the first scene's tracks; update_cost_profile cycles
+    n_frames = {**default_scene_spec(), **scenes[0]}["n_frames"]
+    for key in ("memory_lengths", "timing_lengths"):
+        if not _json_field(cfg, key, list):
+            raise ValueError(f"{key}: empty")
+        for i, t in enumerate(cfg[key]):
+            if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+                raise ValueError(f"{key}[{i}]: {t!r}, expected an integer of "
+                                 f"at least 1")
+            if key == "memory_lengths" and t > n_frames:
+                raise ValueError(f"{key}[{i}]: {t} is past the {n_frames} "
+                                 f"frames of scenes[0]")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +270,7 @@ def lift_keyframes(dataset, pyramids, tracks, n_keyframes: int,
     """Per track, the ``(LocalSurface, level image)`` pair of each of its
     ``select_keyframes(track.length, n_keyframes)`` whose depth lifts, in
     keyframe order: the pairs :func:`rhog` takes for that track.
+    ``pyramids[k]`` is frame k's pyramid; only keyframes are read.
 
     The tracks of one keyframe are lifted together, each at its own level,
     by one :func:`lift_surfaces` call.

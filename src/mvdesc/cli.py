@@ -14,7 +14,7 @@ from .image import MAX_PYRAMID_LEVELS, _json_field
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
-from .viewsynth import MIN_FACING, patch_density, sample_rotations
+from .viewsynth import MIN_FACING, patch_density, sample_rotations, select_keyframes
 # not called here; bound because perfbench/spans.py traces them on this module
 from .viewsynth import synthesize_views, view_descriptors  # noqa: F401
 
@@ -122,7 +122,9 @@ def _cmd_describe(args) -> int:
     else:
         levels = _stored_depth(Path(args.tracks) / "tracks.json", meta, loaded)
         ds = load_dataset(args.dataset)
-        pyrs = [image.build_pyramid(v.image, levels) for v in ds.frames]
+        keys = {k for tr in tracks
+                for k in select_keyframes(tr.length, args.keyframes).tolist()}
+        pyrs = {k: image.build_pyramid(ds.frames[k].image, levels) for k in keys}
         views = bench.lift_keyframes(ds, pyrs, tracks, args.keyframes, patch_size)
         db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
                         args.metric)

@@ -341,83 +341,28 @@ class Correspondence:
 
     xy: np.ndarray
     status: str
-    depth_source: float = np.nan
-    depth_target: float = np.nan
-
-
-# Not bilinear_sample: a reliability test over the corners of nonzero weight.
-def _interp_depth(depth: np.ndarray, x: float, y: float,
-                  max_rel_spread: float = OCCLUSION_REL_TOL):
-    """Bilinear ray depth, or None where no reliable value exists.
-
-    Only raster samples with nonzero interpolation weight participate, so
-    integer positions read the raster exactly. Fractional positions whose
-    participating samples are non-finite or spread wider than
-    ``max_rel_spread`` (a depth discontinuity, e.g. a self-occlusion
-    silhouette) have no meaningful interpolant and return None.
-    """
-    h, w = depth.shape
-    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
-        return None
-    x0 = min(int(math.floor(x)), w - 2)
-    y0 = min(int(math.floor(y)), h - 2)
-    fx, fy = x - x0, y - y0
-    wts = np.array([[(1 - fx) * (1 - fy), fx * (1 - fy)],
-                    [(1 - fx) * fy, fx * fy]])
-    quad = depth[y0:y0 + 2, x0:x0 + 2]
-    used = wts > 1e-12
-    vals = quad[used]
-    if not np.all(np.isfinite(vals)):
-        return None
-    lo = float(vals.min())
-    if float(vals.max()) - lo > max_rel_spread * lo:
-        return None
-    return float(np.sum(wts[used] * quad[used]))
 
 
 def ground_truth_correspondence(src: RenderedView, dst: RenderedView,
                                 xy) -> Correspondence:
-    """Map a source-view pixel to the target view through the 3-D surface.
-
-    The source pixel is lifted to 3-D with interpolated ray depth, moved to
-    the target camera, and projected. Status is ``visible`` when the target
-    view's own depth at the landing point agrees with the transferred point
-    (within a relative tolerance), ``occluded`` when the target surface lies
-    in front of it or its depth there is too unreliable to certify
-    visibility, ``out_of_view`` when the projection leaves the image or
-    lands behind the camera, and ``undefined`` when the source depth itself
-    gives no reliable lift.
-    """
-    x, y = float(xy[0]), float(xy[1])
-    z = _interp_depth(src.depth, x, y)
-    if z is None:
-        return Correspondence(np.full(2, np.nan), UNDEFINED)
-
-    d = src.camera.ray_directions(np.array([x, y]))
-    pt_src = z * d
-    pt_world = src.pose.inverse().transform(pt_src)
-    pt_dst = dst.pose.transform(pt_world)
-    if pt_dst[2] <= 0.0:
-        return Correspondence(np.full(2, np.nan), OUT_OF_VIEW, depth_source=z)
-
-    uv = dst.camera.project(pt_dst[None, :])[0]
-    expected = float(np.linalg.norm(pt_dst))
-    surf = _interp_depth(dst.depth, uv[0], uv[1])
-    if surf is None:
-        status = OUT_OF_VIEW if not dst.camera.contains(uv) else OCCLUDED
-        return Correspondence(uv, status, depth_source=z, depth_target=expected)
-    if expected > surf * (1.0 + OCCLUSION_REL_TOL):
-        return Correspondence(uv, OCCLUDED, depth_source=z, depth_target=expected)
-    return Correspondence(uv, VISIBLE, depth_source=z, depth_target=expected)
+    """Map a source-view pixel to the target view through the 3-D surface:
+    one row of :func:`ground_truth_correspondences`, which says how the
+    status is decided."""
+    uv, status = ground_truth_correspondences(src, dst, [xy])
+    return Correspondence(uv[0], status[0])
 
 
+# Not bilinear_sample: a reliability test over the corners of nonzero weight.
 def _interp_depths(depth: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """:func:`_interp_depth` at arrays of positions: ``(values, ok)``, with
-    ``ok`` false where it returns None.
+    """Bilinear ray depth at arrays of positions: ``(values, ok)``.
 
-    The unused corners enter the sum as +0.0 terms. ``np.sum`` adds up to
-    four terms left to right, so the explicit left-to-right sum equals the
-    one ``_interp_depth`` takes over the used corners.
+    Only raster samples with nonzero interpolation weight participate, so
+    integer positions read the raster exactly. ``ok`` is false off the
+    raster and where the participating samples are non-finite or spread
+    wider than ``OCCLUSION_REL_TOL`` (a depth discontinuity, e.g. a
+    self-occlusion silhouette), which have no meaningful interpolant. The
+    unused corners enter the sum as +0.0 terms, added left to right, so the
+    sum is the one ``np.sum`` takes over the used corners alone.
     """
     h, w = depth.shape
     ok = (0.0 <= x) & (x <= w - 1) & (0.0 <= y) & (y <= h - 1)
@@ -439,10 +384,18 @@ def _interp_depths(depth: np.ndarray, x: np.ndarray, y: np.ndarray):
 
 
 def ground_truth_correspondences(src: RenderedView, dst: RenderedView, xy):
-    """:func:`ground_truth_correspondence` of every source pixel ``xy``
-    (n, 2) at once: ``(uv, status)``, the (n, 2) landing points and the (n,)
-    statuses. ``uv[i]`` and ``status[i]`` equal the ``xy`` and ``status`` of
-    ``ground_truth_correspondence(src, dst, xy[i])`` bit for bit.
+    """Map source-view pixels ``xy`` (n, 2) to the target view through the
+    3-D surface: ``(uv, status)``, the (n, 2) landing points and (n,)
+    statuses.
+
+    Each pixel is lifted with interpolated ray depth, moved to the target
+    camera and projected. Status is ``visible`` when the target's own depth
+    at the landing point agrees with the transferred point (within a
+    relative tolerance), ``occluded`` when the target surface lies in front
+    of it or its depth there is too unreliable to certify visibility,
+    ``out_of_view`` when the projection leaves the image or lands behind the
+    camera (``uv`` NaN), and ``undefined`` (``uv`` NaN) when the source
+    depth gives no reliable lift.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     uv = np.full(xy.shape, np.nan)

@@ -24,15 +24,12 @@ __all__ = [
     "TrackerConfig",
     "Track",
     "detect_corners",
-    "fast_score_map",
     "auto_threshold",
     "klt_step",
     "klt_steps",
     "run_tracker",
     "attach_patches",
     "extract_patch",
-    "normalize_patch",
-    "quantized_patch",
     "quantized_patches",
     "save_tracks",
     "load_tracks",
@@ -147,23 +144,6 @@ class _SegmentTest:
             excess_b += np.maximum(diff[k] - t, 0.0)
             excess_d += np.maximum(ct - circle[k], 0.0)
         return sel, np.maximum(excess_b, excess_d)
-
-
-def fast_score_map(img: GrayImage, threshold: float, arc: int = 9):
-    """Segment-test corner mask and scores for one image.
-
-    A pixel passes when some ``arc`` contiguous circle pixels are all
-    brighter than center + threshold or all darker than center - threshold.
-    The score is the total intensity excess beyond the threshold, for
-    whichever polarity is stronger. Returns (mask, score) over the full
-    image; a 3-pixel border never fires.
-    """
-    test = _SegmentTest(build_pyramid(img, 1), arc, 3)
-    sel, sc = test.at(threshold)
-    xs, ys = test.xy[sel].astype(np.intp).T
-    mask, score = np.zeros(img.shape, bool), np.zeros(img.shape)
-    mask[ys, xs], score[ys, xs] = True, sc
-    return mask, score
 
 
 def _nms(xy: np.ndarray, scores: np.ndarray, radius: float, levels=None):
@@ -284,26 +264,12 @@ def extract_patch(img: GrayImage, xy, size: int) -> np.ndarray:
                     np.asarray(xy, dtype=np.float64).reshape(1, 2), 0, size)[0]
 
 
-def normalize_patch(patch: np.ndarray) -> np.ndarray:
-    """Standardize a patch, then rescale to fill [0, 1]; flat patches to 0.5."""
-    s = patch.std()
-    if s < 1e-12:
-        return np.full_like(patch, 0.5)
-    z = (patch - patch.mean()) / s
-    return (z - z.min()) / (z.max() - z.min())
-
-
-def quantized_patch(img: GrayImage, xy, size: int) -> np.ndarray:
-    """Normalized patch at xy, quantized to 8 bits as it is stored on disk."""
-    norm = normalize_patch(extract_patch(img, xy, size))
-    return GrayImage.from_u8(GrayImage(norm).to_u8()).data
-
-
 def quantized_patches(pyr: ImagePyramid, xy, levels, size: int) -> np.ndarray:
-    """``(n, size, size)`` stack of :func:`quantized_patch` at every row of
-    ``xy`` (n, 2) on its own level ``levels`` (n,) of ``pyr``, or one level
-    for all, each slice bit-identical to ``quantized_patch(pyr.level(l), q,
-    size)``.
+    """``(n, size, size)`` stack of the patches centered on the rows of
+    ``xy`` (n, 2), each on its own level ``levels`` (n,) of ``pyr`` or one
+    level for all, as they are stored on disk: each bilinear window (border
+    clamped) is standardized, rescaled to fill [0, 1] (a flat window
+    becomes 0.5) and quantized to 8 bits.
 
     One window gather serves all positions and levels. Every patch is
     normalized by reductions along its own contiguous row of an ``(n, size

@@ -28,7 +28,6 @@ __all__ = [
     "lift_surfaces",
     "sample_rotations",
     "synthesize_patch",
-    "view_visible",
     "synthesize_views",
     "patch_density",
     "view_descriptors",
@@ -46,7 +45,8 @@ DEFAULT_KEYFRAMES = 10
 
 
 class ReprojectionOutOfBounds(ValueError):
-    """A synthesized view would sample far outside the source image."""
+    """No synthesized view is kept: each rotation faced away, reached behind
+    the camera or would sample far outside the source image."""
 
 
 def sample_rotations(n_azimuth: int = N_AZIMUTH, n_inplane: int = N_INPLANE,
@@ -93,52 +93,25 @@ class LocalSurface:
     @classmethod
     def from_frame(cls, depth: np.ndarray, camera: PinholeCamera, anchor_xy,
                    patch_size: int, level: int = 0) -> "LocalSurface":
-        """Lift the patch lattice at ``anchor_xy`` using a ray-depth map.
-
-        Raises ValueError when the depth under any lattice point has
-        incomplete (non-finite) bilinear support.
-        """
-        half = (patch_size - 1) / 2.0
-        offs = np.arange(patch_size) - half
-        ax, ay = float(anchor_xy[0]), float(anchor_xy[1])
-        gx, gy = np.meshgrid(ax + offs, ay + offs)
-        lattice = np.stack([gx, gy], axis=-1)
-        base_xy = level_to_base(lattice, level)
-
-        h, w = depth.shape
-        x, y = base_xy[..., 0], base_xy[..., 1]
-        if np.any((x < 0) | (x > w - 1) | (y < 0) | (y > h - 1)):
-            raise ValueError("patch lattice leaves the depth map")
-        # a non-finite corner makes its sample non-finite, even at weight 0
-        # (inf * 0 is nan)
-        with np.errstate(invalid="ignore"):
-            z = bilinear_sample(depth, base_xy, clamp=False)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("depth has holes under the patch lattice")
-        points = z[..., None] * camera.ray_directions(base_xy)
-
-        anchor_base = level_to_base(np.array([ax, ay], dtype=np.float64), level)
-        za = bilinear_sample(depth, anchor_base[None, :], clamp=False)[0]
-        anchor = za * camera.ray_directions(anchor_base)
-
-        normals = _lattice_normals(points)
-        mean_normal = normals.reshape(-1, 3).mean(axis=0)
-        mean_normal /= np.linalg.norm(mean_normal)
-        return cls(points, normals, mean_normal, anchor,
-                   np.array([ax, ay]), level, camera, patch_size)
+        """One anchor of :func:`lift_surfaces`; ValueError where that lifts
+        no surface."""
+        surface = lift_surfaces(depth, camera, [anchor_xy], patch_size, level)[0]
+        if surface is None:
+            raise ValueError("patch lattice leaves the depth or covers a hole")
+        return surface
 
 
 def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
                   patch_size: int, levels=0) -> list:
-    """:meth:`LocalSurface.from_frame` at every row of ``anchors`` (n, 2) at
-    once, each on its own pyramid level ``levels`` (n,) or one level for
-    all: per anchor its surface, bit-identical to the one ``from_frame``
-    lifts, or None where ``from_frame`` raises ValueError.
+    """Lift the patch lattice at every row of ``anchors`` (n, 2) from a
+    ray-depth map, each anchor on its own pyramid level ``levels`` (n,) or
+    one level for all: per anchor its :class:`LocalSurface`, or None where
+    the lattice leaves the depth map or the depth under a lattice point has
+    incomplete (non-finite) bilinear support.
 
     The lattices of all anchors share one depth gather and one normal
-    computation. Each mean normal is still reduced per surface, exactly as
-    ``from_frame`` reduces it, so its summation order cannot depend on how
-    many surfaces share the batch.
+    computation. Each mean normal is reduced per surface, so its summation
+    order cannot depend on how many surfaces share the batch.
     """
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
     levels = np.broadcast_to(np.asarray(levels, dtype=np.intp), len(anchors))
@@ -188,47 +161,28 @@ def _lattice_normals(points: np.ndarray) -> np.ndarray:
     return n
 
 
-def view_visible(surface: LocalSurface, rotation: np.ndarray,
-                 min_facing: float = MIN_FACING) -> bool:
-    """Whether the rotated patch still faces the camera with some margin."""
-    return float(-(rotation @ surface.mean_normal)[2]) > min_facing
-
-
 def synthesize_patch(surface: LocalSurface, level_image: GrayImage,
                      rotation: np.ndarray) -> np.ndarray:
-    """Appearance of the surface rotated about its anchor, on the patch lattice.
-
-    Each lattice point's 3-D surface point is rotated about the anchor,
-    reprojected, and the source level image is sampled there bilinearly
-    (borders clamped). Raises :class:`ReprojectionOutOfBounds` if any sample
-    would land further outside the image than ``BOUNDS_MARGIN`` times its
-    smaller side, or behind the camera.
-    """
-    rotated = (surface.points - surface.anchor) @ rotation.T + surface.anchor
-    if np.any(rotated[..., 2] <= 0.0):
-        raise ReprojectionOutOfBounds("rotated surface reaches behind the camera")
-    uv_base = surface.camera.project(rotated.reshape(-1, 3))
-    uv = base_to_level(uv_base, surface.level).reshape(surface.points.shape[:2] + (2,))
-
-    h, w = level_image.shape
-    slack = BOUNDS_MARGIN * min(h, w)
-    if (uv[..., 0].min() < -slack or uv[..., 0].max() > w - 1 + slack
-            or uv[..., 1].min() < -slack or uv[..., 1].max() > h - 1 + slack):
-        raise ReprojectionOutOfBounds("synthesized view samples outside the image")
-    return bilinear_sample(level_image.data, uv)
+    """One rotation of :func:`synthesize_views`, with no facing test; raises
+    :class:`ReprojectionOutOfBounds` where that keeps no view."""
+    return synthesize_views(surface, level_image, rotation[None], -np.inf)[0][0]
 
 
 def synthesize_views(surface: LocalSurface, level_image: GrayImage,
                      rotations: np.ndarray = None,
                      min_facing: float = MIN_FACING):
-    """Synthesize every visible, in-bounds view; returns (stack, kept indices).
+    """Appearance of the surface rotated about its anchor by each rotation,
+    on the patch lattice; returns (stack, kept indices).
 
-    Slice j of the stack equals ``synthesize_patch(surface, level_image,
-    rotations[kept[j]])`` bit for bit, and a rotation is kept exactly when
-    :func:`view_visible` accepts it and :func:`synthesize_patch` does not
-    raise. All facing rotations of the surface share one batched product,
-    projection and bilinear gather; the per-lattice-row ``(p, 3) @ (3, 3)``
-    products are the ones :func:`synthesize_patch` makes.
+    A rotation is kept when the rotated mean normal faces the camera by more
+    than ``min_facing``, no rotated lattice point reaches behind the camera,
+    and no sample lands further outside the image than ``BOUNDS_MARGIN``
+    times its smaller side. Its lattice points are rotated about the anchor
+    and reprojected, and the source level image is sampled there bilinearly
+    (borders clamped). All facing rotations share one batched product,
+    projection and gather; each lattice row is rotated by its own ``(p, 3)
+    @ (3, 3)`` product. Raises :class:`ReprojectionOutOfBounds` when no
+    rotation is kept.
     """
     if rotations is None:
         rotations = sample_rotations()
@@ -251,7 +205,9 @@ def synthesize_views(surface: LocalSurface, level_image: GrayImage,
     if outside.any():
         idx, uv = idx[~outside], uv[~outside]
     if not idx.size:
-        raise ValueError("no synthesized view was accepted")
+        raise ReprojectionOutOfBounds(
+            "no synthesized view was accepted: each rotation faced away, "
+            "reached behind the camera or sampled outside the image")
     return bilinear_sample(level_image.data, uv), idx
 
 

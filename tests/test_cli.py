@@ -9,9 +9,11 @@ import pytest
 from mvdesc import bench
 from mvdesc.cli import main
 from mvdesc.hog import DescriptorParams, patch_densities
-from mvdesc.image import GrayImage, write_pgm
+from mvdesc.image import GrayImage, build_pyramid, write_pgm
 from mvdesc.matching import DescriptorDatabase
+from mvdesc.scene import load_dataset
 from mvdesc.tracking import load_tracks
+from mvdesc.viewsynth import MIN_FACING, sample_rotations
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,24 @@ class TestDescribe:
         assert db.method == "rhog"
         # several synthesized views per track
         assert len(db) > 2 * n_tracks
+
+    def test_rhog_builds_only_the_keyframes_pyramids(self, workspace, tmp_path,
+                                                     pyramid_builds):
+        out = tmp_path / "rhog.db"
+        assert main(["describe", "--tracks", str(workspace / "tracks"),
+                     "--out", str(out), "--method", "rhog",
+                     "--dataset", str(workspace / "ds"), "--keyframes", "2"]) == 0
+        # 6-frame tracks: keyframes 0 and 5, at the stored depth of 2
+        assert pyramid_builds == [2, 2]
+        # the database that every frame's pyramid gives
+        tracks, meta = load_tracks(workspace / "tracks")
+        ds = load_dataset(workspace / "ds")
+        pyrs = [build_pyramid(v.image, meta["levels"]) for v in ds.frames]
+        want = bench.rhog([tr.id for tr in tracks],
+                          bench.lift_keyframes(ds, pyrs, tracks, 2, 15),
+                          DescriptorParams(15), sample_rotations(), MIN_FACING)
+        want.save(tmp_path / "want.db")
+        assert out.read_bytes() == (tmp_path / "want.db").read_bytes()
 
     def test_rhog_without_dataset_fails(self, workspace, capsys):
         rc = main(["describe", "--tracks", str(workspace / "tracks"),
@@ -437,13 +457,42 @@ class TestInputErrors:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize("config, field", [
+        ({"memory_lengths": [5, 15, 30]},
+         "memory_lengths[0]: 5 is past the 4 frames of scenes[0]"),
+        ({"memory_lengths": []}, "memory_lengths: empty"),
+        ({"memory_lengths": [0, 2]},
+         "memory_lengths[0]: 0, expected an integer of at least 1"),
+        ({"timing_lengths": [1, 2.5]},
+         "timing_lengths[1]: 2.5, expected an integer of at least 1"),
+        ({"timing_lengths": "4"}, "timing_lengths: expected list, got str"),
+    ], ids=["memory-past-frames", "memory-empty", "memory-zero",
+            "timing-fraction", "timing-not-a-list"])
+    def test_bench_lengths_the_first_scene_cannot_run(
+            self, tmp_path, capsys, monkeypatch, pyramid_builds, config, field):
+        # a 4-frame scene under the quick config, refused before rendering
+        def render(*args, **kwargs):
+            raise AssertionError("rendered before the config was checked")
+        monkeypatch.setattr("mvdesc.bench.generate_dataset", render)
+        quick = bench.quick_benchmark_config()
+        quick["scenes"] = [{**quick["scenes"][0], "n_frames": 4}]
+        quick["memory_lengths"] = [2, 4]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**quick, **config}))
+        rc = main(["bench", "--out", str(tmp_path / "bench"),
+                   "--config", str(path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists() and not pyramid_builds
+
     def test_bench_on_a_scene_that_keeps_no_track(self, tmp_path, capsys):
         # a 119-pixel patch fits in no level of a 160 x 120 frame
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "scenes": [{"name": "tiny", "kind": "plane", "seed": 101,
                         "n_frames": 3}],
-            "patch_sizes": [119], "excitation": {"patch_size": 119}}))
+            "patch_sizes": [119], "excitation": {"patch_size": 119},
+            "memory_lengths": [1, 2, 3]}))
         rc = main(["bench", "--out", str(tmp_path / "bench"),
                    "--config", str(path)])
         assert rc == 1

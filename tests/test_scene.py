@@ -19,6 +19,7 @@ from mvdesc.scene import (HeightfieldSurface, OCCLUDED, OUT_OF_VIEW,
                           make_texture, orbit_poses, read_depth, render_view,
                           write_depth)
 
+import oracles
 from conftest import small_spec
 
 
@@ -369,11 +370,11 @@ class TestCorrespondenceStatuses:
         seen = 0
         for x in range(20, 140, 9):
             for y in range(20, 100, 9):
-                c = ground_truth_correspondence(src, dst, (x, y))
+                c = oracles.ground_truth_correspondence(src, dst, (x, y))
                 if c.status != VISIBLE:
                     continue
                 seen += 1
-                assert c.depth_target <= scene._interp_depth(
+                assert c.depth_target <= oracles._interp_depth(
                     dst.depth, c.xy[0], c.xy[1]) * (1.0 + 0.01) + 1e-12
         assert seen > 20
 
@@ -383,12 +384,16 @@ def self_pose_overhead():
 
 
 def assert_correspondences_match(src, dst, xy):
-    """The batch, and the per-point oracle on each row, bit for bit."""
+    """The batch, the one-row form and the per-point oracle on each row, bit
+    for bit."""
     uv, status = ground_truth_correspondences(src, dst, xy)
     assert uv.shape == (len(xy), 2) and status.shape == (len(xy),)
-    want = [ground_truth_correspondence(src, dst, q) for q in xy]
+    want = [oracles.ground_truth_correspondence(src, dst, q) for q in xy]
     assert status.tolist() == [c.status for c in want]
     assert uv.tobytes() == np.reshape([c.xy for c in want], (-1, 2)).tobytes()
+    one = [ground_truth_correspondence(src, dst, q) for q in xy]
+    assert [c.status for c in one] == [c.status for c in want]
+    assert np.reshape([c.xy for c in one], (-1, 2)).tobytes() == uv.tobytes()
     return status
 
 
@@ -464,25 +469,36 @@ class TestBatchedCorrespondence:
         assert uv.shape == (0, 2) and status.shape == (0,)
 
 
+def interp_depth(depth, x, y):
+    """The scalar oracle, after checking that the library's array form
+    gives the same value bit for bit, and None where it does."""
+    want = oracles._interp_depth(depth, x, y)
+    got, ok = scene._interp_depths(depth, np.array([x]), np.array([y]))
+    assert bool(ok[0]) == (want is not None)
+    if want is not None:
+        assert got[0].tobytes() == np.float64(want).tobytes()
+    return want
+
+
 class TestInterpDepth:
     def test_integer_positions_read_exactly(self):
         depth = np.array([[1.0, 9.0], [1.0, 9.0]])
-        assert scene._interp_depth(depth, 0.0, 0.0) == 1.0
-        assert scene._interp_depth(depth, 1.0, 1.0) == 9.0
+        assert interp_depth(depth, 0.0, 0.0) == 1.0
+        assert interp_depth(depth, 1.0, 1.0) == 9.0
 
     def test_discontinuity_rejected_between_samples(self):
         depth = np.array([[1.0, 9.0], [1.0, 9.0]])
-        assert scene._interp_depth(depth, 0.5, 0.5) is None
+        assert interp_depth(depth, 0.5, 0.5) is None
 
     def test_smooth_support_interpolates(self):
         depth = np.array([[1.0, 1.004], [1.002, 1.006]])
-        got = scene._interp_depth(depth, 0.5, 0.5)
+        got = interp_depth(depth, 0.5, 0.5)
         assert got == pytest.approx(1.003, abs=1e-12)
 
     def test_nonfinite_support_rejected(self):
         depth = np.array([[1.0, np.inf], [1.0, 1.0]])
-        assert scene._interp_depth(depth, 0.5, 0.5) is None
-        assert scene._interp_depth(depth, 0.0, 0.5) \
+        assert interp_depth(depth, 0.5, 0.5) is None
+        assert interp_depth(depth, 0.0, 0.5) \
             == pytest.approx(1.0)  # finite column only
 
 

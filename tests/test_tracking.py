@@ -13,10 +13,11 @@ from mvdesc.image import (GrayImage, ImagePyramid, _central_differences,
 from mvdesc.scene import make_texture
 from mvdesc.tracking import (FAST_OFFSETS, Track, TrackerConfig, _COND_LIMIT,
                              _CONVERGE, _nms, attach_patches, auto_threshold,
-                             detect_corners, extract_patch, fast_score_map,
-                             klt_step, klt_steps, load_tracks, normalize_patch,
-                             quantized_patch, quantized_patches, run_tracker,
-                             save_tracks)
+                             detect_corners, extract_patch, klt_step,
+                             klt_steps, load_tracks, quantized_patches,
+                             run_tracker, save_tracks)
+
+from oracles import fast_score_map, normalize_patch, quantized_patch
 
 
 def fast_oracle(a, threshold, arc):

@@ -17,7 +17,9 @@ from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
                               _lattice_normals, aggregate_descriptor,
                               lift_surfaces, patch_density, sample_rotations,
                               select_keyframes, synthesize_patch,
-                              synthesize_views, view_descriptors, view_visible)
+                              synthesize_views, view_descriptors)
+
+import oracles
 
 
 def overhead_camera():
@@ -136,24 +138,29 @@ class TestBatchedLifting:
     @settings(max_examples=200, deadline=None)
     @given(case=lift_cases())
     def test_equals_from_frame(self, case):
+        """The batch and the one-anchor form against the scalar oracle."""
         depth, cam, anchors, p, level = case
         got = lift_surfaces(depth, cam, anchors, p, level)
         assert len(got) == len(anchors)
         levels = np.broadcast_to(level, len(anchors))
         for anchor, lvl, surface in zip(anchors, levels, got):
             try:
-                want = LocalSurface.from_frame(depth, cam, anchor, p, int(lvl))
+                want = oracles.from_frame(depth, cam, anchor, p, int(lvl))
             except ValueError:
                 assert surface is None
+                with pytest.raises(ValueError):
+                    LocalSurface.from_frame(depth, cam, anchor, p, int(lvl))
                 continue
             assert surface is not None
+            one = LocalSurface.from_frame(depth, cam, anchor, p, int(lvl))
             for field in dataclasses.fields(LocalSurface):
-                a, b = getattr(surface, field.name), getattr(want, field.name)
-                if isinstance(b, np.ndarray):
-                    assert a.shape == b.shape, field.name
-                    assert a.tobytes() == b.tobytes(), field.name
-                else:
-                    assert a == b, field.name
+                b = getattr(want, field.name)
+                for a in (getattr(surface, field.name), getattr(one, field.name)):
+                    if isinstance(b, np.ndarray):
+                        assert a.shape == b.shape, field.name
+                        assert a.tobytes() == b.tobytes(), field.name
+                    else:
+                        assert a == b, field.name
 
     def test_rejects_what_from_frame_rejects(self, plane_ds):
         frame = plane_ds.frames[0]
@@ -257,9 +264,13 @@ class TestSynthesis:
 
     def test_visibility_threshold(self):
         tilt80 = axis_angle_rotation([1.0, 0.0, 0.0], math.radians(80.0))
-        assert view_visible(self.surf, np.eye(3))
-        assert not view_visible(self.surf, tilt80)
-        assert view_visible(self.surf, tilt80, min_facing=0.1)
+        assert oracles.view_visible(self.surf, np.eye(3))
+        assert not oracles.view_visible(self.surf, tilt80)
+        assert oracles.view_visible(self.surf, tilt80, min_facing=0.1)
+        rots = np.array([np.eye(3), tilt80])
+        assert synthesize_views(self.surf, self.image, rots)[1].tolist() == [0]
+        assert synthesize_views(self.surf, self.image, rots,
+                                min_facing=0.1)[1].tolist() == [0, 1]
 
     def test_synthesize_views_keeps_the_whole_default_grid(self):
         stack, kept = synthesize_views(self.surf, self.image)
@@ -294,14 +305,29 @@ def plane_surface(cam, anchor_xy, patch, depth, normal, level=0):
                         level, cam, patch)
 
 
+def assert_patch_matches_oracle(surface, image, rotation):
+    """The one-rotation form against the scalar oracle, bit for bit, or both
+    raising :class:`ReprojectionOutOfBounds`."""
+    try:
+        want = oracles.synthesize_patch(surface, image, rotation)
+    except ReprojectionOutOfBounds:
+        with pytest.raises(ReprojectionOutOfBounds):
+            synthesize_patch(surface, image, rotation)
+        return
+    got = synthesize_patch(surface, image, rotation)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def loop_oracle(surface, image, rotations, min_facing):
-    """The per-rotation synthesis that ``synthesize_views`` batches."""
+    """The per-rotation synthesis that ``synthesize_views`` batches; checks
+    the one-rotation form on every rotation on the way."""
     patches, kept = [], []
     for i, r in enumerate(rotations):
-        if not view_visible(surface, r, min_facing):
+        assert_patch_matches_oracle(surface, image, r)
+        if not oracles.view_visible(surface, r, min_facing):
             continue
         try:
-            patches.append(synthesize_patch(surface, image, r))
+            patches.append(oracles.synthesize_patch(surface, image, r))
         except ReprojectionOutOfBounds:
             continue
         kept.append(i)
@@ -411,7 +437,7 @@ class TestBatchedSynthesis:
         image = GrayImage(np.random.default_rng(88).random((30, 40)))
         kept = assert_matches_oracle(surf, image, rotations, min_facing)
         want = [i for i, r in enumerate(rotations)
-                if view_visible(surf, r, min_facing)]
+                if oracles.view_visible(surf, r, min_facing)]
         assert ([] if kept is None else kept.tolist()) == want
 
     @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
@@ -434,10 +460,10 @@ class TestBatchedSynthesis:
         behind = axis_angle_rotation([1.0, 0.0, 0.0], math.radians(70.0))
         away = axis_angle_rotation([0.0, 1.0, 0.0], math.radians(100.0))
         rots = np.array([behind, np.eye(3), away, rot_z(0.5), behind])
-        assert view_visible(near, behind)
+        assert oracles.view_visible(near, behind)
         with pytest.raises(ReprojectionOutOfBounds, match="behind"):
             synthesize_patch(near, image, behind)
-        assert not view_visible(near, away)
+        assert not oracles.view_visible(near, away)
         kept = assert_matches_oracle(near, image, rots, 0.2)
         np.testing.assert_array_equal(kept, [1, 3])
 
