@@ -75,7 +75,7 @@ def test_save(benchmark, rhog_rows, tmp_path):
     benchmark.pedantic(db.save, args=(path,), rounds=5, iterations=1,
                        warmup_rounds=1)
     report(benchmark, "save", peak)
-    assert path.stat().st_size == 40 + ROWS * (4 + 2 + 4 * 256)
+    assert path.stat().st_size == 22 + ROWS * (4 + 2 + 4 * 256)
 
 
 def test_load(benchmark, rhog_rows, tmp_path):

@@ -4,9 +4,9 @@ ground-truthed benchmark that compares them under viewpoint change."""
 
 from .geometry import PinholeCamera, Pose, axis_angle_rotation, look_at, rot_z
 from .image import (AffineContrast, GradientField, GrayImage, ImagePyramid,
-                    angular_kernel, apply_contrast, base_to_level,
-                    bilinear_sample, build_pyramid, circular_distance,
-                    compute_gradient, level_to_base, read_pgm, write_pgm)
+                    apply_contrast, base_to_level, bilinear_sample,
+                    build_pyramid, compute_gradient, level_to_base, read_pgm,
+                    write_pgm)
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                   density_at, normalize_density, orientation_density,
                   patch_densities, sample_descriptor)

@@ -136,11 +136,13 @@ def _check_config(cfg: dict) -> None:
         TrackerConfig(**cfg["tracker"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"tracker: {exc}") from None
-    for path, n in (("max_tracks", _json_field(cfg, "max_tracks", int)),
-                    ("sv_trials", _json_field(cfg, "sv_trials", int)),
-                    ("rhog.keyframes",
-                     _json_field(cfg["rhog"], "keyframes", int, "rhog"))):
+    counts = [("", "max_tracks"), ("", "sv_trials"), ("", "timing_reps"),
+              ("rhog", "keyframes"), ("rhog", "n_azimuth"),
+              ("rhog", "n_inplane"), ("excitation", "trials")]
+    for where, key in counts:
+        n = _json_field(cfg[where] if where else cfg, key, int, where)
         if n < 1:
+            path = f"{where}.{key}" if where else key
             raise ValueError(f"{path}: {n}, expected at least 1")
     sizes = _json_field(cfg, "patch_sizes", list)
     exc_size = _json_field(cfg["excitation"], "patch_size", int, "excitation")
@@ -163,16 +165,23 @@ def _check_config(cfg: dict) -> None:
             raise ValueError(f"scenes[{i}].{exc}") from None
     # memory_scaling cuts the first scene's tracks; update_cost_profile cycles
     n_frames = {**default_scene_spec(), **scenes[0]}["n_frames"]
-    for key in ("memory_lengths", "timing_lengths"):
-        if not _json_field(cfg, key, list):
-            raise ValueError(f"{key}: empty")
-        for i, t in enumerate(cfg[key]):
+    for where, key in (("", "memory_lengths"), ("", "timing_lengths"),
+                       ("excitation", "ks")):
+        path = f"{where}.{key}" if where else key
+        values = _json_field(cfg[where] if where else cfg, key, list, where)
+        if not values:
+            raise ValueError(f"{path}: empty")
+        for i, t in enumerate(values):
             if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-                raise ValueError(f"{key}[{i}]: {t!r}, expected an integer of "
+                raise ValueError(f"{path}[{i}]: {t!r}, expected an integer of "
                                  f"at least 1")
             if key == "memory_lengths" and t > n_frames:
-                raise ValueError(f"{key}[{i}]: {t} is past the {n_frames} "
+                raise ValueError(f"{path}[{i}]: {t} is past the {n_frames} "
                                  f"frames of scenes[0]")
+        # a slope over the lengths, a rank correlation over the ks
+        if key != "timing_lengths" and len(set(values)) < 2:
+            raise ValueError(f"{path}: {values}, expected at least two "
+                             f"distinct values")
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +316,9 @@ def memory_scaling(track_grids: np.ndarray, params: DescriptorParams,
     lengths = [int(t) for t in lengths]
     if track_grids.shape[1] < max(lengths):
         raise ValueError(f"tracks have fewer than {max(lengths)} frames")
+    if len(set(lengths)) < 2:
+        raise ValueError(f"lengths {lengths}: a slope needs at least two "
+                         f"distinct lengths")
     ids = range(len(track_grids))
     mv_bytes, keep_bytes = [], []
     for t in lengths:
@@ -348,6 +360,8 @@ def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
     and the probe is its last frame.
     """
     lengths = [int(t) for t in lengths]
+    if reps < 1:
+        raise ValueError(f"reps: {reps}, expected at least 1")
     probe = OrientationDensity(grids[-1], params)
     accs = []
     for t in lengths:

@@ -2,20 +2,21 @@
 
 The core quantity is a kernel-weighted density of gradient orientation,
 evaluated per spatial cell: each pixel contributes its gradient magnitude,
-spread over orientation bins by an angular kernel and over cell centers by a
-truncated Gaussian. Left unnormalized the density is homogeneous of degree 1
-in image contrast; normalized per cell it is a proper conditional
-distribution over orientation and is contrast-insensitive.
+spread over the two nearest orientation bins by a triangular kernel one bin
+wide and over cell centers by a truncated Gaussian. Left unnormalized the
+density is homogeneous of degree 1 in image contrast; normalized per cell it
+is a proper conditional distribution over orientation and is
+contrast-insensitive.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .image import TWO_PI, GradientField, _central_differences, angular_kernel
+from .image import TWO_PI, GradientField, _central_differences
 
 __all__ = [
     "DescriptorParams",
@@ -30,7 +31,6 @@ __all__ = [
 
 ZERO_MASS_EPS = 1e-12
 METHODS = ("sv", "mv", "keepall", "rhog")
-KERNELS = ("triangular", "wrapped-gaussian")
 # Byte budget for the (patches, pixels, bins) vote array of one pass of
 # patch_densities: a pass's temporaries then stay in a core's cache, which
 # measured about a quarter faster per patch than one pass over 80 patches.
@@ -39,18 +39,17 @@ _STACK_CHUNK_BYTES = 1 << 19
 
 @dataclass(frozen=True)
 class DescriptorParams:
-    """Patch geometry and kernel widths for orientation densities.
+    """Patch side, orientation bins and cells per side of a density.
 
-    ``eps`` defaults to one bin width, ``sigma`` to an eighth of the patch
-    side (a two-sigma spatial support of half a patch per cell).
+    The kernel widths follow from these: ``eps``, the support of the
+    triangular angular kernel, is one bin width, and ``sigma``, the spatial
+    Gaussian's, an eighth of the patch side (a two-sigma support of half a
+    patch per cell).
     """
 
     patch_size: int
     bins: int = 16
     cells: int = 4
-    eps: float = None
-    sigma: float = None
-    kernel: str = "triangular"
 
     def __post_init__(self):
         if self.patch_size < 3:
@@ -59,31 +58,29 @@ class DescriptorParams:
             raise ValueError("need at least 2 orientation bins")
         if not 1 <= self.cells <= self.patch_size:
             raise ValueError("cells per side must be in 1..patch_size")
-        if self.eps is None:
-            object.__setattr__(self, "eps", 2.0 * np.pi / self.bins)
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", self.patch_size / 8.0)
-        if not 0.0 < self.eps < np.pi:
-            raise ValueError("eps must lie in (0, pi)")
-        if not 0.0 < self.sigma < self.patch_size:
-            raise ValueError("sigma must lie in (0, patch_size)")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel: {self.kernel!r}")
+
+    @property
+    def eps(self) -> float:
+        return 2.0 * np.pi / self.bins
+
+    @property
+    def sigma(self) -> float:
+        return self.patch_size / 8.0
 
     def bin_centers(self) -> np.ndarray:
         """Orientation bin centers (b + 0.5) * 2*pi / bins."""
         return (np.arange(self.bins) + 0.5) * (2.0 * np.pi / self.bins)
 
-    def cell_centers(self, origin=(0, 0)) -> np.ndarray:
+    def cell_centers(self) -> np.ndarray:
         """Cell centers as a (cells*cells, 2) array of (x, y), row-major.
 
-        A patch anchored at ``origin`` spans pixel centers origin ..
-        origin + patch_size - 1; the continuous footprint is split into a
-        cells x cells grid and each cell contributes its midpoint.
+        A patch spans pixel centers 0 .. patch_size - 1; the continuous
+        footprint is split into a cells x cells grid and each cell
+        contributes its midpoint.
         """
         step = self.patch_size / self.cells
         c = (np.arange(self.cells) + 0.5) * step - 0.5
-        cx, cy = np.meshgrid(origin[0] + c, origin[1] + c)
+        cx, cy = np.meshgrid(c, c)
         return np.stack([cx.ravel(), cy.ravel()], axis=1)
 
 
@@ -111,56 +108,44 @@ class OrientationDensity:
         return self.grid.sum(axis=2)
 
 
-def _window_pixels(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-    """(x, y) of the pixel centers in [x0, x1) x [y0, y1), row-major."""
-    px, py = np.meshgrid(np.arange(x0, x1, dtype=np.float64),
-                         np.arange(y0, y1, dtype=np.float64))
-    return np.stack([px.ravel(), py.ravel()], axis=1)
-
-
-def _spatial_kernel(centers: np.ndarray, pix: np.ndarray,
-                    sigma: float) -> np.ndarray:
-    """Gaussian weights (len(centers), len(pix)), cut off hard at 3 sigma."""
-    diff = centers[:, None, :] - pix[None, :, :]
+def _spatial_kernel(centers: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """Gaussian weights (len(centers), patch_size**2) of the patch's pixel
+    centers, row-major, cut off hard at 3 sigma."""
+    y, x = np.indices((params.patch_size,) * 2, dtype=np.float64)
+    diff = centers[:, None, :] - np.stack([x.ravel(), y.ravel()], axis=1)
     r2 = np.einsum("nmk,nmk->nm", diff, diff)
-    sw = np.exp(-r2 / (2.0 * sigma ** 2))
-    sw[r2 > (3.0 * sigma) ** 2] = 0.0
+    sw = np.exp(-r2 / (2.0 * params.sigma ** 2))
+    sw[r2 > (3.0 * params.sigma) ** 2] = 0.0
     return sw
 
 
 @functools.lru_cache(maxsize=32)
 def _patch_spatial_weights(params: DescriptorParams) -> np.ndarray:
-    """Read-only (cells**2, patch_size**2) spatial weights of a whole patch
-    at origin (0, 0): the matrix :func:`density_at` builds there."""
-    p = params.patch_size
-    sw = _spatial_kernel(params.cell_centers(), _window_pixels(0, p, 0, p),
-                         params.sigma)
+    """Read-only (cells**2, patch_size**2) spatial weights at the cell
+    centers: the matrix :func:`orientation_density` builds."""
+    sw = _spatial_kernel(params.cell_centers(), params)
     sw.flags.writeable = False
     return sw
 
 
 def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
                          scale: np.ndarray = None) -> np.ndarray:
-    """Angular kernel weights (..., bins) of orientations ``ang`` in
-    [0, 2*pi) at every bin center, times ``scale`` (same shape as ``ang``)
-    when it is given.
+    """Triangular angular kernel weights (..., bins) of orientations ``ang``
+    in [0, 2*pi) at every bin center, times ``scale`` (same shape as
+    ``ang``) when it is given.
 
-    The triangular kernel with eps at most one bin width is zero beyond the
-    bin holding an angle and its two neighbours, so it is evaluated there
-    alone and scattered into zeros; every value equals the dense evaluation
-    (times ``scale``) bit for bit, and a zero weight times a finite
-    nonnegative scale stays +0.0. Both neighbours are kept because an angle
-    on a bin center can give the far one a weight of order 1e-16. Other
-    kernels and wider eps evaluate every bin.
+    The kernel is 1 at a bin center and falls linearly to 0 one bin width
+    away: a vote is split between the two nearest bins. It is zero beyond
+    the bin holding an angle and its two neighbours, so it is evaluated
+    there alone and scattered into zeros; every value equals its evaluation
+    at every bin (times ``scale``) bit for bit, and a zero weight times a
+    finite nonnegative scale stays +0.0. Both neighbours are kept because
+    an angle on a bin center can give the far one a weight of order 1e-16;
+    with two bins they are one bin, written twice with one value.
     """
     centers = params.bin_centers()
     bins = params.bins
-    width = 2.0 * np.pi / bins
-    if params.kernel != "triangular" or params.eps > width:
-        out = angular_kernel(ang[..., None], centers, params.eps, params.kernel)
-        if scale is not None:
-            out *= scale[..., None]
-        return out
+    width = params.eps
     # k = floor(ang / width) lies in [0, bins]; entry k + j of these tables
     # is neighbour j - 1 of bin k, wrapped into [0, bins), and its center.
     # Arrays are neighbour-major (3, pixels), so every loop runs along pixels
@@ -168,11 +153,11 @@ def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
     a = ang.ravel()
     k = np.floor(a / width).astype(np.intp) + np.array([[0], [1], [2]])
     near = wrap.take(k)
-    # angular_kernel's circular distance: theta - mu lies in (-2pi, 2pi),
-    # where np.mod(d, 2pi) is d + 2pi for d < 0 and d otherwise
+    # circular distance: theta - mu lies in (-2pi, 2pi), where
+    # np.mod(d, 2pi) is d + 2pi for d < 0 and d otherwise
     d = a - centers[wrap].take(k)
     d = np.where(d < 0.0, d + TWO_PI, d)
-    vals = np.maximum(0.0, 1.0 - np.minimum(d, TWO_PI - d) / params.eps)
+    vals = np.maximum(0.0, 1.0 - np.minimum(d, TWO_PI - d) / width)
     if scale is not None:
         vals *= scale.ravel()
     out = np.zeros((a.size, bins))
@@ -182,33 +167,32 @@ def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
 
 
 def density_at(grad: GradientField, params: DescriptorParams,
-               centers: np.ndarray, origin=(0, 0)) -> np.ndarray:
-    """Evaluate the unnormalized orientation density at arbitrary centers.
+               centers: np.ndarray) -> np.ndarray:
+    """Evaluate the unnormalized orientation density of one patch at
+    arbitrary centers.
 
-    Sums over the patch window anchored at integer ``origin`` (clipped to the
-    image), weighting each pixel's gradient magnitude by an angular kernel
-    around each bin center and a spatial Gaussian around each query center.
-    The Gaussian is cut off hard at three sigma. Returns (len(centers), bins).
+    ``grad`` is the gradient of a patch_size x patch_size patch, whose
+    pixel centers sit at 0 .. patch_size - 1. Each pixel's gradient
+    magnitude is weighted by the triangular angular kernel around each bin
+    center and a spatial Gaussian around each query center, cut off hard at
+    three sigma. Returns (len(centers), bins). Raises ValueError for a
+    gradient of another size.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    ox, oy = int(round(origin[0])), int(round(origin[1]))
     p = params.patch_size
-    h, w = grad.shape
-    x0, x1 = max(ox, 0), min(ox + p, w)
-    y0, y1 = max(oy, 0), min(oy + p, h)
-    out = np.zeros((centers.shape[0], params.bins))
-    if x0 >= x1 or y0 >= y1:
-        return out
-    aw = _orientation_weights(grad.angle[y0:y1, x0:x1].ravel(), params,
-                              grad.magnitude[y0:y1, x0:x1].ravel())
-    sw = _spatial_kernel(centers, _window_pixels(x0, x1, y0, y1), params.sigma)
-    return sw @ aw
+    if grad.shape != (p, p):
+        h, w = grad.shape
+        raise ValueError(f"gradient is {w} x {h} pixels, expected the "
+                         f"{p} x {p} patch")
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    aw = _orientation_weights(grad.angle.ravel(), params,
+                              grad.magnitude.ravel())
+    return _spatial_kernel(centers, params) @ aw
 
 
-def orientation_density(grad: GradientField, params: DescriptorParams,
-                        origin=(0, 0)) -> OrientationDensity:
-    """Unnormalized orientation density on the default cell grid."""
-    vals = density_at(grad, params, params.cell_centers(origin), origin)
+def orientation_density(grad: GradientField,
+                        params: DescriptorParams) -> OrientationDensity:
+    """Unnormalized orientation density of one patch on its cell grid."""
+    vals = density_at(grad, params, params.cell_centers())
     grid = vals.reshape(params.cells, params.cells, params.bins)
     return OrientationDensity(grid, params, normalized=False)
 

@@ -1,4 +1,4 @@
-"""Grayscale images, pyramids, gradients, kernels, and affine contrast.
+"""Grayscale images, pyramids, gradients, and affine contrast.
 
 Images are row-major float64 arrays indexed ``data[y, x]`` with intensities
 in [0, 1]. Positions are ``(x, y)`` pairs; pixel centers sit at integer
@@ -22,8 +22,6 @@ __all__ = [
     "apply_contrast",
     "compute_gradient",
     "build_pyramid",
-    "angular_kernel",
-    "circular_distance",
     "bilinear_sample",
     "level_to_base",
     "base_to_level",
@@ -205,30 +203,6 @@ def base_to_level(xy, level):
     """Inverse of :func:`level_to_base`."""
     s = np.ldexp(1.0, level)[..., None]
     return (np.asarray(xy, dtype=np.float64) - (s - 1.0) / 2.0) / s
-
-
-def circular_distance(a, b):
-    """Distance on the circle between angles ``a`` and ``b``, in [0, pi]."""
-    d = np.mod(np.asarray(a, dtype=np.float64) - b, TWO_PI)
-    return np.minimum(d, TWO_PI - d)
-
-
-def angular_kernel(theta, mu, eps: float, mode: str = "triangular"):
-    """Angular weighting kernel on circular distance d(theta, mu).
-
-    ``triangular`` (the default) is a peak-normalized linear-interpolation
-    kernel that is 1 at d = 0 and 0 for d >= eps. ``wrapped-gaussian`` is the
-    exact wrapped Gaussian with scale eps (unnormalized, peak approximately 1).
-    """
-    d = circular_distance(theta, mu)
-    if mode == "triangular":
-        return np.maximum(0.0, 1.0 - d / eps)
-    if mode == "wrapped-gaussian":
-        acc = np.zeros_like(d)
-        for k in range(-3, 4):
-            acc += np.exp(-((d + TWO_PI * k) ** 2) / (2.0 * eps * eps))
-        return acc
-    raise ValueError(f"unknown angular kernel mode: {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import KERNELS, METHODS, DescriptorParams, DescriptorVector
+from .hog import METHODS, DescriptorParams, DescriptorVector
 from .image import _need
 
 __all__ = [
@@ -188,10 +188,10 @@ def distance(a, b, metric: str, bins: int = None) -> float:
 # database
 
 _DB_MAGIC = b"MVDESCDB"
-_DB_VERSION = 3
-# magic, version, then the codes of method, metric and kernel (their index
-# in METHODS, METRICS and KERNELS), bins, cells, patch, eps, sigma, rows
-_DB_HEADER = struct.Struct("<8sHBBBxHHHddI")
+_DB_VERSION = 4
+# magic, version, then the codes of method and metric (their index in
+# METHODS and METRICS), bins, cells, patch, rows
+_DB_HEADER = struct.Struct("<8sHBBHHHI")
 
 
 def _decode(table: tuple, code: int, field: str):
@@ -268,7 +268,7 @@ class DescriptorDatabase:
         return 4 * self.params.cells ** 2 * self.params.bins * len(self)
 
     def save(self, path) -> None:
-        """Write the database (format version 3). Raises ValueError, naming
+        """Write the database (format version 4). Raises ValueError, naming
         the row, for a track id beyond int32, a group beyond uint16 or a
         value beyond float32, and writes nothing then."""
         p = self.params
@@ -283,8 +283,8 @@ class DescriptorDatabase:
                 raise ValueError(f"row {int(bad.argmax())}: {what}")
         head = _DB_HEADER.pack(
             _DB_MAGIC, _DB_VERSION, METHODS.index(self.method),
-            METRICS.index(self.metric), KERNELS.index(p.kernel), p.bins,
-            p.cells, p.patch_size, p.eps, p.sigma, len(ids))
+            METRICS.index(self.metric), p.bins, p.cells, p.patch_size,
+            len(ids))
         with open(path, "wb") as fh:
             for part in (head, ids.astype("<i4"), groups.astype("<u2"), values):
                 fh.write(part)
@@ -301,8 +301,8 @@ class DescriptorDatabase:
     @classmethod
     def _parse(cls, buf: bytes) -> "DescriptorDatabase":
         _need(buf, 0, _DB_HEADER.size, "database header")
-        magic, ver, mcode, metcode, kcode, bins, cells, patch, eps, sigma, \
-            count = _DB_HEADER.unpack_from(buf, 0)
+        magic, ver, mcode, metcode, bins, cells, patch, count = \
+            _DB_HEADER.unpack_from(buf, 0)
         if magic != _DB_MAGIC:
             raise ValueError("database header: not a descriptor database file")
         if ver != _DB_VERSION:
@@ -311,8 +311,7 @@ class DescriptorDatabase:
         method = _decode(METHODS, mcode, "database method")
         metric = _decode(METRICS, metcode, "database metric")
         try:
-            params = DescriptorParams(patch, bins, cells, eps, sigma,
-                                      _decode(KERNELS, kcode, "database kernel"))
+            params = DescriptorParams(patch, bins, cells)
         except ValueError as exc:
             raise ValueError(f"database params: {exc}") from None
         if count == 0:

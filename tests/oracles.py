@@ -1,10 +1,10 @@
 """Scalar reference forms of the library's batched operations.
 
-Each function here is a per-item body that the library once ran beside its
-batched form. The library now keeps one implementation per operation (its
-per-item names are one-row calls of the batched forms), and the tests
-compare both against these bodies bit for bit. Nothing in ``src/`` imports
-this module.
+Each function here is a per-item or dense body that the library once ran
+beside its batched or sparse form. The library now keeps one implementation
+per operation (its per-item names are one-row calls of the batched forms),
+and the tests compare both against these bodies bit for bit. Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -14,13 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvdesc.image import (GrayImage, base_to_level, bilinear_sample,
+from mvdesc.image import (TWO_PI, GrayImage, base_to_level, bilinear_sample,
                           build_pyramid, level_to_base)
 from mvdesc.scene import (OCCLUDED, OCCLUSION_REL_TOL, OUT_OF_VIEW, UNDEFINED,
                           VISIBLE, RenderedView)
 from mvdesc.tracking import _SegmentTest, extract_patch
 from mvdesc.viewsynth import (BOUNDS_MARGIN, MIN_FACING, LocalSurface,
                               ReprojectionOutOfBounds, _lattice_normals)
+
+
+# ---------------------------------------------------------------------------
+# angular kernel
+
+
+def circular_distance(a, b):
+    """Distance on the circle between angles ``a`` and ``b``, in [0, pi]."""
+    d = np.mod(np.asarray(a, dtype=np.float64) - b, TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
+def angular_kernel(theta, mu, eps: float):
+    """Triangular kernel on the circular distance d(theta, mu): 1 at d = 0,
+    0 for d >= eps. At eps = one bin width and every bin center it is the
+    dense form of ``hog._orientation_weights``."""
+    return np.maximum(0.0, 1.0 - circular_distance(theta, mu) / eps)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,16 @@ class TestMemoryScaling:
     def test_short_track_rejected(self):
         params = DescriptorParams(patch_size=8, bins=4, cells=1)
         tracks = synthetic_tracks(params, 2, 10, seed=112)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fewer than 20 frames"):
             memory_scaling(tracks, params, [20])
+
+    def test_one_distinct_length_rejected(self):
+        # a slope fitted through one length is rank-deficient
+        params = DescriptorParams(patch_size=8, bins=4, cells=1)
+        tracks = synthetic_tracks(params, 3, 10, seed=112)
+        for lengths in ([4], [4, 4]):
+            with pytest.raises(ValueError, match="two distinct lengths"):
+                memory_scaling(tracks, params, lengths)
 
 
 class TestUpdateCost:
@@ -236,6 +244,12 @@ class TestUpdateCost:
         assert len(out["update_seconds"]) == 3
         assert all(t > 0.0 for t in out["update_seconds"])
         assert out["flatness"] >= 1.0
+
+    def test_no_reps_rejected(self):
+        params = DescriptorParams(patch_size=8, bins=4, cells=1)
+        dens = synthetic_tracks(params, 1, 4, seed=113)[0]
+        with pytest.raises(ValueError, match="reps: 0, expected at least 1"):
+            update_cost_profile(dens, params, [1, 3], reps=0)
 
     def test_probes_leave_the_state_bit_identical(self, monkeypatch):
         params = DescriptorParams(patch_size=8, bins=4, cells=2)

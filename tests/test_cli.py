@@ -466,8 +466,24 @@ class TestInputErrors:
         ({"timing_lengths": [1, 2.5]},
          "timing_lengths[1]: 2.5, expected an integer of at least 1"),
         ({"timing_lengths": "4"}, "timing_lengths: expected list, got str"),
+        ({"timing_reps": 0}, "timing_reps: 0, expected at least 1"),
+        ({"timing_reps": 2.5}, "timing_reps: expected int, got float"),
+        ({"memory_lengths": [4, 4]},
+         "memory_lengths: [4, 4], expected at least two distinct values"),
+        ({"rhog": {"n_azimuth": 0}}, "rhog.n_azimuth: 0, expected at least 1"),
+        ({"rhog": {"n_inplane": -1}},
+         "rhog.n_inplane: -1, expected at least 1"),
+        ({"excitation": {"trials": 0, "patch_size": 11}},
+         "excitation.trials: 0, expected at least 1"),
+        ({"excitation": {"ks": [2, 0], "patch_size": 11}},
+         "excitation.ks[1]: 0, expected an integer of at least 1"),
+        ({"excitation": {"ks": [5, 5], "patch_size": 11}},
+         "excitation.ks: [5, 5], expected at least two distinct values"),
     ], ids=["memory-past-frames", "memory-empty", "memory-zero",
-            "timing-fraction", "timing-not-a-list"])
+            "timing-fraction", "timing-not-a-list", "timing-reps-zero",
+            "timing-reps-fraction", "memory-one-length", "rhog-no-azimuth",
+            "rhog-no-inplane", "excitation-no-trials", "excitation-k-zero",
+            "excitation-one-k"])
     def test_bench_lengths_the_first_scene_cannot_run(
             self, tmp_path, capsys, monkeypatch, pyramid_builds, config, field):
         # a 4-frame scene under the quick config, refused before rendering

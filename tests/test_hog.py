@@ -1,28 +1,29 @@
 """Orientation densities: kernels, normalization and flattening."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
                         _orientation_weights, density_at, normalize_density,
                         orientation_density, patch_densities,
                         sample_descriptor)
-from mvdesc.image import GrayImage, angular_kernel, compute_gradient
+from mvdesc.image import GrayImage, compute_gradient
+from oracles import angular_kernel
 
 
-def triple_loop_density(grad, params, centers, origin=(0, 0)):
+def triple_loop_density(grad, params, centers):
     """Independent evaluation: explicit loops over centers, pixels, and bins."""
     h, w = grad.shape
     bc = (np.arange(params.bins) + 0.5) * 2.0 * math.pi / params.bins
-    ox, oy = int(origin[0]), int(origin[1])
     out = np.zeros((len(centers), params.bins))
     for ci, (cx, cy) in enumerate(centers):
-        for y in range(max(oy, 0), min(oy + params.patch_size, h)):
-            for x in range(max(ox, 0), min(ox + params.patch_size, w)):
+        for y in range(h):
+            for x in range(w):
                 r2 = (x - cx) ** 2 + (y - cy) ** 2
                 if r2 > (3.0 * params.sigma) ** 2:
                     continue
@@ -30,11 +31,7 @@ def triple_loop_density(grad, params, centers, origin=(0, 0)):
                 for b in range(params.bins):
                     d = abs(grad.angle[y, x] - bc[b]) % (2.0 * math.pi)
                     d = min(d, 2.0 * math.pi - d)
-                    if params.kernel == "triangular":
-                        ang = max(0.0, 1.0 - d / params.eps)
-                    else:
-                        ang = angular_kernel(grad.angle[y, x], bc[b],
-                                             params.eps, params.kernel)
+                    ang = max(0.0, 1.0 - d / params.eps)
                     out[ci, b] += spatial * ang * grad.magnitude[y, x]
     return out
 
@@ -45,6 +42,9 @@ class TestParams:
         assert p.bins == 16 and p.cells == 4
         assert p.eps == pytest.approx(2.0 * math.pi / 16.0)
         assert p.sigma == pytest.approx(2.0)
+        # the kernel widths follow from the geometry; nothing else is set
+        assert [f.name for f in dataclasses.fields(p)] \
+            == ["patch_size", "bins", "cells"]
 
     def test_bin_centers(self):
         p = DescriptorParams(patch_size=8, bins=4)
@@ -57,9 +57,6 @@ class TestParams:
         # pixels 0..3 split into two cells per side, midpoints at 0.5 and 2.5
         np.testing.assert_allclose(p.cell_centers(), [[0.5, 0.5], [2.5, 0.5],
                                                       [0.5, 2.5], [2.5, 2.5]])
-        np.testing.assert_allclose(p.cell_centers(origin=(10, 20)),
-                                   [[10.5, 20.5], [12.5, 20.5],
-                                    [10.5, 22.5], [12.5, 22.5]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -68,51 +65,29 @@ class TestParams:
             DescriptorParams(patch_size=8, bins=1)
         with pytest.raises(ValueError):
             DescriptorParams(patch_size=8, cells=9)
-        with pytest.raises(ValueError):
-            DescriptorParams(patch_size=8, kernel="boxcar")
 
 
 class TestDensity:
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(11)
-        for bins, cells, kernel in ((8, 2, "triangular"), (16, 4, "triangular"),
-                                    (8, 2, "wrapped-gaussian")):
+        for bins, cells in ((8, 2), (16, 4), (2, 2)):
             size = int(rng.integers(8, 18))
-            params = DescriptorParams(patch_size=size, bins=bins, cells=cells,
-                                      kernel=kernel)
+            params = DescriptorParams(patch_size=size, bins=bins, cells=cells)
             grad = compute_gradient(GrayImage(rng.random((size, size))))
             centers = params.cell_centers()
             got = density_at(grad, params, centers)
             want = triple_loop_density(grad, params, centers)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_offset_window_in_larger_image(self):
-        rng = np.random.default_rng(12)
-        img = GrayImage(rng.random((30, 40)))
-        grad = compute_gradient(img)
-        params = DescriptorParams(patch_size=9, bins=8, cells=2)
-        origin = (13, 4)
-        got = density_at(grad, params, params.cell_centers(origin), origin)
-        want = triple_loop_density(grad, params, params.cell_centers(origin),
-                                   origin)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_window_clipped_at_border(self):
-        rng = np.random.default_rng(13)
-        grad = compute_gradient(GrayImage(rng.random((10, 10))))
+    @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (7, 7), (30, 40)])
+    def test_rejects_a_gradient_of_another_size(self, shape):
+        grad = compute_gradient(GrayImage(np.zeros(shape)))
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
-        origin = (-3, 6)  # window hangs off the left and bottom
-        got = density_at(grad, params, params.cell_centers(origin), origin)
-        want = triple_loop_density(grad, params, params.cell_centers(origin),
-                                   origin)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_fully_outside_window_is_zero(self):
-        rng = np.random.default_rng(14)
-        grad = compute_gradient(GrayImage(rng.random((10, 10))))
-        params = DescriptorParams(patch_size=5, bins=8, cells=2)
-        got = density_at(grad, params, params.cell_centers((40, 40)), (40, 40))
-        np.testing.assert_array_equal(got, 0.0)
+        want = f"gradient is {shape[1]} x {shape[0]} pixels, expected the 8 x 8"
+        with pytest.raises(ValueError, match=want):
+            density_at(grad, params, params.cell_centers())
+        with pytest.raises(ValueError, match=want):
+            orientation_density(grad, params)
 
     def test_orientation_density_is_cell_grid(self):
         rng = np.random.default_rng(15)
@@ -148,26 +123,11 @@ def ramp(p, a, b):
 
 @st.composite
 def density_cases(draw):
-    """Random params with eps below, at, just around and above one bin
-    width, and a stack of random, 8-bit, flat, ramp or non-finite patches."""
+    """Random params from two bins up, and a stack of random, 8-bit, flat,
+    ramp or non-finite patches."""
     p = draw(st.integers(3, 25))
-    bins = draw(st.integers(2, 36))
-    width = 2.0 * math.pi / bins
-    where = draw(st.sampled_from(["below", "just-below", "at", "just-above",
-                                  "above"]))
-    # eps must stay below pi, so two bins leave no room at or above one width
-    assume(bins > 2 or where in ("below", "just-below"))
-    if where == "below":
-        eps = width * draw(st.floats(0.05, 1.0, exclude_max=True))
-    elif where == "above":
-        eps = draw(st.floats(width, math.pi, exclude_min=True, exclude_max=True))
-    else:
-        eps = {"just-below": np.nextafter(width, 0.0), "at": None,
-               "just-above": np.nextafter(width, math.inf)}[where]
-    params = DescriptorParams(
-        p, bins, draw(st.integers(1, p)), eps,
-        draw(st.one_of(st.none(), st.floats(0.1, p - 0.1))),
-        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
+    params = DescriptorParams(p, draw(st.integers(2, 36)),
+                              draw(st.integers(1, p)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     stack = []
     for kind in draw(st.lists(st.sampled_from(
@@ -213,20 +173,18 @@ class TestPatchDensities:
             grad = compute_gradient(GrayImage(patch, unit_range=False))
             want = orientation_density(grad, params).grid
             assert grid.tobytes() == want.tobytes()
-            # density_at shares the kernel helper; it must equal the dense
-            # kernel at every bin, as density_at evaluated it before
+            # the sparse kernel equals the dense one at every bin
             dense = angular_kernel(grad.angle[..., None], params.bin_centers(),
-                                   params.eps, params.kernel)
+                                   params.eps)
             assert _orientation_weights(grad.angle, params).tobytes() \
                 == dense.tobytes()
 
-    @pytest.mark.parametrize("bins, eps_scale", [
-        (2, 0.5), (3, 0.5), (3, 1.0), (4, 1.0), (5, 1.0), (8, 0.5), (8, 1.0),
-        (16, 1.0), (36, 0.5), (36, 1.0)])
-    def test_three_bin_kernel_at_centers_edges_and_wrap(self, bins, eps_scale):
+    # an id reads bins-eps, with eps in bin widths: always one bin
+    @pytest.mark.parametrize("bins", [2, 3, 4, 5, 8, 16, 36],
+                             ids=lambda bins: f"{bins}-1.0")
+    def test_three_bin_kernel_at_centers_edges_and_wrap(self, bins):
         width = 2.0 * math.pi / bins
-        params = DescriptorParams(5, bins=bins,
-                                  eps=None if eps_scale == 1.0 else eps_scale * width)
+        params = DescriptorParams(5, bins=bins)
         edges = np.arange(bins) * width
         ang = np.concatenate([params.bin_centers(), edges,
                               np.nextafter(edges[1:], 0.0),

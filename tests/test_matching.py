@@ -126,8 +126,8 @@ class TestPairwise:
 _IDS = _DB_HEADER.size
 _GROUPS = _IDS + 4 * 2
 _VALUES = _GROUPS + 2 * 2
-# header fields: version, method, metric and kernel codes, patch, row count
-_VERSION, _METHOD, _METRIC, _KERNEL, _PATCH, _COUNT = 8, 10, 11, 12, 18, 36
+# header fields: version, method and metric codes, patch, row count
+_VERSION, _METHOD, _METRIC, _PATCH, _COUNT = 8, 10, 11, 16, 18
 
 
 def _put(buf: bytes, at: int, fmt: str, value) -> bytes:
@@ -228,7 +228,9 @@ class TestDatabase:
          "database header: version 2.*mvdesc describe"),
         (lambda b: _put(b, _METHOD, "<B", 4), "database method: unknown code 4"),
         (lambda b: _put(b, _METRIC, "<B", 6), "database metric: unknown code 6"),
-        (lambda b: _put(b, _KERNEL, "<B", 2), "database kernel: unknown code 2"),
+        (lambda b: _put(b, _VERSION, "<H", 3),
+         "database header: version 3, expected 4; rebuild it with "
+         "`mvdesc describe`"),
         (lambda b: _put(b, _PATCH, "<H", 2),
          "database params: patch_size must be at least 3"),
         (lambda b: _put(b, _VALUES + 4 * 16 + 8, "<f", np.inf),
@@ -240,7 +242,7 @@ class TestDatabase:
     ], ids=["in-db-header", "at-ids", "in-ids", "at-groups", "in-groups",
             "at-values", "in-values", "at-second-row", "trailing", "db-version-1",
             "db-version-2", "unknown-method", "unknown-metric",
-            "unknown-kernel", "invalid-params", "stored-inf", "stored-nan",
+            "db-version-3", "invalid-params", "stored-inf", "stored-nan",
             "zero-rows"])
     def test_load_names_file_and_field(self, tmp_path, mangle, field):
         db = DescriptorDatabase("keepall", PARAMS, "l2")
@@ -296,13 +298,8 @@ def saved_databases(draw):
     """Databases over random params, metrics and methods, with track ids
     across int32 and groups across uint16; rows are float32 values."""
     p = draw(st.integers(3, 40))
-    bins = draw(st.integers(3, 24))
-    params = DescriptorParams(
-        p, bins, draw(st.integers(1, min(p, 4))),
-        draw(st.one_of(st.none(), st.floats(0.01, 3.0))),
-        draw(st.one_of(st.none(), st.floats(0.0, p, exclude_min=True,
-                                            exclude_max=True))),
-        draw(st.sampled_from(["triangular", "wrapped-gaussian"])))
+    bins = draw(st.integers(2, 24))
+    params = DescriptorParams(p, bins, draw(st.integers(1, min(p, 4))))
     db = DescriptorDatabase(draw(st.sampled_from(METHODS)), params,
                             draw(st.sampled_from(METRICS)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

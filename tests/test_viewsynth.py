@@ -531,8 +531,7 @@ class TestMaxOut:
     @staticmethod
     def best_squared_residual(stored, query):
         stored = np.atleast_2d(stored)
-        params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1,
-                                  eps=1.0)
+        params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1)
         db = DescriptorDatabase("rhog", params, "l2")
         for g, row in enumerate(stored):
             db.add(0, DescriptorVector(row, "rhog", params), g)
