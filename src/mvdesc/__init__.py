@@ -8,8 +8,8 @@ from .image import (AffineContrast, GradientField, GrayImage, ImagePyramid,
                     build_pyramid, compute_gradient, level_to_base, read_pgm,
                     write_pgm)
 from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                  density_at, normalize_density, orientation_density,
-                  patch_densities, sample_descriptor)
+                  normalize_density, orientation_density, patch_densities,
+                  sample_descriptor)
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .matching import (METRICS, DescriptorDatabase, distance, match_all,
                        nn_query, pairwise_distances)

@@ -29,8 +29,9 @@ import numpy as np
 
 from .hog import (METHODS, DescriptorParams, OrientationDensity,
                   _normalized_rows, patch_densities)
-from .image import _json_field, base_to_level, build_pyramid, level_to_base
-from .matching import DescriptorDatabase, match_all
+from .image import (_json_field, _json_number, base_to_level, build_pyramid,
+                    level_to_base)
+from .matching import METRICS, DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import (VISIBLE, _check_spec, default_scene_spec, generate_dataset,
                     ground_truth_correspondences)
@@ -144,7 +145,14 @@ def _check_config(cfg: dict) -> None:
         if n < 1:
             path = f"{where}.{key}" if where else key
             raise ValueError(f"{path}: {n}, expected at least 1")
+    _json_number(cfg["seed"], "seed", int, 0)
+    if cfg["metric"] not in METRICS:
+        raise ValueError(f"metric: {cfg['metric']!r}, expected one of {METRICS}")
+    for key in ("tilt", "inplane_halfwidth", "min_facing"):
+        _json_number(cfg["rhog"][key], f"rhog.{key}")
     sizes = _json_field(cfg, "patch_sizes", list)
+    for i, size in enumerate(sizes):
+        _json_number(size, f"patch_sizes[{i}]", int, 3)
     exc_size = _json_field(cfg["excitation"], "patch_size", int, "excitation")
     if exc_size not in sizes:
         raise ValueError(f"excitation.patch_size: {exc_size} is not one of "
@@ -178,8 +186,9 @@ def _check_config(cfg: dict) -> None:
             if key == "memory_lengths" and t > n_frames:
                 raise ValueError(f"{path}[{i}]: {t} is past the {n_frames} "
                                  f"frames of scenes[0]")
-        # a slope over the lengths, a rank correlation over the ks
-        if key != "timing_lengths" and len(set(values)) < 2:
+        # a slope or a flatness over the lengths, a rank correlation over
+        # the ks
+        if len(set(values)) < 2:
             raise ValueError(f"{path}: {values}, expected at least two "
                              f"distinct values")
 
@@ -362,6 +371,9 @@ def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
     lengths = [int(t) for t in lengths]
     if reps < 1:
         raise ValueError(f"reps: {reps}, expected at least 1")
+    if len(set(lengths)) < 2:
+        raise ValueError(f"lengths {lengths}: a flatness needs at least two "
+                         f"distinct lengths")
     probe = OrientationDensity(grids[-1], params)
     accs = []
     for t in lengths:

@@ -22,7 +22,6 @@ __all__ = [
     "DescriptorParams",
     "OrientationDensity",
     "DescriptorVector",
-    "density_at",
     "orientation_density",
     "patch_densities",
     "normalize_density",
@@ -108,31 +107,23 @@ class OrientationDensity:
         return self.grid.sum(axis=2)
 
 
-def _spatial_kernel(centers: np.ndarray, params: DescriptorParams) -> np.ndarray:
-    """Gaussian weights (len(centers), patch_size**2) of the patch's pixel
-    centers, row-major, cut off hard at 3 sigma."""
+@functools.lru_cache(maxsize=32)
+def _patch_spatial_weights(params: DescriptorParams) -> np.ndarray:
+    """Read-only (cells**2, patch_size**2) Gaussian weights of the pixel
+    centers, row-major, around each cell center, cut off hard at 3 sigma."""
     y, x = np.indices((params.patch_size,) * 2, dtype=np.float64)
-    diff = centers[:, None, :] - np.stack([x.ravel(), y.ravel()], axis=1)
+    diff = params.cell_centers()[:, None] - np.stack([x.ravel(), y.ravel()], 1)
     r2 = np.einsum("nmk,nmk->nm", diff, diff)
     sw = np.exp(-r2 / (2.0 * params.sigma ** 2))
     sw[r2 > (3.0 * params.sigma) ** 2] = 0.0
-    return sw
-
-
-@functools.lru_cache(maxsize=32)
-def _patch_spatial_weights(params: DescriptorParams) -> np.ndarray:
-    """Read-only (cells**2, patch_size**2) spatial weights at the cell
-    centers: the matrix :func:`orientation_density` builds."""
-    sw = _spatial_kernel(params.cell_centers(), params)
     sw.flags.writeable = False
     return sw
 
 
 def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
-                         scale: np.ndarray = None) -> np.ndarray:
+                         scale: np.ndarray) -> np.ndarray:
     """Triangular angular kernel weights (..., bins) of orientations ``ang``
-    in [0, 2*pi) at every bin center, times ``scale`` (same shape as
-    ``ang``) when it is given.
+    in [0, 2*pi) at every bin center, times ``scale`` of ``ang``'s shape.
 
     The kernel is 1 at a bin center and falls linearly to 0 one bin width
     away: a vote is split between the two nearest bins. It is zero beyond
@@ -158,43 +149,31 @@ def _orientation_weights(ang: np.ndarray, params: DescriptorParams,
     d = a - centers[wrap].take(k)
     d = np.where(d < 0.0, d + TWO_PI, d)
     vals = np.maximum(0.0, 1.0 - np.minimum(d, TWO_PI - d) / width)
-    if scale is not None:
-        vals *= scale.ravel()
+    vals *= scale.ravel()
     out = np.zeros((a.size, bins))
     near += np.arange(0, a.size * bins, bins)
     out.ravel()[near] = vals
     return out.reshape(ang.shape + (bins,))
 
 
-def density_at(grad: GradientField, params: DescriptorParams,
-               centers: np.ndarray) -> np.ndarray:
-    """Evaluate the unnormalized orientation density of one patch at
-    arbitrary centers.
+def orientation_density(grad: GradientField,
+                        params: DescriptorParams) -> OrientationDensity:
+    """Unnormalized orientation density of one patch on its cell grid.
 
-    ``grad`` is the gradient of a patch_size x patch_size patch, whose
-    pixel centers sit at 0 .. patch_size - 1. Each pixel's gradient
-    magnitude is weighted by the triangular angular kernel around each bin
-    center and a spatial Gaussian around each query center, cut off hard at
-    three sigma. Returns (len(centers), bins). Raises ValueError for a
-    gradient of another size.
-    """
+    ``grad`` is a patch_size x patch_size patch's gradient; each pixel's
+    magnitude is weighted by the angular kernel around each bin center and
+    the spatial Gaussian around each cell center. This is the step
+    :func:`patch_densities` runs per chunk. Raises ValueError for a gradient
+    of another size."""
     p = params.patch_size
     if grad.shape != (p, p):
         h, w = grad.shape
         raise ValueError(f"gradient is {w} x {h} pixels, expected the "
                          f"{p} x {p} patch")
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    aw = _orientation_weights(grad.angle.ravel(), params,
-                              grad.magnitude.ravel())
-    return _spatial_kernel(centers, params) @ aw
-
-
-def orientation_density(grad: GradientField,
-                        params: DescriptorParams) -> OrientationDensity:
-    """Unnormalized orientation density of one patch on its cell grid."""
-    vals = density_at(grad, params, params.cell_centers())
-    grid = vals.reshape(params.cells, params.cells, params.bins)
-    return OrientationDensity(grid, params, normalized=False)
+    weights = _orientation_weights(grad.angle.ravel(), params,
+                                   grad.magnitude.ravel())
+    grid = _patch_spatial_weights(params) @ weights
+    return OrientationDensity(grid.reshape(params.cells, params.cells, -1), params)
 
 
 def patch_densities(patches, params: DescriptorParams) -> np.ndarray:

@@ -112,10 +112,10 @@ class GradientField:
     """Per-pixel image gradient: vector, magnitude, and orientation.
 
     Components are (h, w) for one image or (..., h, w) for a stack of
-    equally sized images. ``angle`` is undefined where the magnitude is
-    exactly zero; ``valid`` marks the defined pixels. The stored vector
-    satisfies ``(gx, gy) = magnitude * (cos(angle), sin(angle))`` wherever
-    valid.
+    equally sized images. ``angle`` lies in [0, 2*pi) and is set to 0 where
+    the magnitude is exactly zero; ``valid`` marks the pixels of nonzero
+    magnitude. The stored vector satisfies ``(gx, gy) = magnitude *
+    (cos(angle), sin(angle))`` wherever valid.
     """
 
     __slots__ = ("gx", "gy", "magnitude", "angle", "valid")
@@ -311,6 +311,20 @@ def _json_field(rec, key: str, kind, where: str = ""):
         names = kind if isinstance(kind, tuple) else (kind,)
         raise ValueError(f"{path}: expected {' or '.join(k.__name__ for k in names)}, "
                          f"got {type(val).__name__}")
+    return val
+
+
+def _json_number(val, path: str, kind=float, low=None, strict=False):
+    """``val`` if it is a finite JSON number, an integer when ``kind`` is
+    int, of at least ``low`` (above it when ``strict``); else ValueError
+    naming ``path``."""
+    if (not isinstance(val, (int, float)) or isinstance(val, bool)
+            or not (isinstance(val, int) or kind is float and math.isfinite(val))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{path}: {val!r}, expected {what}")
+    if low is not None and (val <= low if strict else val < low):
+        raise ValueError(f"{path}: {val!r}, expected "
+                         f"{'above' if strict else 'at least'} {low}")
     return val
 
 

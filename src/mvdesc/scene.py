@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
 from .image import (AffineContrast, GrayImage, _finite_numbers, _json_field,
-                    _need, bilinear_sample, read_pgm, write_pgm)
+                    _json_number, _need, bilinear_sample, read_pgm, write_pgm)
 
 __all__ = [
     "RenderError",
@@ -487,23 +487,68 @@ def default_scene_spec(name: str = "scene", kind: str = "plane",
     }
 
 
+# The kind and bound of each scene spec field: (kind, entries, low, strict).
+# A kind is str, a tuple of the allowed values, int or float; a number is
+# finite and, unless ``low`` is None, at least ``low`` (above it when
+# ``strict``). ``entries`` is None for one value, else the length of a list:
+# a count, or "views" for as many as test_azimuths_deg.
+_SPEC_FIELDS = {
+    "name": (str, None, None, False),
+    "kind": (("plane", "heightfield"), None, None, False),
+    "seed": (int, None, 0, False),
+    "n_frames": (int, None, 1, False),
+    "resolution": (int, 2, 3, False),
+    "focal": (float, None, 0, True),
+    "distance": (float, None, 0, True),
+    "elevation_deg": (float, None, None, False),
+    "orbit_azimuth_amp_deg": (float, None, None, False),
+    "orbit_elevation_amp_deg": (float, None, None, False),
+    "orbit_distance_amp": (float, None, None, False),
+    "test_azimuths_deg": (float, "views", None, False),
+    "test_elevations_deg": (float, "views", None, False),
+    "test_distance_scale": (float, "views", 0, True),
+    "min_test_offset_deg": (float, None, 0, False),
+    "texture_size": (int, None, 2, False),
+    "texture_octaves": (int, None, 1, False),
+    "texels_per_meter": (float, None, 0, True),
+    "heightfield_grid": (int, None, 6, False),
+    "heightfield_amplitude": (float, None, 0, False),
+    "extent": (float, None, 0, True),
+    "contrast_a_range": (float, 2, 0, True),
+    "contrast_b_range": (float, 2, None, False),
+    "noise_sigma": (float, None, 0, False),
+}
+
+
 def _check_spec(spec: dict) -> None:
-    """ValueError naming the field of a scene spec (defaults merged in) that
-    is unknown, an orbit of no frames, or a test-view list whose length
-    differs from the azimuths'."""
-    known = default_scene_spec()
+    """ValueError naming the first field of a scene spec (defaults merged
+    in) that is unknown, outside its kind and bound in ``_SPEC_FIELDS``, or
+    a contrast range whose ends are out of order."""
     for key in spec:
-        if key not in known:
+        if key not in _SPEC_FIELDS:
             raise ValueError(f"{key}: not a scene spec field")
-    n = _json_field(spec, "n_frames", int)
-    if n < 1:
-        raise ValueError(f"n_frames: {n}, expected at least 1")
     views = len(_json_field(spec, "test_azimuths_deg", list))
-    for key in ("test_elevations_deg", "test_distance_scale"):
-        count = len(_json_field(spec, key, list))
-        if count != views:
-            raise ValueError(f"{key}: {count} entries, test_azimuths_deg has "
-                             f"{views}")
+    for key, (kind, entries, low, strict) in _SPEC_FIELDS.items():
+        val = spec[key]
+        if isinstance(kind, tuple):
+            if val not in kind:
+                raise ValueError(f"{key}: {val!r}, expected one of {kind}")
+        elif kind is str:
+            _json_field(spec, key, str)
+        elif entries is None:
+            _json_number(val, key, kind, low, strict)
+        else:
+            count = views if entries == "views" else entries
+            if len(_json_field(spec, key, list)) != count:
+                want = (f"test_azimuths_deg has {views}" if entries == "views"
+                        else f"expected {count}")
+                raise ValueError(f"{key}: {len(val)} entries, {want}")
+            for i, v in enumerate(val):
+                _json_number(v, f"{key}[{i}]", kind, low, strict)
+    for key in ("contrast_a_range", "contrast_b_range"):
+        lo, hi = spec[key]
+        if lo > hi:
+            raise ValueError(f"{key}: {spec[key]}, expected the low end first")
 
 
 def _spec_rng(seed: int, *tags: int) -> np.random.Generator:

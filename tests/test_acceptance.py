@@ -14,7 +14,7 @@ import numpy as np
 from mvdesc.bench import quick_benchmark_config, run_benchmark
 from mvdesc.geometry import PinholeCamera, Pose, rot_z
 from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
-                        orientation_density, density_at, sample_descriptor)
+                        orientation_density, sample_descriptor)
 from mvdesc.image import (AffineContrast, GrayImage, apply_contrast,
                           compute_gradient)
 from mvdesc.matching import METRICS, DescriptorDatabase, nn_query
@@ -180,9 +180,8 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
                                   bins=int(rng.choice([8, 16])),
                                   cells=int(rng.choice([2, 4])))
         grad = compute_gradient(GrayImage(rng.random((size, size))))
-        centers = params.cell_centers()
-        got = density_at(grad, params, centers)
-        want = _density_oracle(grad, params, centers)
+        got = orientation_density(grad, params).grid.reshape(-1, params.bins)
+        want = _density_oracle(grad, params, params.cell_centers())
         worst_dens = max(worst_dens, float(np.max(np.abs(got - want))))
 
     # nearest neighbors against a linear scan, 100 random databases

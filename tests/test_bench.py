@@ -251,6 +251,14 @@ class TestUpdateCost:
         with pytest.raises(ValueError, match="reps: 0, expected at least 1"):
             update_cost_profile(dens, params, [1, 3], reps=0)
 
+    def test_one_distinct_length_rejected(self):
+        # a flatness over one length compares nothing and would read 1.0
+        params = DescriptorParams(patch_size=8, bins=4, cells=1)
+        dens = synthetic_tracks(params, 1, 4, seed=113)[0]
+        for lengths in ([5], [5, 5]):
+            with pytest.raises(ValueError, match="two distinct lengths"):
+                update_cost_profile(dens, params, lengths, reps=3)
+
     def test_probes_leave_the_state_bit_identical(self, monkeypatch):
         params = DescriptorParams(patch_size=8, bins=4, cells=2)
         dens = synthetic_tracks(params, 1, 4, seed=114)[0]

@@ -479,11 +479,26 @@ class TestInputErrors:
          "excitation.ks[1]: 0, expected an integer of at least 1"),
         ({"excitation": {"ks": [5, 5], "patch_size": 11}},
          "excitation.ks: [5, 5], expected at least two distinct values"),
+        ({"timing_lengths": [5, 5]},
+         "timing_lengths: [5, 5], expected at least two distinct values"),
+        ({"patch_sizes": [2, 11]}, "patch_sizes[0]: 2, expected at least 3"),
+        ({"patch_sizes": [11.0]}, "patch_sizes[0]: 11.0, expected an integer"),
+        ({"metric": "cosine"}, "metric: 'cosine', expected one of ('l1', "),
+        ({"seed": "a"}, "seed: 'a', expected an integer"),
+        ({"seed": -1}, "seed: -1, expected at least 0"),
+        ({"rhog": {"tilt": "x"}}, "rhog.tilt: 'x', expected a finite number"),
+        ({"rhog": {"inplane_halfwidth": None}},
+         "rhog.inplane_halfwidth: None, expected a finite number"),
+        ({"rhog": {"min_facing": float("inf")}},
+         "rhog.min_facing: inf, expected a finite number"),
     ], ids=["memory-past-frames", "memory-empty", "memory-zero",
             "timing-fraction", "timing-not-a-list", "timing-reps-zero",
             "timing-reps-fraction", "memory-one-length", "rhog-no-azimuth",
             "rhog-no-inplane", "excitation-no-trials", "excitation-k-zero",
-            "excitation-one-k"])
+            "excitation-one-k", "timing-one-length", "patch-size-two",
+            "patch-size-fraction", "unknown-metric", "seed-type",
+            "negative-seed", "rhog-tilt-type", "rhog-halfwidth-type",
+            "rhog-facing-inf"])
     def test_bench_lengths_the_first_scene_cannot_run(
             self, tmp_path, capsys, monkeypatch, pyramid_builds, config, field):
         # a 4-frame scene under the quick config, refused before rendering

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                        _orientation_weights, density_at, normalize_density,
+                        _orientation_weights, normalize_density,
                         orientation_density, patch_densities,
                         sample_descriptor)
 from mvdesc.image import GrayImage, compute_gradient
@@ -74,10 +74,11 @@ class TestDensity:
             size = int(rng.integers(8, 18))
             params = DescriptorParams(patch_size=size, bins=bins, cells=cells)
             grad = compute_gradient(GrayImage(rng.random((size, size))))
-            centers = params.cell_centers()
-            got = density_at(grad, params, centers)
-            want = triple_loop_density(grad, params, centers)
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            dens = orientation_density(grad, params)
+            want = triple_loop_density(grad, params, params.cell_centers())
+            np.testing.assert_allclose(dens.grid.reshape(-1, bins), want,
+                                       atol=1e-10)
+            assert not dens.normalized
 
     @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (7, 7), (30, 40)])
     def test_rejects_a_gradient_of_another_size(self, shape):
@@ -85,19 +86,7 @@ class TestDensity:
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
         want = f"gradient is {shape[1]} x {shape[0]} pixels, expected the 8 x 8"
         with pytest.raises(ValueError, match=want):
-            density_at(grad, params, params.cell_centers())
-        with pytest.raises(ValueError, match=want):
             orientation_density(grad, params)
-
-    def test_orientation_density_is_cell_grid(self):
-        rng = np.random.default_rng(15)
-        params = DescriptorParams(patch_size=12, bins=8, cells=4)
-        grad = compute_gradient(GrayImage(rng.random((12, 12))))
-        dens = orientation_density(grad, params)
-        flat = density_at(grad, params, params.cell_centers())
-        np.testing.assert_array_equal(
-            dens.grid, flat.reshape(params.cells, params.cells, params.bins))
-        assert not dens.normalized
 
     def test_single_oriented_edge_hits_expected_bin(self):
         # vertical edge: gradient along +x, angle 0, lands in the bins
@@ -176,7 +165,8 @@ class TestPatchDensities:
             # the sparse kernel equals the dense one at every bin
             dense = angular_kernel(grad.angle[..., None], params.bin_centers(),
                                    params.eps)
-            assert _orientation_weights(grad.angle, params).tobytes() \
+            ones = np.ones_like(grad.angle)
+            assert _orientation_weights(grad.angle, params, ones).tobytes() \
                 == dense.tobytes()
 
     # an id reads bins-eps, with eps in bin widths: always one bin
@@ -191,7 +181,8 @@ class TestPatchDensities:
                               np.nextafter(edges, math.inf),
                               [0.0, np.nextafter(2.0 * math.pi, 0.0)]])
         dense = angular_kernel(ang[:, None], params.bin_centers(), params.eps)
-        assert _orientation_weights(ang, params).tobytes() == dense.tobytes()
+        got = _orientation_weights(ang, params, np.ones_like(ang))
+        assert got.tobytes() == dense.tobytes()
 
     def test_rejects_other_shapes(self):
         params = DescriptorParams(5)

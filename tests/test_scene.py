@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvdesc.scene as scene
+from mvdesc.bench import run_benchmark
+from mvdesc.cli import main
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, look_at
 from mvdesc.image import GrayImage, write_pgm
 from mvdesc.scene import (HeightfieldSurface, OCCLUDED, OUT_OF_VIEW,
@@ -640,3 +642,64 @@ class TestDataset:
     def test_unknown_surface_kind(self):
         with pytest.raises(ValueError):
             build_scene(default_scene_spec("x", kind="torus", seed=0))
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"name": 3}, "name: expected str, got int"),
+        ({"kind": "torus"}, "kind: 'torus', expected one of ('plane', "),
+        ({"seed": -1}, "seed: -1, expected at least 0"),
+        ({"seed": 1.5}, "seed: 1.5, expected an integer"),
+        ({"resolution": [160]}, "resolution: 1 entries, expected 2"),
+        ({"resolution": [160, 2]}, "resolution[1]: 2, expected at least 3"),
+        ({"focal": "x"}, "focal: 'x', expected a finite number"),
+        ({"focal": 0}, "focal: 0, expected above 0"),
+        ({"distance": "far"}, "distance: 'far', expected a finite number"),
+        ({"elevation_deg": float("nan")},
+         "elevation_deg: nan, expected a finite number"),
+        ({"orbit_distance_amp": None},
+         "orbit_distance_amp: None, expected a finite number"),
+        ({"test_azimuths_deg": [0.0, "x"], "test_elevations_deg": [46.0, 44.0],
+          "test_distance_scale": [1.0, 1.0]},
+         "test_azimuths_deg[1]: 'x', expected a finite number"),
+        ({"test_distance_scale": [1.0, 1.05, 0.0, 1.1, 1.0, 1.05]},
+         "test_distance_scale[2]: 0.0, expected above 0"),
+        ({"min_test_offset_deg": -1}, "min_test_offset_deg: -1, expected at "
+                                      "least 0"),
+        ({"texture_size": 0}, "texture_size: 0, expected at least 2"),
+        ({"texture_size": 1}, "texture_size: 1, expected at least 2"),
+        ({"texture_octaves": 0}, "texture_octaves: 0, expected at least 1"),
+        ({"texels_per_meter": 0}, "texels_per_meter: 0, expected above 0"),
+        ({"heightfield_grid": 5}, "heightfield_grid: 5, expected at least 6"),
+        ({"heightfield_amplitude": -0.1},
+         "heightfield_amplitude: -0.1, expected at least 0"),
+        ({"extent": 0.0}, "extent: 0.0, expected above 0"),
+        ({"contrast_a_range": [0.0, 1.0]},
+         "contrast_a_range[0]: 0.0, expected above 0"),
+        ({"contrast_a_range": [1.1, 0.85]},
+         "contrast_a_range: [1.1, 0.85], expected the low end first"),
+        ({"contrast_b_range": [0.04, -0.04]},
+         "contrast_b_range: [0.04, -0.04], expected the low end first"),
+        ({"contrast_b_range": [0.0]}, "contrast_b_range: 1 entries, expected 2"),
+        ({"noise_sigma": -1}, "noise_sigma: -1, expected at least 0"),
+    ], ids=["name-type", "unknown-kind", "negative-seed", "fractional-seed",
+            "one-resolution", "tiny-resolution", "focal-type", "zero-focal",
+            "distance-type", "nan-elevation", "null-amplitude",
+            "azimuth-type", "zero-distance-scale", "negative-offset",
+            "no-texture", "one-texel", "no-octaves", "no-texels",
+            "coarse-heightfield", "negative-amplitude", "no-extent",
+            "zero-contrast", "contrast-a-order", "contrast-b-order",
+            "short-contrast-b", "negative-noise"])
+    def test_bad_field_refused_before_any_output(self, tmp_path, capsys,
+                                                 spec, field):
+        # one line naming the field, no traceback and no directory, from
+        # both the generate command and a benchmark scene
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["generate", "--out", str(tmp_path / "ds"),
+                     "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(field) and err.count("\n") == 1
+        assert not (tmp_path / "ds").exists()
+        with pytest.raises(ValueError) as exc:
+            run_benchmark({"scenes": [{"name": "s", **spec}]}, tmp_path / "b")
+        assert str(exc.value).startswith(f"scenes[0].{field}")
+        assert not (tmp_path / "b").exists()
