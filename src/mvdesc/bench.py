@@ -29,8 +29,8 @@ import numpy as np
 
 from .hog import (METHODS, DescriptorParams, OrientationDensity,
                   _normalized_rows, patch_densities)
-from .image import (_json_field, _json_number, base_to_level, build_pyramid,
-                    level_to_base)
+from .image import (_check_fields, _field_defaults, _json_field, base_to_level,
+                    build_pyramid, level_to_base)
 from .matching import METRICS, DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import (VISIBLE, _check_spec, default_scene_spec, generate_dataset,
@@ -57,41 +57,52 @@ __all__ = [
 ]
 
 
+# Each benchmark config field once, in rows as in scene._SPEC_FIELDS and a
+# nested table per section; _check_config checks the scenes and the tracker
+# fields, and every rule that relates two fields.
+_CONFIG_FIELDS = {
+    "seed": (7, int, None, 0, False),
+    "metric": ("l2", METRICS, None, None, False),
+    "patch_sizes": ([11, 21], int, 0, 3, False),
+    "sv_trials": (5, int, None, 1, False),
+    "max_tracks": (140, int, None, 1, False),
+    "scenes": ([
+        {"name": "plane0", "kind": "plane", "seed": 101},
+        {"name": "relief0", "kind": "heightfield", "seed": 202},
+        {"name": "plane1", "kind": "plane", "seed": 303},
+        {"name": "relief1", "kind": "heightfield", "seed": 404},
+        {"name": "plane2", "kind": "plane", "seed": 505},
+    ], None, 0, None, False),
+    "tracker": ({
+        "n_features": 500,
+        "levels": 2,
+        "window": 11,
+        "reject_thresh": 0.04,
+        "min_border": 13,
+    }, None, None, None, False),
+    "rhog": {
+        "keyframes": (4, int, None, 1, False),
+        "n_azimuth": (4, int, None, 1, False),
+        "n_inplane": (5, int, None, 1, False),
+        "tilt": (math.pi / 6, float, None, None, False),
+        "inplane_halfwidth": (math.pi / 3, float, None, None, False),
+        "min_facing": (0.2, float, None, None, False),
+    },
+    "excitation": {
+        "ks": ([2, 5, 10, 20, 30], int, 0, 1, False),
+        "trials": (5, int, None, 1, False),
+        "patch_size": (21, int, None, 3, False),
+    },
+    "memory_lengths": ([5, 10, 15, 20, 25, 30], int, 0, 1, False),
+    "timing_lengths": ([1, 5, 10, 15, 20, 25, 30], int, 0, 1, False),
+    "timing_reps": (200, int, None, 1, False),
+}
+
+
 def default_benchmark_config() -> dict:
-    """Desk-scale benchmark: five scenes, two patch sizes, minutes to run."""
-    return {
-        "seed": 7,
-        "metric": "l2",
-        "patch_sizes": [11, 21],
-        "sv_trials": 5,
-        "max_tracks": 140,
-        "scenes": [
-            {"name": "plane0", "kind": "plane", "seed": 101},
-            {"name": "relief0", "kind": "heightfield", "seed": 202},
-            {"name": "plane1", "kind": "plane", "seed": 303},
-            {"name": "relief1", "kind": "heightfield", "seed": 404},
-            {"name": "plane2", "kind": "plane", "seed": 505},
-        ],
-        "tracker": {
-            "n_features": 500,
-            "levels": 2,
-            "window": 11,
-            "reject_thresh": 0.04,
-            "min_border": 13,
-        },
-        "rhog": {
-            "keyframes": 4,
-            "n_azimuth": 4,
-            "n_inplane": 5,
-            "tilt": math.pi / 6,
-            "inplane_halfwidth": math.pi / 3,
-            "min_facing": 0.2,
-        },
-        "excitation": {"ks": [2, 5, 10, 20, 30], "trials": 5, "patch_size": 21},
-        "memory_lengths": [5, 10, 15, 20, 25, 30],
-        "timing_lengths": [1, 5, 10, 15, 20, 25, 30],
-        "timing_reps": 200,
-    }
+    """Desk-scale benchmark: five scenes, two patch sizes, minutes to run.
+    A fresh copy of the defaults in ``_CONFIG_FIELDS``."""
+    return _field_defaults(_CONFIG_FIELDS)
 
 
 def quick_benchmark_config() -> dict:
@@ -121,47 +132,25 @@ def _merge_config(overrides: dict = None) -> dict:
 
 def _check_config(cfg: dict) -> None:
     """ValueError naming the first field of a merged benchmark config that
-    the run cannot use, before anything is rendered. Tracker fields are
-    those of :class:`TrackerConfig`, which checks their values."""
-    defaults = default_benchmark_config()
-    for key in cfg:
-        if key not in defaults:
-            raise ValueError(f"{key}: not a benchmark config field")
-    sections = {"tracker": [f.name for f in dataclasses.fields(TrackerConfig)],
-                "rhog": defaults["rhog"], "excitation": defaults["excitation"]}
-    for section, known in sections.items():
-        for key in _json_field(cfg, section, dict):
-            if key not in known:
-                raise ValueError(f"{section}.{key}: not a {section} field")
+    the run cannot use, before anything is rendered: its row of
+    ``_CONFIG_FIELDS`` refuses it, or it breaks a rule relating two fields.
+    Tracker fields are those of :class:`TrackerConfig`, which checks their
+    values."""
+    _check_fields(cfg, _CONFIG_FIELDS, "benchmark config")
+    known = [f.name for f in dataclasses.fields(TrackerConfig)]
+    for key in _json_field(cfg, "tracker", dict):
+        if key not in known:
+            raise ValueError(f"tracker.{key}: not a tracker field")
     try:
         TrackerConfig(**cfg["tracker"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"tracker: {exc}") from None
-    counts = [("", "max_tracks"), ("", "sv_trials"), ("", "timing_reps"),
-              ("rhog", "keyframes"), ("rhog", "n_azimuth"),
-              ("rhog", "n_inplane"), ("excitation", "trials")]
-    for where, key in counts:
-        n = _json_field(cfg[where] if where else cfg, key, int, where)
-        if n < 1:
-            path = f"{where}.{key}" if where else key
-            raise ValueError(f"{path}: {n}, expected at least 1")
-    _json_number(cfg["seed"], "seed", int, 0)
-    if cfg["metric"] not in METRICS:
-        raise ValueError(f"metric: {cfg['metric']!r}, expected one of {METRICS}")
-    for key in ("tilt", "inplane_halfwidth", "min_facing"):
-        _json_number(cfg["rhog"][key], f"rhog.{key}")
-    sizes = _json_field(cfg, "patch_sizes", list)
-    for i, size in enumerate(sizes):
-        _json_number(size, f"patch_sizes[{i}]", int, 3)
-    exc_size = _json_field(cfg["excitation"], "patch_size", int, "excitation")
+    sizes, exc_size = cfg["patch_sizes"], cfg["excitation"]["patch_size"]
     if exc_size not in sizes:
         raise ValueError(f"excitation.patch_size: {exc_size} is not one of "
                          f"patch_sizes {sizes}")
-    scenes = _json_field(cfg, "scenes", list)
-    if not scenes:
-        raise ValueError("scenes: empty")
     names = []
-    for i, entry in enumerate(scenes):
+    for i, entry in enumerate(cfg["scenes"]):
         name = _json_field(entry, "name", str, f"scenes[{i}]")
         if name in names:
             raise ValueError(f"scenes[{i}].name: {name!r} is also "
@@ -172,22 +161,15 @@ def _check_config(cfg: dict) -> None:
         except ValueError as exc:
             raise ValueError(f"scenes[{i}].{exc}") from None
     # memory_scaling cuts the first scene's tracks; update_cost_profile cycles
-    n_frames = {**default_scene_spec(), **scenes[0]}["n_frames"]
-    for where, key in (("", "memory_lengths"), ("", "timing_lengths"),
-                       ("excitation", "ks")):
-        path = f"{where}.{key}" if where else key
-        values = _json_field(cfg[where] if where else cfg, key, list, where)
-        if not values:
-            raise ValueError(f"{path}: empty")
-        for i, t in enumerate(values):
-            if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-                raise ValueError(f"{path}[{i}]: {t!r}, expected an integer of "
-                                 f"at least 1")
-            if key == "memory_lengths" and t > n_frames:
-                raise ValueError(f"{path}[{i}]: {t} is past the {n_frames} "
-                                 f"frames of scenes[0]")
-        # a slope or a flatness over the lengths, a rank correlation over
-        # the ks
+    n_frames = {**default_scene_spec(), **cfg["scenes"][0]}["n_frames"]
+    for i, t in enumerate(cfg["memory_lengths"]):
+        if t > n_frames:
+            raise ValueError(f"memory_lengths[{i}]: {t} is past the "
+                             f"{n_frames} frames of scenes[0]")
+    # a slope or a flatness over the lengths, a rank correlation over the ks
+    for path, values in (("memory_lengths", cfg["memory_lengths"]),
+                         ("timing_lengths", cfg["timing_lengths"]),
+                         ("excitation.ks", cfg["excitation"]["ks"])):
         if len(set(values)) < 2:
             raise ValueError(f"{path}: {values}, expected at least two "
                              f"distinct values")

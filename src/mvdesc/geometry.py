@@ -66,8 +66,7 @@ def rot_z(angle: float) -> np.ndarray:
 class Pose:
     """Rigid transform ``X_out = r @ X_in + t`` with ``r`` in SO(3).
 
-    Used both as a camera extrinsic (world -> camera) and as a surface
-    placement (local -> world); the direction is documented at each use.
+    Used as a camera extrinsic (world -> camera).
     """
 
     r: np.ndarray
@@ -82,10 +81,6 @@ class Pose:
             raise ValueError("pose translation must be finite")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to points of shape (..., 3).

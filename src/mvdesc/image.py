@@ -8,6 +8,7 @@ the +x axis, in [0, 2*pi); +y points down the rows.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,6 +327,55 @@ def _json_number(val, path: str, kind=float, low=None, strict=False):
         raise ValueError(f"{path}: {val!r}, expected "
                          f"{'above' if strict else 'at least'} {low}")
     return val
+
+
+def _field_defaults(table: dict) -> dict:
+    """A fresh copy of the defaults declared by a :func:`_check_fields` table."""
+    return {key: _field_defaults(row) if isinstance(row, dict)
+            else copy.deepcopy(row[0]) for key, row in table.items()}
+
+
+def _check_fields(doc: dict, table: dict, what: str, where: str = "") -> None:
+    """ValueError naming the first field of ``doc`` (defaults merged in) that
+    ``table`` does not declare or whose row refuses its value.
+
+    A row is ``(default, kind, entries, low, strict)``, or a nested table
+    for a JSON object. ``kind`` is str, a tuple of the allowed values, int
+    or float (each number a :func:`_json_number` with ``low`` and
+    ``strict``), or None for a value checked elsewhere. ``entries`` is None
+    for one value, else the length of a list: a count, the name of the field
+    whose list it matches, or 0 for any length but none."""
+    prefix = f"{where}." if where else ""
+    for key in doc:
+        if key not in table:
+            raise ValueError(f"{prefix}{key}: not a {what} field")
+    for key, row in table.items():
+        path = prefix + key
+        if isinstance(row, dict):
+            _check_fields(_json_field(doc, key, dict, where), row, key, path)
+            continue
+        _, kind, entries, low, strict = row
+        items = {path: doc[key]}
+        if kind is str:
+            _json_field(doc, key, str, where)
+        elif isinstance(kind, tuple) and doc[key] not in kind:
+            raise ValueError(f"{path}: {doc[key]!r}, expected one of {kind}")
+        elif entries is not None:
+            val = _json_field(doc, key, list, where)
+            if entries == 0 and not val:
+                raise ValueError(f"{path}: empty")
+            if isinstance(entries, str):
+                count = len(_json_field(doc, entries, list, where))
+                if len(val) != count:
+                    raise ValueError(f"{path}: {len(val)} entries, {entries} "
+                                     f"has {count}")
+            elif entries and len(val) != entries:
+                raise ValueError(f"{path}: {len(val)} entries, expected "
+                                 f"{entries}")
+            items = {f"{path}[{i}]": v for i, v in enumerate(val)}
+        if kind in (int, float):
+            for at, v in items.items():
+                _json_number(v, at, kind, low, strict)
 
 
 def _finite_numbers(val, count: int, path: str) -> list:

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
-from .image import (AffineContrast, GrayImage, _finite_numbers, _json_field,
-                    _json_number, _need, bilinear_sample, read_pgm, write_pgm)
+from .image import (AffineContrast, GrayImage, _check_fields, _field_defaults,
+                    _finite_numbers, _json_field, _need, bilinear_sample,
+                    read_pgm, write_pgm)
 
 __all__ = [
     "RenderError",
@@ -242,30 +243,24 @@ def make_texture(rng: np.random.Generator, size: int = 256,
 
 @dataclass
 class SceneModel:
-    """A textured surface posed in the world.
+    """A textured surface in world coordinates.
 
-    ``placement`` maps scene-local points into world coordinates; the albedo
-    texture is pinned to the local (x, y) plane at ``texels_per_meter``.
+    The albedo texture is pinned to the world (x, y) plane at
+    ``texels_per_meter``.
     """
 
     surface: object
     texture: np.ndarray
     texels_per_meter: float
-    placement: Pose
 
     def __post_init__(self):
         # one wrapped column and row, so a lookup at [n - 1, n] tiles the torus
         self._wrapped = np.pad(self.texture, (0, 1), mode="wrap")
 
     def local_rays(self, camera: PinholeCamera, pose: Pose):
-        """Per-pixel ray origin (one point) and unit directions, local frame."""
+        """Per-pixel ray origin (one point) and unit directions, world frame."""
         dirs_cam = camera.ray_directions(camera.pixel_grid())
-        dirs_world = dirs_cam @ pose.r  # row-vector form of R^T d
-        center_world = pose.center
-        rp = self.placement.r
-        origin_local = rp.T @ (center_world - self.placement.t)
-        dirs_local = dirs_world @ rp
-        return origin_local, dirs_local
+        return pose.center, dirs_cam @ pose.r  # row-vector form of R^T d
 
     def albedo(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Surface intensity at local coordinates (x, y), tiling the texture
@@ -456,95 +451,53 @@ def read_depth(path) -> np.ndarray:
 # dataset generation: one scene, a closed training orbit, offset test views
 
 
+# Each scene spec field, declared once as (default, kind, entries, low,
+# strict): default_scene_spec copies the defaults and _check_spec checks
+# every row through image._check_fields.
+_SPEC_FIELDS = {
+    "name": ("scene", str, None, None, False),
+    "kind": ("plane", ("plane", "heightfield"), None, None, False),
+    "seed": (0, int, None, 0, False),
+    "n_frames": (30, int, None, 1, False),
+    "resolution": ([160, 120], int, 2, 3, False),
+    "focal": (170.0, float, None, 0, True),
+    "distance": (1.6, float, None, 0, True),
+    "elevation_deg": (65.0, float, None, None, False),
+    "orbit_azimuth_amp_deg": (45.0, float, None, None, False),
+    "orbit_elevation_amp_deg": (3.0, float, None, None, False),
+    "orbit_distance_amp": (0.08, float, None, None, False),
+    "test_azimuths_deg": ([0.0, 20.0, -20.0, 35.0, -35.0, 10.0], float,
+                          "test_azimuths_deg", None, False),
+    "test_elevations_deg": ([46.0, 44.0, 46.5, 45.0, 44.5, 46.0], float,
+                            "test_azimuths_deg", None, False),
+    "test_distance_scale": ([1.0, 1.05, 0.95, 1.1, 1.0, 1.05], float,
+                            "test_azimuths_deg", 0, True),
+    "min_test_offset_deg": (15.0, float, None, 0, False),
+    "texture_size": (256, int, None, 2, False),
+    "texture_octaves": (5, int, None, 1, False),
+    "texels_per_meter": (96.0, float, None, 0, True),
+    "heightfield_grid": (12, int, None, 6, False),
+    "heightfield_amplitude": (0.12, float, None, 0, False),
+    "extent": (2.5, float, None, 0, True),
+    "contrast_a_range": ([0.85, 1.1], float, 2, 0, True),
+    "contrast_b_range": ([-0.04, 0.04], float, 2, None, False),
+    "noise_sigma": (0.005, float, None, 0, False),
+}
+
+
 def default_scene_spec(name: str = "scene", kind: str = "plane",
                        seed: int = 0) -> dict:
-    """Fully populated scene description; every field may be overridden."""
-    return {
-        "name": name,
-        "kind": kind,
-        "seed": int(seed),
-        "n_frames": 30,
-        "resolution": [160, 120],
-        "focal": 170.0,
-        "distance": 1.6,
-        "elevation_deg": 65.0,
-        "orbit_azimuth_amp_deg": 45.0,
-        "orbit_elevation_amp_deg": 3.0,
-        "orbit_distance_amp": 0.08,
-        "test_azimuths_deg": [0.0, 20.0, -20.0, 35.0, -35.0, 10.0],
-        "test_elevations_deg": [46.0, 44.0, 46.5, 45.0, 44.5, 46.0],
-        "test_distance_scale": [1.0, 1.05, 0.95, 1.1, 1.0, 1.05],
-        "min_test_offset_deg": 15.0,
-        "texture_size": 256,
-        "texture_octaves": 5,
-        "texels_per_meter": 96.0,
-        "heightfield_grid": 12,
-        "heightfield_amplitude": 0.12,
-        "extent": 2.5,
-        "contrast_a_range": [0.85, 1.1],
-        "contrast_b_range": [-0.04, 0.04],
-        "noise_sigma": 0.005,
-    }
-
-
-# The kind and bound of each scene spec field: (kind, entries, low, strict).
-# A kind is str, a tuple of the allowed values, int or float; a number is
-# finite and, unless ``low`` is None, at least ``low`` (above it when
-# ``strict``). ``entries`` is None for one value, else the length of a list:
-# a count, or "views" for as many as test_azimuths_deg.
-_SPEC_FIELDS = {
-    "name": (str, None, None, False),
-    "kind": (("plane", "heightfield"), None, None, False),
-    "seed": (int, None, 0, False),
-    "n_frames": (int, None, 1, False),
-    "resolution": (int, 2, 3, False),
-    "focal": (float, None, 0, True),
-    "distance": (float, None, 0, True),
-    "elevation_deg": (float, None, None, False),
-    "orbit_azimuth_amp_deg": (float, None, None, False),
-    "orbit_elevation_amp_deg": (float, None, None, False),
-    "orbit_distance_amp": (float, None, None, False),
-    "test_azimuths_deg": (float, "views", None, False),
-    "test_elevations_deg": (float, "views", None, False),
-    "test_distance_scale": (float, "views", 0, True),
-    "min_test_offset_deg": (float, None, 0, False),
-    "texture_size": (int, None, 2, False),
-    "texture_octaves": (int, None, 1, False),
-    "texels_per_meter": (float, None, 0, True),
-    "heightfield_grid": (int, None, 6, False),
-    "heightfield_amplitude": (float, None, 0, False),
-    "extent": (float, None, 0, True),
-    "contrast_a_range": (float, 2, 0, True),
-    "contrast_b_range": (float, 2, None, False),
-    "noise_sigma": (float, None, 0, False),
-}
+    """Fully populated scene description, a fresh copy of the defaults in
+    ``_SPEC_FIELDS``; every field may be overridden."""
+    return {**_field_defaults(_SPEC_FIELDS), "name": name, "kind": kind,
+            "seed": int(seed)}
 
 
 def _check_spec(spec: dict) -> None:
     """ValueError naming the first field of a scene spec (defaults merged
-    in) that is unknown, outside its kind and bound in ``_SPEC_FIELDS``, or
-    a contrast range whose ends are out of order."""
-    for key in spec:
-        if key not in _SPEC_FIELDS:
-            raise ValueError(f"{key}: not a scene spec field")
-    views = len(_json_field(spec, "test_azimuths_deg", list))
-    for key, (kind, entries, low, strict) in _SPEC_FIELDS.items():
-        val = spec[key]
-        if isinstance(kind, tuple):
-            if val not in kind:
-                raise ValueError(f"{key}: {val!r}, expected one of {kind}")
-        elif kind is str:
-            _json_field(spec, key, str)
-        elif entries is None:
-            _json_number(val, key, kind, low, strict)
-        else:
-            count = views if entries == "views" else entries
-            if len(_json_field(spec, key, list)) != count:
-                want = (f"test_azimuths_deg has {views}" if entries == "views"
-                        else f"expected {count}")
-                raise ValueError(f"{key}: {len(val)} entries, {want}")
-            for i, v in enumerate(val):
-                _json_number(v, f"{key}[{i}]", kind, low, strict)
+    in) that its row of ``_SPEC_FIELDS`` refuses, or a contrast range whose
+    ends are out of order."""
+    _check_fields(spec, _SPEC_FIELDS, "scene spec")
     for key in ("contrast_a_range", "contrast_b_range"):
         lo, hi = spec[key]
         if lo > hi:
@@ -569,7 +522,7 @@ def build_scene(spec: dict) -> SceneModel:
         surface = HeightfieldSurface(coefs, spec["extent"])
     else:
         raise ValueError(f"unknown surface kind {spec['kind']!r}")
-    return SceneModel(surface, tex, spec["texels_per_meter"], Pose.identity())
+    return SceneModel(surface, tex, spec["texels_per_meter"])
 
 
 def _spherical_eye(distance: float, azimuth: float, elevation: float) -> np.ndarray:

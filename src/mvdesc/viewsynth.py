@@ -77,15 +77,15 @@ class LocalSurface:
     """Patch-sized surface reconstruction in the source camera's frame.
 
     ``points[r, c]`` is the 3-D point under lattice pixel (r, c); the lattice
-    is the patch-extraction grid at ``anchor_xy`` (level coordinates) on
-    pyramid level ``level``. Normals point toward the camera (negative z).
+    is the patch-extraction grid on pyramid level ``level`` centred on the
+    pixel whose ray holds ``anchor``. Normals point toward the camera
+    (negative z).
     """
 
     points: np.ndarray
     normals: np.ndarray
     mean_normal: np.ndarray
     anchor: np.ndarray
-    anchor_xy: np.ndarray
     level: int
     camera: PinholeCamera
     patch_size: int
@@ -141,8 +141,7 @@ def lift_surfaces(depth: np.ndarray, camera: PinholeCamera, anchors,
         mean_normal = normals[j].reshape(-1, 3).mean(axis=0)
         mean_normal /= np.linalg.norm(mean_normal)
         surfaces[i] = LocalSurface(points[j], normals[j], mean_normal, anchor[j],
-                                   anchors[i].copy(), int(levels[i]),
-                                   camera, patch_size)
+                                   int(levels[i]), camera, patch_size)
     return surfaces
 
 

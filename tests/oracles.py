@@ -157,8 +157,8 @@ def from_frame(depth: np.ndarray, camera, anchor_xy, patch_size: int,
     normals = _lattice_normals(points)
     mean_normal = normals.reshape(-1, 3).mean(axis=0)
     mean_normal /= np.linalg.norm(mean_normal)
-    return LocalSurface(points, normals, mean_normal, anchor,
-                        np.array([ax, ay]), level, camera, patch_size)
+    return LocalSurface(points, normals, mean_normal, anchor, level, camera,
+                        patch_size)
 
 
 def view_visible(surface: LocalSurface, rotation: np.ndarray,

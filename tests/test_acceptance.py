@@ -100,18 +100,17 @@ def test_criterion_4_complexity(full_bench, acceptance_log):
 # 5: oracle equivalence
 
 
-def _density_oracle(grad, params, centers, origin=(0, 0)):
-    """Brute-force density: explicit sum over pixels, bins vectorized."""
+def _density_oracle(grad, params, centers):
+    """Brute-force density of a patch-sized gradient: explicit sum over
+    pixels, bins vectorized."""
     bins = params.bins
     bc = (np.arange(bins) + 0.5) * (2.0 * math.pi / bins)
-    h, w = grad.shape
     p = params.patch_size
-    ox, oy = int(origin[0]), int(origin[1])
     out = np.zeros((len(centers), bins))
     for ci, (cx, cy) in enumerate(centers):
         acc = np.zeros(bins)
-        for y in range(max(oy, 0), min(oy + p, h)):
-            for x in range(max(ox, 0), min(ox + p, w)):
+        for y in range(p):
+            for x in range(p):
                 r2 = (x - cx) ** 2 + (y - cy) ** 2
                 if r2 > (3.0 * params.sigma) ** 2:
                     continue

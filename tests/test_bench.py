@@ -1,6 +1,8 @@
 """Benchmark statistics, storage/timing studies, and config plumbing."""
 
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
                         patch_densities, sample_descriptor)
 from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.image import build_pyramid
-from mvdesc.scene import default_scene_spec
+from mvdesc.scene import _SPEC_FIELDS, _check_spec, default_scene_spec
 from mvdesc.tracking import Track
 from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
                               select_keyframes, synthesize_views)
@@ -312,6 +314,85 @@ class TestConfig:
     def test_scene_entries_are_complete(self):
         for sc in default_benchmark_config()["scenes"]:
             assert {"name", "kind", "seed"} <= set(sc)
+
+
+def _table_rows(table: dict, where: tuple = ()) -> list:
+    """(keys, row) of every row of a field table, nested tables walked."""
+    rows = []
+    for key, row in table.items():
+        if isinstance(row, dict):
+            rows += _table_rows(row, where + (key,))
+        else:
+            rows.append((where + (key,), row))
+    return rows
+
+
+def _spec_with(keys, value):
+    return {**default_scene_spec(), keys[0]: value}
+
+
+def _config_with(keys, value):
+    for key in reversed(keys):
+        value = {key: value}
+    return _merge_config(value)
+
+
+TABLES = [("spec", _SPEC_FIELDS, _spec_with, _check_spec),
+          ("config", bench._CONFIG_FIELDS, _config_with, bench._check_config)]
+ROWS = [(name, keys, row, build, check) for name, table, build, check in TABLES
+        for keys, row in _table_rows(table)]
+
+
+def _rows_where(keep):
+    rows = [r for r in ROWS if keep(r[2])]
+    return pytest.mark.parametrize("keys, row, build, check",
+                                   [r[1:] for r in rows],
+                                   ids=[f"{r[0]}:{'.'.join(r[1])}" for r in rows])
+
+
+def _refused(keys, row, build, check, bad):
+    """Put ``bad`` in the field (its first entry, for a list) and expect a
+    ValueError naming the field."""
+    default, _, entries, _, _ = row
+    path = ".".join(keys)
+    if entries is None:
+        value = bad
+    else:
+        value, path = [bad] + default[1:], f"{path}[0]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: "):
+        check(build(keys, value))
+
+
+class TestFieldTables:
+    @_rows_where(lambda row: row[1] in (int, float) and row[3] is not None)
+    def test_a_value_past_the_bound_is_refused(self, keys, row, build, check):
+        _, _, _, low, strict = row
+        _refused(keys, row, build, check, low if strict else low - 1)
+
+    @_rows_where(lambda row: row[1] in (int, float) or isinstance(row[1], tuple))
+    def test_a_value_of_the_wrong_kind_is_refused(self, keys, row, build,
+                                                  check):
+        _refused(keys, row, build, check, "x")
+
+    @pytest.mark.parametrize("default", [default_scene_spec,
+                                         default_benchmark_config])
+    def test_defaults_are_fresh_copies(self, default):
+        def mutate(val):
+            for v in val.values() if isinstance(val, dict) else val:
+                if isinstance(v, (dict, list)):
+                    mutate(v)
+            if isinstance(val, dict):
+                val["added"] = 1
+            else:
+                val.append(1)
+
+        before = copy.deepcopy(default())
+        mutate(default())
+        assert default() == before
+
+    def test_defaults_pass_their_own_check(self):
+        _check_spec(default_scene_spec())
+        bench._check_config(default_benchmark_config())
 
 
 class TestSceneRun:

@@ -462,12 +462,12 @@ class TestInputErrors:
          "memory_lengths[0]: 5 is past the 4 frames of scenes[0]"),
         ({"memory_lengths": []}, "memory_lengths: empty"),
         ({"memory_lengths": [0, 2]},
-         "memory_lengths[0]: 0, expected an integer of at least 1"),
+         "memory_lengths[0]: 0, expected at least 1"),
         ({"timing_lengths": [1, 2.5]},
-         "timing_lengths[1]: 2.5, expected an integer of at least 1"),
+         "timing_lengths[1]: 2.5, expected an integer"),
         ({"timing_lengths": "4"}, "timing_lengths: expected list, got str"),
         ({"timing_reps": 0}, "timing_reps: 0, expected at least 1"),
-        ({"timing_reps": 2.5}, "timing_reps: expected int, got float"),
+        ({"timing_reps": 2.5}, "timing_reps: 2.5, expected an integer"),
         ({"memory_lengths": [4, 4]},
          "memory_lengths: [4, 4], expected at least two distinct values"),
         ({"rhog": {"n_azimuth": 0}}, "rhog.n_azimuth: 0, expected at least 1"),
@@ -476,7 +476,7 @@ class TestInputErrors:
         ({"excitation": {"trials": 0, "patch_size": 11}},
          "excitation.trials: 0, expected at least 1"),
         ({"excitation": {"ks": [2, 0], "patch_size": 11}},
-         "excitation.ks[1]: 0, expected an integer of at least 1"),
+         "excitation.ks[1]: 0, expected at least 1"),
         ({"excitation": {"ks": [5, 5], "patch_size": 11}},
          "excitation.ks: [5, 5], expected at least two distinct values"),
         ({"timing_lengths": [5, 5]},

@@ -105,7 +105,7 @@ def texture_lookups(draw):
                       st.floats(-1e6, 1e6))
     xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1,
                                 max_size=24)))
-    return SceneModel(PlaneSurface(), tex, tpm, Pose.identity()), xy
+    return SceneModel(PlaneSurface(), tex, tpm), xy
 
 
 @st.composite
@@ -143,7 +143,7 @@ class TestKernelOracles:
 
     def test_coordinate_rounded_up_to_the_side_reads_column_zero(self):
         tex = np.random.default_rng(70).random((8, 8))
-        model = SceneModel(PlaneSurface(), tex, 1.0, Pose.identity())
+        model = SceneModel(PlaneSurface(), tex, 1.0)
         assert np.mod(-1e-17, 8) == 8.0  # the case the padded column serves
         x = np.array([-1e-17, 0.0, 3.25])
         y = np.array([2.5, -1e-17, -1e-17])
@@ -353,7 +353,7 @@ class TestCorrespondenceStatuses:
         coefs[4:6, 4:6] = 0.5
         surf = HeightfieldSurface(coefs, 2.0)
         tex = make_texture(np.random.default_rng(75), 128, 3)
-        sc = scene.SceneModel(surf, tex, 96.0, Pose.identity())
+        sc = scene.SceneModel(surf, tex, 96.0)
         cam = PinholeCamera(170.0, 79.5, 59.5, 160, 120)
         top = render_view(sc, cam, self_pose_overhead())
         low = render_view(sc, cam,

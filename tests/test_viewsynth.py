@@ -250,8 +250,7 @@ class TestSynthesis:
         pts = np.stack([dx, dy, np.full_like(dx, 0.05)], axis=-1)
         normals = np.tile([0.0, 0.0, -1.0], (5, 5, 1))
         surf = LocalSurface(pts, normals, np.array([0.0, 0.0, -1.0]),
-                            np.array([0.0, 0.0, 0.05]),
-                            np.array([79.5, 59.5]), 0, self.cam, 5)
+                            np.array([0.0, 0.0, 0.05]), 0, self.cam, 5)
         with pytest.raises(ReprojectionOutOfBounds):
             synthesize_patch(surf, self.image,
                              axis_angle_rotation([1.0, 0.0, 0.0],
@@ -301,8 +300,7 @@ def plane_surface(cam, anchor_xy, patch, depth, normal, level=0):
         level_to_base(np.asarray(anchor_xy, dtype=np.float64), level))
     points = (anchor @ normal / (rays @ normal))[..., None] * rays
     return LocalSurface(points, np.broadcast_to(normal, points.shape).copy(),
-                        normal, anchor, np.asarray(anchor_xy, dtype=np.float64),
-                        level, cam, patch)
+                        normal, anchor, level, cam, patch)
 
 
 def assert_patch_matches_oracle(surface, image, rotation):
