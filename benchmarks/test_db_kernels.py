@@ -35,9 +35,9 @@ def rhog_rows():
 
 
 def build(rows):
-    db = DescriptorDatabase("rhog", PARAMS, "l2")
+    db = DescriptorDatabase("rhog", PARAMS)
     for s in range(0, ROWS, VIEWS):
-        db.extend(s // 80, rows[s:s + VIEWS], (s % 80) + np.arange(VIEWS))
+        db.extend(s // 80, rows[s:s + VIEWS])
     db.matrix  # joins the blocks
     return db
 
@@ -65,7 +65,7 @@ def test_extend(benchmark, rhog_rows):
                             iterations=1, warmup_rounds=1)
     report(benchmark, "extend", peak)
     assert db.matrix.shape == (ROWS, 256)
-    assert db.groups[-1] == 79
+    assert db.track_ids[-1] == ROWS // 80 - 1
 
 
 def test_save(benchmark, rhog_rows, tmp_path):
@@ -75,7 +75,7 @@ def test_save(benchmark, rhog_rows, tmp_path):
     benchmark.pedantic(db.save, args=(path,), rounds=5, iterations=1,
                        warmup_rounds=1)
     report(benchmark, "save", peak)
-    assert path.stat().st_size == 22 + ROWS * (4 + 2 + 4 * 256)
+    assert path.stat().st_size == 21 + ROWS * (4 + 4 * 256)
 
 
 def test_load(benchmark, rhog_rows, tmp_path):

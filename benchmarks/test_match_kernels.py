@@ -41,17 +41,17 @@ def rhog_rows():
 @pytest.mark.parametrize("metric", ["l2", "chi2"])
 def test_match_all(benchmark, rhog_rows, metric):
     rows, queries = rhog_rows
-    db = DescriptorDatabase("rhog", PARAMS, metric)
-    db.extend(np.arange(ROWS) // 80, rows, np.arange(ROWS) % 80)
+    db = DescriptorDatabase("rhog", PARAMS)
+    db.extend(np.arange(ROWS) // 80, rows)
 
     tracemalloc.start()
-    match_all(db, queries)
+    match_all(db, queries, metric)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     benchmark.extra_info["peak_mib"] = peak / 2 ** 20
     print(f"\n{metric}: {QUERIES} queries x {ROWS} rows x {rows.shape[1]}, "
           f"peak {peak / 2 ** 20:.1f} MiB")
 
-    ids, _ = benchmark.pedantic(match_all, args=(db, queries), rounds=3,
+    ids, _ = benchmark.pedantic(match_all, args=(db, queries, metric), rounds=3,
                                 iterations=1, warmup_rounds=0)
     assert ids.shape == (QUERIES,)

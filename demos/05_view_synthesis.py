@@ -49,7 +49,7 @@ def main():
     query_patch = synthesize_patch(surf, frame.image, rot_z(0.4))
     q = sample_descriptor(
         normalize_density(patch_density(query_patch, params)), "rhog")
-    _, best = match_all(stored, q.values)
+    _, best = match_all(stored, q.values, "l2")
     single = distance(marginal, q, "l2")
     print(f"query l2 distance: best stored view {best[0]:.5f}, "
           f"marginal descriptor {single:.5f}")

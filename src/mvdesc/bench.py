@@ -135,7 +135,7 @@ def _check_config(cfg: dict) -> None:
     the run cannot use, before anything is rendered: its row of
     ``_CONFIG_FIELDS`` refuses it, or it breaks a rule relating two fields.
     Tracker fields are those of :class:`TrackerConfig`, which checks their
-    values."""
+    kinds and values."""
     _check_fields(cfg, _CONFIG_FIELDS, "benchmark config")
     known = [f.name for f in dataclasses.fields(TrackerConfig)]
     for key in _json_field(cfg, "tracker", dict):
@@ -143,7 +143,7 @@ def _check_config(cfg: dict) -> None:
             raise ValueError(f"tracker.{key}: not a tracker field")
     try:
         TrackerConfig(**cfg["tracker"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"tracker: {exc}") from None
     sizes, exc_size = cfg["patch_sizes"], cfg["excitation"]["patch_size"]
     if exc_size not in sizes:
@@ -208,21 +208,19 @@ def spearman(x, y) -> float:
 # database builders: one per method, shared by the benchmark and the CLI
 
 
-def sv(track_ids, grids, params: DescriptorParams,
-       metric: str = "l2") -> DescriptorDatabase:
+def sv(track_ids, grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track from an (n, cells, cells, bins) stack of
     unnormalized densities, one per track (the caller picks the frame)."""
-    db = DescriptorDatabase("sv", params, metric)
+    db = DescriptorDatabase("sv", params)
     db.extend(track_ids, _normalized_rows(grids, params))
     return db
 
 
-def mv(track_ids, track_grids, params: DescriptorParams,
-       metric: str = "l2") -> DescriptorDatabase:
+def mv(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track: the normalized mean of its (frames, cells, cells,
     bins) density stack. ``mean(axis=0)`` adds the frames in order and then
     divides by their count, as :class:`MultiViewAccumulator` does."""
-    db = DescriptorDatabase("mv", params, metric)
+    db = DescriptorDatabase("mv", params)
     means = []
     for tid, grids in zip(track_ids, track_grids):
         if not len(grids):
@@ -232,36 +230,32 @@ def mv(track_ids, track_grids, params: DescriptorParams,
     return db
 
 
-def keepall(track_ids, track_grids, params: DescriptorParams,
-            metric: str = "l2") -> DescriptorDatabase:
+def keepall(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per frame of every track's (frames, cells, cells, bins)
-    density stack, grouped by frame index."""
-    db = DescriptorDatabase("keepall", params, metric)
+    density stack, in frame order."""
+    db = DescriptorDatabase("keepall", params)
     for tid, grids in zip(track_ids, track_grids):
-        db.extend(tid, _normalized_rows(grids, params), np.arange(len(grids)))
+        db.extend(tid, _normalized_rows(grids, params))
     return db
 
 
 def rhog(track_ids, track_views, params: DescriptorParams, rotations,
-         min_facing: float = MIN_FACING, metric: str = "l2") -> DescriptorDatabase:
+         min_facing: float = MIN_FACING) -> DescriptorDatabase:
     """One row per synthesized view of every track, for max-out matching.
 
     ``track_views`` holds, per track, ``(surface, level_image)`` pairs: a
     lifted keyframe surface and the pyramid level image it reprojects into.
     A keyframe none of whose views is accepted contributes no rows.
     """
-    db = DescriptorDatabase("rhog", params, metric)
+    db = DescriptorDatabase("rhog", params)
     for tid, views in zip(track_ids, track_views):
-        g = 0
         for surface, level_image in views:
             try:
                 patches, _ = synthesize_views(surface, level_image, rotations,
                                               min_facing)
             except ValueError:
                 continue
-            rows = view_descriptors(patches, params)
-            db.extend(tid, rows, g + np.arange(len(rows)))
-            g += len(rows)
+            db.extend(tid, view_descriptors(patches, params))
     return db
 
 
@@ -512,11 +506,10 @@ class _SceneRun:
                 "values": _normalized_rows(grids, params)}
 
 
-def _rate(db: DescriptorDatabase, queries: dict):
-    """(recognition rate, query count) of ``db`` on a prepared query set."""
-    if queries["values"].shape[0] == 0:
-        return 0.0, 0
-    pred, _ = match_all(db, queries["values"])
+def _rate(db: DescriptorDatabase, queries: dict, metric: str):
+    """(recognition rate, query count) of ``db`` under ``metric`` on a
+    prepared query set."""
+    pred, _ = match_all(db, queries["values"], metric)
     return float(np.mean(pred == queries["track_ids"])), len(pred)
 
 
@@ -554,6 +547,10 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 raise ValueError(f"scene {run.name}, patch size {size}: no "
                                  f"track has full patch support in every "
                                  f"frame and a liftable keyframe")
+            if not len(prep["queries"]["track_ids"]):
+                raise ValueError(f"scene {run.name}, patch size {size}: no "
+                                 f"track lands visible, with full patch "
+                                 f"support, in any test view")
             preps[(run.name, size)] = prep
             n_tracks[f"{run.name}/{size}"] = len(prep["track_ids"])
             ids, dens, params = prep["track_ids"], prep["densities"], prep["params"]
@@ -565,16 +562,16 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 rng = np.random.default_rng(np.random.SeedSequence(
                     (cfg["seed"], hash_name(run.name), size, 11, trial)))
                 picks = [d[int(rng.integers(0, len(d)))] for d in dens]
-                sv_rates.append(_rate(sv(ids, picks, params, cfg["metric"]),
-                                      queries)[0])
+                sv_rates.append(_rate(sv(ids, picks, params), queries,
+                                      metrics["sv"])[0])
             rhog_db = rhog(ids, prep["views"], params, prep["rotations"],
-                           cfg["rhog"]["min_facing"], metrics["rhog"])
+                           cfg["rhog"]["min_facing"])
             scene_rates = {
                 "sv": float(np.mean(sv_rates)),
-                "mv": _rate(mv(ids, dens, params, cfg["metric"]), queries)[0],
-                "keepall": _rate(keepall(ids, dens, params, cfg["metric"]),
-                                 queries)[0],
-                "rhog": _rate(rhog_db, queries)[0],
+                "mv": _rate(mv(ids, dens, params), queries, metrics["mv"])[0],
+                "keepall": _rate(keepall(ids, dens, params), queries,
+                                 metrics["keepall"])[0],
+                "rhog": _rate(rhog_db, queries, metrics["rhog"])[0],
             }
             for m in METHODS:
                 rows.append((run.name, m, size, metrics[m], scene_rates[m]))
@@ -582,8 +579,7 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 bucket["correct"] += scene_rates[m] * len(truth)
                 bucket["n"] += len(truth)
 
-    pooled_rates = {m: {str(s): (b["correct"] / b["n"] if b["n"] else 0.0)
-                        for s, b in per.items()}
+    pooled_rates = {m: {str(s): b["correct"] / b["n"] for s, b in per.items()}
                     for m, per in pooled.items()}
     for m in METHODS:
         for s, r in pooled_rates[m].items():
@@ -611,8 +607,8 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 start = int(rng.integers(0, run.n_frames))
                 subset = (start + np.arange(n)) % run.n_frames
                 db = mv(prep["track_ids"], prep["densities"][:, subset],
-                        prep["params"], cfg["metric"])
-                r, nq = _rate(db, prep["queries"])
+                        prep["params"])
+                r, nq = _rate(db, prep["queries"], metrics["mv"])
                 correct += r * nq
                 total += nq
                 exc_vals += [excitation_score(pats[subset], scatter) for pats, scatter
@@ -621,7 +617,7 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                 "k": int(k),
                 "trial": trial,
                 "excitation": float(np.mean(exc_vals)),
-                "rate": (correct / total) if total else 0.0,
+                "rate": correct / total,
             })
     ks = sorted({p["k"] for p in exc_points})
     mean_exc = [float(np.mean([p["excitation"] for p in exc_points if p["k"] == k]))
@@ -654,7 +650,7 @@ def run_benchmark(config: dict = None, out_dir="bench_out") -> dict:
                ["scene", "method", "patch_size", "metric", "rate"],
                [(s, m, p, met, f"{r:.6f}") for (s, m, p, met, r) in rows])
     (out / "report.json").write_text(
-        json.dumps(_jsonable(report), sort_keys=True, indent=1) + "\n")
+        json.dumps(report, sort_keys=True, indent=1) + "\n")
     _write_csv(out / "excitation.csv", ["k", "trial", "excitation", "rate"],
                [(p["k"], p["trial"], f"{p['excitation']:.8f}", f"{p['rate']:.6f}")
                 for p in exc_points])
@@ -673,20 +669,6 @@ def hash_name(name: str) -> int:
     for ch in name:
         h = (h * 131 + ord(ch)) % 1000003
     return h
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _write_csv(path: Path, header, rows) -> None:

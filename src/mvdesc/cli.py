@@ -114,11 +114,11 @@ def _cmd_describe(args) -> int:
                              f"the shortest stored track ({shortest} frames)")
         picks = [patch_density(tr.patches[args.frame], params).grid
                  for tr in tracks]
-        db = bench.sv(ids, picks, params, args.metric)
+        db = bench.sv(ids, picks, params)
     elif args.method in ("mv", "keepall"):
         build = bench.mv if args.method == "mv" else bench.keepall
         db = build(ids, [patch_densities(tr.patches, params) for tr in tracks],
-                   params, args.metric)
+                   params)
     else:
         levels = _stored_depth(Path(args.tracks) / "tracks.json", meta, loaded)
         ds = load_dataset(args.dataset)
@@ -126,8 +126,7 @@ def _cmd_describe(args) -> int:
                 for k in select_keyframes(tr.length, args.keyframes).tolist()}
         pyrs = {k: image.build_pyramid(ds.frames[k].image, levels) for k in keys}
         views = bench.lift_keyframes(ds, pyrs, tracks, args.keyframes, patch_size)
-        db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING,
-                        args.metric)
+        db = bench.rhog(ids, views, params, sample_rotations(), MIN_FACING)
     if not len(db):
         raise ValueError(f"no {args.method} descriptor was built; {args.out} "
                          f"not written")
@@ -240,13 +239,12 @@ def main(argv=None) -> int:
     d.add_argument("--keyframes", type=int, default=10, help="keyframes for rhog")
     d.add_argument("--dataset", help="dataset dir (rhog needs depth maps)")
     d.add_argument("--patch-size", type=int)
-    d.add_argument("--metric", default="l2", choices=list(METRICS))
     d.set_defaults(func=_cmd_describe)
 
     m = sub.add_parser("match", help="query one database against another")
     m.add_argument("--db", required=True)
     m.add_argument("--queries", required=True)
-    m.add_argument("--metric", choices=list(METRICS))
+    m.add_argument("--metric", default="l2", choices=list(METRICS))
     m.add_argument("--out", help="write CSV here instead of stdout")
     m.set_defaults(func=_cmd_match)
 

@@ -1,8 +1,8 @@
 """Descriptor comparison metrics, nearest-neighbor queries, and a database.
 
 A database row is one stored descriptor owned by a track; a track may own
-several rows (per-frame or per-synthesized-view storage), distinguished by a
-group index. Queries score a track by the best row it owns, so growing a
+several rows (per-frame or per-synthesized-view storage). Queries name
+their metric and score a track by the best row it owns, so growing a
 track's row set can only help it.
 """
 
@@ -188,45 +188,34 @@ def distance(a, b, metric: str, bins: int = None) -> float:
 # database
 
 _DB_MAGIC = b"MVDESCDB"
-_DB_VERSION = 4
-# magic, version, then the codes of method and metric (their index in
-# METHODS and METRICS), bins, cells, patch, rows
-_DB_HEADER = struct.Struct("<8sHBBHHHI")
-
-
-def _decode(table: tuple, code: int, field: str):
-    """Look up a stored enum code, naming ``field`` if it is unknown."""
-    if code >= len(table):
-        raise ValueError(f"{field}: unknown code {code}")
-    return table[code]
+_DB_VERSION = 5
+# magic, version, the method code (its index in METHODS), bins, cells,
+# patch, rows
+_DB_HEADER = struct.Struct("<8sHBHHHI")
 
 
 class DescriptorDatabase:
-    """Stored descriptors keyed by track, with a default query metric.
+    """Stored descriptors keyed by track.
 
-    The rows form one float64 ``matrix``; ``track_ids`` and ``groups`` are
-    int64 arrays with one entry per row.
+    The rows form one float64 ``matrix``; ``track_ids`` is an int64 array
+    with one entry per row.
     """
 
-    def __init__(self, method: str, params: DescriptorParams, metric: str = "l2"):
+    def __init__(self, method: str, params: DescriptorParams):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
         self.method = method
         self.params = params
-        self.metric = metric
         d = params.cells ** 2 * params.bins
-        # (track ids, groups, rows) per extend call, joined on first use
-        self._blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                         np.zeros((0, d)))]
+        # (track ids, rows) per extend call, joined on first use
+        self._blocks = [(np.zeros(0, np.int64), np.zeros((0, d)))]
 
     def __len__(self) -> int:
-        return sum(len(ids) for ids, _, _ in self._blocks)
+        return sum(len(ids) for ids, _ in self._blocks)
 
-    def extend(self, track_ids, values, groups=0) -> None:
+    def extend(self, track_ids, values) -> None:
         """Append an (n, cells**2 * bins) block of rows, validated once;
-        ``track_ids`` and ``groups`` broadcast to n."""
+        ``track_ids`` broadcasts to n."""
         d = self.params.cells ** 2 * self.params.bins
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != d:
@@ -235,17 +224,15 @@ class DescriptorDatabase:
         if bad.any():
             raise ValueError(f"descriptor values: row {int(bad.argmax())} "
                              f"is not finite")
-        n = values.shape[0]
-        self._blocks.append((
-            np.broadcast_to(np.asarray(track_ids, dtype=np.int64), (n,)),
-            np.broadcast_to(np.asarray(groups, dtype=np.int64), (n,)), values))
+        self._blocks.append((np.broadcast_to(
+            np.asarray(track_ids, dtype=np.int64), (values.shape[0],)), values))
 
-    def add(self, track_id: int, vec: DescriptorVector, group: int = 0) -> None:
+    def add(self, track_id: int, vec: DescriptorVector) -> None:
         if vec.method != self.method:
             raise ValueError(f"cannot add {vec.method!r} descriptor to {self.method!r} database")
         if vec.params != self.params:
             raise ValueError("descriptor params do not match database")
-        self.extend(track_id, vec.values[None], group)
+        self.extend(track_id, vec.values[None])
 
     def _columns(self) -> tuple:
         if len(self._blocks) > 1:
@@ -253,14 +240,13 @@ class DescriptorDatabase:
         return self._blocks[0]
 
     track_ids = property(lambda self: self._columns()[0])
-    groups = property(lambda self: self._columns()[1])
 
     @property
     def matrix(self) -> np.ndarray:
         """(n_rows, descriptor_length) matrix of stored values."""
         if not len(self):
             raise ValueError("database is empty")
-        return self._columns()[2]
+        return self._columns()[1]
 
     @property
     def memory_bytes(self) -> int:
@@ -268,25 +254,22 @@ class DescriptorDatabase:
         return 4 * self.params.cells ** 2 * self.params.bins * len(self)
 
     def save(self, path) -> None:
-        """Write the database (format version 4). Raises ValueError, naming
-        the row, for a track id beyond int32, a group beyond uint16 or a
-        value beyond float32, and writes nothing then."""
+        """Write the database (format version 5). Raises ValueError, naming
+        the row, for a track id beyond int32 or a value beyond float32, and
+        writes nothing then."""
         p = self.params
-        ids, groups = self.track_ids, self.groups
+        ids = self.track_ids
         with np.errstate(over="ignore"):
             values = self.matrix.astype("<f4")
         for bad, what in (((ids < -2 ** 31) | (ids >= 2 ** 31), "track id beyond int32"),
-                          ((groups < 0) | (groups >= 2 ** 16), "group beyond uint16"),
                           (~np.isfinite(values).all(axis=1),
                            "descriptor values beyond float32")):
             if bad.any():
                 raise ValueError(f"row {int(bad.argmax())}: {what}")
-        head = _DB_HEADER.pack(
-            _DB_MAGIC, _DB_VERSION, METHODS.index(self.method),
-            METRICS.index(self.metric), p.bins, p.cells, p.patch_size,
-            len(ids))
+        head = _DB_HEADER.pack(_DB_MAGIC, _DB_VERSION, METHODS.index(self.method),
+                               p.bins, p.cells, p.patch_size, len(ids))
         with open(path, "wb") as fh:
-            for part in (head, ids.astype("<i4"), groups.astype("<u2"), values):
+            for part in (head, ids.astype("<i4"), values):
                 fh.write(part)
 
     @classmethod
@@ -301,15 +284,15 @@ class DescriptorDatabase:
     @classmethod
     def _parse(cls, buf: bytes) -> "DescriptorDatabase":
         _need(buf, 0, _DB_HEADER.size, "database header")
-        magic, ver, mcode, metcode, bins, cells, patch, count = \
+        magic, ver, mcode, bins, cells, patch, count = \
             _DB_HEADER.unpack_from(buf, 0)
         if magic != _DB_MAGIC:
             raise ValueError("database header: not a descriptor database file")
         if ver != _DB_VERSION:
             raise ValueError(f"database header: version {ver}, expected "
                              f"{_DB_VERSION}; rebuild it with `mvdesc describe`")
-        method = _decode(METHODS, mcode, "database method")
-        metric = _decode(METRICS, metcode, "database metric")
+        if mcode >= len(METHODS):
+            raise ValueError(f"database method: unknown code {mcode}")
         try:
             params = DescriptorParams(patch, bins, cells)
         except ValueError as exc:
@@ -318,7 +301,6 @@ class DescriptorDatabase:
             raise ValueError("database header: holds no descriptors")
         offset, arrays = _DB_HEADER.size, []
         for field, dtype, n in (("track ids", "<i4", count),
-                                ("groups", "<u2", count),
                                 ("descriptor values", "<f4",
                                  count * cells * cells * bins)):
             _need(buf, offset, np.dtype(dtype).itemsize * n, field)
@@ -327,9 +309,9 @@ class DescriptorDatabase:
         if offset != len(buf):
             raise ValueError(f"{len(buf) - offset} trailing bytes after the "
                              f"descriptor values")
-        ids, groups, values = arrays
-        db = cls(method, params, metric)
-        db.extend(ids, values.astype(np.float64).reshape(count, -1), groups)
+        ids, values = arrays
+        db = cls(METHODS[mcode], params)
+        db.extend(ids, values.astype(np.float64).reshape(count, -1))
         return db
 
 
@@ -345,18 +327,17 @@ def _best_rows(dists: np.ndarray, track_ids: np.ndarray) -> np.ndarray:
     return order[tied[:, order].argmax(axis=1)]
 
 
-def nn_query(db: DescriptorDatabase, query, metric: str = None):
-    """Exact nearest-neighbor lookup; returns (track_id, distance)."""
+def nn_query(db: DescriptorDatabase, query, metric: str):
+    """Exact nearest-neighbor lookup under ``metric``; returns (track_id,
+    distance)."""
     values = query.values if isinstance(query, DescriptorVector) else query
     ids, dists = match_all(db, values, metric)
     return int(ids[0]), float(dists[0])
 
 
-def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str = None):
+def match_all(db: DescriptorDatabase, queries: np.ndarray, metric: str):
     """Batch form of :func:`nn_query`; returns (track_ids, distances)."""
-    metric = db.metric if metric is None else metric
     q = np.atleast_2d(queries)
     dists = pairwise_distances(q, db.matrix, metric, db.params.bins)
     best = _best_rows(dists, db.track_ids)
     return db.track_ids[best], dists[np.arange(q.shape[0]), best]
-

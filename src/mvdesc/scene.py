@@ -467,7 +467,7 @@ _SPEC_FIELDS = {
     "orbit_elevation_amp_deg": (3.0, float, None, None, False),
     "orbit_distance_amp": (0.08, float, None, None, False),
     "test_azimuths_deg": ([0.0, 20.0, -20.0, 35.0, -35.0, 10.0], float,
-                          "test_azimuths_deg", None, False),
+                          0, None, False),
     "test_elevations_deg": ([46.0, 44.0, 46.5, 45.0, 44.5, 46.0], float,
                             "test_azimuths_deg", None, False),
     "test_distance_scale": ([1.0, 1.05, 0.95, 1.1, 1.0, 1.05], float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,21 @@ class TrackerConfig:
     min_border: int = 13
 
     def __post_init__(self):
+        # a benchmark config passes its JSON values straight in, so the kind
+        # each field declares is checked first (annotations are strings here)
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "int" and (isinstance(val, bool) or not isinstance(val, int)):
+                raise ValueError(f"{f.name} must be an integer, got {val!r}")
+            if f.type == "float" and not _finite_number(val):
+                raise ValueError(f"{f.name} must be a finite number, got {val!r}")
+        lo_hi = self.threshold_range
+        if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+                and all(map(_finite_number, lo_hi)) and lo_hi[0] < lo_hi[1]):
+            raise ValueError(f"threshold_range must be two finite numbers in "
+                             f"increasing order, got {lo_hi!r}")
+        if not 0 <= self.count_tol < 1:
+            raise ValueError(f"count_tol must be in [0, 1), got {self.count_tol}")
         if self.window % 2 == 0 or self.window < 5:
             raise ValueError("tracking window must be odd and at least 5")
         if not 1 <= self.levels <= MAX_PYRAMID_LEVELS:
@@ -68,11 +83,16 @@ class TrackerConfig:
         for name in ("n_features", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.reject_thresh) and self.reject_thresh > 0):
+        if not self.reject_thresh > 0:
             raise ValueError(f"reject_thresh must be a finite number above 0, "
                              f"got {self.reject_thresh}")
         if self.min_border < 0:
             raise ValueError(f"min_border must not be negative, got {self.min_border}")
+
+
+def _finite_number(val) -> bool:
+    return not isinstance(val, bool) and isinstance(val, (int, float)) \
+        and math.isfinite(val)
 
 
 @dataclass

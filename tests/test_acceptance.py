@@ -196,12 +196,12 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
         rows = _cell_distributions(rng, n, cells, bins)
         metric = METRICS[trial % len(METRICS)]
 
-        db = DescriptorDatabase("sv", params, metric)
-        for g, (tid, row) in enumerate(zip(ids, rows)):
-            db.add(int(tid), DescriptorVector(row, "sv", params), group=g)
+        db = DescriptorDatabase("sv", params)
+        for tid, row in zip(ids, rows):
+            db.add(int(tid), DescriptorVector(row, "sv", params))
         query = _cell_distributions(rng, 1, cells, bins)[0]
 
-        got_id, got_dist = nn_query(db, query)
+        got_id, got_dist = nn_query(db, query, metric)
         dists = [_metric_oracle(query, row, metric, bins) for row in rows]
         want_dist, want_id = min(zip(dists, (int(t) for t in ids)))
         ids_ok &= (got_id == want_id)

@@ -76,7 +76,7 @@ def accumulated(track_grids, params):
 
 
 class TestBuildersEqualThePerRowPath:
-    """Each builder's rows, track ids and groups equal, byte for byte, what
+    """Each builder's rows and track ids equal, byte for byte, what
     one ``sample_descriptor(normalize_density(d))`` per row (or
     ``MultiViewAccumulator.finalize`` per track) gives."""
 
@@ -90,24 +90,21 @@ class TestBuildersEqualThePerRowPath:
         return tracks
 
     @staticmethod
-    def assert_rows(db, method, rows, ids, groups):
+    def assert_rows(db, method, rows, ids):
         assert db.method == method
         assert db.matrix.dtype == np.float64
         assert db.matrix.tobytes() == np.array(rows).tobytes()
         assert db.track_ids.tolist() == ids
-        assert db.groups.tolist() == groups
 
     def test_sv(self):
         picks = self.tracks()[np.arange(4), np.arange(4)]
-        db = bench.sv(self.ids, picks, self.params, "chi2")
-        assert db.metric == "chi2"
-        self.assert_rows(db, "sv", [per_row(g, self.params, "sv") for g in picks],
-                         self.ids, [0] * 4)
+        self.assert_rows(bench.sv(self.ids, picks, self.params), "sv",
+                         [per_row(g, self.params, "sv") for g in picks], self.ids)
 
     def test_mv(self):
         tracks = self.tracks()
         self.assert_rows(bench.mv(self.ids, tracks, self.params), "mv",
-                         accumulated(tracks, self.params), self.ids, [0] * 4)
+                         accumulated(tracks, self.params), self.ids)
 
     @pytest.mark.filterwarnings("error")
     def test_mv_names_a_track_with_no_frames(self):
@@ -121,8 +118,7 @@ class TestBuildersEqualThePerRowPath:
                          "keepall",
                          [per_row(g, self.params, "keepall")
                           for grids in tracks for g in grids],
-                         [t for t in self.ids for _ in range(5)],
-                         list(range(5)) * 4)
+                         [t for t in self.ids for _ in range(5)])
 
     @settings(max_examples=100, deadline=None)
     @given(lengths=st.lists(st.integers(1, 24), min_size=1, max_size=5),
@@ -137,16 +133,14 @@ class TestBuildersEqualThePerRowPath:
                   for n in lengths]
         ids = list(range(len(tracks)))
         self.assert_rows(bench.mv(ids, tracks, self.params), "mv",
-                         accumulated(tracks, self.params), ids, [0] * len(ids))
+                         accumulated(tracks, self.params), ids)
         self.assert_rows(bench.keepall(ids, tracks, self.params), "keepall",
                          [per_row(g, self.params, "keepall")
                           for grids in tracks for g in grids],
-                         [t for t, n in zip(ids, lengths) for _ in range(n)],
-                         [f for n in lengths for f in range(n)])
+                         [t for t, n in zip(ids, lengths) for _ in range(n)])
         picks = np.array([grids[-1] for grids in tracks])
         self.assert_rows(bench.sv(ids, picks, self.params), "sv",
-                         [per_row(g, self.params, "sv") for g in picks],
-                         ids, [0] * len(ids))
+                         [per_row(g, self.params, "sv") for g in picks], ids)
 
     def test_rhog(self, plane_ds):
         frame = plane_ds.frames[0]
@@ -156,16 +150,15 @@ class TestBuildersEqualThePerRowPath:
         views = [[(surfs[0], frame.image), (surfs[1], frame.image)],
                  [(surfs[2], frame.image)]]
         params, rotations = DescriptorParams(11), sample_rotations()
-        rows, ids, groups = [], [], []
+        rows, ids = [], []
         for tid, track in zip([4, 9], views):
             for surf, image in track:
                 for patch in synthesize_views(surf, image, rotations)[0]:
                     rows.append(per_row(patch_density(patch, params).grid,
                                         params, "rhog"))
                     ids.append(tid)
-            groups += list(range(ids.count(tid)))
         db = bench.rhog([4, 9], views, params, rotations)
-        self.assert_rows(db, "rhog", rows, ids, groups)
+        self.assert_rows(db, "rhog", rows, ids)
         assert len(db) > 3 * 10
 
 

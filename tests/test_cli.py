@@ -140,7 +140,6 @@ class TestDescribe:
         assert db.method == "keepall"
         assert len(db) == sum(len(tr.patches) for tr in tracks)
         assert np.array_equal(db.track_ids, want.track_ids)
-        assert np.array_equal(db.groups, want.groups)
         # the file stores float32 values
         assert np.array_equal(db.matrix,
                               want.matrix.astype(np.float32).astype(np.float64))
@@ -491,6 +490,19 @@ class TestInputErrors:
          "rhog.inplane_halfwidth: None, expected a finite number"),
         ({"rhog": {"min_facing": float("inf")}},
          "rhog.min_facing: inf, expected a finite number"),
+        ({"tracker": {"n_features": 250.5}},
+         "tracker: n_features must be an integer, got 250.5"),
+        ({"tracker": {"nms_radius": "x"}},
+         "tracker: nms_radius must be a finite number, got 'x'"),
+        ({"tracker": {"max_iters": True}},
+         "tracker: max_iters must be an integer, got True"),
+        ({"tracker": {"count_tol": -1}},
+         "tracker: count_tol must be in [0, 1), got -1"),
+        ({"tracker": {"count_tol": float("nan")}},
+         "tracker: count_tol must be a finite number, got nan"),
+        ({"tracker": {"threshold_range": [0.5, 0.1]}},
+         "tracker: threshold_range must be two finite numbers in increasing "
+         "order, got [0.5, 0.1]"),
     ], ids=["memory-past-frames", "memory-empty", "memory-zero",
             "timing-fraction", "timing-not-a-list", "timing-reps-zero",
             "timing-reps-fraction", "memory-one-length", "rhog-no-azimuth",
@@ -498,7 +510,9 @@ class TestInputErrors:
             "excitation-one-k", "timing-one-length", "patch-size-two",
             "patch-size-fraction", "unknown-metric", "seed-type",
             "negative-seed", "rhog-tilt-type", "rhog-halfwidth-type",
-            "rhog-facing-inf"])
+            "rhog-facing-inf", "tracker-features-fraction",
+            "tracker-nms-type", "tracker-iters-bool", "tracker-tol-negative",
+            "tracker-tol-nan", "tracker-range-reversed"])
     def test_bench_lengths_the_first_scene_cannot_run(
             self, tmp_path, capsys, monkeypatch, pyramid_builds, config, field):
         # a 4-frame scene under the quick config, refused before rendering
@@ -528,6 +542,27 @@ class TestInputErrors:
                    "--config", str(path)])
         assert rc == 1
         assert "scene tiny, patch size 119: no track" in capsys.readouterr().err
+        assert not (tmp_path / "bench" / "report.json").exists()
+
+    def test_bench_on_a_scene_that_makes_no_query(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # every track occluded in every test view: no rate can be measured
+        def occluded(src, dst, xy):
+            return np.full((len(xy), 2), np.nan), np.full(len(xy), "occluded",
+                                                          dtype=object)
+        monkeypatch.setattr("mvdesc.bench.ground_truth_correspondences",
+                            occluded)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scenes": [{"name": "tiny", "kind": "plane", "seed": 101,
+                        "n_frames": 3}],
+            "patch_sizes": [11], "excitation": {"patch_size": 11},
+            "max_tracks": 10, "memory_lengths": [1, 2, 3]}))
+        rc = main(["bench", "--out", str(tmp_path / "bench"),
+                   "--config", str(path)])
+        assert rc == 1
+        assert "scene tiny, patch size 11: no track lands visible" \
+            in capsys.readouterr().err
         assert not (tmp_path / "bench" / "report.json").exists()
 
     @pytest.mark.parametrize("mangle, field", [

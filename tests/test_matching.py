@@ -122,12 +122,11 @@ class TestPairwise:
 
 
 # byte offsets in a saved two-row database of 16 values per row: the file
-# header, then 2 int32 track ids, 2 uint16 groups and 2 x 16 float32 values
+# header, then 2 int32 track ids and 2 x 16 float32 values
 _IDS = _DB_HEADER.size
-_GROUPS = _IDS + 4 * 2
-_VALUES = _GROUPS + 2 * 2
-# header fields: version, method and metric codes, patch, row count
-_VERSION, _METHOD, _METRIC, _PATCH, _COUNT = 8, 10, 11, 16, 18
+_VALUES = _IDS + 4 * 2
+# header fields: version, method code, patch, row count
+_VERSION, _METHOD, _PATCH, _COUNT = 8, 10, 15, 17
 
 
 def _put(buf: bytes, at: int, fmt: str, value) -> bytes:
@@ -137,10 +136,10 @@ def _put(buf: bytes, at: int, fmt: str, value) -> bytes:
 
 class TestDatabase:
     def build(self, rng, n=10):
-        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db = DescriptorDatabase("sv", PARAMS)
         rows = unit_cells(rng, n)
-        db.extend(np.arange(4), rows[:4], np.arange(4))
-        db.extend(np.arange(4, n) % 4, rows[4:], np.arange(4, n))
+        db.extend(np.arange(4), rows[:4])
+        db.extend(np.arange(4, n) % 4, rows[4:])
         return db, rows
 
     def test_basic_bookkeeping(self):
@@ -151,16 +150,15 @@ class TestDatabase:
         assert db.memory_bytes == 4 * 16 * 10
         np.testing.assert_array_equal(db.matrix, rows)
         assert db.track_ids.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-        assert db.groups.tolist() == list(range(10))
 
     def test_add_equals_extend_of_one_row(self):
         rng = np.random.default_rng(47)
         rows = unit_cells(rng, 3)
-        one, block = (DescriptorDatabase("mv", PARAMS, "l1") for _ in "ab")
+        one, block = (DescriptorDatabase("mv", PARAMS) for _ in "ab")
         for i, row in enumerate(rows):
-            one.add(7 - i, DescriptorVector(row, "mv", PARAMS), group=2 * i)
-            block.extend(7 - i, row[None], 2 * i)
-        for attr in ("matrix", "track_ids", "groups"):
+            one.add(7 - i, DescriptorVector(row, "mv", PARAMS))
+            block.extend(7 - i, row[None])
+        for attr in ("matrix", "track_ids"):
             got, want = getattr(one, attr), getattr(block, attr)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -177,11 +175,11 @@ class TestDatabase:
         with pytest.raises(ValueError):
             db.extend([1, 2], np.zeros((3, 16)))
         assert len(db) == 0
-        db.extend([1, 2, 3], np.zeros((3, 16)), groups=4)
-        assert db.groups.tolist() == [4, 4, 4]
+        db.extend(4, np.zeros((3, 16)))
+        assert db.track_ids.tolist() == [4, 4, 4]
         # the joined columns are rebuilt after a later block
         db.extend(9, np.ones((1, 16)))
-        assert db.track_ids.tolist() == [1, 2, 3, 9]
+        assert db.track_ids.tolist() == [4, 4, 4, 9]
         assert db.matrix[3].tolist() == [1.0] * 16
 
     def test_method_and_params_enforced(self):
@@ -195,16 +193,14 @@ class TestDatabase:
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(45)
-        db = DescriptorDatabase("mv", PARAMS, "bhattacharyya")
+        db = DescriptorDatabase("mv", PARAMS)
         rows = unit_cells(rng, 6).astype(np.float32).astype(np.float64)
         for i, row in enumerate(rows):
-            db.add(i * 3, DescriptorVector(row, "mv", PARAMS), group=i % 2)
+            db.add(i * 3, DescriptorVector(row, "mv", PARAMS))
         db.save(tmp_path / "d.db")
         back = DescriptorDatabase.load(tmp_path / "d.db")
-        assert back.method == "mv" and back.metric == "bhattacharyya"
-        assert back.params == PARAMS
+        assert back.method == "mv" and back.params == PARAMS
         np.testing.assert_array_equal(back.track_ids, db.track_ids)
-        np.testing.assert_array_equal(back.groups, db.groups)
         np.testing.assert_array_equal(back.matrix, db.matrix)
 
     def test_load_rejects_garbage(self, tmp_path):
@@ -216,8 +212,6 @@ class TestDatabase:
         (lambda b: b[:5], "database header cut short"),
         (lambda b: b[:_IDS], "track ids cut short"),
         (lambda b: b[:_IDS + 3], "track ids cut short"),
-        (lambda b: b[:_GROUPS], "groups cut short"),
-        (lambda b: b[:_GROUPS + 3], "groups cut short"),
         (lambda b: b[:_VALUES], "descriptor values cut short"),
         (lambda b: b[:_VALUES + 10], "descriptor values cut short"),
         (lambda b: b[:_VALUES + 4 * 16], "descriptor values cut short"),
@@ -227,9 +221,12 @@ class TestDatabase:
         (lambda b: _put(b, _VERSION, "<H", 2),
          "database header: version 2.*mvdesc describe"),
         (lambda b: _put(b, _METHOD, "<B", 4), "database method: unknown code 4"),
-        (lambda b: _put(b, _METRIC, "<B", 6), "database metric: unknown code 6"),
         (lambda b: _put(b, _VERSION, "<H", 3),
-         "database header: version 3, expected 4; rebuild it with "
+         "database header: version 3, expected 5; rebuild it with "
+         "`mvdesc describe`"),
+        # version 4 also held a metric code and a uint16 group per row
+        (lambda b: _put(b, _VERSION, "<H", 4),
+         "database header: version 4, expected 5; rebuild it with "
          "`mvdesc describe`"),
         (lambda b: _put(b, _PATCH, "<H", 2),
          "database params: patch_size must be at least 3"),
@@ -239,13 +236,12 @@ class TestDatabase:
          "descriptor values: row 0 is not finite"),
         (lambda b: _put(b, _COUNT, "<I", 0),
          "database header: holds no descriptors"),
-    ], ids=["in-db-header", "at-ids", "in-ids", "at-groups", "in-groups",
-            "at-values", "in-values", "at-second-row", "trailing", "db-version-1",
-            "db-version-2", "unknown-method", "unknown-metric",
-            "db-version-3", "invalid-params", "stored-inf", "stored-nan",
-            "zero-rows"])
+    ], ids=["in-db-header", "at-ids", "in-ids", "at-values", "in-values",
+            "at-second-row", "trailing", "db-version-1", "db-version-2",
+            "unknown-method", "db-version-3", "db-version-4", "invalid-params",
+            "stored-inf", "stored-nan", "zero-rows"])
     def test_load_names_file_and_field(self, tmp_path, mangle, field):
-        db = DescriptorDatabase("keepall", PARAMS, "l2")
+        db = DescriptorDatabase("keepall", PARAMS)
         db.extend([0, 1], unit_cells(np.random.default_rng(46), 2))
         db.save(tmp_path / "good.db")
         assert (tmp_path / "good.db").stat().st_size == _VALUES + 2 * 16 * 4
@@ -295,21 +291,19 @@ class TestDatabase:
 
 @st.composite
 def saved_databases(draw):
-    """Databases over random params, metrics and methods, with track ids
-    across int32 and groups across uint16; rows are float32 values."""
+    """Databases over random params and methods, with track ids across
+    int32; rows are float32 values."""
     p = draw(st.integers(3, 40))
     bins = draw(st.integers(2, 24))
     params = DescriptorParams(p, bins, draw(st.integers(1, min(p, 4))))
-    db = DescriptorDatabase(draw(st.sampled_from(METHODS)), params,
-                            draw(st.sampled_from(METRICS)))
+    db = DescriptorDatabase(draw(st.sampled_from(METHODS)), params)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = params.cells ** 2 * bins
     for _ in range(draw(st.integers(1, 3))):
         rows = draw(st.integers(1, 4))
         db.extend(draw(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
                                 min_size=rows, max_size=rows)),
-                  rng.random((rows, n)).astype(np.float32).astype(np.float64),
-                  draw(st.integers(0, 2 ** 16 - 1)))
+                  rng.random((rows, n)).astype(np.float32).astype(np.float64))
     return db
 
 
@@ -320,21 +314,18 @@ class TestDatabaseProperty:
         path = tmp_path_factory.mktemp("db") / "d.db"
         db.save(path)
         back = DescriptorDatabase.load(path)
-        assert (back.method, back.metric, back.params) \
-            == (db.method, db.metric, db.params)
+        assert (back.method, back.params) == (db.method, db.params)
         assert back.track_ids.tobytes() == db.track_ids.tobytes()
-        assert back.groups.tobytes() == db.groups.tobytes()
         assert back.matrix.tobytes() == db.matrix.tobytes()
         back.save(path.with_suffix(".again"))
         assert path.with_suffix(".again").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("tid, group, value, field", [
-        (2 ** 31, 0, 0.5, "row 1"), (0, 2 ** 16, 0.5, "row 1"),
-        (0, -1, 0.5, "row 1"), (0, 0, 1e39, "row 1: descriptor values")])
+    @pytest.mark.parametrize("tid, value, field", [
+        (2 ** 31, 0.5, "row 1"), (0, 1e39, "row 1: descriptor values")])
     def test_save_refuses_what_the_format_cannot_hold(self, tmp_path, tid,
-                                                      group, value, field):
-        db = DescriptorDatabase("sv", PARAMS, "l2")
-        db.extend([3, tid], [np.full(16, 0.25), np.full(16, value)], [0, group])
+                                                      value, field):
+        db = DescriptorDatabase("sv", PARAMS)
+        db.extend([3, tid], [np.full(16, 0.25), np.full(16, value)])
         with pytest.raises(ValueError, match=field):
             db.save(tmp_path / "d.db")
         assert not (tmp_path / "d.db").exists()
@@ -342,37 +333,37 @@ class TestDatabaseProperty:
 
 class TestQueries:
     def test_track_scores_by_its_best_row(self):
-        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db = DescriptorDatabase("sv", PARAMS)
         target = unit_cells(np.random.default_rng(46), 1)[0]
         far = target.copy()
         far[0], far[1] = far[1], far[0]
         # track 5 owns one bad and one perfect row; track 1 a mediocre one
-        db.add(5, DescriptorVector(np.roll(target, 4), "sv", PARAMS), group=0)
+        db.add(5, DescriptorVector(np.roll(target, 4), "sv", PARAMS))
         db.add(1, DescriptorVector((target + far) / 2.0, "sv", PARAMS))
-        db.add(5, DescriptorVector(target, "sv", PARAMS), group=1)
-        tid, d = nn_query(db, target)
+        db.add(5, DescriptorVector(target, "sv", PARAMS))
+        tid, d = nn_query(db, target, "l2")
         assert tid == 5
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_tie_prefers_lowest_id(self):
-        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db = DescriptorDatabase("sv", PARAMS)
         row = unit_cells(np.random.default_rng(47), 1)[0]
         db.add(9, DescriptorVector(row, "sv", PARAMS))
         db.add(2, DescriptorVector(row, "sv", PARAMS))
         db.add(7, DescriptorVector(row, "sv", PARAMS))
-        tid, _ = nn_query(db, row)
+        tid, _ = nn_query(db, row, "l2")
         assert tid == 2
 
     def test_match_all_agrees_with_nn_query(self):
         rng = np.random.default_rng(48)
-        db = DescriptorDatabase("sv", PARAMS, "chi2")
+        db = DescriptorDatabase("sv", PARAMS)
         rows = unit_cells(rng, 20)
         for i, row in enumerate(rows):
             db.add(int(rng.integers(0, 6)), DescriptorVector(row, "sv", PARAMS))
         qs = unit_cells(rng, 8)
-        ids, dists = match_all(db, qs)
+        ids, dists = match_all(db, qs, "chi2")
         for i in range(8):
-            tid, d = nn_query(db, qs[i])
+            tid, d = nn_query(db, qs[i], "chi2")
             assert ids[i] == tid
             assert dists[i] == pytest.approx(d, rel=1e-12)
 
@@ -380,11 +371,11 @@ class TestQueries:
         # the norm expansion loses about 1e-8 here; the re-check must not
         rng = np.random.default_rng(53)
         rows = unit_cells(rng, 30)
-        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db = DescriptorDatabase("sv", PARAMS)
         for i, row in enumerate(rows):
             db.add(i, DescriptorVector(row, "sv", PARAMS))
         q = rows[17] + 1e-9 * rng.random(16)
-        tid, d = nn_query(db, q)
+        tid, d = nn_query(db, q, "l2")
         assert tid == 17
         assert d == np.sqrt(np.square(q - rows[17]).sum())
 
@@ -392,19 +383,22 @@ class TestQueries:
         # the GEMM alone rounds row 2 a few ulps below its copy in row 0
         rows = unit_cells(np.random.default_rng(59), 3)
         rows[2] = rows[0]
-        db = DescriptorDatabase("sv", PARAMS, "neg-correlation")
+        db = DescriptorDatabase("sv", PARAMS)
         for i, row in enumerate(rows):
             db.add(i, DescriptorVector(row, "sv", PARAMS))
-        assert nn_query(db, rows[0])[0] == 0
+        assert nn_query(db, rows[0], "neg-correlation")[0] == 0
         d = pairwise_distances(rows[0], rows, "neg-correlation")[0]
         assert d[0] == d[2]
 
     def test_metric_override(self):
+        # the metric is the query's: the same database answers under l1
         rng = np.random.default_rng(49)
-        db = DescriptorDatabase("sv", PARAMS, "l2")
+        db = DescriptorDatabase("sv", PARAMS)
         for i, row in enumerate(unit_cells(rng, 5)):
             db.add(i, DescriptorVector(row, "sv", PARAMS))
         q = unit_cells(rng, 1)[0]
+        assert nn_query(db, q, "l2")[1] == pytest.approx(float(
+            pairwise_distances(q, db.matrix, "l2")[0].min()), rel=1e-12)
         _, d = nn_query(db, q, metric="l1")
         dists = pairwise_distances(q, db.matrix, "l1")[0]
         assert d == pytest.approx(float(dists.min()), rel=1e-12)
@@ -497,11 +491,11 @@ class TestOracleProperty:
     @given(case=match_cases())
     def test_queries_match_brute_force(self, metric, case):
         rows, ids, queries = case
-        db = DescriptorDatabase("sv", PARAMS, metric)
+        db = DescriptorDatabase("sv", PARAMS)
         for t, row in zip(ids, rows):
             db.add(t, DescriptorVector(row, "sv", PARAMS))
-        got_ids, got_dists = match_all(db, queries)
+        got_ids, got_dists = match_all(db, queries, metric)
         for i, q in enumerate(queries):
             _oracle_check(int(got_ids[i]), float(got_dists[i]), q, rows, ids,
                           metric)
-            _oracle_check(*nn_query(db, q), q, rows, ids, metric)
+            _oracle_check(*nn_query(db, q, metric), q, rows, ids, metric)

@@ -680,6 +680,8 @@ class TestDataset:
          "contrast_b_range: [0.04, -0.04], expected the low end first"),
         ({"contrast_b_range": [0.0]}, "contrast_b_range: 1 entries, expected 2"),
         ({"noise_sigma": -1}, "noise_sigma: -1, expected at least 0"),
+        ({"test_azimuths_deg": [], "test_elevations_deg": [],
+          "test_distance_scale": []}, "test_azimuths_deg: empty"),
     ], ids=["name-type", "unknown-kind", "negative-seed", "fractional-seed",
             "one-resolution", "tiny-resolution", "focal-type", "zero-focal",
             "distance-type", "nan-elevation", "null-amplitude",
@@ -687,7 +689,7 @@ class TestDataset:
             "no-texture", "one-texel", "no-octaves", "no-texels",
             "coarse-heightfield", "negative-amplitude", "no-extent",
             "zero-contrast", "contrast-a-order", "contrast-b-order",
-            "short-contrast-b", "negative-noise"])
+            "short-contrast-b", "negative-noise", "no-test-views"])
     def test_bad_field_refused_before_any_output(self, tmp_path, capsys,
                                                  spec, field):
         # one line naming the field, no traceback and no directory, from

@@ -328,6 +328,10 @@ class TestDetection:
         ("min_border", -1, "min_border must not be negative, got -1"),
         ("levels", 0, "levels must be in 1..5, got 0"),
         ("levels", 6, "levels must be in 1..5, got 6"),
+        ("count_tol", 1.0, r"count_tol must be in \[0, 1\), got 1\.0"),
+        ("threshold_range", (0.1, 0.1), "threshold_range must be two finite "
+                                        "numbers in increasing order"),
+        ("threshold_range", [0.1], "threshold_range must be two finite"),
     ])
     def test_values_that_break_tracking_are_refused(self, field, value,
                                                     message):

@@ -530,10 +530,10 @@ class TestMaxOut:
     def best_squared_residual(stored, query):
         stored = np.atleast_2d(stored)
         params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1)
-        db = DescriptorDatabase("rhog", params, "l2")
-        for g, row in enumerate(stored):
-            db.add(0, DescriptorVector(row, "rhog", params), g)
-        _, dist = match_all(db, np.asarray(query, dtype=np.float64))
+        db = DescriptorDatabase("rhog", params)
+        for row in stored:
+            db.add(0, DescriptorVector(row, "rhog", params))
+        _, dist = match_all(db, np.asarray(query, dtype=np.float64), "l2")
         return float(dist[0]) ** 2
 
     def test_minimum_squared_residual(self):
