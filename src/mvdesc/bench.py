@@ -19,7 +19,6 @@ Methods compared:
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import time
@@ -35,7 +34,8 @@ from .matching import METRICS, DescriptorDatabase, match_all
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .scene import (VISIBLE, _check_spec, default_scene_spec, generate_dataset,
                     ground_truth_correspondences)
-from .tracking import TrackerConfig, _fits, quantized_patches, run_tracker
+from .tracking import (TrackerConfig, _check_tracker, _fits, quantized_patches,
+                       run_tracker)
 from .viewsynth import (MIN_FACING, lift_surfaces, sample_rotations,
                         select_keyframes, synthesize_views, view_descriptors)
 # not called here; bound because perfbench/spans.py traces them on this module
@@ -58,8 +58,8 @@ __all__ = [
 
 
 # Each benchmark config field once, in rows as in scene._SPEC_FIELDS and a
-# nested table per section; _check_config checks the scenes and the tracker
-# fields, and every rule that relates two fields.
+# nested table per section; _check_config checks the scenes, the tracker
+# section by tracking._TRACKER_FIELDS, and every rule that relates two fields.
 _CONFIG_FIELDS = {
     "seed": (7, int, None, 0, False),
     "metric": ("l2", METRICS, None, None, False),
@@ -134,17 +134,10 @@ def _check_config(cfg: dict) -> None:
     """ValueError naming the first field of a merged benchmark config that
     the run cannot use, before anything is rendered: its row of
     ``_CONFIG_FIELDS`` refuses it, or it breaks a rule relating two fields.
-    Tracker fields are those of :class:`TrackerConfig`, which checks their
-    kinds and values."""
+    The ``tracker`` section is walked as :class:`TrackerConfig` walks its
+    fields, under the path ``tracker``."""
     _check_fields(cfg, _CONFIG_FIELDS, "benchmark config")
-    known = [f.name for f in dataclasses.fields(TrackerConfig)]
-    for key in _json_field(cfg, "tracker", dict):
-        if key not in known:
-            raise ValueError(f"tracker.{key}: not a tracker field")
-    try:
-        TrackerConfig(**cfg["tracker"])
-    except ValueError as exc:
-        raise ValueError(f"tracker: {exc}") from None
+    _check_tracker(_json_field(cfg, "tracker", dict), "tracker")
     sizes, exc_size = cfg["patch_sizes"], cfg["excitation"]["patch_size"]
     if exc_size not in sizes:
         raise ValueError(f"excitation.patch_size: {exc_size} is not one of "

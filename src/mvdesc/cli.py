@@ -10,7 +10,7 @@ from pathlib import Path
 from . import bench, image
 from .bench import quick_benchmark_config, run_benchmark
 from .hog import METHODS, DescriptorParams, patch_densities
-from .image import MAX_PYRAMID_LEVELS, _json_field
+from .image import MAX_PYRAMID_LEVELS, _json_field, _json_number
 from .matching import METRICS, DescriptorDatabase, nn_query
 from .scene import default_scene_spec, generate_dataset, load_dataset
 from .tracking import TrackerConfig, attach_patches, load_tracks, run_tracker, save_tracks
@@ -41,13 +41,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _check_patch_size(size: int) -> None:
-    if size < 3:
-        raise ValueError(f"--patch-size must be at least 3, got {size}")
-
-
 def _cmd_track(args) -> int:
-    _check_patch_size(args.patch_size)
+    _json_number(args.patch_size, "--patch-size", int, 3)
     ds = load_dataset(args.dataset)
     cfg = TrackerConfig(n_features=args.features, levels=args.levels,
                         window=args.window, reject_thresh=args.reject)
@@ -72,10 +67,10 @@ def _stored_depth(file, meta: dict, tracks: list) -> int:
     were built with, which must lie in 1..MAX_PYRAMID_LEVELS and exceed
     every track's level; ValueError naming the file and the field."""
     try:
-        levels = _json_field(meta, "levels", int, "meta")
-        if not 1 <= levels <= MAX_PYRAMID_LEVELS:
-            raise ValueError(f"meta.levels: {levels}, expected "
-                             f"1..{MAX_PYRAMID_LEVELS}")
+        levels = _json_field(meta, "levels", int, "meta", 1)
+        if levels > MAX_PYRAMID_LEVELS:
+            raise ValueError(f"meta.levels: {levels}, expected at most "
+                             f"{MAX_PYRAMID_LEVELS}")
         for i, tr in enumerate(tracks):
             if tr.level >= levels:
                 raise ValueError(f"tracks[{i}].level: {tr.level} is not below "
@@ -86,10 +81,9 @@ def _stored_depth(file, meta: dict, tracks: list) -> int:
 
 
 def _cmd_describe(args) -> int:
-    if args.frame < 0:
-        raise ValueError(f"--frame must be at least 0, got {args.frame}")
+    _json_number(args.frame, "--frame", int, 0)
     if args.patch_size is not None:
-        _check_patch_size(args.patch_size)
+        _json_number(args.patch_size, "--patch-size", int, 3)
     loaded, meta = load_tracks(args.tracks)
     tracks = [t for t in loaded if t.patches is not None]
     if not tracks:
@@ -98,11 +92,11 @@ def _cmd_describe(args) -> int:
     patch_size = stored if args.patch_size is None else args.patch_size
     params = DescriptorParams(patch_size)
 
-    if args.method == "rhog" and not args.dataset:
-        raise ValueError("rhog descriptors need --dataset for depth maps")
-    if args.method == "rhog" and args.keyframes < 1:
-        raise ValueError(f"--keyframes must be at least 1, got {args.keyframes}")
-    if args.method != "rhog" and patch_size != stored:
+    if args.method == "rhog":
+        _json_number(args.keyframes, "--keyframes", int, 1)
+        if not args.dataset:
+            raise ValueError("rhog descriptors need --dataset for depth maps")
+    elif patch_size != stored:
         raise ValueError(f"--patch-size {patch_size} differs from the stored "
                          f"{stored}-pixel patches that {args.method} describes")
 

@@ -298,9 +298,10 @@ def _need(buf: bytes, offset: int, size: int, field: str) -> None:
                          f"{offset}, {max(len(buf) - offset, 0)} left")
 
 
-def _json_field(rec, key: str, kind, where: str = ""):
+def _json_field(rec, key: str, kind, where: str = "", low=None):
     """``rec[key]`` of a parsed JSON document; ValueError naming the field
-    when it is missing or not of ``kind`` (a bool is not a number)."""
+    when it is missing or not of ``kind`` (a bool is not a number). An int
+    or float ``kind`` is a :func:`_json_number` of at least ``low``."""
     path = f"{where}.{key}" if where else key
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: not a JSON object" if where
@@ -308,6 +309,8 @@ def _json_field(rec, key: str, kind, where: str = ""):
     if key not in rec:
         raise ValueError(f"{path}: missing")
     val = rec[key]
+    if kind in (int, float):
+        return _json_number(val, path, kind, low)
     if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
         names = kind if isinstance(kind, tuple) else (kind,)
         raise ValueError(f"{path}: expected {' or '.join(k.__name__ for k in names)}, "
@@ -326,6 +329,24 @@ def _json_number(val, path: str, kind=float, low=None, strict=False):
     if low is not None and (val <= low if strict else val < low):
         raise ValueError(f"{path}: {val!r}, expected "
                          f"{'above' if strict else 'at least'} {low}")
+    return val
+
+
+def _json_list(val, path: str, entries=None, kind=None, low=None,
+               strict=False) -> list:
+    """``val`` if it is a JSON list of ``entries`` values (any number when
+    None, any but none when 0), each a :func:`_json_number` of ``kind``,
+    ``low`` and ``strict`` unless ``kind`` is None; else ValueError naming
+    ``path`` or the entry."""
+    if not isinstance(val, list):
+        raise ValueError(f"{path}: expected list, got {type(val).__name__}")
+    if entries == 0 and not val:
+        raise ValueError(f"{path}: empty")
+    if entries and len(val) != entries:
+        raise ValueError(f"{path}: {len(val)} entries, expected {entries}")
+    if kind is not None:
+        for i, v in enumerate(val):
+            _json_number(v, f"{path}[{i}]", kind, low, strict)
     return val
 
 
@@ -355,36 +376,20 @@ def _check_fields(doc: dict, table: dict, what: str, where: str = "") -> None:
             _check_fields(_json_field(doc, key, dict, where), row, key, path)
             continue
         _, kind, entries, low, strict = row
-        items = {path: doc[key]}
+        val = doc[key]
         if kind is str:
             _json_field(doc, key, str, where)
-        elif isinstance(kind, tuple) and doc[key] not in kind:
-            raise ValueError(f"{path}: {doc[key]!r}, expected one of {kind}")
+        elif isinstance(kind, tuple) and val not in kind:
+            raise ValueError(f"{path}: {val!r}, expected one of {kind}")
+        elif isinstance(entries, str):
+            count = len(_json_field(doc, entries, list, where))
+            if len(_json_list(val, path, None, kind, low, strict)) != count:
+                raise ValueError(f"{path}: {len(val)} entries, {entries} "
+                                 f"has {count}")
         elif entries is not None:
-            val = _json_field(doc, key, list, where)
-            if entries == 0 and not val:
-                raise ValueError(f"{path}: empty")
-            if isinstance(entries, str):
-                count = len(_json_field(doc, entries, list, where))
-                if len(val) != count:
-                    raise ValueError(f"{path}: {len(val)} entries, {entries} "
-                                     f"has {count}")
-            elif entries and len(val) != entries:
-                raise ValueError(f"{path}: {len(val)} entries, expected "
-                                 f"{entries}")
-            items = {f"{path}[{i}]": v for i, v in enumerate(val)}
-        if kind in (int, float):
-            for at, v in items.items():
-                _json_number(v, at, kind, low, strict)
-
-
-def _finite_numbers(val, count: int, path: str) -> list:
-    """``val`` if it is a list of ``count`` finite JSON numbers, else ValueError."""
-    if (not isinstance(val, list) or len(val) != count
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) for v in val)):
-        raise ValueError(f"{path}: not a list of {count} finite numbers")
-    return val
+            _json_list(val, path, entries, kind, low, strict)
+        elif kind in (int, float):
+            _json_number(val, path, kind, low, strict)
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[bytes], int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
 from .image import (AffineContrast, GrayImage, _check_fields, _field_defaults,
-                    _finite_numbers, _json_field, _need, bilinear_sample,
+                    _json_field, _json_list, _need, bilinear_sample,
                     read_pgm, write_pgm)
 
 __all__ = [
@@ -654,32 +654,29 @@ class SceneDataset:
 def _parse_pose(rec, where: str) -> Pose:
     pose = _json_field(rec, "pose", dict, where)
     where += ".pose"
-    r = _json_field(pose, "r", list, where)
-    if len(r) != 3:
-        raise ValueError(f"{where}.r: {len(r)} rows, expected 3")
+    r = _json_list(_json_field(pose, "r", list, where), f"{where}.r", 3)
     for k, row in enumerate(r):
-        _finite_numbers(row, 3, f"{where}.r[{k}]")
-    _finite_numbers(_json_field(pose, "t", list, where), 3, f"{where}.t")
+        _json_list(row, f"{where}.r[{k}]", 3, float)
+    _json_list(_json_field(pose, "t", list, where), f"{where}.t", 3, float)
     try:
         return Pose.from_config(pose)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_manifest(manifest) -> tuple[dict, PinholeCamera, dict]:
+def _parse_manifest(manifest, root: Path) -> tuple[dict, PinholeCamera, dict]:
     """Spec, camera and per-role view records ``(image, depth, pose,
-    photometric)`` of a parsed ``manifest.json``; ValueError naming the field
-    on any malformed entry."""
+    photometric)`` of a parsed ``manifest.json`` in ``root``, each raster a
+    ``(field, name)`` pair naming a file under ``root``; ValueError naming
+    the field on any malformed entry."""
     version = _json_field(manifest, "format_version", int)
     if version != 1:
         raise ValueError(f"format_version: {version}, expected 1")
     spec = _json_field(manifest, "spec", dict)
     cfg = _json_field(manifest, "camera", dict)
-    for key in ("focal", "cx", "cy"):
-        if not math.isfinite(_json_field(cfg, key, (int, float), "camera")):
-            raise ValueError(f"camera.{key}: not finite")
-    for key in ("width", "height"):
-        _json_field(cfg, key, int, "camera")
+    for key in ("focal", "cx", "cy", "width", "height"):
+        _json_field(cfg, key, int if key in ("width", "height") else float,
+                    "camera")
     try:
         cam = PinholeCamera.from_config(cfg)
     except ValueError as exc:
@@ -689,14 +686,20 @@ def _parse_manifest(manifest) -> tuple[dict, PinholeCamera, dict]:
         views[role] = []
         for i, rec in enumerate(_json_field(manifest, role, list)):
             where = f"{role}[{i}]"
-            image = _json_field(rec, "image", str, where)
-            depth = _json_field(rec, "depth", str, where)
+            files = []
+            for key in ("image", "depth"):
+                name = _json_field(rec, key, str, where)
+                if (Path(name).is_absolute() or ".." in Path(name).parts
+                        or not (root / name).is_file()):
+                    raise ValueError(f"{where}.{key}: {name!r}, expected a "
+                                     f"file in the dataset directory")
+                files.append((f"{where}.{key}", name))
             pose = _parse_pose(rec, where)
             photo = rec.get("photometric")
             if photo is not None and not isinstance(photo, dict):
                 raise ValueError(f"{where}.photometric: expected dict, got "
                                  f"{type(photo).__name__}")
-            views[role].append((image, depth, pose, photo))
+            views[role].append((*files, pose, photo))
     return spec, cam, views
 
 
@@ -706,28 +709,30 @@ def load_dataset(path) -> SceneDataset:
     Images roundtrip exactly (they are quantized before writing); depth comes
     back float32-rounded, adequate for correspondence at far better than a
     tenth of a pixel. A malformed ``manifest.json`` (a missing or wrongly
-    typed field, a pose that is not finite numbers of the right shape, or a
-    foreign ``format_version``) raises ValueError naming the file and the
-    field; an image or depth map of another size than the camera's raises
-    ValueError naming the file and both sizes.
+    typed field, a pose that is not finite numbers of the right shape, a
+    view path that names no file inside the dataset directory, or a foreign
+    ``format_version``) raises ValueError naming the file and the field
+    before any raster is read, and so does an image or depth map of
+    another size than the camera's, with both sizes.
     """
     root = Path(path)
     file = root / "manifest.json"
     try:
         manifest = json.loads(file.read_text())
-        spec, cam, views = _parse_manifest(manifest)
+        spec, cam, views = _parse_manifest(manifest, root)
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
 
-    def load(name, read):
+    def load(where, name, read):
         data = read(root / name)
         if data.shape != (cam.height, cam.width):
-            raise ValueError(f"{root / name}: {data.shape[1]}x{data.shape[0]} does "
-                             f"not match the camera's {cam.width}x{cam.height}")
+            raise ValueError(f"{file}: {where}: {name!r} is {data.shape[1]}x"
+                             f"{data.shape[0]}, expected the camera's "
+                             f"{cam.width}x{cam.height}")
         return data
 
     def load_views(records):
-        return [RenderedView(load(image, read_pgm), load(depth, read_depth),
+        return [RenderedView(load(*image, read_pgm), load(*depth, read_depth),
                              cam, pose, photo)
                 for image, depth, pose, photo in records]
 

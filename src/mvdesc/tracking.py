@@ -10,15 +10,15 @@ Positions are kept in the coordinates of the track's own pyramid level.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .image import (MAX_PYRAMID_LEVELS, GrayImage, ImagePyramid,
-                    _central_differences, _bilinear, _finite_numbers,
-                    _json_field, build_pyramid, read_pgm, write_pgm)
+                    _central_differences, _bilinear, _check_fields,
+                    _field_defaults, _json_field, _json_list, build_pyramid,
+                    read_pgm, write_pgm)
 
 __all__ = [
     "TrackerConfig",
@@ -44,55 +44,54 @@ _COND_LIMIT = 1e4
 _CONVERGE = 1e-4
 
 
-@dataclass
-class TrackerConfig:
-    n_features: int = 400
-    levels: int = 3
-    window: int = 11
-    max_iters: int = 30
-    reject_thresh: float = 0.04
-    nms_radius: float = 4.0
-    arc: int = 9
-    threshold_range: tuple = (1.0 / 255.0, 0.5)
-    count_tol: float = 0.2
-    min_border: int = 13
-
-    def __post_init__(self):
-        # a benchmark config passes its JSON values straight in, so the kind
-        # each field declares is checked first (annotations are strings here)
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if f.type == "int" and (isinstance(val, bool) or not isinstance(val, int)):
-                raise ValueError(f"{f.name} must be an integer, got {val!r}")
-            if f.type == "float" and not _finite_number(val):
-                raise ValueError(f"{f.name} must be a finite number, got {val!r}")
-        lo_hi = self.threshold_range
-        if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
-                and all(map(_finite_number, lo_hi)) and lo_hi[0] < lo_hi[1]):
-            raise ValueError(f"threshold_range must be two finite numbers in "
-                             f"increasing order, got {lo_hi!r}")
-        if not 0 <= self.count_tol < 1:
-            raise ValueError(f"count_tol must be in [0, 1), got {self.count_tol}")
-        if self.window % 2 == 0 or self.window < 5:
-            raise ValueError("tracking window must be odd and at least 5")
-        if not 1 <= self.levels <= MAX_PYRAMID_LEVELS:
-            raise ValueError(f"levels must be in 1..{MAX_PYRAMID_LEVELS}, "
-                             f"got {self.levels}")
-        if not 1 <= self.arc <= 16:
-            raise ValueError("segment-test arc length must be in 1..16")
-        for name in ("n_features", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.reject_thresh > 0:
-            raise ValueError(f"reject_thresh must be a finite number above 0, "
-                             f"got {self.reject_thresh}")
-        if self.min_border < 0:
-            raise ValueError(f"min_border must not be negative, got {self.min_border}")
+# Each TrackerConfig field once, as (default, kind, entries, low, strict)
+# rows in the form of scene._SPEC_FIELDS: the dataclass takes its defaults
+# from here and _check_tracker walks the rows, then the rules no row states.
+_TRACKER_FIELDS = {
+    "n_features": (400, int, None, 1, False),
+    "levels": (3, int, None, 1, False),
+    "window": (11, int, None, 5, False),
+    "max_iters": (30, int, None, 1, False),
+    "reject_thresh": (0.04, float, None, 0, True),
+    "nms_radius": (4.0, float, None, None, False),
+    "arc": (9, int, None, 1, False),
+    "threshold_range": ((1.0 / 255.0, 0.5), float, 2, None, False),
+    "count_tol": (0.2, float, None, 0, False),
+    "min_border": (13, int, None, 0, False),
+}
 
 
-def _finite_number(val) -> bool:
-    return not isinstance(val, bool) and isinstance(val, (int, float)) \
-        and math.isfinite(val)
+def _check_tracker(doc: dict, where: str = "") -> None:
+    """ValueError naming the first field of tracker settings ``doc``
+    (defaults merged in, tuples read as lists) that its row of
+    ``_TRACKER_FIELDS`` refuses, or that tracking cannot use: a
+    ``count_tol`` of 1 or more, an even ``window``, more ``levels`` than a
+    pyramid holds, an ``arc`` past the 16-pixel circle, or a
+    ``threshold_range`` not in increasing order."""
+    doc = {key: list(val) if isinstance(val, tuple) else val
+           for key, val in {**_field_defaults(_TRACKER_FIELDS), **doc}.items()}
+    _check_fields(doc, _TRACKER_FIELDS, "tracker", where)
+    lo, hi = doc["threshold_range"]
+    for key, ok, expected in (
+            ("count_tol", doc["count_tol"] < 1, "below 1"),
+            ("window", doc["window"] % 2, "an odd number"),
+            ("levels", doc["levels"] <= MAX_PYRAMID_LEVELS,
+             f"at most {MAX_PYRAMID_LEVELS}"),
+            ("arc", doc["arc"] <= 16, "at most 16"),
+            ("threshold_range", lo < hi, "increasing order")):
+        if not ok:
+            raise ValueError(f"{where + '.' if where else ''}{key}: "
+                             f"{doc[key]!r}, expected {expected}")
+
+
+TrackerConfig = make_dataclass(
+    "TrackerConfig",
+    [(key, row[1] if row[2] is None else tuple, field(default=row[0]))
+     for key, row in _TRACKER_FIELDS.items()],
+    namespace={"__doc__": "Corner detection and tracking settings, each "
+                          "checked by its row of ``_TRACKER_FIELDS``.",
+               "__module__": __name__,
+               "__post_init__": lambda self: _check_tracker(vars(self))})
 
 
 @dataclass
@@ -520,22 +519,15 @@ def _parse_tracks(doc) -> tuple[list, dict, list]:
     tracks, firsts = [], []
     for i, rec in enumerate(_json_field(doc, "tracks", list)):
         where = f"tracks[{i}]"
-        level = _json_field(rec, "level", int, where)
-        if level < 0:
-            raise ValueError(f"{where}.level: {level} is negative")
-        raw = _json_field(rec, "positions", list, where)
-        if not raw:
-            raise ValueError(f"{where}.positions: empty")
-        positions = [np.array(_finite_numbers(p, 2, f"{where}.positions[{k}]"),
+        raw = _json_list(_json_field(rec, "positions", list, where),
+                         f"{where}.positions", 0)
+        positions = [np.array(_json_list(p, f"{where}.positions[{k}]", 2, float),
                               dtype=np.float64) for k, p in enumerate(raw)]
-        tracks.append(Track(_json_field(rec, "id", int, where), level, positions,
+        tracks.append(Track(_json_field(rec, "id", int, where),
+                            _json_field(rec, "level", int, where, 0), positions,
                             _json_field(rec, "alive", bool, where)))
-        first = None
-        if "first_patch" in rec:
-            first = _json_field(rec, "first_patch", int, where)
-            if first < 0:
-                raise ValueError(f"{where}.first_patch: {first} is negative")
-        firsts.append(first)
+        firsts.append(_json_field(rec, "first_patch", int, where, 0)
+                      if "first_patch" in rec else None)
     return tracks, meta, firsts
 
 

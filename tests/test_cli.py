@@ -71,14 +71,15 @@ class TestGenerateAndTrack:
 
 class TestTrackErrors:
     @pytest.mark.parametrize("tiny, args, message", [
-        (False, ["--window", "10"], "tracking window must be odd"),
-        (False, ["--levels", "6"], "levels must be in 1..5"),
+        (False, ["--window", "10"], "window: 10, expected an odd number"),
+        (False, ["--levels", "6"], "levels: 6, expected at most 5"),
         # 40 x 30 frames hold 4 pyramid levels, not 5
         (True, ["--levels", "5"], "image too small for 5 pyramid levels"),
-        (False, ["--features", "0"], "n_features must be at least 1, got 0"),
-        (False, ["--features", "-5"], "n_features must be at least 1, got -5"),
-        (False, ["--reject", "nan"], "reject_thresh must be a finite number"),
-        (False, ["--reject", "-1"], "reject_thresh must be a finite number"),
+        (False, ["--features", "0"], "n_features: 0, expected at least 1"),
+        (False, ["--features", "-5"], "n_features: -5, expected at least 1"),
+        (False, ["--reject", "nan"],
+         "reject_thresh: nan, expected a finite number"),
+        (False, ["--reject", "-1"], "reject_thresh: -1.0, expected above 0"),
     ], ids=["even-window", "levels-past-max", "levels-past-image",
             "no-features", "negative-features", "nan-reject", "negative-reject"])
     def test_invalid_option_prints_the_error(self, workspace, tmp_path, capsys,
@@ -105,7 +106,7 @@ class TestTrackErrors:
                    "--out", str(tmp_path / "tracks"), "--patch-size", size])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"--patch-size must be at least 3, got {size}\n")
+            f"--patch-size: {size}, expected at least 3\n")
         assert not (tmp_path / "tracks").exists()
 
 
@@ -207,7 +208,7 @@ class TestDescribe:
                    "--out", str(out), "--method", method,
                    "--patch-size", "0", *extra])
         assert rc == 1
-        assert "--patch-size must be at least 3, got 0" in capsys.readouterr().err
+        assert "--patch-size: 0, expected at least 3" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("size", ["2", "0", "-3"])
@@ -219,7 +220,7 @@ class TestDescribe:
                    "--dataset", str(workspace / "ds"), "--keyframes", "2"])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"--patch-size must be at least 3, got {size}\n")
+            f"--patch-size: {size}, expected at least 3\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("keyframes", ["0", "-1"])
@@ -230,7 +231,7 @@ class TestDescribe:
                    "--out", str(out), "--method", "rhog",
                    "--dataset", str(workspace / "ds"), "--keyframes", keyframes])
         assert rc == 1
-        assert f"--keyframes must be at least 1, got {keyframes}" \
+        assert f"--keyframes: {keyframes}, expected at least 1" \
             in capsys.readouterr().err
         assert not out.exists()
 
@@ -249,44 +250,56 @@ class TestDescribe:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def match_dbs(workspace, tmp_path_factory):
+    """sv and mv databases of the workspace tracks, built here so that each
+    match test can run on its own."""
+    root = tmp_path_factory.mktemp("match")
+    for method in ("sv", "mv"):
+        assert main(["describe", "--tracks", str(workspace / "tracks"),
+                     "--out", str(root / f"db_{method}"),
+                     "--method", method]) == 0
+    return root
+
+
 class TestMatch:
-    def test_self_match_is_perfect(self, workspace, capsys):
-        db = str(workspace / "db_sv")
-        out = workspace / "self.csv"
+    def test_self_match_is_perfect(self, match_dbs, capsys):
+        db = str(match_dbs / "db_sv")
+        out = match_dbs / "self.csv"
         assert main(["match", "--db", db, "--queries", db,
                      "--out", str(out)]) == 0
         assert "accuracy" in capsys.readouterr().err
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "query_index,query_track,predicted_track,distance"
-        n = len(DescriptorDatabase.load(workspace / "db_sv"))
+        n = len(DescriptorDatabase.load(match_dbs / "db_sv"))
         assert len(lines) == n + 1
         for row in lines[1:]:
             _, truth, pred, dist = row.split(",")
             assert truth == pred
             assert float(dist) == 0.0
 
-    def test_cross_method_match_with_metric(self, workspace, capsys):
-        out = workspace / "cross.csv"
-        assert main(["match", "--db", str(workspace / "db_mv"),
-                     "--queries", str(workspace / "db_sv"),
+    def test_cross_method_match_with_metric(self, match_dbs, capsys):
+        out = match_dbs / "cross.csv"
+        assert main(["match", "--db", str(match_dbs / "db_mv"),
+                     "--queries", str(match_dbs / "db_sv"),
                      "--metric", "chi2", "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert "accuracy" in err
-        n = len(DescriptorDatabase.load(workspace / "db_sv"))
+        n = len(DescriptorDatabase.load(match_dbs / "db_sv"))
         assert len(out.read_text().strip().splitlines()) == n + 1
 
 
-    def test_unreadable_database_prints_the_error(self, workspace, tmp_path,
+    def test_unreadable_database_prints_the_error(self, match_dbs, tmp_path,
                                                   capsys):
         bad = tmp_path / "cut.db"
-        bad.write_bytes((workspace / "db_sv").read_bytes()[:-5])
+        bad.write_bytes((match_dbs / "db_sv").read_bytes()[:-5])
         rc = main(["match", "--db", str(bad),
-                   "--queries", str(workspace / "db_sv")])
+                   "--queries", str(match_dbs / "db_sv")])
         assert rc == 1
         assert f"{bad}: descriptor values cut short" in capsys.readouterr().err
 
-    def test_queries_with_other_params_are_refused(self, workspace, tmp_path,
-                                                   capsys):
+    def test_queries_with_other_params_are_refused(self, workspace, match_dbs,
+                                                   tmp_path, capsys):
         # an 11-pixel rhog database against 15-pixel sv queries: the rows
         # have the same length, but describe different patches
         db = tmp_path / "rhog11.db"
@@ -297,7 +310,7 @@ class TestMatch:
         capsys.readouterr()
         out = tmp_path / "m.csv"
         rc = main(["match", "--db", str(db), "--queries",
-                   str(workspace / "db_sv"), "--out", str(out)])
+                   str(match_dbs / "db_sv"), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "patch_size=15" in err and "patch_size=11" in err
@@ -365,12 +378,13 @@ class TestInputErrors:
                                               capsys):
         ds = tmp_path / "ds"
         shutil.copytree(workspace / "ds", ds)
-        frame = ds / json.loads((ds / "manifest.json").read_text())["frames"][3]["image"]
-        write_pgm(GrayImage(np.full((40, 50), 0.5)), frame)
+        name = json.loads((ds / "manifest.json").read_text())["frames"][3]["image"]
+        write_pgm(GrayImage(np.full((40, 50), 0.5)), ds / name)
         rc = main(["track", "--dataset", str(ds), "--out",
                    str(tmp_path / "tracks")])
         assert rc == 1
-        assert f"{frame}: 50x40 does not match the camera's " in capsys.readouterr().err
+        assert (f"{ds / 'manifest.json'}: frames[3].image: {name!r} is 50x40, "
+                f"expected the camera's ") in capsys.readouterr().err
         assert not (tmp_path / "tracks").exists()
 
     def test_describe_on_malformed_tracks(self, tmp_path, capsys):
@@ -491,18 +505,17 @@ class TestInputErrors:
         ({"rhog": {"min_facing": float("inf")}},
          "rhog.min_facing: inf, expected a finite number"),
         ({"tracker": {"n_features": 250.5}},
-         "tracker: n_features must be an integer, got 250.5"),
+         "tracker.n_features: 250.5, expected an integer"),
         ({"tracker": {"nms_radius": "x"}},
-         "tracker: nms_radius must be a finite number, got 'x'"),
+         "tracker.nms_radius: 'x', expected a finite number"),
         ({"tracker": {"max_iters": True}},
-         "tracker: max_iters must be an integer, got True"),
+         "tracker.max_iters: True, expected an integer"),
         ({"tracker": {"count_tol": -1}},
-         "tracker: count_tol must be in [0, 1), got -1"),
+         "tracker.count_tol: -1, expected at least 0"),
         ({"tracker": {"count_tol": float("nan")}},
-         "tracker: count_tol must be a finite number, got nan"),
+         "tracker.count_tol: nan, expected a finite number"),
         ({"tracker": {"threshold_range": [0.5, 0.1]}},
-         "tracker: threshold_range must be two finite numbers in increasing "
-         "order, got [0.5, 0.1]"),
+         "tracker.threshold_range: [0.5, 0.1], expected increasing order"),
     ], ids=["memory-past-frames", "memory-empty", "memory-zero",
             "timing-fraction", "timing-not-a-list", "timing-reps-zero",
             "timing-reps-fraction", "memory-one-length", "rhog-no-azimuth",
@@ -567,15 +580,17 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("mangle, field", [
         (lambda doc: doc["meta"].update(levels=9),
-         "meta.levels: 9, expected 1..5"),
+         "meta.levels: 9, expected at most 5"),
+        (lambda doc: doc["meta"].update(levels=0),
+         "meta.levels: 0, expected at least 1"),
         (lambda doc: doc["meta"].update(levels="two"),
-         "meta.levels: expected int, got str"),
+         "meta.levels: 'two', expected an integer"),
         (lambda doc: doc["tracks"][1].update(level=2),
          "tracks[1].level: 2 is not below meta.levels 2"),
         (lambda doc: doc["tracks"][3].update(level=4),
          "tracks[3].level: 4 is not below meta.levels 2"),
-    ], ids=["levels-past-max", "levels-string", "level-at-depth",
-            "level-past-depth"])
+    ], ids=["levels-past-max", "levels-zero", "levels-string",
+            "level-at-depth", "level-past-depth"])
     def test_rhog_on_tracks_of_another_depth(self, workspace, tmp_path, capsys,
                                              mangle, field):
         tracks = tmp_path / "tracks"
@@ -597,7 +612,7 @@ class TestInputErrors:
                    "--out", str(tmp_path / "db"), "--method", "sv",
                    "--frame", frame])
         assert rc == 1
-        assert f"--frame must be at least 0, got {frame}" \
+        assert f"--frame: {frame}, expected at least 0" \
             in capsys.readouterr().err
         assert not (tmp_path / "db").exists()
 

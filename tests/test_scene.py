@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -552,6 +553,14 @@ class TestTrajectories:
             scene.test_poses(spec)
 
 
+@pytest.fixture(scope="module")
+def plane_dir(plane_ds, tmp_path_factory):
+    """``plane_ds`` on disk, for tests that mangle a copy of it."""
+    root = tmp_path_factory.mktemp("plane_dir")
+    generate_dataset(dict(plane_ds.spec), root)
+    return root
+
+
 class TestDataset:
     def test_written_files_reload_identically(self, plane_ds, tmp_path):
         spec = dict(plane_ds.spec)
@@ -583,9 +592,9 @@ class TestDataset:
         (lambda m: m.update(spec="plane"), r"spec: expected dict, got str"),
         (lambda m: m.pop("camera"), r"camera: missing"),
         (lambda m: m["camera"].update(width="160"),
-         r"camera\.width: expected int, got str"),
+         r"camera\.width: '160', expected an integer"),
         (lambda m: m["camera"].update(focal=float("inf")),
-         r"camera\.focal: not finite"),
+         r"camera\.focal: inf, expected a finite number"),
         (lambda m: m["camera"].update(focal=-1.0),
          r"camera: focal length must be positive"),
         (lambda m: m.update(tests={}), r"tests: expected list, got dict"),
@@ -595,21 +604,30 @@ class TestDataset:
         (lambda m: m["tests"][1].update(depth=None),
          r"tests\[1\]\.depth: expected str, got NoneType"),
         (lambda m: m["frames"][3]["pose"].update(t=[0.0, 1.0]),
-         r"frames\[3\]\.pose\.t: not a list of 3 finite numbers"),
+         r"frames\[3\]\.pose\.t: 2 entries, expected 3"),
+        (lambda m: m["frames"][3]["pose"]["t"].__setitem__(1, "x"),
+         r"frames\[3\]\.pose\.t\[1\]: 'x', expected a finite number"),
         (lambda m: m["frames"][1]["pose"]["r"].pop(),
-         r"frames\[1\]\.pose\.r: 2 rows, expected 3"),
+         r"frames\[1\]\.pose\.r: 2 entries, expected 3"),
         (lambda m: m["frames"][1]["pose"]["r"][2].__setitem__(0, float("nan")),
-         r"frames\[1\]\.pose\.r\[2\]: not a list of 3 finite numbers"),
+         r"frames\[1\]\.pose\.r\[2\]\[0\]: nan, expected a finite number"),
         (lambda m: m["frames"][0]["pose"].update(
             r=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
          r"frames\[0\]\.pose: pose rotation is not a proper rotation matrix"),
         (lambda m: m["frames"][0].update(photometric=[1.0]),
          r"frames\[0\]\.photometric: expected dict, got list"),
+        (lambda m: m["camera"].update(width=m["camera"]["width"] + 1),
+         r"frames\[0\]\.image: 'frames/frame_000\.pgm' is \d+x\d+, expected "
+         r"the camera's "),
     ], ids=["version", "no-version", "spec-type", "no-camera", "width-type",
             "focal-inf", "focal-negative", "tests-type", "view-type",
-            "no-image", "depth-type", "short-translation", "two-rows",
-            "nan-rotation", "not-a-rotation", "photometric-type"])
-    def test_load_names_file_and_field(self, plane_ds, tmp_path, mangle, field):
+            "no-image", "depth-type", "short-translation",
+            "string-translation", "two-rows",
+            "nan-rotation", "not-a-rotation", "photometric-type",
+            "camera-size"])
+    def test_load_names_file_and_field(self, plane_ds, plane_dir, tmp_path,
+                                       mangle, field):
+        shutil.copytree(plane_dir, tmp_path, dirs_exist_ok=True)
         manifest = json.loads(json.dumps(plane_ds.manifest))
         mangle(manifest)
         path = tmp_path / "manifest.json"
@@ -618,13 +636,44 @@ class TestDataset:
             load_dataset(tmp_path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("role, key, name", [
+        ("frames", "image", "../ds/frames/frame_000.pgm"),
+        ("tests", "depth", "tests/../../ds/tests/test_001.depth"),
+        ("frames", "depth", "ABSOLUTE"),
+        ("frames", "image", "frames/frame_099.pgm"),
+        ("tests", "image", "tests"),
+        ("frames", "image", ""),
+    ], ids=["parent", "parent-inside", "absolute", "no-file", "directory",
+            "empty"])
+    def test_view_path_outside_the_dataset_is_refused(
+            self, plane_ds, plane_dir, tmp_path, monkeypatch, role, key, name):
+        # every named file exists but the last three, and none may be read
+        root = tmp_path / "ds"
+        shutil.copytree(plane_dir, root)
+        if name == "ABSOLUTE":
+            name = str(root / plane_ds.manifest[role][0][key])
+        manifest = json.loads(json.dumps(plane_ds.manifest))
+        manifest[role][0][key] = name
+        (root / "manifest.json").write_text(json.dumps(manifest))
+
+        def read(path):
+            raise AssertionError(f"read {path} before the manifest was checked")
+        monkeypatch.setattr("mvdesc.scene.read_pgm", read)
+        monkeypatch.setattr("mvdesc.scene.read_depth", read)
+        with pytest.raises(ValueError) as err:
+            load_dataset(root)
+        assert str(err.value) == (
+            f"{root / 'manifest.json'}: {role}[0].{key}: {name!r}, expected a "
+            f"file in the dataset directory")
+
     @pytest.mark.parametrize("kind, index", [("frames", 2), ("tests", 0)])
     @pytest.mark.parametrize("field", ["image", "depth"])
     def test_view_of_another_size_names_the_file(self, plane_ds, tmp_path,
                                                  kind, index, field):
         root = tmp_path / "ds"
         generate_dataset(dict(plane_ds.spec), root)
-        path = root / plane_ds.manifest[kind][index][field]
+        name = plane_ds.manifest[kind][index][field]
+        path = root / name
         if field == "image":
             write_pgm(GrayImage(np.full((40, 50), 0.5)), path)
         else:
@@ -632,8 +681,9 @@ class TestDataset:
         cam = plane_ds.camera
         with pytest.raises(ValueError) as err:
             load_dataset(root)
-        assert str(err.value) == (f"{path}: 50x40 does not match the camera's "
-                                  f"{cam.width}x{cam.height}")
+        assert str(err.value) == (
+            f"{root / 'manifest.json'}: {kind}[{index}].{field}: {name!r} is "
+            f"50x40, expected the camera's {cam.width}x{cam.height}")
 
     def test_photometric_jitter_varies_between_frames(self, plane_ds):
         gains = {v.photometric["a"] for v in plane_ds.frames}

@@ -317,21 +317,44 @@ class TestDetection:
         with pytest.raises(ValueError):
             TrackerConfig(arc=17)
 
+    # each id keeps the field, the value and the rule the value breaks
     @pytest.mark.parametrize("field, value, message", [
-        ("n_features", 0, "n_features must be at least 1, got 0"),
-        ("n_features", -5, "n_features must be at least 1, got -5"),
-        ("max_iters", 0, "max_iters must be at least 1, got 0"),
-        ("reject_thresh", math.nan, "reject_thresh must be a finite number"),
-        ("reject_thresh", math.inf, "reject_thresh must be a finite number"),
-        ("reject_thresh", 0.0, "reject_thresh must be a finite number"),
-        ("reject_thresh", -1.0, "reject_thresh must be a finite number"),
-        ("min_border", -1, "min_border must not be negative, got -1"),
-        ("levels", 0, "levels must be in 1..5, got 0"),
-        ("levels", 6, "levels must be in 1..5, got 6"),
-        ("count_tol", 1.0, r"count_tol must be in \[0, 1\), got 1\.0"),
-        ("threshold_range", (0.1, 0.1), "threshold_range must be two finite "
-                                        "numbers in increasing order"),
-        ("threshold_range", [0.1], "threshold_range must be two finite"),
+        ("n_features", 0, r"^n_features: 0, expected at least 1$"),
+        ("n_features", -5, r"^n_features: -5, expected at least 1$"),
+        ("n_features", 250.5, r"^n_features: 250\.5, expected an integer$"),
+        ("max_iters", 0, r"^max_iters: 0, expected at least 1$"),
+        ("reject_thresh", math.nan, r"^reject_thresh: nan, expected a finite "
+                                    r"number$"),
+        ("reject_thresh", math.inf, r"^reject_thresh: inf, expected a finite "
+                                    r"number$"),
+        ("reject_thresh", 0.0, r"^reject_thresh: 0\.0, expected above 0$"),
+        ("reject_thresh", -1.0, r"^reject_thresh: -1\.0, expected above 0$"),
+        ("min_border", -1, r"^min_border: -1, expected at least 0$"),
+        ("levels", 0, r"^levels: 0, expected at least 1$"),
+        ("levels", 6, r"^levels: 6, expected at most 5$"),
+        ("window", 10, r"^window: 10, expected an odd number$"),
+        ("arc", 17, r"^arc: 17, expected at most 16$"),
+        ("count_tol", 1.0, r"^count_tol: 1\.0, expected below 1$"),
+        ("threshold_range", (0.1, 0.1), r"^threshold_range: \[0\.1, 0\.1\], "
+                                        r"expected increasing order$"),
+        ("threshold_range", [0.1], r"^threshold_range: 1 entries, expected 2$"),
+    ], ids=[
+        "n_features-0-n_features must be at least 1",
+        "n_features--5-n_features must be at least 1",
+        "n_features-250.5-n_features must be an integer",
+        "max_iters-0-max_iters must be at least 1",
+        "reject_thresh-nan-reject_thresh must be finite",
+        "reject_thresh-inf-reject_thresh must be finite",
+        "reject_thresh-0.0-reject_thresh must be above 0",
+        "reject_thresh--1.0-reject_thresh must be above 0",
+        "min_border--1-min_border must be at least 0",
+        "levels-0-levels must be at least 1",
+        "levels-6-levels must be at most 5",
+        "window-10-window must be odd",
+        "arc-17-arc must be at most 16",
+        "count_tol-1.0-count_tol must be below 1",
+        "threshold_range-values equal",
+        "threshold_range-value alone",
     ])
     def test_values_that_break_tracking_are_refused(self, field, value,
                                                     message):
@@ -799,33 +822,33 @@ class TestTrackIO:
         (lambda d: d.update(format_version=1),
          r"format_version: 1, expected 2; rebuild it with `mvdesc track`"),
         (lambda d: d.update(format_version="1"),
-         r"format_version: expected int, got str"),
+         r"format_version: '1', expected an integer"),
         (lambda d: d["tracks"].append(7), r"tracks\[2\]: not a JSON object"),
         (lambda d: d["tracks"][0].pop("id"), r"tracks\[0\]\.id: missing"),
         (lambda d: d["tracks"][0].update(id="0"),
-         r"tracks\[0\]\.id: expected int, got str"),
+         r"tracks\[0\]\.id: '0', expected an integer"),
         (lambda d: d["tracks"][1].update(level=-1),
-         r"tracks\[1\]\.level: -1 is negative"),
+         r"tracks\[1\]\.level: -1, expected at least 0"),
         (lambda d: d["tracks"][0].update(alive=1),
          r"tracks\[0\]\.alive: expected bool, got int"),
         (lambda d: d["tracks"][1].update(level=True),
-         r"tracks\[1\]\.level: expected int, got bool"),
+         r"tracks\[1\]\.level: True, expected an integer"),
         (lambda d: d["tracks"][0].update(positions=[]),
          r"tracks\[0\]\.positions: empty"),
         (lambda d: d["tracks"][0]["positions"].__setitem__(1, [1.0]),
-         r"tracks\[0\]\.positions\[1\]: not a list of 2 finite numbers"),
+         r"tracks\[0\]\.positions\[1\]: 1 entries, expected 2"),
         (lambda d: d["tracks"][0]["positions"].__setitem__(1, [1.0, "2"]),
-         r"positions\[1\]: not a list of 2 finite numbers"),
+         r"tracks\[0\]\.positions\[1\]\[1\]: '2', expected a finite number"),
         (lambda d: d["tracks"][0]["positions"].__setitem__(0, [float("nan"), 2.0]),
-         r"positions\[0\]: not a list of 2 finite numbers"),
+         r"tracks\[0\]\.positions\[0\]\[0\]: nan, expected a finite number"),
         (lambda d: d["tracks"][0]["positions"].__setitem__(0, {"x": 1}),
-         r"positions\[0\]: not a list of 2 finite numbers"),
+         r"tracks\[0\]\.positions\[0\]: expected list, got dict"),
         (lambda d: d["tracks"][0].update(first_patch=-1),
-         r"tracks\[0\]\.first_patch: -1 is negative"),
+         r"tracks\[0\]\.first_patch: -1, expected at least 0"),
         (lambda d: d["tracks"][0].update(first_patch="0"),
-         r"tracks\[0\]\.first_patch: expected int, got str"),
+         r"tracks\[0\]\.first_patch: '0', expected an integer"),
         (lambda d: d["tracks"][0].update(first_patch=1.0),
-         r"tracks\[0\]\.first_patch: expected int, got float"),
+         r"tracks\[0\]\.first_patch: 1\.0, expected an integer"),
         (lambda d: d["tracks"][0].update(first_patch=1),
          r"tracks\[0\]\.first_patch: 2 patches from 1 run past the 2 in "
          r".*patches\.pgm"),
