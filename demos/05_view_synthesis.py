@@ -11,8 +11,8 @@ descriptor; keeping every view and scoring a query by its best match
 import numpy as np
 
 from mvdesc import (DescriptorParams, LocalSurface, aggregate_descriptor,
-                    default_scene_spec, distance, generate_dataset, match_all,
-                    normalize_density, rot_z, sample_descriptor,
+                    default_scene_spec, generate_dataset, match_all,
+                    normalize_density, pairwise_distances, rot_z,
                     sample_rotations, synthesize_patch, synthesize_views)
 from mvdesc.bench import rhog
 from mvdesc.viewsynth import patch_density
@@ -47,10 +47,9 @@ def main():
     # a query seen from a novel in-plane angle: max-out finds a close
     # stored view, while the marginal descriptor blurs over all of them
     query_patch = synthesize_patch(surf, frame.image, rot_z(0.4))
-    q = sample_descriptor(
-        normalize_density(patch_density(query_patch, params)), "rhog")
-    _, best = match_all(stored, q.values, "l2")
-    single = distance(marginal, q, "l2")
+    q = normalize_density(patch_density(query_patch, params)).grid.reshape(-1)
+    _, best = match_all(stored, q, "l2")
+    single = pairwise_distances(marginal, q, "l2")[0, 0]
     print(f"query l2 distance: best stored view {best[0]:.5f}, "
           f"marginal descriptor {single:.5f}")
 

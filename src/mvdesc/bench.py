@@ -140,8 +140,8 @@ def _check_config(cfg: dict) -> None:
     _check_tracker(_json_field(cfg, "tracker", dict), "tracker")
     sizes, exc_size = cfg["patch_sizes"], cfg["excitation"]["patch_size"]
     if exc_size not in sizes:
-        raise ValueError(f"excitation.patch_size: {exc_size} is not one of "
-                         f"patch_sizes {sizes}")
+        raise ValueError(f"excitation.patch_size: {exc_size}, expected one "
+                         f"of patch_sizes {sizes}")
     names = []
     for i, entry in enumerate(cfg["scenes"]):
         name = _json_field(entry, "name", str, f"scenes[{i}]")
@@ -157,8 +157,8 @@ def _check_config(cfg: dict) -> None:
     n_frames = {**default_scene_spec(), **cfg["scenes"][0]}["n_frames"]
     for i, t in enumerate(cfg["memory_lengths"]):
         if t > n_frames:
-            raise ValueError(f"memory_lengths[{i}]: {t} is past the "
-                             f"{n_frames} frames of scenes[0]")
+            raise ValueError(f"memory_lengths[{i}]: {t}, expected at most "
+                             f"the {n_frames} frames of scenes[0]")
     # a slope or a flatness over the lengths, a rank correlation over the ks
     for path, values in (("memory_lengths", cfg["memory_lengths"]),
                          ("timing_lengths", cfg["timing_lengths"]),

@@ -73,8 +73,8 @@ def _stored_depth(file, meta: dict, tracks: list) -> int:
                              f"{MAX_PYRAMID_LEVELS}")
         for i, tr in enumerate(tracks):
             if tr.level >= levels:
-                raise ValueError(f"tracks[{i}].level: {tr.level} is not below "
-                                 f"meta.levels {levels}")
+                raise ValueError(f"tracks[{i}].level: {tr.level}, expected "
+                                 f"below meta.levels {levels}")
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
     return levels
@@ -104,8 +104,9 @@ def _cmd_describe(args) -> int:
     if args.method == "sv":
         shortest = min(len(tr.patches) for tr in tracks)
         if args.frame >= shortest:
-            raise ValueError(f"--frame {args.frame} is past the last frame of "
-                             f"the shortest stored track ({shortest} frames)")
+            raise ValueError(f"--frame: {args.frame}, expected below "
+                             f"{shortest}, the frames of the shortest stored "
+                             f"track")
         picks = [patch_density(tr.patches[args.frame], params).grid
                  for tr in tracks]
         db = bench.sv(ids, picks, params)
@@ -168,17 +169,17 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.bench_dir) / "report.json"
-    rep, num = _json_object(path), (int, float)
+    rep = _json_object(path)
     try:  # every field the summary prints, checked before it prints
         pooled = _json_field(rep, "pooled", dict)
         for m in pooled:
             for s in _json_field(pooled, m, dict, "pooled"):
-                _json_field(pooled[m], s, num, f"pooled.{m}")
+                _json_field(pooled[m], s, float, f"pooled.{m}")
         exc = _json_field(rep, "excitation", dict)
-        spearman = _json_field(exc, "spearman", num, "excitation")
+        spearman = _json_field(exc, "spearman", float, "excitation")
         points = _json_field(exc, "points", list, "excitation")
         mem = _json_field(rep, "memory", dict)
-        ratio, keep, mv = [_json_field(mem, k, num, "memory") for k in
+        ratio, keep, mv = [_json_field(mem, k, float, "memory") for k in
                            ("slope_ratio", "keepall_slope", "mv_slope")]
         n_tracks = _json_field(rep, "n_tracks", dict)
     except ValueError as err:

@@ -6,7 +6,8 @@ spread over the two nearest orientation bins by a triangular kernel one bin
 wide and over cell centers by a truncated Gaussian. Left unnormalized the
 density is homogeneous of degree 1 in image contrast; normalized per cell it
 is a proper conditional distribution over orientation and is
-contrast-insensitive.
+contrast-insensitive. A descriptor is a normalized density flattened to one
+(cells**2 * bins,) row: cell-major (row, col), then orientation bin.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from .image import TWO_PI, GradientField, _central_differences
 __all__ = [
     "DescriptorParams",
     "OrientationDensity",
-    "DescriptorVector",
     "orientation_density",
     "patch_densities",
     "normalize_density",
-    "sample_descriptor",
 ]
 
 ZERO_MASS_EPS = 1e-12
@@ -218,8 +217,8 @@ def _normalized_cells(grid: np.ndarray, bins: int):
 
 def _normalized_rows(grids, params: DescriptorParams) -> np.ndarray:
     """(n, cells**2 * bins) per-cell normalized descriptor rows of n
-    unnormalized density grids; row i equals ``sample_descriptor(
-    normalize_density(...)).values`` bit for bit."""
+    unnormalized density grids; row i equals ``normalize_density(...)
+    .grid.reshape(-1)`` bit for bit."""
     n_cells = params.cells ** 2
     stack = np.reshape(grids, (-1, n_cells, params.bins))
     return _normalized_cells(stack, params.bins)[0].reshape(-1, n_cells * params.bins)
@@ -233,31 +232,3 @@ def normalize_density(density: OrientationDensity) -> OrientationDensity:
     """
     grid, zero = _normalized_cells(density.grid, density.params.bins)
     return OrientationDensity(grid, density.params, normalized=True, zero_mass=zero)
-
-
-@dataclass
-class DescriptorVector:
-    """Flattened descriptor: cell-major (row, col), then orientation bin."""
-
-    values: np.ndarray
-    method: str
-    params: DescriptorParams
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        expect = self.params.cells ** 2 * self.params.bins
-        if self.values.size != expect:
-            raise ValueError(f"descriptor has {self.values.size} values, expected {expect}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("descriptor values must be finite")
-
-    @property
-    def bins(self) -> int:
-        return self.params.bins
-
-
-def sample_descriptor(density: OrientationDensity, method: str) -> DescriptorVector:
-    """Flatten a density grid into a descriptor vector (C order)."""
-    return DescriptorVector(density.grid.reshape(-1).copy(), method, density.params)

@@ -312,8 +312,7 @@ def _json_field(rec, key: str, kind, where: str = "", low=None):
     if kind in (int, float):
         return _json_number(val, path, kind, low)
     if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
-        names = kind if isinstance(kind, tuple) else (kind,)
-        raise ValueError(f"{path}: expected {' or '.join(k.__name__ for k in names)}, "
+        raise ValueError(f"{path}: expected {kind.__name__}, "
                          f"got {type(val).__name__}")
     return val
 

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import METHODS, DescriptorParams, DescriptorVector
+from .hog import METHODS, DescriptorParams
 from .image import _need
 
 __all__ = [
     "METRICS",
-    "distance",
     "pairwise_distances",
     "DescriptorDatabase",
     "nn_query",
@@ -173,17 +172,6 @@ def _neg_correlation(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d
 
 
-def distance(a, b, metric: str, bins: int = None) -> float:
-    """Distance between two descriptors (vectors or raw value arrays)."""
-    if isinstance(a, DescriptorVector):
-        bins = a.bins if bins is None else bins
-        a = a.values
-    if isinstance(b, DescriptorVector):
-        bins = b.bins if bins is None else bins
-        b = b.values
-    return float(pairwise_distances(a, b, metric, bins)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # database
 
@@ -226,13 +214,6 @@ class DescriptorDatabase:
                              f"is not finite")
         self._blocks.append((np.broadcast_to(
             np.asarray(track_ids, dtype=np.int64), (values.shape[0],)), values))
-
-    def add(self, track_id: int, vec: DescriptorVector) -> None:
-        if vec.method != self.method:
-            raise ValueError(f"cannot add {vec.method!r} descriptor to {self.method!r} database")
-        if vec.params != self.params:
-            raise ValueError("descriptor params do not match database")
-        self.extend(track_id, vec.values[None])
 
     def _columns(self) -> tuple:
         if len(self._blocks) > 1:
@@ -327,11 +308,10 @@ def _best_rows(dists: np.ndarray, track_ids: np.ndarray) -> np.ndarray:
     return order[tied[:, order].argmax(axis=1)]
 
 
-def nn_query(db: DescriptorDatabase, query, metric: str):
-    """Exact nearest-neighbor lookup under ``metric``; returns (track_id,
-    distance)."""
-    values = query.values if isinstance(query, DescriptorVector) else query
-    ids, dists = match_all(db, values, metric)
+def nn_query(db: DescriptorDatabase, query: np.ndarray, metric: str):
+    """Exact nearest-neighbor lookup of one descriptor row under ``metric``;
+    returns (track_id, distance)."""
+    ids, dists = match_all(db, query, metric)
     return int(ids[0]), float(dists[0])
 
 

@@ -429,8 +429,9 @@ def write_depth(path, depth: np.ndarray) -> None:
 
 
 def read_depth(path) -> np.ndarray:
-    """Read a depth raster; a foreign or cut header, a short raster or
-    trailing bytes raise ValueError naming the file and the field."""
+    """Read a depth raster; a foreign or cut header, a short raster,
+    trailing bytes or a pixel that is not a positive depth or ``inf`` (a
+    miss) raise ValueError naming the file and the field."""
     buf = Path(path).read_bytes()
     try:
         _need(buf, 0, _DEPTH_HEADER.size, "depth header")
@@ -441,9 +442,14 @@ def read_depth(path) -> np.ndarray:
         if len(buf) - _DEPTH_HEADER.size > 4 * w * h:
             raise ValueError(f"{len(buf) - _DEPTH_HEADER.size - 4 * w * h} "
                              f"trailing bytes after the depth raster")
+        vals = np.frombuffer(buf, "<f4", w * h, _DEPTH_HEADER.size)
+        bad = ~(vals > 0.0)  # NaN compares false
+        if bad.any():
+            y, x = divmod(int(bad.argmax()), w)
+            raise ValueError(f"depth raster[{y}, {x}]: {vals[y * w + x]}, "
+                             f"expected above 0")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    vals = np.frombuffer(buf, dtype="<f4", count=w * h, offset=_DEPTH_HEADER.size)
     return vals.astype(np.float64).reshape(h, w)
 
 
@@ -495,13 +501,25 @@ def default_scene_spec(name: str = "scene", kind: str = "plane",
 
 def _check_spec(spec: dict) -> None:
     """ValueError naming the first field of a scene spec (defaults merged
-    in) that its row of ``_SPEC_FIELDS`` refuses, or a contrast range whose
-    ends are out of order."""
+    in) that its row of ``_SPEC_FIELDS`` refuses, a contrast range whose
+    ends are out of order, or a test view closer to the training orbit than
+    ``min_test_offset_deg``."""
     _check_fields(spec, _SPEC_FIELDS, "scene spec")
     for key in ("contrast_a_range", "contrast_b_range"):
         lo, hi = spec[key]
         if lo > hi:
             raise ValueError(f"{key}: {spec[key]}, expected the low end first")
+    # every view looks at the origin, so its direction is its eye's
+    train = np.array(_orbit_eyes(spec))
+    train /= np.linalg.norm(train, axis=1, keepdims=True)
+    for i, eye in enumerate(_test_eyes(spec)):
+        worst = min(float(np.max(train @ (eye / np.linalg.norm(eye)))), 1.0)
+        if worst > math.cos(math.radians(spec["min_test_offset_deg"])):
+            raise ValueError(
+                f"test_azimuths_deg[{i}]: {spec['test_azimuths_deg'][i]!r}, "
+                f"expected a view at least {spec['min_test_offset_deg']} deg "
+                f"from the training orbit (it is "
+                f"{math.degrees(math.acos(worst)):.1f} deg)")
 
 
 def _spec_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -533,41 +551,39 @@ def _spherical_eye(distance: float, azimuth: float, elevation: float) -> np.ndar
     ])
 
 
-def orbit_poses(spec: dict) -> list[Pose]:
-    """Closed training trajectory: smooth azimuth/elevation/distance sway."""
+def _orbit_eyes(spec: dict) -> list:
+    """Eyes of the closed training trajectory: smooth azimuth, elevation
+    and distance sway."""
     n = spec["n_frames"]
     el0 = math.radians(spec["elevation_deg"])
-    poses = []
+    eyes = []
     for k in range(n):
         ph = 2.0 * math.pi * k / n
         az = math.radians(spec["orbit_azimuth_amp_deg"]) * math.sin(ph)
         el = el0 + math.radians(spec["orbit_elevation_amp_deg"]) * math.cos(ph)
         d = spec["distance"] * (1.0 + spec["orbit_distance_amp"] * math.cos(ph))
-        poses.append(look_at(_spherical_eye(d, az, el), np.zeros(3)))
-    return poses
+        eyes.append(_spherical_eye(d, az, el))
+    return eyes
+
+
+def _test_eyes(spec: dict) -> list:
+    """Eyes of the held-out viewpoints."""
+    return [_spherical_eye(spec["distance"] * ds, math.radians(az_d),
+                           math.radians(el_d))
+            for az_d, el_d, ds in zip(spec["test_azimuths_deg"],
+                                      spec["test_elevations_deg"],
+                                      spec["test_distance_scale"])]
+
+
+def orbit_poses(spec: dict) -> list[Pose]:
+    """Closed training trajectory, looking at the origin."""
+    return [look_at(eye, np.zeros(3)) for eye in _orbit_eyes(spec)]
 
 
 def test_poses(spec: dict) -> list[Pose]:
-    """Held-out viewpoints, each offset from every training viewpoint."""
-    poses = []
-    for az_d, el_d, ds in zip(spec["test_azimuths_deg"],
-                              spec["test_elevations_deg"],
-                              spec["test_distance_scale"]):
-        eye = _spherical_eye(spec["distance"] * ds, math.radians(az_d),
-                             math.radians(el_d))
-        poses.append(look_at(eye, np.zeros(3)))
-
-    min_off = math.radians(spec["min_test_offset_deg"])
-    train_dirs = np.array([p.center / np.linalg.norm(p.center)
-                           for p in orbit_poses(spec)])
-    for i, p in enumerate(poses):
-        d = p.center / np.linalg.norm(p.center)
-        worst = float(np.max(train_dirs @ d))
-        if worst > math.cos(min_off):
-            raise ValueError(
-                f"test view {i} is only {math.degrees(math.acos(worst)):.1f} deg "
-                f"from the training orbit (need {spec['min_test_offset_deg']})")
-    return poses
+    """Held-out viewpoints, looking at the origin; :func:`_check_spec`
+    keeps each offset from every training viewpoint."""
+    return [look_at(eye, np.zeros(3)) for eye in _test_eyes(spec)]
 
 
 def _camera(spec: dict) -> PinholeCamera:

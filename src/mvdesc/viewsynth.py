@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PinholeCamera, axis_angle_rotation, rot_z
-from .hog import (DescriptorParams, DescriptorVector, OrientationDensity,
-                  _normalized_rows, normalize_density, patch_densities,
-                  sample_descriptor)
+from .hog import (DescriptorParams, OrientationDensity, _normalized_rows,
+                  normalize_density, patch_densities)
 from .image import (GrayImage, _central_differences, base_to_level,
                     bilinear_sample, level_to_base)
 
@@ -223,10 +222,11 @@ def view_descriptors(patches: np.ndarray, params: DescriptorParams) -> np.ndarra
 
 
 def aggregate_descriptor(patches: np.ndarray,
-                         params: DescriptorParams) -> DescriptorVector:
-    """Single descriptor marginalized over the synthesized views."""
+                         params: DescriptorParams) -> np.ndarray:
+    """Single descriptor row, (cells**2 * bins,), marginalized over the
+    synthesized views."""
     mean = OrientationDensity(patch_densities(patches, params).mean(axis=0), params)
-    return sample_descriptor(normalize_density(mean), "rhog")
+    return normalize_density(mean).grid.reshape(-1)
 
 
 def select_keyframes(n_frames: int, k: int = DEFAULT_KEYFRAMES) -> np.ndarray:

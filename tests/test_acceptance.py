@@ -13,8 +13,7 @@ import numpy as np
 
 from mvdesc.bench import quick_benchmark_config, run_benchmark
 from mvdesc.geometry import PinholeCamera, Pose, rot_z
-from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
-                        orientation_density, sample_descriptor)
+from mvdesc.hog import DescriptorParams, normalize_density, orientation_density
 from mvdesc.image import (AffineContrast, GrayImage, apply_contrast,
                           compute_gradient)
 from mvdesc.matching import METRICS, DescriptorDatabase, nn_query
@@ -197,8 +196,7 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
         metric = METRICS[trial % len(METRICS)]
 
         db = DescriptorDatabase("sv", params)
-        for tid, row in zip(ids, rows):
-            db.add(int(tid), DescriptorVector(row, "sv", params))
+        db.extend(ids, rows)
         query = _cell_distributions(rng, 1, cells, bins)[0]
 
         got_id, got_dist = nn_query(db, query, metric)
@@ -253,10 +251,9 @@ def test_criterion_6_invariances(acceptance_log, plane_ds):
     surf = LocalSurface.from_frame(view.depth, view.camera, anchor, 11)
     rh = aggregate_descriptor(
         synthesize_patch(surf, view.image, np.eye(3))[None], p11)
-    sv = sample_descriptor(
-        normalize_density(patch_density(extract_patch(view.image, anchor, 11),
-                                        p11)), "sv")
-    rh_diff = float(np.max(np.abs(rh.values - sv.values)))
+    sv = normalize_density(patch_density(extract_patch(view.image, anchor, 11),
+                                         p11)).grid.reshape(-1)
+    rh_diff = float(np.max(np.abs(rh - sv)))
 
     # normalization: every cell sums to one, including zero-evidence cells
     sums_ok = True

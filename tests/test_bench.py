@@ -14,7 +14,7 @@ from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
                           memory_scaling, quick_benchmark_config, spearman,
                           update_cost_profile)
 from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
-                        patch_densities, sample_descriptor)
+                        patch_densities)
 from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.image import build_pyramid
 from mvdesc.scene import _SPEC_FIELDS, _check_spec, default_scene_spec
@@ -58,10 +58,9 @@ def synthetic_tracks(params, n_tracks, n_frames, seed):
     return grids.reshape((n_tracks, n_frames) + grids.shape[1:])
 
 
-def per_row(grid, params, method):
+def per_row(grid, params):
     """The per-density descriptor path the builders batch."""
-    return sample_descriptor(normalize_density(OrientationDensity(grid, params)),
-                             method).values
+    return normalize_density(OrientationDensity(grid, params)).grid.reshape(-1)
 
 
 def accumulated(track_grids, params):
@@ -71,13 +70,13 @@ def accumulated(track_grids, params):
         acc = MultiViewAccumulator(params)
         for g in grids:
             acc.update(OrientationDensity(g, params))
-        rows.append(sample_descriptor(acc.finalize(), "mv").values)
+        rows.append(acc.finalize().grid.reshape(-1))
     return rows
 
 
 class TestBuildersEqualThePerRowPath:
     """Each builder's rows and track ids equal, byte for byte, what
-    one ``sample_descriptor(normalize_density(d))`` per row (or
+    one ``normalize_density(d).grid.reshape(-1)`` per row (or
     ``MultiViewAccumulator.finalize`` per track) gives."""
 
     params = DescriptorParams(patch_size=9, bins=8, cells=3)
@@ -99,7 +98,7 @@ class TestBuildersEqualThePerRowPath:
     def test_sv(self):
         picks = self.tracks()[np.arange(4), np.arange(4)]
         self.assert_rows(bench.sv(self.ids, picks, self.params), "sv",
-                         [per_row(g, self.params, "sv") for g in picks], self.ids)
+                         [per_row(g, self.params) for g in picks], self.ids)
 
     def test_mv(self):
         tracks = self.tracks()
@@ -116,7 +115,7 @@ class TestBuildersEqualThePerRowPath:
         tracks = self.tracks()
         self.assert_rows(bench.keepall(self.ids, tracks, self.params),
                          "keepall",
-                         [per_row(g, self.params, "keepall")
+                         [per_row(g, self.params)
                           for grids in tracks for g in grids],
                          [t for t in self.ids for _ in range(5)])
 
@@ -135,12 +134,12 @@ class TestBuildersEqualThePerRowPath:
         self.assert_rows(bench.mv(ids, tracks, self.params), "mv",
                          accumulated(tracks, self.params), ids)
         self.assert_rows(bench.keepall(ids, tracks, self.params), "keepall",
-                         [per_row(g, self.params, "keepall")
+                         [per_row(g, self.params)
                           for grids in tracks for g in grids],
                          [t for t, n in zip(ids, lengths) for _ in range(n)])
         picks = np.array([grids[-1] for grids in tracks])
         self.assert_rows(bench.sv(ids, picks, self.params), "sv",
-                         [per_row(g, self.params, "sv") for g in picks], ids)
+                         [per_row(g, self.params) for g in picks], ids)
 
     def test_rhog(self, plane_ds):
         frame = plane_ds.frames[0]
@@ -155,7 +154,7 @@ class TestBuildersEqualThePerRowPath:
             for surf, image in track:
                 for patch in synthesize_views(surf, image, rotations)[0]:
                     rows.append(per_row(patch_density(patch, params).grid,
-                                        params, "rhog"))
+                                        params))
                     ids.append(tid)
         db = bench.rhog([4, 9], views, params, rotations)
         self.assert_rows(db, "rhog", rows, ids)

@@ -451,7 +451,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("config, field", [
         ({"patch_sizes": [11]},
-         "excitation.patch_size: 21 is not one of patch_sizes [11]"),
+         "excitation.patch_size: 21, expected one of patch_sizes [11]"),
         ({"max_tracks": 0}, "max_tracks: 0, expected at least 1"),
         ({"rhog": {"keyframes": 0}}, "rhog.keyframes: 0, expected at least 1"),
         ({"tracker": {"bogus": 1}}, "tracker.bogus: not a tracker field"),
@@ -472,7 +472,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("config, field", [
         ({"memory_lengths": [5, 15, 30]},
-         "memory_lengths[0]: 5 is past the 4 frames of scenes[0]"),
+         "memory_lengths[0]: 5, expected at most the 4 frames of scenes[0]"),
         ({"memory_lengths": []}, "memory_lengths: empty"),
         ({"memory_lengths": [0, 2]},
          "memory_lengths[0]: 0, expected at least 1"),
@@ -586,9 +586,9 @@ class TestInputErrors:
         (lambda doc: doc["meta"].update(levels="two"),
          "meta.levels: 'two', expected an integer"),
         (lambda doc: doc["tracks"][1].update(level=2),
-         "tracks[1].level: 2 is not below meta.levels 2"),
+         "tracks[1].level: 2, expected below meta.levels 2"),
         (lambda doc: doc["tracks"][3].update(level=4),
-         "tracks[3].level: 4 is not below meta.levels 2"),
+         "tracks[3].level: 4, expected below meta.levels 2"),
     ], ids=["levels-past-max", "levels-zero", "levels-string",
             "level-at-depth", "level-past-depth"])
     def test_rhog_on_tracks_of_another_depth(self, workspace, tmp_path, capsys,
@@ -624,8 +624,8 @@ class TestInputErrors:
                    "--out", str(tmp_path / "db"), "--method", "sv",
                    "--frame", frame])
         assert rc == 1
-        assert (f"--frame {frame} is past the last frame of the shortest "
-                f"stored track (6 frames)") in capsys.readouterr().err
+        assert (f"--frame: {frame}, expected below 6, the frames of the "
+                f"shortest stored track") in capsys.readouterr().err
         assert not (tmp_path / "db").exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -634,9 +634,9 @@ class TestInputErrors:
         ("not json", "Expecting value"),
         ('{"pooled": []}', "pooled: expected dict, got list"),
         ('{"pooled": {"sv": {"11": "0.5"}}}',
-         "pooled.sv.11: expected int or float, got str"),
+         "pooled.sv.11: '0.5', expected a finite number"),
         ('{"pooled": {"sv": {"11": 0.5}}, "excitation": {"spearman": null}}',
-         "excitation.spearman: expected int or float, got NoneType"),
+         "excitation.spearman: None, expected a finite number"),
     ], ids=["empty", "list", "unparsable", "pooled-list", "rate-string",
             "spearman-null"])
     def test_report_on_a_malformed_report(self, tmp_path, capsys, text,

@@ -1,4 +1,4 @@
-"""Orientation densities: kernels, normalization and flattening."""
+"""Orientation densities: kernels and normalization."""
 
 import dataclasses
 import math
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import (DescriptorParams, DescriptorVector, OrientationDensity,
+from mvdesc.hog import (DescriptorParams, OrientationDensity,
                         _orientation_weights, normalize_density,
-                        orientation_density, patch_densities,
-                        sample_descriptor)
+                        orientation_density, patch_densities)
 from mvdesc.image import GrayImage, compute_gradient
 from oracles import angular_kernel
 
@@ -229,20 +228,3 @@ class TestNormalization:
             OrientationDensity(np.zeros((2, 2, 7)), params)
         with pytest.raises(ValueError):
             OrientationDensity(np.full((2, 2, 8), -1.0), params)
-
-
-class TestDescriptorVector:
-    def test_flattening_order(self):
-        rng = np.random.default_rng(18)
-        params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        grid = rng.random((2, 2, 4))
-        vec = sample_descriptor(OrientationDensity(grid, params), "sv")
-        np.testing.assert_array_equal(vec.values, grid.reshape(-1))
-        assert vec.bins == 4
-
-    def test_length_validated(self):
-        params = DescriptorParams(patch_size=8, bins=4, cells=2)
-        with pytest.raises(ValueError):
-            DescriptorVector(np.zeros(15), "sv", params)
-        with pytest.raises(ValueError):
-            DescriptorVector(np.zeros(16), "who", params)

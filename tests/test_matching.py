@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import METHODS, DescriptorParams, DescriptorVector
+from mvdesc.hog import METHODS, DescriptorParams
 from mvdesc.image import GrayImage, read_pgm, write_pgm
 from mvdesc.matching import (_CHUNK_BYTES, _DB_HEADER, METRICS,
-                             DescriptorDatabase, distance, match_all, nn_query,
+                             DescriptorDatabase, match_all, nn_query,
                              pairwise_distances)
 from mvdesc.scene import read_depth, write_depth
 
@@ -30,66 +30,74 @@ class TestMetricValues:
     r = np.array([0.75, 0.25, 0.25, 0.75])
 
     def test_l1(self):
-        assert distance(self.q, self.r, "l1") == pytest.approx(0.5)
+        assert pairwise_distances(self.q, self.r, "l1")[0, 0] \
+            == pytest.approx(0.5)
 
     def test_l2(self):
-        assert distance(self.q, self.r, "l2") \
+        assert pairwise_distances(self.q, self.r, "l2")[0, 0] \
             == pytest.approx(math.sqrt(2 * 0.25 ** 2))
 
     def test_chi2(self):
         want = 0.5 * ((0.25 ** 2) / 1.25 + (0.25 ** 2) / 0.75)
-        assert distance(self.q, self.r, "chi2", bins=2) == pytest.approx(want)
+        assert pairwise_distances(self.q, self.r, "chi2", bins=2)[0, 0] \
+            == pytest.approx(want)
 
     def test_chi2_zero_bins_contribute_nothing(self):
         a = np.array([0.0, 1.0, 0.5, 0.5])
         b = np.array([0.0, 1.0, 0.5, 0.5])
-        assert distance(a, b, "chi2", bins=2) == 0.0
+        assert pairwise_distances(a, b, "chi2", bins=2)[0, 0] == 0.0
 
     def test_bhattacharyya(self):
         bc1 = math.sqrt(0.5 * 0.75) + math.sqrt(0.5 * 0.25)
         want = -math.log(min(bc1, 1.0))  # second cell is identical, bc = 1
-        assert distance(self.q, self.r, "bhattacharyya", bins=2) \
+        assert pairwise_distances(self.q, self.r, "bhattacharyya",
+                                  bins=2)[0, 0] \
             == pytest.approx(want, rel=1e-9)
 
     def test_bhattacharyya_disjoint_is_infinite(self):
         a = np.array([1.0, 0.0, 0.5, 0.5])
         b = np.array([0.0, 1.0, 0.5, 0.5])
-        assert distance(a, b, "bhattacharyya", bins=2) == math.inf
+        assert pairwise_distances(a, b, "bhattacharyya", bins=2)[0, 0] \
+            == math.inf
 
     def test_kl_self_distance_zero(self):
-        assert distance(self.q, self.q, "kl", bins=2) == pytest.approx(0.0)
+        assert pairwise_distances(self.q, self.q, "kl", bins=2)[0, 0] \
+            == pytest.approx(0.0)
 
     def test_kl_known_value(self):
         s = 1e-8
         qs = (self.q.reshape(2, 2) + s) / (1 + 2 * s)
         rs = (self.r.reshape(2, 2) + s) / (1 + 2 * s)
         want = float(np.sum(qs * (np.log(qs) - np.log(rs))))
-        assert distance(self.q, self.r, "kl", bins=2) \
+        assert pairwise_distances(self.q, self.r, "kl", bins=2)[0, 0] \
             == pytest.approx(want, rel=1e-12)
 
     def test_kl_asymmetric(self):
         a = np.array([0.9, 0.1, 0.5, 0.5])
         b = np.array([0.2, 0.8, 0.5, 0.5])
-        assert distance(a, b, "kl", bins=2) != pytest.approx(
-            distance(b, a, "kl", bins=2))
+        assert pairwise_distances(a, b, "kl", bins=2)[0, 0] != pytest.approx(
+            pairwise_distances(b, a, "kl", bins=2)[0, 0])
 
     def test_neg_correlation(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert distance(a, 2.0 * a + 1.0, "neg-correlation") \
+        assert pairwise_distances(a, 2.0 * a + 1.0, "neg-correlation")[0, 0] \
             == pytest.approx(0.0, abs=1e-12)
-        assert distance(a, -a, "neg-correlation") == pytest.approx(2.0)
+        assert pairwise_distances(a, -a, "neg-correlation")[0, 0] \
+            == pytest.approx(2.0)
         flat = np.full(4, 0.5)
-        assert distance(flat, flat, "neg-correlation") == 0.0
-        assert distance(flat, np.full(4, 0.9), "neg-correlation") == 1.0
-        assert distance(flat, a, "neg-correlation") == pytest.approx(1.0)
+        assert pairwise_distances(flat, flat, "neg-correlation")[0, 0] == 0.0
+        assert pairwise_distances(flat, np.full(4, 0.9),
+                                  "neg-correlation")[0, 0] == 1.0
+        assert pairwise_distances(flat, a, "neg-correlation")[0, 0] \
+            == pytest.approx(1.0)
 
     def test_per_cell_metrics_require_bins(self):
         with pytest.raises(ValueError):
-            distance(self.q, self.r, "chi2")
+            pairwise_distances(self.q, self.r, "chi2")
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            distance(self.q, self.r, "cosine")
+            pairwise_distances(self.q, self.r, "cosine")
 
 
 class TestPairwise:
@@ -103,7 +111,8 @@ class TestPairwise:
             for i in (0, 3):
                 for j in (0, 6):
                     assert mat[i, j] == pytest.approx(
-                        distance(qs[i], rows[j], metric, bins=4), rel=1e-12)
+                        pairwise_distances(qs[i], rows[j], metric,
+                                           bins=4)[0, 0], rel=1e-12)
 
     def test_chunked_queries_consistent(self):
         # enough rows that a broadcast chunk holds two queries, so five
@@ -151,17 +160,6 @@ class TestDatabase:
         np.testing.assert_array_equal(db.matrix, rows)
         assert db.track_ids.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
-    def test_add_equals_extend_of_one_row(self):
-        rng = np.random.default_rng(47)
-        rows = unit_cells(rng, 3)
-        one, block = (DescriptorDatabase("mv", PARAMS) for _ in "ab")
-        for i, row in enumerate(rows):
-            one.add(7 - i, DescriptorVector(row, "mv", PARAMS))
-            block.extend(7 - i, row[None])
-        for attr in ("matrix", "track_ids"):
-            got, want = getattr(one, attr), getattr(block, attr)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
     def test_extend_validates_the_block_once(self):
         db = DescriptorDatabase("sv", PARAMS)
         with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
@@ -182,21 +180,11 @@ class TestDatabase:
         assert db.track_ids.tolist() == [4, 4, 4, 9]
         assert db.matrix[3].tolist() == [1.0] * 16
 
-    def test_method_and_params_enforced(self):
-        rng = np.random.default_rng(44)
-        db, _ = self.build(rng)
-        with pytest.raises(ValueError):
-            db.add(0, DescriptorVector(unit_cells(rng, 1)[0], "mv", PARAMS))
-        other = DescriptorParams(patch_size=16)
-        with pytest.raises(ValueError):
-            db.add(0, DescriptorVector(np.full(256, 1.0 / 16), "sv", other))
-
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(45)
         db = DescriptorDatabase("mv", PARAMS)
         rows = unit_cells(rng, 6).astype(np.float32).astype(np.float64)
-        for i, row in enumerate(rows):
-            db.add(i * 3, DescriptorVector(row, "mv", PARAMS))
+        db.extend(3 * np.arange(6), rows)
         db.save(tmp_path / "d.db")
         back = DescriptorDatabase.load(tmp_path / "d.db")
         assert back.method == "mv" and back.params == PARAMS
@@ -338,9 +326,8 @@ class TestQueries:
         far = target.copy()
         far[0], far[1] = far[1], far[0]
         # track 5 owns one bad and one perfect row; track 1 a mediocre one
-        db.add(5, DescriptorVector(np.roll(target, 4), "sv", PARAMS))
-        db.add(1, DescriptorVector((target + far) / 2.0, "sv", PARAMS))
-        db.add(5, DescriptorVector(target, "sv", PARAMS))
+        db.extend([5, 1, 5],
+                  [np.roll(target, 4), (target + far) / 2.0, target])
         tid, d = nn_query(db, target, "l2")
         assert tid == 5
         assert d == pytest.approx(0.0, abs=1e-12)
@@ -348,9 +335,7 @@ class TestQueries:
     def test_exact_tie_prefers_lowest_id(self):
         db = DescriptorDatabase("sv", PARAMS)
         row = unit_cells(np.random.default_rng(47), 1)[0]
-        db.add(9, DescriptorVector(row, "sv", PARAMS))
-        db.add(2, DescriptorVector(row, "sv", PARAMS))
-        db.add(7, DescriptorVector(row, "sv", PARAMS))
+        db.extend([9, 2, 7], [row] * 3)
         tid, _ = nn_query(db, row, "l2")
         assert tid == 2
 
@@ -359,7 +344,7 @@ class TestQueries:
         db = DescriptorDatabase("sv", PARAMS)
         rows = unit_cells(rng, 20)
         for i, row in enumerate(rows):
-            db.add(int(rng.integers(0, 6)), DescriptorVector(row, "sv", PARAMS))
+            db.extend(int(rng.integers(0, 6)), row[None])
         qs = unit_cells(rng, 8)
         ids, dists = match_all(db, qs, "chi2")
         for i in range(8):
@@ -372,8 +357,7 @@ class TestQueries:
         rng = np.random.default_rng(53)
         rows = unit_cells(rng, 30)
         db = DescriptorDatabase("sv", PARAMS)
-        for i, row in enumerate(rows):
-            db.add(i, DescriptorVector(row, "sv", PARAMS))
+        db.extend(np.arange(30), rows)
         q = rows[17] + 1e-9 * rng.random(16)
         tid, d = nn_query(db, q, "l2")
         assert tid == 17
@@ -384,8 +368,7 @@ class TestQueries:
         rows = unit_cells(np.random.default_rng(59), 3)
         rows[2] = rows[0]
         db = DescriptorDatabase("sv", PARAMS)
-        for i, row in enumerate(rows):
-            db.add(i, DescriptorVector(row, "sv", PARAMS))
+        db.extend(np.arange(3), rows)
         assert nn_query(db, rows[0], "neg-correlation")[0] == 0
         d = pairwise_distances(rows[0], rows, "neg-correlation")[0]
         assert d[0] == d[2]
@@ -394,8 +377,7 @@ class TestQueries:
         # the metric is the query's: the same database answers under l1
         rng = np.random.default_rng(49)
         db = DescriptorDatabase("sv", PARAMS)
-        for i, row in enumerate(unit_cells(rng, 5)):
-            db.add(i, DescriptorVector(row, "sv", PARAMS))
+        db.extend(np.arange(5), unit_cells(rng, 5))
         q = unit_cells(rng, 1)[0]
         assert nn_query(db, q, "l2")[1] == pytest.approx(float(
             pairwise_distances(q, db.matrix, "l2")[0].min()), rel=1e-12)
@@ -492,8 +474,7 @@ class TestOracleProperty:
     def test_queries_match_brute_force(self, metric, case):
         rows, ids, queries = case
         db = DescriptorDatabase("sv", PARAMS)
-        for t, row in zip(ids, rows):
-            db.add(t, DescriptorVector(row, "sv", PARAMS))
+        db.extend(ids, rows)
         got_ids, got_dists = match_all(db, queries, metric)
         for i, q in enumerate(queries):
             _oracle_check(int(got_ids[i]), float(got_dists[i]), q, rows, ids,

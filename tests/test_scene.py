@@ -521,6 +521,18 @@ class TestDepthIO:
         with pytest.raises(ValueError):
             read_depth(tmp_path / "x")
 
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.5, -np.inf],
+                             ids=["nan", "zero", "negative", "minus-inf"])
+    def test_refuses_a_pixel_that_is_no_depth(self, tmp_path, value):
+        # ray depth is positive; inf, a miss, is the one other value
+        depth = np.full((3, 4), 2.0)
+        depth[1, 2] = value
+        write_depth(tmp_path / "d", depth)
+        with pytest.raises(ValueError) as exc:
+            read_depth(tmp_path / "d")
+        assert str(exc.value) == (f"{tmp_path / 'd'}: depth raster[1, 2]: "
+                                  f"{np.float32(value)}, expected above 0")
+
 
 class TestTrajectories:
     def test_orbit_count_and_radii(self):
@@ -549,8 +561,9 @@ class TestTrajectories:
         spec["test_azimuths_deg"] = [0.0]
         spec["test_elevations_deg"] = [spec["elevation_deg"]]
         spec["test_distance_scale"] = [1.0]
-        with pytest.raises(ValueError):
-            scene.test_poses(spec)
+        with pytest.raises(ValueError,
+                           match=r"^test_azimuths_deg\[0\]: 0\.0, "):
+            scene._check_spec(spec)
 
 
 @pytest.fixture(scope="module")
@@ -732,6 +745,10 @@ class TestDataset:
         ({"noise_sigma": -1}, "noise_sigma: -1, expected at least 0"),
         ({"test_azimuths_deg": [], "test_elevations_deg": [],
           "test_distance_scale": []}, "test_azimuths_deg: empty"),
+        ({"test_azimuths_deg": [40.0], "test_elevations_deg": [65.0],
+          "test_distance_scale": [1.0]},
+         "test_azimuths_deg[0]: 40.0, expected a view at least 15.0 deg from "
+         "the training orbit (it is 1.5 deg)"),
     ], ids=["name-type", "unknown-kind", "negative-seed", "fractional-seed",
             "one-resolution", "tiny-resolution", "focal-type", "zero-focal",
             "distance-type", "nan-elevation", "null-amplitude",
@@ -739,7 +756,8 @@ class TestDataset:
             "no-texture", "one-texel", "no-octaves", "no-texels",
             "coarse-heightfield", "negative-amplitude", "no-extent",
             "zero-contrast", "contrast-a-order", "contrast-b-order",
-            "short-contrast-b", "negative-noise", "no-test-views"])
+            "short-contrast-b", "negative-noise", "no-test-views",
+            "test-view-on-the-orbit"])
     def test_bad_field_refused_before_any_output(self, tmp_path, capsys,
                                                  spec, field):
         # one line naming the field, no traceback and no directory, from

@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, rot_z
-from mvdesc.hog import (DescriptorParams, DescriptorVector, normalize_density,
-                        sample_descriptor)
+from mvdesc.hog import DescriptorParams, normalize_density
 from mvdesc.image import GrayImage, bilinear_sample, level_to_base
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
@@ -500,8 +499,8 @@ class TestAggregation:
         for row, q in zip(rows, patches):
             np.testing.assert_allclose(row.reshape(4, 8).sum(axis=1), 1.0,
                                        atol=1e-6)
-            one = sample_descriptor(normalize_density(patch_density(q, p)), "rhog")
-            assert row.tobytes() == one.values.tobytes()
+            one = normalize_density(patch_density(q, p)).grid.reshape(-1)
+            assert row.tobytes() == one.tobytes()
 
     def test_aggregate_equals_normalized_mean_density(self):
         rng = np.random.default_rng(82)
@@ -511,8 +510,7 @@ class TestAggregation:
         want = grids.mean(axis=0)
         want = want / want.sum(axis=2, keepdims=True)
         got = aggregate_descriptor(patches, p)
-        np.testing.assert_allclose(got.values,
-                                   want.reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(got, want.reshape(-1), atol=1e-12)
 
     def test_aggregate_of_identical_views_is_the_single_view(self):
         rng = np.random.default_rng(83)
@@ -520,7 +518,7 @@ class TestAggregation:
         p = self.params()
         single = view_descriptors(patch[None], p)[0]
         four = aggregate_descriptor(np.repeat(patch[None], 4, axis=0), p)
-        np.testing.assert_allclose(four.values, single, atol=1e-12)
+        np.testing.assert_allclose(four, single, atol=1e-12)
 
 
 class TestMaxOut:
@@ -531,8 +529,7 @@ class TestMaxOut:
         stored = np.atleast_2d(stored)
         params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1)
         db = DescriptorDatabase("rhog", params)
-        for row in stored:
-            db.add(0, DescriptorVector(row, "rhog", params))
+        db.extend(0, stored)
         _, dist = match_all(db, np.asarray(query, dtype=np.float64), "l2")
         return float(dist[0]) ** 2
 
