@@ -1,4 +1,4 @@
-"""Layer benchmark for the descriptor database: ``extend``, ``save``, ``load``.
+"""Layer benchmark for the descriptor database: build, ``save``, ``load``.
 
 Run from the repository root (kept out of ``testpaths``, so the unit tests
 do not pay for it):
@@ -6,9 +6,9 @@ do not pay for it):
     PYTHONPATH=src python -m pytest benchmarks/test_db_kernels.py -q -s
 
 The database is 11,200 rows of 256 values, the size of one full-benchmark
-rhog database at patch 21 (140 tracks x 4 keyframes x 20 views). ``extend``
-is timed as the rhog builder calls it, one block of 20 views per keyframe
-surface, followed by the first ``matrix`` access that joins the blocks.
+rhog database at patch 21 (140 tracks x 4 keyframes x 20 views). The build
+is timed as the rhog builder does it: 140 blocks of 80 rows and their track
+ids are collected, joined, and passed to one constructor call.
 Each case prints the time per call and the peak memory NumPy allocated
 during one call, as traced by ``tracemalloc``. Pin the BLAS thread count
 (``OPENBLAS_NUM_THREADS=1``) to compare runs across machines.
@@ -23,7 +23,7 @@ from mvdesc.hog import DescriptorParams
 from mvdesc.matching import DescriptorDatabase
 
 ROWS = 11_200
-VIEWS = 20                                  # rows per extend call
+BLOCK = 80                                  # rows collected per block
 PARAMS = DescriptorParams(patch_size=21)   # 4 x 4 cells x 16 bins = 256
 
 
@@ -35,11 +35,11 @@ def rhog_rows():
 
 
 def build(rows):
-    db = DescriptorDatabase("rhog", PARAMS)
-    for s in range(0, ROWS, VIEWS):
-        db.extend(s // 80, rows[s:s + VIEWS])
-    db.matrix  # joins the blocks
-    return db
+    ids, blocks = [], []
+    for s in range(0, ROWS, BLOCK):
+        blocks.append(rows[s:s + BLOCK])
+        ids += [s // BLOCK] * BLOCK
+    return DescriptorDatabase("rhog", PARAMS, ids, np.concatenate(blocks))
 
 
 def traced_peak_mib(fn, *args) -> float:
@@ -59,13 +59,13 @@ def report(benchmark, name, peak):
           f"{ms:.1f} ms, peak {peak:.1f} MiB")
 
 
-def test_extend(benchmark, rhog_rows):
+def test_build(benchmark, rhog_rows):
     peak = traced_peak_mib(build, rhog_rows)
     db = benchmark.pedantic(build, args=(rhog_rows,), rounds=5,
                             iterations=1, warmup_rounds=1)
-    report(benchmark, "extend", peak)
+    report(benchmark, "build", peak)
     assert db.matrix.shape == (ROWS, 256)
-    assert db.track_ids[-1] == ROWS // 80 - 1
+    assert db.track_ids[-1] == ROWS // BLOCK - 1
 
 
 def test_save(benchmark, rhog_rows, tmp_path):

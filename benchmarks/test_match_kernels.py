@@ -41,8 +41,7 @@ def rhog_rows():
 @pytest.mark.parametrize("metric", ["l2", "chi2"])
 def test_match_all(benchmark, rhog_rows, metric):
     rows, queries = rhog_rows
-    db = DescriptorDatabase("rhog", PARAMS)
-    db.extend(np.arange(ROWS) // 80, rows)
+    db = DescriptorDatabase("rhog", PARAMS, np.arange(ROWS) // 80, rows)
 
     tracemalloc.start()
     match_all(db, queries, metric)

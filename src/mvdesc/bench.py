@@ -204,32 +204,32 @@ def spearman(x, y) -> float:
 def sv(track_ids, grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track from an (n, cells, cells, bins) stack of
     unnormalized densities, one per track (the caller picks the frame)."""
-    db = DescriptorDatabase("sv", params)
-    db.extend(track_ids, _normalized_rows(grids, params))
-    return db
+    return DescriptorDatabase("sv", params, track_ids,
+                              _normalized_rows(grids, params))
 
 
 def mv(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track: the normalized mean of its (frames, cells, cells,
     bins) density stack. ``mean(axis=0)`` adds the frames in order and then
     divides by their count, as :class:`MultiViewAccumulator` does."""
-    db = DescriptorDatabase("mv", params)
     means = []
     for tid, grids in zip(track_ids, track_grids):
         if not len(grids):
             raise ValueError(f"mv: track {tid} has no frames")
         means.append(np.mean(grids, axis=0))
-    db.extend(track_ids, _normalized_rows(means, params))
-    return db
+    return DescriptorDatabase("mv", params, track_ids,
+                              _normalized_rows(means, params))
 
 
 def keepall(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per frame of every track's (frames, cells, cells, bins)
-    density stack, in frame order."""
-    db = DescriptorDatabase("keepall", params)
-    for tid, grids in zip(track_ids, track_grids):
-        db.extend(tid, _normalized_rows(grids, params))
-    return db
+    density stack, in frame order. ``track_grids`` is one (tracks, frames,
+    ...) array or a list of stacks of any lengths."""
+    frames = track_grids if isinstance(track_grids, np.ndarray) else np.concatenate(
+        [np.empty((0, params.cells, params.cells, params.bins)), *track_grids])
+    ids = np.repeat(track_ids, [len(grids) for grids in track_grids])
+    return DescriptorDatabase("keepall", params, ids,
+                              _normalized_rows(frames, params))
 
 
 def rhog(track_ids, track_views, params: DescriptorParams, rotations,
@@ -240,7 +240,7 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
     lifted keyframe surface and the pyramid level image it reprojects into.
     A keyframe none of whose views is accepted contributes no rows.
     """
-    db = DescriptorDatabase("rhog", params)
+    ids, blocks = [], [np.zeros((0, params.cells ** 2 * params.bins))]
     for tid, views in zip(track_ids, track_views):
         for surface, level_image in views:
             try:
@@ -248,8 +248,10 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
                                               min_facing)
             except ValueError:
                 continue
-            db.extend(tid, view_descriptors(patches, params))
-    return db
+            blocks.append(view_descriptors(patches, params))
+            ids += [tid] * len(blocks[-1])
+            del patches  # the last stack, if alive at the join, pins freed heap memory
+    return DescriptorDatabase("rhog", params, ids, np.concatenate(blocks))
 
 
 def lift_keyframes(dataset, pyramids, tracks, n_keyframes: int,

@@ -62,10 +62,10 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _stored_depth(file, meta: dict, tracks: list) -> int:
-    """``meta.levels`` of a ``tracks.json``: the depth its tracks' pyramids
-    were built with, which must lie in 1..MAX_PYRAMID_LEVELS and exceed
-    every track's level; ValueError naming the file and the field."""
+def _stored_depth(file, meta: dict, tracks: list, dataset, frames: int) -> int:
+    """``meta.levels`` of a ``tracks.json``: its tracks' pyramid depth, in
+    1..MAX_PYRAMID_LEVELS and above every track's level, no track longer than
+    the ``frames`` of ``dataset``; ValueError naming the file and the field."""
     try:
         levels = _json_field(meta, "levels", int, "meta", 1)
         if levels > MAX_PYRAMID_LEVELS:
@@ -75,6 +75,9 @@ def _stored_depth(file, meta: dict, tracks: list) -> int:
             if tr.level >= levels:
                 raise ValueError(f"tracks[{i}].level: {tr.level}, expected "
                                  f"below meta.levels {levels}")
+            if tr.length > frames:
+                raise ValueError(f"tracks[{i}].positions: {tr.length} entries, "
+                                 f"expected at most the {frames} frames of {dataset}")
     except ValueError as exc:
         raise ValueError(f"{file}: {exc}") from None
     return levels
@@ -115,8 +118,9 @@ def _cmd_describe(args) -> int:
         db = build(ids, [patch_densities(tr.patches, params) for tr in tracks],
                    params)
     else:
-        levels = _stored_depth(Path(args.tracks) / "tracks.json", meta, loaded)
         ds = load_dataset(args.dataset)
+        levels = _stored_depth(Path(args.tracks) / "tracks.json", meta, loaded,
+                               args.dataset, len(ds.frames))
         keys = {k for tr in tracks
                 for k in select_keyframes(tr.length, args.keyframes).tolist()}
         pyrs = {k: image.build_pyramid(ds.frames[k].image, levels) for k in keys}

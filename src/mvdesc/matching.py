@@ -183,51 +183,36 @@ _DB_HEADER = struct.Struct("<8sHBHHHI")
 
 
 class DescriptorDatabase:
-    """Stored descriptors keyed by track.
+    """Stored descriptors keyed by track, built once from all its rows:
+    an (n, cells**2 * bins) float64 ``matrix`` and ``track_ids``, which
+    broadcasts to n and is kept as an int64 array, one entry per row."""
 
-    The rows form one float64 ``matrix``; ``track_ids`` is an int64 array
-    with one entry per row.
-    """
-
-    def __init__(self, method: str, params: DescriptorParams):
+    def __init__(self, method: str, params: DescriptorParams, track_ids, rows):
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         self.method = method
         self.params = params
         d = params.cells ** 2 * params.bins
-        # (track ids, rows) per extend call, joined on first use
-        self._blocks = [(np.zeros(0, np.int64), np.zeros((0, d)))]
-
-    def __len__(self) -> int:
-        return sum(len(ids) for ids, _ in self._blocks)
-
-    def extend(self, track_ids, values) -> None:
-        """Append an (n, cells**2 * bins) block of rows, validated once;
-        ``track_ids`` broadcasts to n."""
-        d = self.params.cells ** 2 * self.params.bins
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != d:
-            raise ValueError(f"expected (n, {d}) descriptor rows, got {values.shape}")
-        bad = ~np.isfinite(values).all(axis=1)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise ValueError(f"expected (n, {d}) descriptor rows, got {rows.shape}")
+        bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             raise ValueError(f"descriptor values: row {int(bad.argmax())} "
                              f"is not finite")
-        self._blocks.append((np.broadcast_to(
-            np.asarray(track_ids, dtype=np.int64), (values.shape[0],)), values))
+        self.track_ids = np.broadcast_to(
+            np.asarray(track_ids, dtype=np.int64), rows.shape[:1]).copy()
+        self._rows = rows
 
-    def _columns(self) -> tuple:
-        if len(self._blocks) > 1:
-            self._blocks = [tuple(np.concatenate(c) for c in zip(*self._blocks))]
-        return self._blocks[0]
-
-    track_ids = property(lambda self: self._columns()[0])
+    def __len__(self) -> int:
+        return len(self._rows)
 
     @property
     def matrix(self) -> np.ndarray:
         """(n_rows, descriptor_length) matrix of stored values."""
         if not len(self):
             raise ValueError("database is empty")
-        return self._columns()[1]
+        return self._rows
 
     @property
     def memory_bytes(self) -> int:
@@ -291,9 +276,7 @@ class DescriptorDatabase:
             raise ValueError(f"{len(buf) - offset} trailing bytes after the "
                              f"descriptor values")
         ids, values = arrays
-        db = cls(METHODS[mcode], params)
-        db.extend(ids, values.astype(np.float64).reshape(count, -1))
-        return db
+        return cls(METHODS[mcode], params, ids, values.reshape(count, -1))
 
 
 def _best_rows(dists: np.ndarray, track_ids: np.ndarray) -> np.ndarray:

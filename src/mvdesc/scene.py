@@ -59,7 +59,7 @@ _MARCH_STEPS = 48
 _BISECT_ITERS = 40
 
 
-class RenderError(RuntimeError):
+class RenderError(ValueError):
     """Raised when a view sees (almost) none of the scene."""
 
 
@@ -422,10 +422,21 @@ _DEPTH_MAGIC = b"DEPTHF32"
 _DEPTH_HEADER = struct.Struct("<8sII")
 
 
+def _check_depth(path, vals: np.ndarray, w: int) -> None:
+    """Refuse a raster's first pixel not above 0; NaN fails, inf (a miss) passes."""
+    bad = ~(vals > 0.0)
+    if bad.any():
+        y, x = divmod(int(bad.argmax()), w)
+        raise ValueError(f"{path}: depth raster[{y}, {x}]: {vals[y * w + x]}, "
+                         f"expected above 0")
+
+
 def write_depth(path, depth: np.ndarray) -> None:
+    """Write a depth raster; refuse, writing nothing, what read_depth refuses."""
     h, w = depth.shape
-    head = _DEPTH_HEADER.pack(_DEPTH_MAGIC, w, h)
-    Path(path).write_bytes(head + depth.astype("<f4").tobytes())
+    vals = depth.astype("<f4")
+    _check_depth(path, vals.reshape(-1), w)
+    Path(path).write_bytes(_DEPTH_HEADER.pack(_DEPTH_MAGIC, w, h) + vals.tobytes())
 
 
 def read_depth(path) -> np.ndarray:
@@ -443,13 +454,9 @@ def read_depth(path) -> np.ndarray:
             raise ValueError(f"{len(buf) - _DEPTH_HEADER.size - 4 * w * h} "
                              f"trailing bytes after the depth raster")
         vals = np.frombuffer(buf, "<f4", w * h, _DEPTH_HEADER.size)
-        bad = ~(vals > 0.0)  # NaN compares false
-        if bad.any():
-            y, x = divmod(int(bad.argmax()), w)
-            raise ValueError(f"depth raster[{y}, {x}]: {vals[y * w + x]}, "
-                             f"expected above 0")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    _check_depth(path, vals, w)
     return vals.astype(np.float64).reshape(h, w)
 
 
@@ -626,10 +633,13 @@ def generate_dataset(spec: dict, out_dir) -> "SceneDataset":
     ):
         for i, pose in enumerate(poses):
             photo = _draw_photometric(spec, _spec_rng(seed, tag, i, 0))
-            view = render_view(scene, cam, pose, photo,
-                               rng=_spec_rng(seed, tag, i, 1))
             rel_img = f"{role}s/{role}_{i:03d}.pgm"
             rel_depth = f"{role}s/{role}_{i:03d}.depth"
+            try:
+                view = render_view(scene, cam, pose, photo,
+                                   rng=_spec_rng(seed, tag, i, 1))
+            except RenderError as exc:
+                raise RenderError(f"{out / rel_img}: {exc}") from None
             write_pgm(view.image, out / rel_img)
             write_depth(out / rel_depth, view.depth)
             store.append(view)

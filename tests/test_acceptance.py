@@ -195,8 +195,7 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
         rows = _cell_distributions(rng, n, cells, bins)
         metric = METRICS[trial % len(METRICS)]
 
-        db = DescriptorDatabase("sv", params)
-        db.extend(ids, rows)
+        db = DescriptorDatabase("sv", params, ids, rows)
         query = _cell_distributions(rng, 1, cells, bins)[0]
 
         got_id, got_dist = nn_query(db, query, metric)

@@ -161,6 +161,35 @@ class TestBuildersEqualThePerRowPath:
         assert len(db) > 3 * 10
 
 
+class TestBuildersOfNoRows:
+    """Each builder makes its database in one call, also from nothing."""
+
+    params = DescriptorParams(patch_size=9, bins=8, cells=3)
+
+    @pytest.mark.parametrize("method, build", [
+        ("sv", lambda p: bench.sv([], np.empty((0, 3, 3, 8)), p)),
+        ("mv", lambda p: bench.mv([], [], p)),
+        ("keepall", lambda p: bench.keepall([], np.empty((0, 5, 3, 3, 8)), p)),
+        ("keepall", lambda p: bench.keepall([], [], p)),
+        ("rhog", lambda p: bench.rhog([], [], p, sample_rotations())),
+    ], ids=["sv", "mv", "keepall-array", "keepall-list", "rhog"])
+    def test_no_tracks_give_an_empty_database(self, tmp_path, method, build):
+        db = build(self.params)
+        assert (db.method, len(db), db.memory_bytes) == (method, 0, 0)
+        assert db.track_ids.dtype == np.int64 and db.track_ids.size == 0
+        with pytest.raises(ValueError, match="database is empty"):
+            db.matrix
+        with pytest.raises(ValueError, match="database is empty"):
+            db.save(tmp_path / "d.db")
+        assert not (tmp_path / "d.db").exists()
+
+    def test_keepall_takes_a_track_with_no_frames(self):
+        grids = synthetic_tracks(self.params, 1, 3, seed=117)[0]
+        db = bench.keepall([7, 3], [grids, np.empty((0, 3, 3, 8))], self.params)
+        TestBuildersEqualThePerRowPath.assert_rows(
+            db, "keepall", [per_row(g, self.params) for g in grids], [7, 7, 7])
+
+
 class TestLiftKeyframes:
     def test_equals_from_frame_per_track_and_keyframe(self, relief_ds):
         """Tracks of both levels and of unequal lengths, some positions too

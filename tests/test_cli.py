@@ -409,6 +409,44 @@ class TestInputErrors:
                 "`mvdesc track`") in capsys.readouterr().err
         assert not (tmp_path / "db").exists()
 
+    def test_rhog_on_a_dataset_shorter_than_the_tracks(
+            self, workspace, tmp_path, capsys, pyramid_builds):
+        # the workspace tracks span 6 frames; this dataset has 4
+        short = tmp_path / "d4"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_frames": 4}))
+        assert main(["generate", "--out", str(short), "--spec", str(spec)]) == 0
+        capsys.readouterr()
+        rc = main(["describe", "--tracks", str(workspace / "tracks"),
+                   "--out", str(tmp_path / "db"), "--method", "rhog",
+                   "--dataset", str(short), "--keyframes", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"{workspace / 'tracks' / 'tracks.json'}: tracks[0].positions: 6 "
+            f"entries, expected at most the 4 frames of {short}\n")
+        assert pyramid_builds == []
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("command, view", [
+        ("generate", "ds/frames/frame_000.pgm"),
+        ("bench", "bench/scenes/flat/frames/frame_000.pgm"),
+    ], ids=["generate", "bench"])
+    def test_a_view_that_misses_the_surface(self, tmp_path, capsys, command,
+                                            view):
+        # an orbit in the plane of the surface: no ray of frame 0 hits it
+        flat = {"elevation_deg": 0, "orbit_elevation_amp_deg": 0}
+        path = tmp_path / "in.json"
+        if command == "generate":
+            path.write_text(json.dumps(flat))
+            args = ["generate", "--out", str(tmp_path / "ds"), "--spec"]
+        else:
+            path.write_text(json.dumps({"scenes": [{"name": "flat", **flat}]}))
+            args = ["bench", "--out", str(tmp_path / "bench"), "--config"]
+        assert main(args + [str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"{tmp_path / view}: view sees only 0% of the scene; camera "
+            f"likely points away from the surface\n")
+
     def test_rhog_on_a_missing_dataset(self, workspace, tmp_path, capsys):
         missing = tmp_path / "nothing"
         rc = main(["describe", "--tracks", str(workspace / "tracks"),

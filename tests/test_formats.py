@@ -24,8 +24,8 @@ def formats(tmp_path_factory):
     depth = rng.random((3, 4)) + 1.0
     depth[0, 0] = np.inf
     write_depth(root / "image.depth", depth)
-    db = DescriptorDatabase("mv", DescriptorParams(5, bins=4, cells=1))
-    db.extend([3, 1, 4], rng.random((3, 4)))
+    db = DescriptorDatabase("mv", DescriptorParams(5, bins=4, cells=1),
+                            [3, 1, 4], rng.random((3, 4)))
     db.save(root / "db")
     save_tracks([Track(0, 0, [np.array([2.5, 3.0]), np.array([2.75, 3.5])],
                        patches=rng.random((2, 3, 3))),

@@ -145,11 +145,8 @@ def _put(buf: bytes, at: int, fmt: str, value) -> bytes:
 
 class TestDatabase:
     def build(self, rng, n=10):
-        db = DescriptorDatabase("sv", PARAMS)
         rows = unit_cells(rng, n)
-        db.extend(np.arange(4), rows[:4])
-        db.extend(np.arange(4, n) % 4, rows[4:])
-        return db, rows
+        return DescriptorDatabase("sv", PARAMS, np.arange(n) % 4, rows), rows
 
     def test_basic_bookkeeping(self):
         rng = np.random.default_rng(43)
@@ -160,31 +157,27 @@ class TestDatabase:
         np.testing.assert_array_equal(db.matrix, rows)
         assert db.track_ids.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
-    def test_extend_validates_the_block_once(self):
-        db = DescriptorDatabase("sv", PARAMS)
+    def test_constructor_validates_the_rows_once(self):
         with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
-            db.extend(0, np.zeros((2, 15)))
+            DescriptorDatabase("sv", PARAMS, 0, np.zeros((2, 15)))
         with pytest.raises(ValueError, match=r"expected \(n, 16\)"):
-            db.extend(0, np.zeros(16))
+            DescriptorDatabase("sv", PARAMS, 0, np.zeros(16))
         rows = np.full((3, 16), 0.25)
         rows[2, 5] = np.nan
         with pytest.raises(ValueError, match="descriptor values: row 2"):
-            db.extend([1, 2, 3], rows)
+            DescriptorDatabase("sv", PARAMS, [1, 2, 3], rows)
         with pytest.raises(ValueError):
-            db.extend([1, 2], np.zeros((3, 16)))
-        assert len(db) == 0
-        db.extend(4, np.zeros((3, 16)))
+            DescriptorDatabase("sv", PARAMS, [1, 2], np.zeros((3, 16)))
+        with pytest.raises(ValueError, match="method must be one of"):
+            DescriptorDatabase("hog", PARAMS, 0, np.zeros((1, 16)))
+        db = DescriptorDatabase("sv", PARAMS, 4, np.zeros((3, 16)))
+        assert db.track_ids.dtype == np.int64
         assert db.track_ids.tolist() == [4, 4, 4]
-        # the joined columns are rebuilt after a later block
-        db.extend(9, np.ones((1, 16)))
-        assert db.track_ids.tolist() == [4, 4, 4, 9]
-        assert db.matrix[3].tolist() == [1.0] * 16
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(45)
-        db = DescriptorDatabase("mv", PARAMS)
         rows = unit_cells(rng, 6).astype(np.float32).astype(np.float64)
-        db.extend(3 * np.arange(6), rows)
+        db = DescriptorDatabase("mv", PARAMS, 3 * np.arange(6), rows)
         db.save(tmp_path / "d.db")
         back = DescriptorDatabase.load(tmp_path / "d.db")
         assert back.method == "mv" and back.params == PARAMS
@@ -229,8 +222,8 @@ class TestDatabase:
             "unknown-method", "db-version-3", "db-version-4", "invalid-params",
             "stored-inf", "stored-nan", "zero-rows"])
     def test_load_names_file_and_field(self, tmp_path, mangle, field):
-        db = DescriptorDatabase("keepall", PARAMS)
-        db.extend([0, 1], unit_cells(np.random.default_rng(46), 2))
+        db = DescriptorDatabase("keepall", PARAMS, [0, 1],
+                                unit_cells(np.random.default_rng(46), 2))
         db.save(tmp_path / "good.db")
         assert (tmp_path / "good.db").stat().st_size == _VALUES + 2 * 16 * 4
         bad = tmp_path / "bad.db"
@@ -272,7 +265,7 @@ class TestDatabase:
         assert str(err.value).startswith(f"{bad}: ")
 
     def test_empty_matrix_raises(self):
-        db = DescriptorDatabase("sv", PARAMS)
+        db = DescriptorDatabase("sv", PARAMS, [], np.zeros((0, 16)))
         with pytest.raises(ValueError):
             db.matrix
 
@@ -284,15 +277,16 @@ def saved_databases(draw):
     p = draw(st.integers(3, 40))
     bins = draw(st.integers(2, 24))
     params = DescriptorParams(p, bins, draw(st.integers(1, min(p, 4))))
-    db = DescriptorDatabase(draw(st.sampled_from(METHODS)), params)
+    method = draw(st.sampled_from(METHODS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = params.cells ** 2 * bins
+    ids, blocks = [], []
     for _ in range(draw(st.integers(1, 3))):
         rows = draw(st.integers(1, 4))
-        db.extend(draw(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
-                                min_size=rows, max_size=rows)),
-                  rng.random((rows, n)).astype(np.float32).astype(np.float64))
-    return db
+        ids += draw(st.lists(st.integers(-2 ** 31, 2 ** 31 - 1),
+                             min_size=rows, max_size=rows))
+        blocks.append(rng.random((rows, n)).astype(np.float32).astype(np.float64))
+    return DescriptorDatabase(method, params, ids, np.concatenate(blocks))
 
 
 class TestDatabaseProperty:
@@ -312,8 +306,8 @@ class TestDatabaseProperty:
         (2 ** 31, 0.5, "row 1"), (0, 1e39, "row 1: descriptor values")])
     def test_save_refuses_what_the_format_cannot_hold(self, tmp_path, tid,
                                                       value, field):
-        db = DescriptorDatabase("sv", PARAMS)
-        db.extend([3, tid], [np.full(16, 0.25), np.full(16, value)])
+        db = DescriptorDatabase("sv", PARAMS, [3, tid],
+                                [np.full(16, 0.25), np.full(16, value)])
         with pytest.raises(ValueError, match=field):
             db.save(tmp_path / "d.db")
         assert not (tmp_path / "d.db").exists()
@@ -321,30 +315,27 @@ class TestDatabaseProperty:
 
 class TestQueries:
     def test_track_scores_by_its_best_row(self):
-        db = DescriptorDatabase("sv", PARAMS)
         target = unit_cells(np.random.default_rng(46), 1)[0]
         far = target.copy()
         far[0], far[1] = far[1], far[0]
         # track 5 owns one bad and one perfect row; track 1 a mediocre one
-        db.extend([5, 1, 5],
-                  [np.roll(target, 4), (target + far) / 2.0, target])
+        db = DescriptorDatabase("sv", PARAMS, [5, 1, 5],
+                                [np.roll(target, 4), (target + far) / 2.0, target])
         tid, d = nn_query(db, target, "l2")
         assert tid == 5
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_tie_prefers_lowest_id(self):
-        db = DescriptorDatabase("sv", PARAMS)
         row = unit_cells(np.random.default_rng(47), 1)[0]
-        db.extend([9, 2, 7], [row] * 3)
+        db = DescriptorDatabase("sv", PARAMS, [9, 2, 7], [row] * 3)
         tid, _ = nn_query(db, row, "l2")
         assert tid == 2
 
     def test_match_all_agrees_with_nn_query(self):
         rng = np.random.default_rng(48)
-        db = DescriptorDatabase("sv", PARAMS)
         rows = unit_cells(rng, 20)
-        for i, row in enumerate(rows):
-            db.extend(int(rng.integers(0, 6)), row[None])
+        db = DescriptorDatabase("sv", PARAMS,
+                                [int(rng.integers(0, 6)) for _ in rows], rows)
         qs = unit_cells(rng, 8)
         ids, dists = match_all(db, qs, "chi2")
         for i in range(8):
@@ -356,8 +347,7 @@ class TestQueries:
         # the norm expansion loses about 1e-8 here; the re-check must not
         rng = np.random.default_rng(53)
         rows = unit_cells(rng, 30)
-        db = DescriptorDatabase("sv", PARAMS)
-        db.extend(np.arange(30), rows)
+        db = DescriptorDatabase("sv", PARAMS, np.arange(30), rows)
         q = rows[17] + 1e-9 * rng.random(16)
         tid, d = nn_query(db, q, "l2")
         assert tid == 17
@@ -367,8 +357,7 @@ class TestQueries:
         # the GEMM alone rounds row 2 a few ulps below its copy in row 0
         rows = unit_cells(np.random.default_rng(59), 3)
         rows[2] = rows[0]
-        db = DescriptorDatabase("sv", PARAMS)
-        db.extend(np.arange(3), rows)
+        db = DescriptorDatabase("sv", PARAMS, np.arange(3), rows)
         assert nn_query(db, rows[0], "neg-correlation")[0] == 0
         d = pairwise_distances(rows[0], rows, "neg-correlation")[0]
         assert d[0] == d[2]
@@ -376,8 +365,7 @@ class TestQueries:
     def test_metric_override(self):
         # the metric is the query's: the same database answers under l1
         rng = np.random.default_rng(49)
-        db = DescriptorDatabase("sv", PARAMS)
-        db.extend(np.arange(5), unit_cells(rng, 5))
+        db = DescriptorDatabase("sv", PARAMS, np.arange(5), unit_cells(rng, 5))
         q = unit_cells(rng, 1)[0]
         assert nn_query(db, q, "l2")[1] == pytest.approx(float(
             pairwise_distances(q, db.matrix, "l2")[0].min()), rel=1e-12)
@@ -473,8 +461,7 @@ class TestOracleProperty:
     @given(case=match_cases())
     def test_queries_match_brute_force(self, metric, case):
         rows, ids, queries = case
-        db = DescriptorDatabase("sv", PARAMS)
-        db.extend(ids, rows)
+        db = DescriptorDatabase("sv", PARAMS, ids, rows)
         got_ids, got_dists = match_all(db, queries, metric)
         for i, q in enumerate(queries):
             _oracle_check(int(got_ids[i]), float(got_dists[i]), q, rows, ids,

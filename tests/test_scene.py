@@ -3,6 +3,7 @@
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -521,17 +522,31 @@ class TestDepthIO:
         with pytest.raises(ValueError):
             read_depth(tmp_path / "x")
 
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.5, -np.inf],
-                             ids=["nan", "zero", "negative", "minus-inf"])
+    no_depth = pytest.mark.parametrize(
+        "value", [np.nan, 0.0, -1.5, -np.inf],
+        ids=["nan", "zero", "negative", "minus-inf"])
+
+    @no_depth
     def test_refuses_a_pixel_that_is_no_depth(self, tmp_path, value):
         # ray depth is positive; inf, a miss, is the one other value
-        depth = np.full((3, 4), 2.0)
+        depth = np.full((3, 4), 2.0, dtype="<f4")
         depth[1, 2] = value
-        write_depth(tmp_path / "d", depth)
+        (tmp_path / "d").write_bytes(b"DEPTHF32" + struct.pack("<II", 4, 3)
+                                     + depth.tobytes())
         with pytest.raises(ValueError) as exc:
             read_depth(tmp_path / "d")
         assert str(exc.value) == (f"{tmp_path / 'd'}: depth raster[1, 2]: "
                                   f"{np.float32(value)}, expected above 0")
+
+    @no_depth
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, value):
+        depth = np.full((3, 4), 2.0)
+        depth[1, 2] = value
+        with pytest.raises(ValueError) as exc:
+            write_depth(tmp_path / "d", depth)
+        assert str(exc.value) == (f"{tmp_path / 'd'}: depth raster[1, 2]: "
+                                  f"{np.float32(value)}, expected above 0")
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrajectories:

@@ -528,8 +528,7 @@ class TestMaxOut:
     def best_squared_residual(stored, query):
         stored = np.atleast_2d(stored)
         params = DescriptorParams(patch_size=3, bins=stored.shape[1], cells=1)
-        db = DescriptorDatabase("rhog", params)
-        db.extend(0, stored)
+        db = DescriptorDatabase("rhog", params, 0, stored)
         _, dist = match_all(db, np.asarray(query, dtype=np.float64), "l2")
         return float(dist[0]) ** 2
 
