@@ -196,10 +196,12 @@ class DescriptorDatabase:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != d:
             raise ValueError(f"expected (n, {d}) descriptor rows, got {rows.shape}")
-        bad = ~np.isfinite(rows).all(axis=1)
-        if bad.any():
-            raise ValueError(f"descriptor values: row {int(bad.argmax())} "
-                             f"is not finite")
+        step = max(1, _CHUNK_BYTES // (8 * d))  # the bool temporary is d per row
+        for s in range(0, len(rows), step):
+            bad = ~np.isfinite(rows[s:s + step]).all(axis=1)
+            if bad.any():
+                raise ValueError(f"descriptor values: row {s + int(bad.argmax())} "
+                                 f"is not finite")
         self.track_ids = np.broadcast_to(
             np.asarray(track_ids, dtype=np.int64), rows.shape[:1]).copy()
         self._rows = rows

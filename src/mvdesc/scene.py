@@ -423,20 +423,24 @@ _DEPTH_HEADER = struct.Struct("<8sII")
 
 
 def _check_depth(path, vals: np.ndarray, w: int) -> None:
-    """Refuse a raster's first pixel not above 0; NaN fails, inf (a miss) passes."""
-    bad = ~(vals > 0.0)
+    """Refuse a raster's first pixel not above 0 (NaN too) or finite beyond
+    float32's range; inf (a miss) passes."""
+    top = np.finfo(np.float32).max
+    bad = ~(vals > 0.0) | ((vals > top) & (vals != np.inf))
     if bad.any():
         y, x = divmod(int(bad.argmax()), w)
-        raise ValueError(f"{path}: depth raster[{y}, {x}]: {vals[y * w + x]}, "
-                         f"expected above 0")
+        val = vals[y * w + x]
+        raise ValueError(f"{path}: depth raster[{y}, {x}]: {val}, expected "
+                         + (f"at most {top!s}" if val > 0.0 else "above 0"))
 
 
 def write_depth(path, depth: np.ndarray) -> None:
-    """Write a depth raster; refuse, writing nothing, what read_depth refuses."""
+    """Write a depth raster; refuse, writing nothing, what read_depth refuses
+    and a finite depth that float32 would round to a miss."""
     h, w = depth.shape
-    vals = depth.astype("<f4")
-    _check_depth(path, vals.reshape(-1), w)
-    Path(path).write_bytes(_DEPTH_HEADER.pack(_DEPTH_MAGIC, w, h) + vals.tobytes())
+    _check_depth(path, depth.reshape(-1), w)
+    Path(path).write_bytes(_DEPTH_HEADER.pack(_DEPTH_MAGIC, w, h)
+                           + depth.astype("<f4").tobytes())
 
 
 def read_depth(path) -> np.ndarray:

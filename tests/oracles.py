@@ -1,9 +1,10 @@
 """Scalar reference forms of the library's batched operations.
 
 Each function here is a per-item or dense body that the library once ran
-beside its batched or sparse form. The library now keeps one implementation
-per operation (its per-item names are one-row calls of the batched forms),
-and the tests compare both against these bodies bit for bit. Nothing in
+beside its batched or sparse form, or a per-item restatement of a batched
+kernel in the same float steps. The library keeps one implementation per
+operation (its per-item names are one-row calls of the batched forms), and
+the tests compare both against these bodies. Nothing in
 ``src/`` imports this module.
 """
 
@@ -36,8 +37,25 @@ def circular_distance(a, b):
 def angular_kernel(theta, mu, eps: float):
     """Triangular kernel on the circular distance d(theta, mu): 1 at d = 0,
     0 for d >= eps. At eps = one bin width and every bin center it is the
-    dense form of ``hog._orientation_weights``."""
+    dense form of the votes of ``hog._orientation_votes``, to rounding."""
     return np.maximum(0.0, 1.0 - circular_distance(theta, mu) / eps)
+
+
+def two_bin_votes(gx: float, gy: float, bins: int) -> np.ndarray:
+    """(bins,) orientation votes of one gradient in the float steps of
+    ``hog._orientation_votes``: the magnitude m goes f * m to the bin above
+    the angle and m - f * m to the bin below, f being the angle's fraction
+    of a bin past the lower bin's center."""
+    m = np.sqrt(gx * gx + gy * gy)
+    # np.arctan2, not math.atan2: NumPy's vector loop and libm can differ
+    # in the last bit, and NumPy gives a scalar its vector loop's value
+    t = np.arctan2(gy, gx) * (bins / TWO_PI) - 0.5
+    lo = math.floor(t)
+    f = t - lo
+    out = np.zeros(bins)
+    out[(lo + 1) % bins] = f * m
+    out[lo % bins] = m - f * m
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,14 @@ class TestDatabase:
         rows[2, 5] = np.nan
         with pytest.raises(ValueError, match="descriptor values: row 2"):
             DescriptorDatabase("sv", PARAMS, [1, 2, 3], rows)
+        # rows are checked in blocks under the byte budget; the first bad
+        # row of a later block is named by its place in the whole matrix
+        step = _CHUNK_BYTES // (8 * 16)
+        rows = np.zeros((step + 2, 16))
+        rows[[step + 1, step], 3] = np.inf, np.nan
+        with pytest.raises(ValueError,
+                           match=f"descriptor values: row {step} is not"):
+            DescriptorDatabase("sv", PARAMS, 0, rows)
         with pytest.raises(ValueError):
             DescriptorDatabase("sv", PARAMS, [1, 2], np.zeros((3, 16)))
         with pytest.raises(ValueError, match="method must be one of"):

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,21 @@ class TestDepthIO:
             write_depth(tmp_path / "d", depth)
         assert str(exc.value) == (f"{tmp_path / 'd'}: depth raster[1, 2]: "
                                   f"{np.float32(value)}, expected above 0")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("value, want", [(1e39, "at most 3.4028235e+38"),
+                                             (-1e39, "above 0")],
+                             ids=["1e39", "-1e39"])
+    def test_writer_refuses_a_depth_beyond_float32(self, tmp_path, value, want):
+        # float32 would make 1e39 inf, a miss, and warn of the overflow
+        depth = np.full((2, 2), 2.0)
+        depth[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                write_depth(tmp_path / "d", depth)
+        assert str(exc.value) == (f"{tmp_path / 'd'}: depth raster[1, 0]: "
+                                  f"{value}, expected {want}")
         assert not (tmp_path / "d").exists()
 
 
