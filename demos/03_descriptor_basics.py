@@ -10,12 +10,12 @@ over orientations and affine lighting changes drop out entirely.
 import numpy as np
 
 from mvdesc import (AffineContrast, DescriptorParams, GrayImage,
-                    apply_contrast, compute_gradient, normalize_density,
-                    orientation_density)
+                    apply_contrast, normalize_densities, patch_densities)
 
 
 def density_of(img, params):
-    return orientation_density(compute_gradient(img), params)
+    """The (cells, cells, bins) unnormalized density of one image patch."""
+    return patch_densities(img.data[None], params)[0]
 
 
 def main():
@@ -25,37 +25,37 @@ def main():
     params = DescriptorParams(patch_size=21, bins=16, cells=2)
 
     base = density_of(img, params)
-    print(f"density grid: {base.grid.shape} (cells x cells x bins), "
-          f"mass {base.grid.sum():.4f}")
+    print(f"density grid: {base.shape} (cells x cells x bins), "
+          f"mass {base.sum():.4f}")
 
     # doubling the contrast doubles every vote...
     doubled = apply_contrast(img, AffineContrast(2.0, 0.0))
     d2 = density_of(doubled, params)
-    ratio = d2.grid.sum() / base.grid.sum()
+    ratio = d2.sum() / base.sum()
     print(f"contrast x2 -> unnormalized mass x{ratio:.6f}")
 
     # ...and cancels exactly once each cell is normalized
-    n1 = normalize_density(base)
-    n2 = normalize_density(d2)
-    print(f"normalized densities differ by {np.abs(n1.grid - n2.grid).max():.2e}")
+    n1, n2 = normalize_densities([base, d2], params)[0]
+    print(f"normalized densities differ by {np.abs(n1 - n2).max():.2e}")
 
     # a brightness offset never moves gradients at all
     shifted = apply_contrast(img, AffineContrast(1.0, 0.05))
     d3 = density_of(shifted, params)
     print(f"brightness +0.05 -> density moves by "
-          f"{np.abs(d3.grid - base.grid).max():.2e}")
+          f"{np.abs(d3 - base).max():.2e}")
 
     # cells respond to where the structure is: a vertical edge in the
     # left half puts all its mass in the two bins straddling 0 deg,
     # while the flat right half has no votes and falls back to uniform
     edge = np.full((21, 21), 0.2)
     edge[:, 5:] = 0.8
-    de = normalize_density(density_of(GrayImage(edge), params))
+    de = normalize_densities(density_of(GrayImage(edge), params), params)[0]
+    de = de.reshape(2, 2, params.bins)
     bins = np.degrees(params.bin_centers())
     for r in range(2):
         for c in range(2):
-            top2 = np.argsort(de.grid[r, c])[-2:][::-1]
-            pair = ", ".join(f"{bins[b]:5.1f} deg: {de.grid[r, c, b]:.3f}"
+            top2 = np.argsort(de[r, c])[-2:][::-1]
+            pair = ", ".join(f"{bins[b]:5.1f} deg: {de[r, c, b]:.3f}"
                              for b in top2)
             print(f"  cell ({r},{c}): {pair}")
 

@@ -1,7 +1,8 @@
 """Pool one track's appearance into a single fixed-size descriptor.
 
 The multi-view density is just the running average of the per-frame
-unnormalized densities, normalized once at the end. The accumulator state
+unnormalized densities (each a cells x cells x bins array), normalized
+once at the end into one descriptor row. The accumulator state
 never grows with track length, and the excitation score says how much
 genuinely new appearance the track has contributed so far.
 """
@@ -41,8 +42,8 @@ def main():
         print(f"  {f + 1:3d}    {exc:8.3f}  {acc.memory_bytes:6d}")
 
     mv = acc.finalize()
-    print(f"final multi-view descriptor: {mv.grid.size} values, "
-          f"cell masses {np.round(mv.grid.sum(axis=2).ravel(), 6)}")
+    print(f"final multi-view descriptor: {mv.size} values, cell masses "
+          f"{np.round(mv.reshape(-1, params.bins).sum(axis=1), 6)}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import numpy as np
 
 from mvdesc import (DescriptorParams, LocalSurface, aggregate_descriptor,
                     default_scene_spec, generate_dataset, match_all,
-                    normalize_density, pairwise_distances, rot_z,
+                    normalize_densities, pairwise_distances, rot_z,
                     sample_rotations, synthesize_patch, synthesize_views)
 from mvdesc.bench import rhog
 from mvdesc.viewsynth import patch_density
@@ -47,7 +47,7 @@ def main():
     # a query seen from a novel in-plane angle: max-out finds a close
     # stored view, while the marginal descriptor blurs over all of them
     query_patch = synthesize_patch(surf, frame.image, rot_z(0.4))
-    q = normalize_density(patch_density(query_patch, params)).grid.reshape(-1)
+    q = normalize_densities(patch_density(query_patch, params), params)[0]
     _, best = match_all(stored, q, "l2")
     single = pairwise_distances(marginal, q, "l2")[0, 0]
     print(f"query l2 distance: best stored view {best[0]:.5f}, "

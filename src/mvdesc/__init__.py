@@ -7,8 +7,7 @@ from .image import (AffineContrast, GradientField, GrayImage, ImagePyramid,
                     apply_contrast, base_to_level, bilinear_sample,
                     build_pyramid, compute_gradient, level_to_base, read_pgm,
                     write_pgm)
-from .hog import (DescriptorParams, OrientationDensity, normalize_density,
-                  orientation_density, patch_densities)
+from .hog import DescriptorParams, normalize_densities, patch_densities
 from .multiview import MultiViewAccumulator, excitation_score, patch_scatter
 from .matching import (METRICS, DescriptorDatabase, match_all, nn_query,
                        pairwise_distances)

@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hog import (METHODS, DescriptorParams, OrientationDensity,
-                  _normalized_rows, patch_densities)
+from .hog import METHODS, DescriptorParams, normalize_densities, patch_densities
 from .image import (_check_fields, _field_defaults, _json_field, base_to_level,
                     build_pyramid, level_to_base)
 from .matching import METRICS, DescriptorDatabase, match_all
@@ -205,20 +204,20 @@ def sv(track_ids, grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track from an (n, cells, cells, bins) stack of
     unnormalized densities, one per track (the caller picks the frame)."""
     return DescriptorDatabase("sv", params, track_ids,
-                              _normalized_rows(grids, params))
+                              normalize_densities(grids, params)[0])
 
 
 def mv(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track: the normalized mean of its (frames, cells, cells,
     bins) density stack. ``mean(axis=0)`` adds the frames in order and then
     divides by their count, as :class:`MultiViewAccumulator` does."""
-    means = []
+    means = [np.empty((0, params.cells, params.cells, params.bins))]
     for tid, grids in zip(track_ids, track_grids):
         if not len(grids):
             raise ValueError(f"mv: track {tid} has no frames")
-        means.append(np.mean(grids, axis=0))
+        means.append(np.mean(grids, axis=0)[None])
     return DescriptorDatabase("mv", params, track_ids,
-                              _normalized_rows(means, params))
+                              normalize_densities(np.concatenate(means), params)[0])
 
 
 def keepall(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
@@ -229,7 +228,7 @@ def keepall(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatab
         [np.empty((0, params.cells, params.cells, params.bins)), *track_grids])
     ids = np.repeat(track_ids, [len(grids) for grids in track_grids])
     return DescriptorDatabase("keepall", params, ids,
-                              _normalized_rows(frames, params))
+                              normalize_densities(frames, params)[0])
 
 
 def rhog(track_ids, track_views, params: DescriptorParams, rotations,
@@ -345,12 +344,12 @@ def update_cost_profile(grids: np.ndarray, params: DescriptorParams,
     if len(set(lengths)) < 2:
         raise ValueError(f"lengths {lengths}: a flatness needs at least two "
                          f"distinct lengths")
-    probe = OrientationDensity(grids[-1], params)
+    probe = grids[-1]
     accs = []
     for t in lengths:
         acc = MultiViewAccumulator(params)
         for i in range(t):
-            acc.update(OrientationDensity(grids[i % len(grids)], params))
+            acc.update(grids[i % len(grids)])
         accs.append(acc)
 
     saved = [acc.density_sum.copy() for acc in accs]
@@ -498,7 +497,7 @@ class _SceneRun:
                                             levels[rows[at], 0], p)
         grids = patch_densities(patches, params)
         return {"track_ids": np.array(ids, dtype=int)[rows],
-                "values": _normalized_rows(grids, params)}
+                "values": normalize_densities(grids, params)[0]}
 
 
 def _rate(db: DescriptorDatabase, queries: dict, metric: str):

@@ -110,8 +110,7 @@ def _cmd_describe(args) -> int:
             raise ValueError(f"--frame: {args.frame}, expected below "
                              f"{shortest}, the frames of the shortest stored "
                              f"track")
-        picks = [patch_density(tr.patches[args.frame], params).grid
-                 for tr in tracks]
+        picks = [patch_density(tr.patches[args.frame], params) for tr in tracks]
         db = bench.sv(ids, picks, params)
     elif args.method in ("mv", "keepall"):
         build = bench.mv if args.method == "mv" else bench.keepall

@@ -4,10 +4,12 @@ The core quantity is a kernel-weighted density of gradient orientation,
 evaluated per spatial cell: each pixel's gradient magnitude is split
 linearly between the two orientation bins nearest its angle, both taken
 straight from (gx, gy), and spread over cell centers by a truncated
-Gaussian. Left unnormalized the density is homogeneous of degree 1 in
-image contrast; normalized per cell it is a conditional distribution over
-orientation, contrast-insensitive. A descriptor is a normalized density
-as one (cells**2 * bins,) row: cell-major (row, col), then orientation bin.
+Gaussian. A density is a plain (cells, cells, bins) array, a stack of
+them one (..., cells, cells, bins) array. Left unnormalized the density is
+homogeneous of degree 1 in image contrast; normalized per cell it is a
+conditional distribution over orientation, contrast-insensitive. A
+descriptor is a normalized density as one (cells**2 * bins,) row:
+cell-major (row, col), then orientation bin.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import TWO_PI, GradientField, _central_differences
+from .image import TWO_PI, _central_differences, _json_number
 
 __all__ = [
     "DescriptorParams",
-    "OrientationDensity",
-    "orientation_density",
     "patch_densities",
-    "normalize_density",
+    "normalize_densities",
 ]
 
 ZERO_MASS_EPS = 1e-12
@@ -49,12 +49,14 @@ class DescriptorParams:
     cells: int = 4
 
     def __post_init__(self):
-        if self.patch_size < 3:
-            raise ValueError("patch_size must be at least 3")
-        if self.bins < 2:
-            raise ValueError("need at least 2 orientation bins")
-        if not 1 <= self.cells <= self.patch_size:
-            raise ValueError("cells per side must be in 1..patch_size")
+        # a bool or float is refused; a NumPy integer counts as an int
+        for name, low in (("patch_size", 3), ("bins", 2), ("cells", 1)):
+            val = getattr(self, name)
+            _json_number(int(val) if isinstance(val, np.integer) else val,
+                         name, int, low)
+        if self.cells > self.patch_size:
+            raise ValueError(f"cells: {self.cells}, expected at most "
+                             f"patch_size {self.patch_size}")
 
     @property
     def eps(self) -> float:
@@ -79,30 +81,6 @@ class DescriptorParams:
         c = (np.arange(self.cells) + 0.5) * step - 0.5
         cx, cy = np.meshgrid(c, c)
         return np.stack([cx.ravel(), cy.ravel()], axis=1)
-
-
-@dataclass
-class OrientationDensity:
-    """Orientation density on a cells x cells grid, ``grid[row, col, bin]``.
-
-    ``zero_mass`` marks cells whose total mass vanished before
-    normalization; those are replaced by the uniform distribution.
-    """
-
-    grid: np.ndarray
-    params: DescriptorParams
-    normalized: bool = False
-    zero_mass: np.ndarray = None
-
-    def __post_init__(self):
-        expect = (self.params.cells, self.params.cells, self.params.bins)
-        if self.grid.shape != expect:
-            raise ValueError(f"grid shape {self.grid.shape}, expected {expect}")
-        if np.any(self.grid < 0.0) or not np.all(np.isfinite(self.grid)):
-            raise ValueError("density values must be finite and nonnegative")
-
-    def cell_mass(self) -> np.ndarray:
-        return self.grid.sum(axis=2)
 
 
 @functools.lru_cache(maxsize=32)
@@ -150,34 +128,16 @@ def _orientation_votes(gx: np.ndarray, gy: np.ndarray, out: np.ndarray) -> None:
     flat[wrap[1:].take(k) + first] = t
 
 
-def orientation_density(grad: GradientField,
-                        params: DescriptorParams) -> OrientationDensity:
-    """Unnormalized orientation density of one patch on its cell grid.
-
-    ``grad`` is a patch_size x patch_size patch's gradient; each pixel's
-    magnitude votes into the two bins nearest its angle, weighted by the
-    spatial Gaussian around each cell center, as :func:`patch_densities`
-    does per chunk. Raises ValueError for another size or a non-finite magnitude."""
-    p = params.patch_size
-    if grad.shape != (p, p):
-        h, w = grad.shape
-        raise ValueError(f"gradient is {w} x {h} pixels, expected the "
-                         f"{p} x {p} patch")
-    votes = np.empty((p * p, params.bins))
-    _orientation_votes(grad.gx, grad.gy, votes)
-    grid = _patch_spatial_weights(params) @ votes
-    return OrientationDensity(grid.reshape(params.cells, params.cells, -1), params)
-
-
 def patch_densities(patches, params: DescriptorParams) -> np.ndarray:
     """Unnormalized densities of an (n, patch_size, patch_size) stack of
     patches, as an (n, cells, cells, bins) array.
 
-    Slice i equals ``orientation_density(compute_gradient(GrayImage(
-    patches[i], unit_range=False)), params).grid`` bit for bit: the same
-    gradient, votes and matrix product per patch, with the spatial weights
-    built once per params and one vote buffer under a byte budget. Raises
-    ValueError for another shape, or a non-finite intensity or gradient.
+    Each patch's pixels vote into the two bins nearest their gradient angle,
+    weighted by the spatial Gaussian around each cell center: slice i is
+    ``_patch_spatial_weights(params) @ votes`` of patch i alone, bit for bit,
+    with the spatial weights built once per params and one vote buffer under
+    a byte budget. Raises ValueError for another shape, or a non-finite
+    intensity or gradient.
     """
     stack = np.asarray(patches, dtype=np.float64)
     p = params.patch_size
@@ -198,30 +158,21 @@ def patch_densities(patches, params: DescriptorParams) -> np.ndarray:
     return grids.reshape(n, params.cells, params.cells, params.bins)
 
 
-def _normalized_cells(grid: np.ndarray, bins: int):
-    """Per-cell unit-mass (..., bins) grids and the zero-mass mask."""
-    mass = grid.sum(axis=-1)
+def normalize_densities(grids, params: DescriptorParams):
+    """Descriptor rows of a (..., cells, cells, bins) array of unnormalized
+    densities: ``(rows, zero_mass)``, an (n, cells**2 * bins) array of the
+    densities normalized per cell to unit mass, and the (n, cells**2) mask
+    of the cells whose mass was (numerically) zero. Those carry no
+    orientation evidence and become uniform. Raises ValueError for another
+    trailing shape."""
+    grids = np.asarray(grids, dtype=np.float64)
+    c, bins = params.cells, params.bins
+    if grids.shape[-3:] != (c, c, bins):
+        raise ValueError(f"density grids of shape {grids.shape}, expected "
+                         f"(..., {c}, {c}, {bins})")
+    cells = grids.reshape(-1, c * c, bins)
+    mass = cells.sum(axis=-1)
     zero = mass < ZERO_MASS_EPS
-    safe = np.where(zero, 1.0, mass)
-    out = grid / safe[..., None]
-    out[zero] = 1.0 / bins
-    return out, zero
-
-
-def _normalized_rows(grids, params: DescriptorParams) -> np.ndarray:
-    """(n, cells**2 * bins) per-cell normalized descriptor rows of n
-    unnormalized density grids; row i equals ``normalize_density(...)
-    .grid.reshape(-1)`` bit for bit."""
-    n_cells = params.cells ** 2
-    stack = np.reshape(grids, (-1, n_cells, params.bins))
-    return _normalized_cells(stack, params.bins)[0].reshape(-1, n_cells * params.bins)
-
-
-def normalize_density(density: OrientationDensity) -> OrientationDensity:
-    """Normalize each cell to a unit-mass distribution over orientation.
-
-    Cells with (numerically) zero mass carry no orientation evidence; they
-    become uniform and are flagged in ``zero_mass``.
-    """
-    grid, zero = _normalized_cells(density.grid, density.params.bins)
-    return OrientationDensity(grid, density.params, normalized=True, zero_mass=zero)
+    rows = cells / np.where(zero, 1.0, mass)[..., None]
+    rows[zero] = 1.0 / bins
+    return rows.reshape(-1, c * c * bins), zero

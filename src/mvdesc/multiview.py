@@ -1,16 +1,17 @@
 """Multi-view aggregation of orientation densities.
 
 A track's multi-view descriptor is the per-cell normalized average of the
-unnormalized single-frame densities. The running state is a single density
-grid, so per-frame updates cost the same no matter how many frames came
-before, and memory does not grow with track length.
+unnormalized single-frame densities, each a (cells, cells, bins) array.
+The running state is one such array, their sum, so per-frame updates cost
+the same no matter how many frames came before, and memory does not grow
+with track length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hog import DescriptorParams, OrientationDensity, normalize_density
+from .hog import DescriptorParams, normalize_densities
 
 __all__ = [
     "MultiViewAccumulator",
@@ -29,24 +30,21 @@ class MultiViewAccumulator:
         self.frames = 0
         self.density_sum = np.zeros((params.cells, params.cells, params.bins))
 
-    def update(self, density: OrientationDensity) -> None:
-        """Fold one frame in. ``density`` must be unnormalized."""
-        if density.normalized:
-            raise ValueError("accumulate unnormalized densities, not distributions")
-        if density.params != self.params:
-            raise ValueError("density params do not match accumulator")
-        self.density_sum += density.grid
+    def update(self, grid: np.ndarray) -> None:
+        """Fold in one frame's unnormalized (cells, cells, bins) density."""
+        if np.shape(grid) != self.density_sum.shape:
+            raise ValueError(f"density grid of shape {np.shape(grid)}, "
+                             f"expected {self.density_sum.shape}")
+        self.density_sum += grid
         self.frames += 1
 
-    def mean_density(self) -> OrientationDensity:
-        """Average unnormalized density over the frames seen so far."""
+    def finalize(self) -> np.ndarray:
+        """The multi-view descriptor row: the mean density over the frames
+        seen so far, normalized per cell."""
         if self.frames == 0:
             raise ValueError("no frames accumulated")
-        return OrientationDensity(self.density_sum / self.frames, self.params)
-
-    def finalize(self) -> OrientationDensity:
-        """Per-cell normalized multi-view density."""
-        return normalize_density(self.mean_density())
+        return normalize_densities(self.density_sum / self.frames,
+                                   self.params)[0][0]
 
     @property
     def memory_bytes(self) -> int:

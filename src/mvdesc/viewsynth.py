@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PinholeCamera, axis_angle_rotation, rot_z
-from .hog import (DescriptorParams, OrientationDensity, _normalized_rows,
-                  normalize_density, patch_densities)
+from .hog import DescriptorParams, normalize_densities, patch_densities
 from .image import (GrayImage, _central_differences, base_to_level,
                     bilinear_sample, level_to_base)
 
@@ -209,24 +208,25 @@ def synthesize_views(surface: LocalSurface, level_image: GrayImage,
     return bilinear_sample(level_image.data, uv), idx
 
 
-def patch_density(patch: np.ndarray, params: DescriptorParams):
-    """Unnormalized orientation density of one patch array."""
-    grid = patch_densities(np.asarray(patch)[None], params)[0]
-    return OrientationDensity(grid, params)
+def patch_density(patch: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """Unnormalized (cells, cells, bins) density of one patch array."""
+    return patch_densities(np.asarray(patch)[None], params)[0]
 
 
 def view_descriptors(patches: np.ndarray, params: DescriptorParams) -> np.ndarray:
     """Per-view normalized descriptor rows, (views, cells**2 * bins), for
     max-out storage."""
-    return _normalized_rows(patch_densities(patches, params), params)
+    return normalize_densities(patch_densities(patches, params), params)[0]
 
 
 def aggregate_descriptor(patches: np.ndarray,
                          params: DescriptorParams) -> np.ndarray:
     """Single descriptor row, (cells**2 * bins,), marginalized over the
-    synthesized views."""
-    mean = OrientationDensity(patch_densities(patches, params).mean(axis=0), params)
-    return normalize_density(mean).grid.reshape(-1)
+    synthesized views. Raises ValueError for an empty stack."""
+    if not len(patches):
+        raise ValueError("no synthesized views to aggregate")
+    mean = patch_densities(patches, params).mean(axis=0)
+    return normalize_densities(mean, params)[0][0]
 
 
 def select_keyframes(n_frames: int, k: int = DEFAULT_KEYFRAMES) -> np.ndarray:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mvdesc.hog import ZERO_MASS_EPS, _patch_spatial_weights
 from mvdesc.image import (TWO_PI, GrayImage, base_to_level, bilinear_sample,
-                          build_pyramid, level_to_base)
+                          build_pyramid, compute_gradient, level_to_base)
 from mvdesc.scene import (OCCLUDED, OCCLUSION_REL_TOL, OUT_OF_VIEW, UNDEFINED,
                           VISIBLE, RenderedView)
 from mvdesc.tracking import _SegmentTest, extract_patch
@@ -25,7 +26,7 @@ from mvdesc.viewsynth import (BOUNDS_MARGIN, MIN_FACING, LocalSurface,
 
 
 # ---------------------------------------------------------------------------
-# angular kernel
+# angular kernel, densities and their normalization
 
 
 def circular_distance(a, b):
@@ -56,6 +57,31 @@ def two_bin_votes(gx: float, gy: float, bins: int) -> np.ndarray:
     out[(lo + 1) % bins] = f * m
     out[lo % bins] = m - f * m
     return out
+
+
+def patch_density(patch, params) -> np.ndarray:
+    """Unnormalized (cells, cells, bins) density of one patch: the spatial
+    weights times the (pixels, bins) :func:`two_bin_votes` of its gradient,
+    one pixel at a time."""
+    grad = compute_gradient(GrayImage(patch, unit_range=False))
+    votes = np.array([two_bin_votes(float(x), float(y), params.bins)
+                      for x, y in zip(grad.gx.ravel(), grad.gy.ravel())])
+    grid = _patch_spatial_weights(params) @ votes
+    return grid.reshape(params.cells, params.cells, params.bins)
+
+
+def normalized_row(grid, bins: int):
+    """``(row, zero_mass)`` of one density, one cell at a time: each cell of
+    ``bins`` values over its sum, or uniform where that sum is below
+    ``ZERO_MASS_EPS``, flattened to one row; and the per-cell mask of the
+    uniform-by-zero-mass cells."""
+    cells = np.asarray(grid, dtype=np.float64).reshape(-1, bins)
+    row, zero = np.empty_like(cells), np.empty(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        mass = np.sum(cell)
+        zero[i] = mass < ZERO_MASS_EPS
+        row[i] = 1.0 / bins if zero[i] else cell / mass
+    return row.reshape(-1), zero
 
 
 # ---------------------------------------------------------------------------

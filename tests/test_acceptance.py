@@ -13,7 +13,7 @@ import numpy as np
 
 from mvdesc.bench import quick_benchmark_config, run_benchmark
 from mvdesc.geometry import PinholeCamera, Pose, rot_z
-from mvdesc.hog import DescriptorParams, normalize_density, orientation_density
+from mvdesc.hog import DescriptorParams, normalize_densities, patch_densities
 from mvdesc.image import (AffineContrast, GrayImage, apply_contrast,
                           compute_gradient)
 from mvdesc.matching import METRICS, DescriptorDatabase, nn_query
@@ -177,8 +177,9 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
         params = DescriptorParams(patch_size=size,
                                   bins=int(rng.choice([8, 16])),
                                   cells=int(rng.choice([2, 4])))
-        grad = compute_gradient(GrayImage(rng.random((size, size))))
-        got = orientation_density(grad, params).grid.reshape(-1, params.bins)
+        img = GrayImage(rng.random((size, size)))
+        grad = compute_gradient(img)
+        got = patch_densities(img.data[None], params)[0].reshape(-1, params.bins)
         want = _density_oracle(grad, params, params.cell_centers())
         worst_dens = max(worst_dens, float(np.max(np.abs(got - want))))
 
@@ -214,10 +215,6 @@ def test_criterion_5_oracle_equivalence(acceptance_log):
 # 6: invariance suite
 
 
-def _normalized_grid(img, params):
-    return normalize_density(orientation_density(compute_gradient(img), params))
-
-
 def test_criterion_6_invariances(acceptance_log, plane_ds):
     rng = np.random.default_rng(66601)
     params = DescriptorParams(patch_size=16, bins=16, cells=4)
@@ -229,19 +226,17 @@ def test_criterion_6_invariances(acceptance_log, plane_ds):
         a = float(rng.uniform(0.2, 3.0))
         b = float(rng.uniform(-0.2, 0.3))
         warped = apply_contrast(img, AffineContrast(a, b))
-        base = orientation_density(compute_gradient(img), params)
-        scaled = orientation_density(compute_gradient(warped), params)
-        worst_hom = max(worst_hom,
-                        float(np.max(np.abs(scaled.grid - a * base.grid))))
-        worst_inv = max(worst_inv, float(np.max(np.abs(
-            normalize_density(scaled).grid - normalize_density(base).grid))))
+        base, scaled = patch_densities([img.data, warped.data], params)
+        worst_hom = max(worst_hom, float(np.max(np.abs(scaled - a * base))))
+        rows = normalize_densities([base, scaled], params)[0]
+        worst_inv = max(worst_inv, float(np.max(np.abs(rows[1] - rows[0]))))
 
     # one-frame running average is bitwise the single-view density
-    img = GrayImage(rng.random((16, 16)))
-    dens = orientation_density(compute_gradient(img), params)
+    dens = patch_densities(GrayImage(rng.random((16, 16))).data[None], params)[0]
     acc = MultiViewAccumulator(params)
     acc.update(dens)
-    t1_exact = np.array_equal(acc.finalize().grid, normalize_density(dens).grid)
+    t1_exact = np.array_equal(acc.finalize(),
+                              normalize_densities(dens, params)[0][0])
 
     # reconstruction restricted to the identity view equals single-view
     view = plane_ds.frames[0]
@@ -250,20 +245,22 @@ def test_criterion_6_invariances(acceptance_log, plane_ds):
     surf = LocalSurface.from_frame(view.depth, view.camera, anchor, 11)
     rh = aggregate_descriptor(
         synthesize_patch(surf, view.image, np.eye(3))[None], p11)
-    sv = normalize_density(patch_density(extract_patch(view.image, anchor, 11),
-                                         p11)).grid.reshape(-1)
+    sv = normalize_densities(patch_density(extract_patch(view.image, anchor, 11),
+                                           p11), p11)[0][0]
     rh_diff = float(np.max(np.abs(rh - sv)))
 
     # normalization: every cell sums to one, including zero-evidence cells
     sums_ok = True
     for _ in range(10):
-        d = normalize_density(orientation_density(
-            compute_gradient(GrayImage(rng.random((16, 16)))), params))
-        sums_ok &= bool(np.all(np.abs(d.cell_mass() - 1.0) <= 1e-6))
-    flat = normalize_density(orientation_density(
-        compute_gradient(GrayImage(np.full((16, 16), 0.5))), params))
-    sums_ok &= bool(np.all(np.abs(flat.cell_mass() - 1.0) <= 1e-6))
-    sums_ok &= bool(np.all(flat.zero_mass))
+        d = patch_densities(GrayImage(rng.random((16, 16))).data[None], params)
+        row = normalize_densities(d, params)[0]
+        sums_ok &= bool(np.all(np.abs(row.reshape(-1, params.bins).sum(axis=1)
+                                      - 1.0) <= 1e-6))
+    flat, zero = normalize_densities(patch_densities(
+        GrayImage(np.full((16, 16), 0.5)).data[None], params), params)
+    sums_ok &= bool(np.all(np.abs(flat.reshape(-1, params.bins).sum(axis=1)
+                                  - 1.0) <= 1e-6))
+    sums_ok &= bool(np.all(zero))
 
     ok = (worst_inv <= 1e-9 and worst_hom <= 1e-9 and t1_exact
           and rh_diff <= 1e-9 and sums_ok)

@@ -13,14 +13,14 @@ from mvdesc import bench
 from mvdesc.bench import (_merge_config, default_benchmark_config, hash_name,
                           memory_scaling, quick_benchmark_config, spearman,
                           update_cost_profile)
-from mvdesc.hog import (DescriptorParams, OrientationDensity, normalize_density,
-                        patch_densities)
+from mvdesc.hog import DescriptorParams, patch_densities
 from mvdesc.multiview import MultiViewAccumulator
 from mvdesc.image import build_pyramid
 from mvdesc.scene import _SPEC_FIELDS, _check_spec, default_scene_spec
 from mvdesc.tracking import Track
-from mvdesc.viewsynth import (LocalSurface, patch_density, sample_rotations,
+from mvdesc.viewsynth import (LocalSurface, sample_rotations,
                               select_keyframes, synthesize_views)
+from oracles import normalized_row, patch_density
 
 
 class TestSpearman:
@@ -59,25 +59,26 @@ def synthetic_tracks(params, n_tracks, n_frames, seed):
 
 
 def per_row(grid, params):
-    """The per-density descriptor path the builders batch."""
-    return normalize_density(OrientationDensity(grid, params)).grid.reshape(-1)
+    """One density's descriptor row, normalized one cell at a time."""
+    return normalized_row(grid, params.bins)[0]
 
 
 def accumulated(track_grids, params):
-    """The ``MultiViewAccumulator`` fold the mv builder batches, per track."""
+    """Per track, the mean that the ``MultiViewAccumulator`` fold keeps,
+    normalized one cell at a time: what the mv builder batches."""
     rows = []
     for grids in track_grids:
         acc = MultiViewAccumulator(params)
         for g in grids:
-            acc.update(OrientationDensity(g, params))
-        rows.append(acc.finalize().grid.reshape(-1))
+            acc.update(g)
+        rows.append(per_row(acc.density_sum / acc.frames, params))
     return rows
 
 
 class TestBuildersEqualThePerRowPath:
-    """Each builder's rows and track ids equal, byte for byte, what
-    one ``normalize_density(d).grid.reshape(-1)`` per row (or
-    ``MultiViewAccumulator.finalize`` per track) gives."""
+    """Each builder's rows and track ids equal, byte for byte, the scalar
+    per-cell normalization of each row's density (of each track's
+    accumulated mean for mv)."""
 
     params = DescriptorParams(patch_size=9, bins=8, cells=3)
     ids = [7, 3, 11, 5]
@@ -85,7 +86,7 @@ class TestBuildersEqualThePerRowPath:
     def tracks(self):
         tracks = synthetic_tracks(self.params, 4, 5, seed=113)
         # a flat frame: every cell has zero mass and becomes uniform
-        tracks[1, 2] = patch_density(np.full((9, 9), 0.5), self.params).grid
+        tracks[1, 2] = patch_densities(np.full((1, 9, 9), 0.5), self.params)[0]
         return tracks
 
     @staticmethod
@@ -153,8 +154,7 @@ class TestBuildersEqualThePerRowPath:
         for tid, track in zip([4, 9], views):
             for surf, image in track:
                 for patch in synthesize_views(surf, image, rotations)[0]:
-                    rows.append(per_row(patch_density(patch, params).grid,
-                                        params))
+                    rows.append(per_row(patch_density(patch, params), params))
                     ids.append(tid)
         db = bench.rhog([4, 9], views, params, rotations)
         self.assert_rows(db, "rhog", rows, ids)
@@ -298,7 +298,7 @@ class TestUpdateCost:
         for acc, t in zip(made, [1, 5, 20]):
             want = MultiViewAccumulator(params)
             for i in range(t):
-                want.update(OrientationDensity(dens[i % len(dens)], params))
+                want.update(dens[i % len(dens)])
             assert acc.frames == t
             assert acc.density_sum.tobytes() == want.density_sum.tobytes()
 

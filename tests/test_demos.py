@@ -20,3 +20,14 @@ def test_demo_runs(script, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The ```python block under README.md's Quick start runs and finds the
+    multi-view track from the single view."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md (Quick start)", "exec"), scope)
+    assert scope["track"] == 7

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvdesc.hog import (DescriptorParams, OrientationDensity,
-                        _orientation_votes, normalize_density,
-                        orientation_density, patch_densities)
+from mvdesc.hog import (ZERO_MASS_EPS, DescriptorParams, _orientation_votes,
+                        normalize_densities, patch_densities)
 from mvdesc.image import GradientField, GrayImage, compute_gradient
-from oracles import angular_kernel, two_bin_votes
+from oracles import angular_kernel, normalized_row, patch_density, two_bin_votes
 
 EPS = np.finfo(np.float64).eps
 
@@ -60,12 +59,28 @@ class TestParams:
                                                       [0.5, 2.5], [2.5, 2.5]])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DescriptorParams(patch_size=2)
-        with pytest.raises(ValueError):
-            DescriptorParams(patch_size=8, bins=1)
-        with pytest.raises(ValueError):
-            DescriptorParams(patch_size=8, cells=9)
+        rows = [
+            ((2,), "patch_size: 2, expected at least 3"),
+            ((8, 1), "bins: 1, expected at least 2"),
+            ((8, 16, 0), "cells: 0, expected at least 1"),
+            ((8, 16, 9), "cells: 9, expected at most patch_size 8"),
+            ((4, 16, 5), "cells: 5, expected at most patch_size 4"),
+            ((11.5,), "patch_size: 11.5, expected an integer"),
+            ((11.0,), "patch_size: 11.0, expected an integer"),
+            ((True,), "patch_size: True, expected an integer"),
+            (("11",), "patch_size: '11', expected an integer"),
+            ((11, 16.0), "bins: 16.0, expected an integer"),
+            ((11, 16, np.float64(2)),
+             r"cells: np.float64\(2.0\), expected an integer"),
+            ((np.int64(2),), "patch_size: 2, expected at least 3"),
+        ]
+        for args, want in rows:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                DescriptorParams(*args)
+
+    def test_accepts_numpy_integers(self):
+        p = DescriptorParams(np.int64(11), np.int32(8), np.uint8(2))
+        assert p == DescriptorParams(11, 8, 2)
 
 
 class TestDensity:
@@ -74,20 +89,18 @@ class TestDensity:
         for bins, cells in ((8, 2), (16, 4), (2, 2)):
             size = int(rng.integers(8, 18))
             params = DescriptorParams(patch_size=size, bins=bins, cells=cells)
-            grad = compute_gradient(GrayImage(rng.random((size, size))))
-            dens = orientation_density(grad, params)
+            img = rng.random((size, size))
+            grid = patch_densities(img[None], params)[0]
+            grad = compute_gradient(GrayImage(img))
             want = triple_loop_density(grad, params, params.cell_centers())
-            np.testing.assert_allclose(dens.grid.reshape(-1, bins), want,
-                                       atol=1e-10)
-            assert not dens.normalized
+            np.testing.assert_allclose(grid.reshape(-1, bins), want, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (7, 7), (30, 40)])
-    def test_rejects_a_gradient_of_another_size(self, shape):
-        grad = compute_gradient(GrayImage(np.zeros(shape)))
+    def test_rejects_a_patch_of_another_size(self, shape):
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
-        want = f"gradient is {shape[1]} x {shape[0]} pixels, expected the 8 x 8"
+        want = rf"expected an \(n, 8, 8\) patch stack, got shape \(1, {shape[0]}, {shape[1]}\)"
         with pytest.raises(ValueError, match=want):
-            orientation_density(grad, params)
+            patch_densities(np.zeros(shape)[None], params)
 
     def test_single_oriented_edge_hits_expected_bin(self):
         # vertical edge: gradient along +x, angle 0, lands in the bins
@@ -95,8 +108,7 @@ class TestDensity:
         img = np.zeros((16, 16))
         img[:, 8:] = 1.0
         params = DescriptorParams(patch_size=16, bins=16, cells=1)
-        dens = orientation_density(compute_gradient(GrayImage(img)), params)
-        mass = dens.grid[0, 0]
+        mass = patch_densities(img[None], params)[0, 0, 0]
         top2 = set(np.argsort(mass)[-2:])
         assert top2 == {0, params.bins - 1}
 
@@ -209,9 +221,8 @@ class TestPatchDensities:
         got = patch_densities(stack, params)
         assert got.shape == (len(stack), params.cells, params.cells, params.bins)
         for patch, grid in zip(stack, got):
+            assert grid.tobytes() == patch_density(patch, params).tobytes()
             grad = compute_gradient(GrayImage(patch, unit_range=False))
-            want = orientation_density(grad, params).grid
-            assert grid.tobytes() == want.tobytes()
             check_votes(grad.gx.ravel(), grad.gy.ravel(), params.bins)
 
     # an id reads bins-eps, with eps in bin widths: always one bin
@@ -251,9 +262,6 @@ class TestPatchDensities:
         stack[1, 2, 2] = 1e160
         with pytest.raises(ValueError, match="magnitudes must be finite"):
             patch_densities(stack, params)
-        grad = compute_gradient(GrayImage(stack[1], unit_range=False))
-        with pytest.raises(ValueError, match="magnitudes must be finite"):
-            orientation_density(grad, params)
 
     def test_rejects_other_shapes(self):
         params = DescriptorParams(5)
@@ -266,37 +274,77 @@ class TestPatchDensities:
         assert patch_densities(np.zeros((0, 5, 5)), params).shape == (0, 2, 2, 8)
 
 
+@st.composite
+def normalization_cases(draw):
+    """Random params and a stack of 0 to 40 grids whose cells have mass 0,
+    below or around ``ZERO_MASS_EPS``, or near 1e-100, 1 or 1e100."""
+    cells, bins = draw(st.integers(1, 4)), draw(st.integers(2, 36))
+    params = DescriptorParams(max(3, cells), bins, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 40))
+    # a cell's mass averages its scale times bins / 2
+    scales = np.array([0.0, ZERO_MASS_EPS / bins, 2.0 * ZERO_MASS_EPS / bins,
+                       1e-100, 1.0, 1e100])
+    scale = rng.choice(scales, (n, cells, cells, 1))
+    grids = scale * rng.random((n, cells, cells, bins))
+    # a single vote: mass exactly the value of one bin
+    one = rng.random((n, cells, cells)) < 0.1
+    grids[one] *= np.arange(bins) == rng.integers(bins)
+    return params, grids
+
+
 class TestNormalization:
     def test_cells_sum_to_one(self):
         rng = np.random.default_rng(16)
         params = DescriptorParams(patch_size=16, bins=16, cells=4)
-        dens = orientation_density(
-            compute_gradient(GrayImage(rng.random((16, 16)))), params)
-        norm = normalize_density(dens)
-        np.testing.assert_allclose(norm.cell_mass(), 1.0, atol=1e-12)
-        assert norm.normalized
-        assert not norm.zero_mass.any()
+        grids = patch_densities(rng.random((1, 16, 16)), params)
+        rows, zero = normalize_densities(grids, params)
+        assert rows.shape == (1, 16 * 16) and zero.shape == (1, 16)
+        np.testing.assert_allclose(rows.reshape(-1, 16).sum(axis=1), 1.0,
+                                   atol=1e-12)
+        assert not zero.any()
 
     def test_zero_mass_cells_become_uniform(self):
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
-        dens = orientation_density(
-            compute_gradient(GrayImage(np.full((8, 8), 0.7))), params)
-        norm = normalize_density(dens)
-        assert norm.zero_mass.all()
-        np.testing.assert_allclose(norm.grid, 1.0 / 8.0)
+        grids = patch_densities(np.full((1, 8, 8), 0.7), params)
+        rows, zero = normalize_densities(grids, params)
+        assert zero.all()
+        np.testing.assert_array_equal(rows, 1.0 / 8.0)
 
     def test_original_density_unchanged(self):
         rng = np.random.default_rng(17)
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
-        dens = orientation_density(
-            compute_gradient(GrayImage(rng.random((8, 8)))), params)
-        before = dens.grid.copy()
-        normalize_density(dens)
-        np.testing.assert_array_equal(dens.grid, before)
+        grids = patch_densities(rng.random((1, 8, 8)), params)
+        before = grids.copy()
+        normalize_densities(grids, params)
+        np.testing.assert_array_equal(grids, before)
 
     def test_grid_shape_validated(self):
         params = DescriptorParams(patch_size=8, bins=8, cells=2)
-        with pytest.raises(ValueError):
-            OrientationDensity(np.zeros((2, 2, 7)), params)
-        with pytest.raises(ValueError):
-            OrientationDensity(np.full((2, 2, 8), -1.0), params)
+        for shape in ((2, 2, 7), (3, 2, 8), (32,), (4, 8)):
+            with pytest.raises(ValueError, match=r"expected \(\.\.\., 2, 2, 8\)"):
+                normalize_densities(np.zeros(shape), params)
+
+    @pytest.mark.parametrize("lead", [(), (0,), (3,), (2, 3)])
+    def test_any_leading_shape(self, lead):
+        rng = np.random.default_rng(18)
+        params = DescriptorParams(patch_size=8, bins=8, cells=2)
+        grids = rng.random(lead + (2, 2, 8))
+        rows, zero = normalize_densities(grids, params)
+        n = int(np.prod(lead))
+        assert rows.shape == (n, 32) and zero.shape == (n, 4)
+        flat = normalize_densities(grids.reshape(-1, 2, 2, 8), params)[0]
+        assert rows.tobytes() == flat.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=normalization_cases())
+    def test_equals_per_cell_oracle(self, case):
+        params, grids = case
+        rows, zero = normalize_densities(grids, params)
+        want = [normalized_row(g, params.bins) for g in grids]
+        assert rows.shape == (len(grids), params.cells ** 2 * params.bins)
+        assert rows.tobytes() == np.array([r for r, _ in want]).tobytes()
+        assert zero.shape == (len(grids), params.cells ** 2)
+        assert zero.tobytes() == np.array([z for _, z in want]).tobytes()
+        cells = rows.reshape(zero.shape + (params.bins,))
+        assert np.all(cells[zero] == 1.0 / params.bins)

@@ -218,7 +218,7 @@ class TestDatabase:
          "database header: version 4, expected 5; rebuild it with "
          "`mvdesc describe`"),
         (lambda b: _put(b, _PATCH, "<H", 2),
-         "database params: patch_size must be at least 3"),
+         "database params: patch_size: 2, expected at least 3"),
         (lambda b: _put(b, _VALUES + 4 * 16 + 8, "<f", np.inf),
          "descriptor values: row 1 is not finite"),
         (lambda b: _put(b, _VALUES + 4, "<f", np.nan),

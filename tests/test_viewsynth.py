@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvdesc.geometry import PinholeCamera, Pose, axis_angle_rotation, rot_z
-from mvdesc.hog import DescriptorParams, normalize_density
+from mvdesc.hog import DescriptorParams
 from mvdesc.image import GrayImage, bilinear_sample, level_to_base
 from mvdesc.matching import DescriptorDatabase, match_all
 from mvdesc.viewsynth import (LocalSurface, ReprojectionOutOfBounds,
@@ -499,14 +499,14 @@ class TestAggregation:
         for row, q in zip(rows, patches):
             np.testing.assert_allclose(row.reshape(4, 8).sum(axis=1), 1.0,
                                        atol=1e-6)
-            one = normalize_density(patch_density(q, p)).grid.reshape(-1)
+            one = oracles.normalized_row(oracles.patch_density(q, p), p.bins)[0]
             assert row.tobytes() == one.tobytes()
 
     def test_aggregate_equals_normalized_mean_density(self):
         rng = np.random.default_rng(82)
         patches = rng.random((4, 15, 15))
         p = self.params()
-        grids = np.array([patch_density(q, p).grid for q in patches])
+        grids = np.array([oracles.patch_density(q, p) for q in patches])
         want = grids.mean(axis=0)
         want = want / want.sum(axis=2, keepdims=True)
         got = aggregate_descriptor(patches, p)
@@ -519,6 +519,18 @@ class TestAggregation:
         single = view_descriptors(patch[None], p)[0]
         four = aggregate_descriptor(np.repeat(patch[None], 4, axis=0), p)
         np.testing.assert_allclose(four, single, atol=1e-12)
+
+    def test_patch_density_of_one_patch_equals_the_oracle(self):
+        patch = np.random.default_rng(84).random((15, 15))
+        p = self.params()
+        got = patch_density(patch, p)
+        assert got.shape == (2, 2, 8)
+        assert got.tobytes() == oracles.patch_density(patch, p).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_aggregate_refuses_an_empty_stack(self):
+        with pytest.raises(ValueError, match="no synthesized views"):
+            aggregate_descriptor(np.empty((0, 15, 15)), self.params())
 
 
 class TestMaxOut:
