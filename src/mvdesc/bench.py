@@ -200,9 +200,17 @@ def spearman(x, y) -> float:
 # database builders: one per method, shared by the benchmark and the CLI
 
 
+def _check_track_count(builder: str, track_ids, per_track) -> None:
+    """Refuse a ``track_ids`` that does not give one id per track input."""
+    if len(track_ids) != len(per_track):
+        raise ValueError(f"{builder}: {len(track_ids)} track ids for "
+                         f"{len(per_track)} tracks")
+
+
 def sv(track_ids, grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track from an (n, cells, cells, bins) stack of
     unnormalized densities, one per track (the caller picks the frame)."""
+    _check_track_count("sv", track_ids, grids)
     return DescriptorDatabase("sv", params, track_ids,
                               normalize_densities(grids, params)[0])
 
@@ -211,6 +219,7 @@ def mv(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatabase:
     """One row per track: the normalized mean of its (frames, cells, cells,
     bins) density stack. ``mean(axis=0)`` adds the frames in order and then
     divides by their count, as :class:`MultiViewAccumulator` does."""
+    _check_track_count("mv", track_ids, track_grids)
     means = [np.empty((0, params.cells, params.cells, params.bins))]
     for tid, grids in zip(track_ids, track_grids):
         if not len(grids):
@@ -224,6 +233,7 @@ def keepall(track_ids, track_grids, params: DescriptorParams) -> DescriptorDatab
     """One row per frame of every track's (frames, cells, cells, bins)
     density stack, in frame order. ``track_grids`` is one (tracks, frames,
     ...) array or a list of stacks of any lengths."""
+    _check_track_count("keepall", track_ids, track_grids)
     frames = track_grids if isinstance(track_grids, np.ndarray) else np.concatenate(
         [np.empty((0, params.cells, params.cells, params.bins)), *track_grids])
     ids = np.repeat(track_ids, [len(grids) for grids in track_grids])
@@ -239,6 +249,7 @@ def rhog(track_ids, track_views, params: DescriptorParams, rotations,
     lifted keyframe surface and the pyramid level image it reprojects into.
     A keyframe none of whose views is accepted contributes no rows.
     """
+    _check_track_count("rhog", track_ids, track_views)
     ids, blocks = [], [np.zeros((0, params.cells ** 2 * params.bins))]
     for tid, views in zip(track_ids, track_views):
         for surface, level_image in views:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,15 @@ class PinholeCamera:
         ys = np.arange(self.height, dtype=np.float64)
         gx, gy = np.meshgrid(xs, ys)
         return np.stack([gx, gy], axis=-1)
+
+    @cached_property
+    def pixel_rays(self) -> np.ndarray:
+        """Read-only (height, width, 3) unit rays through the pixel centers,
+        ``ray_directions(pixel_grid())``, built on first use and kept on this
+        camera, so every view rendered through it shares one grid."""
+        rays = self.ray_directions(self.pixel_grid())
+        rays.flags.writeable = False
+        return rays
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
         """Boolean mask of pixel coordinates inside the image bounds."""

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PinholeCamera, Pose, look_at
-from .image import (AffineContrast, GrayImage, _check_fields, _field_defaults,
-                    _json_field, _json_list, _need, bilinear_sample,
-                    read_pgm, write_pgm)
+from .image import (AffineContrast, GrayImage, _bilinear, _check_fields,
+                    _field_defaults, _json_field, _json_list, _need, read_pgm,
+                    write_pgm)
 
 __all__ = [
     "RenderError",
@@ -255,20 +255,25 @@ class SceneModel:
 
     def __post_init__(self):
         # one wrapped column and row, so a lookup at [n - 1, n] tiles the torus
-        self._wrapped = np.pad(self.texture, (0, 1), mode="wrap")
+        self._wrapped = np.pad(np.asarray(self.texture, dtype=np.float64),
+                               (0, 1), mode="wrap")
 
     def local_rays(self, camera: PinholeCamera, pose: Pose):
-        """Per-pixel ray origin (one point) and unit directions, world frame."""
-        dirs_cam = camera.ray_directions(camera.pixel_grid())
-        return pose.center, dirs_cam @ pose.r  # row-vector form of R^T d
+        """Per-pixel ray origin (one point) and unit directions, world frame:
+        the camera's shared :attr:`~PinholeCamera.pixel_rays` grid turned by
+        the pose, one product per view."""
+        # row-vector form of R^T d
+        return pose.center, camera.pixel_rays @ pose.r
 
     def albedo(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Surface intensity at local coordinates (x, y), tiling the texture
-        as a torus."""
+        as a torus: the two wrapped texel coordinates go to the bilinear
+        kernel as two arrays, each of which must land inside the texture."""
         n = self.texture.shape[0]
-        xy = np.stack([np.mod(x * self.texels_per_meter, n),
-                       np.mod(y * self.texels_per_meter, n)], axis=-1)
-        return bilinear_sample(self._wrapped, xy, clamp=False)
+        h, w = self._wrapped.shape
+        u = np.mod(x * self.texels_per_meter, n)
+        v = np.mod(y * self.texels_per_meter, n)
+        return _bilinear(self._wrapped.ravel(), u, v, w, h, 0, clamp=False)
 
 
 @dataclass
@@ -296,10 +301,13 @@ def render_view(scene: SceneModel, camera: PinholeCamera, pose: Pose,
     is clipped to [0, 1] and quantized to 8 bits, so views rendered in memory
     and views reloaded from disk are identical. Depth keeps full precision
     in memory (float32 on disk) and is inf where the ray misses.
+
+    The rays are the camera's one :attr:`~PinholeCamera.pixel_rays` grid
+    turned by the pose (:meth:`SceneModel.local_rays`); of each hit point
+    only x and y are formed, for the texture lookup.
     """
-    origin_local, dirs_local = scene.local_rays(camera, pose)
-    origins = np.broadcast_to(origin_local, dirs_local.shape)
-    t = scene.surface.intersect(origins, dirs_local)
+    origin, dirs = scene.local_rays(camera, pose)
+    t = scene.surface.intersect(np.broadcast_to(origin, dirs.shape), dirs)
     hit = np.isfinite(t)
     if hit.mean() < min_hit_fraction:
         raise RenderError(
@@ -307,8 +315,9 @@ def render_view(scene: SceneModel, camera: PinholeCamera, pose: Pose,
             "points away from the surface")
 
     tt = np.where(hit, t, 0.0)
-    pts = origins + tt[..., None] * dirs_local
-    img = np.where(hit, scene.albedo(pts[..., 0], pts[..., 1]), 0.0)
+    x = origin[0] + tt * dirs[..., 0]
+    y = origin[1] + tt * dirs[..., 1]
+    img = np.where(hit, scene.albedo(x, y), 0.0)
 
     photometric = dict(photometric or {})
     a = float(photometric.get("a", 1.0))

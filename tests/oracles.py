@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvdesc.hog import ZERO_MASS_EPS, _patch_spatial_weights
-from mvdesc.image import (TWO_PI, GrayImage, base_to_level, bilinear_sample,
-                          build_pyramid, compute_gradient, level_to_base)
+from mvdesc.image import (TWO_PI, AffineContrast, GrayImage, base_to_level,
+                          bilinear_sample, build_pyramid, compute_gradient,
+                          level_to_base)
 from mvdesc.scene import (OCCLUDED, OCCLUSION_REL_TOL, OUT_OF_VIEW, UNDEFINED,
                           VISIBLE, RenderedView)
 from mvdesc.tracking import _SegmentTest, extract_patch
@@ -82,6 +83,36 @@ def normalized_row(grid, bins: int):
         zero[i] = mass < ZERO_MASS_EPS
         row[i] = 1.0 / bins if zero[i] else cell / mass
     return row.reshape(-1), zero
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def render_view(scene, camera, pose, photometric: dict = None, rng=None):
+    """The image data and depth of one view, ray-cast as each view once was:
+    a ray grid of its own, ``ray_directions(pixel_grid())``, the full
+    3-component hit points, and the texture read through one stacked
+    ``(..., 2)`` :func:`bilinear_sample` lookup of the wrapped texture."""
+    dirs = camera.ray_directions(camera.pixel_grid()) @ pose.r
+    origins = np.broadcast_to(pose.center, dirs.shape)
+    t = scene.surface.intersect(origins, dirs)
+    hit = np.isfinite(t)
+    pts = origins + np.where(hit, t, 0.0)[..., None] * dirs
+    n = scene.texture.shape[0]
+    xy = np.stack([np.mod(pts[..., 0] * scene.texels_per_meter, n),
+                   np.mod(pts[..., 1] * scene.texels_per_meter, n)], axis=-1)
+    wrapped = np.pad(scene.texture, (0, 1), mode="wrap")
+    img = np.where(hit, bilinear_sample(wrapped, xy, clamp=False), 0.0)
+    photometric = photometric or {}
+    a = float(photometric.get("a", 1.0))
+    b = float(photometric.get("b", 0.0))
+    sigma = float(photometric.get("noise_sigma", 0.0))
+    img = AffineContrast(a, b).apply(img) if (a != 1.0 or b != 0.0) else img
+    if sigma > 0.0:
+        img = img + sigma * rng.standard_normal(img.shape)
+    image = GrayImage.from_u8(GrayImage(np.clip(img, 0.0, 1.0)).to_u8())
+    return image.data, np.where(hit, t, np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ class TestBuildersOfNoRows:
             db, "keepall", [per_row(g, self.params) for g in grids], [7, 7, 7])
 
 
+class TestBuildersRefuseAWrongIdCount:
+    """Each builder takes one track id per track and refuses any other
+    count before building, naming itself and both counts."""
+
+    params = DescriptorParams(patch_size=9, bins=8, cells=3)
+
+    @pytest.mark.parametrize("ids", [[7], [7, 3, 11]],
+                             ids=["too-few", "too-many"])
+    @pytest.mark.parametrize("method", ["sv", "mv", "keepall", "rhog"])
+    def test_a_wrong_id_count_is_refused(self, method, ids):
+        tracks = synthetic_tracks(self.params, 2, 4, seed=119)
+        inputs = {"sv": tracks[:, 0], "mv": list(tracks), "keepall": tracks,
+                  "rhog": [[], []]}
+        extra = (sample_rotations(),) if method == "rhog" else ()
+        with pytest.raises(ValueError, match=f"^{method}: {len(ids)} track "
+                                             f"ids for 2 tracks$"):
+            getattr(bench, method)(ids, inputs[method], self.params, *extra)
+
+
 class TestLiftKeyframes:
     def test_equals_from_frame_per_track_and_keyframe(self, relief_ds):
         """Tracks of both levels and of unequal lengths, some positions too

@@ -323,6 +323,39 @@ class TestRender:
             render_view(sc, cam, up)
 
 
+class TestRenderOracle:
+    """Views rendered through the camera's shared ray grid and the
+    two-array texture lookup have the bytes of the per-view form."""
+
+    @pytest.mark.parametrize("kind, seed", [("plane", 76), ("heightfield", 77)])
+    def test_views_equal_the_per_view_render(self, kind, seed):
+        spec = small_spec(f"o{seed}", kind, seed)
+        sc = build_scene(spec)
+        cam = scene._camera(spec)
+        poses = orbit_poses(spec)[::3] + scene.test_poses(spec)[:2]
+        for i, pose in enumerate(poses):
+            photo = scene._draw_photometric(spec, scene._spec_rng(seed, i))
+            for draw in (photo, {**photo, "noise_sigma": 0.0}, {}):
+                got = render_view(sc, cam, pose, draw,
+                                  rng=np.random.default_rng(i))
+                image, depth = oracles.render_view(
+                    sc, cam, pose, draw, rng=np.random.default_rng(i))
+                assert got.image.data.tobytes() == image.tobytes()
+                assert got.depth.tobytes() == depth.tobytes()
+
+    def test_camera_ray_grid_is_read_only_and_exact(self):
+        cam = PinholeCamera(170.0, 79.5, 59.5, 160, 120)
+        rays = cam.pixel_rays
+        assert rays is cam.pixel_rays
+        assert rays.shape == (120, 160, 3) and not rays.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rays[0, 0, 0] = 0.0
+        want = cam.ray_directions(cam.pixel_grid())
+        assert rays.tobytes() == want.tobytes()
+        # one grid per camera instance, not per camera value
+        assert PinholeCamera(170.0, 79.5, 59.5, 160, 120).pixel_rays is not rays
+
+
 class TestCorrespondenceStatuses:
     def test_out_of_view(self, plane_ds):
         # a quarter of the way around the orbit the azimuth swing peaks
